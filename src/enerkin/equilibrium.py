@@ -16,7 +16,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 from .core import KernelSupportError, KineticsError, ValidationError
 from .densities import DensityFamily, ShiftedGamma
@@ -130,6 +129,8 @@ def sample_conserving_quadruples(
     exponential quantile with the given scale; outgoing states use each
     channel's feasible outputs in rotation.  Deterministic in ``seed``.
     """
+    from scipy.stats import qmc  # costs ~0.5 s to import, and only this function uses it
+
     if not network.binary:
         raise ValidationError("network has no binary channels to sample")
     ie = network.types.internal_energies

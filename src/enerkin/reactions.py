@@ -158,11 +158,10 @@ class PowerGapRate:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         gap = u - self.threshold
-        with np.errstate(invalid="ignore"):
-            out = np.where(gap > 0, self.b * np.power(gap, self.exponent, where=gap > 0), 0.0)
         if self.exponent == 0.0:
-            out = np.where(gap >= 0, self.b, 0.0)
-        return out
+            return np.where(gap >= 0, self.b, 0.0)
+        above = gap > 0
+        return np.where(above, self.b * np.power(np.where(above, gap, 1.0), self.exponent), 0.0)
 
     def __repr__(self):
         return f"PowerGapRate({self.b}, {self.exponent}, {self.threshold})"

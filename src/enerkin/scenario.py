@@ -198,25 +198,14 @@ class Scenario:
         grid = DensityGrid.from_families(
             families, float(grid_spec["x_max"]), int(grid_spec["cells"]), weights
         )
-        n_binary = len(self.network.binary)
         cfg = SolverConfig(
             dt=float(p["dt"]),
             t_end=float(p["t_end"]),
             scheme=p.get("scheme", "rk4"),
-            alpha=(
-                float(self.network.binary[0].rate.value)
-                if self.types.count == 1
-                and n_binary == 1
-                and isinstance(self.network.binary[0].rate, ConstantRate)
-                and self.network.binary[0].kernel.kind == "uniform"
-                else None
-            ),
-            network=None,
+            network=self.network,
             snapshot_times=tuple(p["snapshot_times"]) if p.get("snapshot_times") else None,
             renormalize_mass=bool(p.get("renormalize_mass", False)),
         )
-        if cfg.alpha is None:
-            cfg.network = self.network
         return grid, cfg
 
     # -- serialization ---------------------------------------------------------

@@ -121,10 +121,11 @@ class TestRoundTrip:
 
 
 class TestSolverSetup:
-    def test_one_type_uniform_uses_scalar_rate(self):
+    def test_one_type_uses_network(self):
+        # every solve, the one-type one included, runs the scenario's network
         sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=8)
         grid, cfg = sc.solver_setup()
-        assert cfg.alpha == 1.0 and cfg.network is None
+        assert cfg.alpha is None and cfg.network is sc.network
         assert grid.n_cells == 2000
         assert ek.mass(grid) == pytest.approx(1.0, abs=1e-12)
 

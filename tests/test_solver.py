@@ -13,6 +13,90 @@ def exp_grid(beta=1.0, x_max=40.0, n=4000, cell_average=True):
     return g
 
 
+def gap_network(ie=(0.0, 0.5), low_rate=None):
+    """Two types with an internal-energy gap; like pairs may change type together.
+
+    With ``low_rate`` the (1, 1) channel can only go up the gap, at that rate.
+    """
+    tt = ek.TypeTable(np.array(ie))
+
+    def ch(pair, outs, rate=ek.ConstantRate(1.0)):
+        return ek.BinaryChannel(pair, rate, ek.UniformKernel(outs))
+
+    if low_rate is None:
+        low = ch((1, 1), [(1, 1, 1.0), (2, 2, 1.0)])
+    else:
+        low = ch((1, 1), [(2, 2, 1.0)], low_rate)
+    return ek.ReactionNetwork(
+        tt, [low, ch((1, 2), [(1, 2, 1.0)]), ch((2, 2), [(2, 2, 1.0), (1, 1, 1.0)])]
+    )
+
+
+def canonical_gap_network():
+    """Canonical Gamma(2,1)/Exp(1) splits across an internal-energy gap."""
+    tt = ek.TypeTable(np.array([0.0, 0.3]))
+    dens = {1: ek.GammaDensity(2.0, 1.0), 2: ek.Exponential(1.0)}
+
+    def ch(pair, outs):
+        return ek.BinaryChannel(pair, ek.SumDecayRate(1.0, 0.2), ek.CanonicalKernel(outs, dens))
+
+    return ek.ReactionNetwork(
+        tt,
+        [
+            ch((1, 1), [(1, 1, 1.0), (2, 2, 0.5)]),
+            ch((1, 2), [(1, 2, 1.0)]),
+            ch((2, 2), [(1, 1, 1.0)]),
+        ],
+    )
+
+
+def reference_rhs(grid, network, leak_to_last=False):
+    """The operator's fast-path formulas with dense tables and direct convolutions."""
+    vals, n, h, x = grid.values, grid.n_cells, grid.h, grid.centers
+    ie = network.types.internal_energies
+    sigma = np.arange(1.0, 2.0 * n) * h  # s_m = (m+1) h
+    out = np.zeros_like(vals)
+    for ch in network.binary:
+        v, w = ch.pair
+        outs = ch.kernel.outputs
+        alpha_s = ch.rate.of_sum(sigma) * np.ones_like(sigma)
+        delta = np.array([ie[v - 1] + ie[w - 1] - ie[o.first - 1] - ie[o.second - 1] for o in outs])
+        w_eff = (sigma[:, None] + delta[None, :] >= 0) * np.array([o.weight for o in outs])
+        norm = w_eff.sum(axis=1)
+        w_eff = w_eff / np.where(norm > 0, norm, 1.0)[:, None]
+        flux = alpha_s * np.convolve(vals[v - 1], vals[w - 1]) * h * h
+        gated = alpha_s * (norm > 0)
+        for a, b in ((v, w), (w, v)) if v != w else ((v, w),):
+            corr = np.convolve(gated, vals[b - 1][::-1])[n - 1 : 2 * n - 1]
+            out[a - 1] -= vals[a - 1] * corr * h
+        roles = [(c, o.first, o.second) for c, o in enumerate(outs)]
+        if v != w:
+            roles += [(c, o.second, o.first) for c, o in enumerate(outs)]
+        for col, rcp, other in roles:
+            q = flux * w_eff[:, col]
+            e = sigma + delta[col]
+            if ch.kernel.kind == "uniform":
+                # density q / e on [0, e]: each cell takes its overlap with [0, e]
+                overlap = np.clip(e[None, :] - (x[:, None] - 0.5 * h), 0.0, h)
+                dens = np.where(e > 0, q / np.where(e > 0, e, 1.0), 0.0)
+                out[rcp - 1] += overlap @ dens / h
+                out[rcp - 1, 0] += q[e == 0].sum() / h
+                if leak_to_last:
+                    past = np.clip(e - n * h, 0.0, None) / np.maximum(e, 1e-300)
+                    out[rcp - 1, -1] += np.sum(q * past) / h
+            else:
+                tiny = e < 0.5 * h
+                out[rcp - 1, 0] += q[tiny].sum() / h
+                pr = ch.kernel.densities[rcp].pdf(x)
+                diff = e[None, :] - x[:, None]
+                partner = ch.kernel.densities[other].pdf(np.maximum(diff, 0.0))
+                contrib = np.where(diff >= 0, partner, 0.0)
+                denom = h * (pr @ contrib)
+                scale = np.where((denom > 0) & ~tiny, q / np.where(denom > 0, denom, 1.0), 0.0)
+                out[rcp - 1] += pr * (contrib @ scale)
+    return out
+
+
 class TestDensityGrid:
     def test_geometry(self):
         g = ek.DensityGrid(10.0, np.ones((2, 5)) * 0.05)
@@ -205,6 +289,61 @@ class TestRhsMultitype:
         assert np.max(np.abs(r_half - 0.5 * r_full)) < 1e-10 * max(1.0, np.max(np.abs(r_full)))
 
 
+class TestCollisionPlan:
+    @pytest.mark.parametrize(
+        "make_network, leak",
+        [
+            ("two_type_canonical_network", False),
+            (canonical_gap_network, False),
+            (gap_network, False),
+            (lambda: gap_network((0.0, 0.5037), ek.SumDecayRate(1.5, 0.4)), False),
+            (lambda: gap_network((0.0, 0.5037), ek.SumDecayRate(1.5, 0.4)), True),
+        ],
+    )
+    def test_matches_dense_reference(self, make_network, leak, request):
+        if isinstance(make_network, str):
+            net = request.getfixturevalue(make_network)
+        else:
+            net = make_network()
+        g = ek.DensityGrid.from_families(
+            [ek.UniformDensity(0, 3), ek.Exponential(1.0)], 12.0, 96, weights=[0.6, 0.4]
+        )
+        ref = reference_rhs(g, net, leak_to_last=leak)
+        got = ek.rhs_multitype(g, net, leak_to_last=leak)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_plan_takes_raw_values(self, two_type_canonical_network):
+        g = ek.DensityGrid.from_families(
+            [ek.GammaDensity(2, 1), ek.UniformDensity(0, 2)], 12.0, 60, weights=[0.5, 0.5]
+        )
+        plan = ek.CollisionPlan(two_type_canonical_network, g.n_cells, g.x_max)
+        raw = ek.rhs_multitype(g.values, two_type_canonical_network, plan=plan)
+        assert np.array_equal(raw, ek.rhs_multitype(g, two_type_canonical_network))
+        with pytest.raises(ek.ValidationError, match="shape"):
+            plan.rhs(g.values[:, :-1])
+        with pytest.raises(ek.ValidationError, match="another network"):
+            ek.rhs_multitype(g.values, gap_network(), plan=plan)
+
+    def test_pdfs_evaluated_only_while_building_the_plan(
+        self, two_type_canonical_network, monkeypatch
+    ):
+        calls = []
+        for cls in (ek.GammaDensity, ek.Exponential):
+            monkeypatch.setattr(
+                cls, "pdf", lambda self, x, orig=cls.pdf: calls.append(1) or orig(self, x)
+            )
+        g0 = ek.DensityGrid.from_families(
+            [ek.UniformDensity(0, 2), ek.Exponential(1.0)], 12.0, 60, weights=[0.5, 0.5]
+        )
+        counts = []
+        for t_end in (0.1, 0.5):
+            calls.clear()
+            cfg = ek.SolverConfig(dt=0.05, t_end=t_end, network=two_type_canonical_network)
+            ek.integrate(g0, cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 class TestIntegrate:
     def test_t_end_zero_returns_initial(self):
         g = exp_grid(n=100)
@@ -283,6 +422,45 @@ class TestIntegrate:
         cfg = ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, snapshot_times=(0.0, 0.5, 1.0))
         out = ek.integrate(g, cfg)
         assert [round(t, 6) for t, _ in out] == [0.0, 0.5, 1.0]
+
+    def test_one_type_mass_kept_over_long_run(self):
+        # the quadratic loss keeps unit mass stable: only the tail past x_max leaks
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 20.0, 400)
+        cfg = ek.SolverConfig(dt=0.05, t_end=20.0, scheme="rk4", alpha=1.0)
+        (_, out), = ek.integrate(g, cfg)
+        assert abs(ek.mass(out) - ek.mass(g)) < 1e-6 * ek.mass(g)
+
+    def test_stage_blowup_is_a_solver_error(self):
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
+        cfg = ek.SolverConfig(dt=2.0, t_end=4.0, scheme="rk4", alpha=1.0)
+        with pytest.raises(ek.SolverBlowupError, match="stage") as err:
+            ek.integrate(g, cfg)
+        assert err.value.step == 1 and err.value.time == 2.0
+
+    def test_snapshots_land_on_requested_times(self):
+        # dt divides neither requested time: the steps that would pass them are
+        # shortened, and each label is the time reached
+        net = gap_network()
+        g0 = ek.DensityGrid.from_families(
+            [ek.UniformDensity(0, 2), ek.UniformDensity(0, 1.5)], 20.0, 400, weights=[0.6, 0.4]
+        )
+        coarse, fine = (
+            ek.integrate(
+                g0, ek.SolverConfig(dt=dt, t_end=1.0, network=net, snapshot_times=(0.5, 1.0))
+            )
+            for dt in (0.3, 0.01)
+        )
+        assert [t for t, _ in coarse] == [0.5, 1.0]
+        for (_, a), (_, b) in zip(coarse, fine):
+            assert np.max(np.abs(a.values - b.values)) < 1e-4
+
+    def test_snapshots_at_multiples_of_dt_keep_the_steps(self):
+        g = exp_grid(n=100, x_max=20.0)
+        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, snapshot_times=(0.3, 1.0))
+        (t1, _), (t2, end) = ek.integrate(g, cfg)
+        assert (t1, t2) == (0.3, 1.0)
+        (_, alone), = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0))
+        assert np.array_equal(end.values, alone.values)
 
     def test_config_validation(self):
         g = exp_grid(n=100)
