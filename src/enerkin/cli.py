@@ -191,19 +191,12 @@ def _run_check(scenario: Scenario, params: dict) -> dict:
         observed = float(np.max(np.abs(rhs_one_type(grid, alpha))))
         used = cells
     elif name == "kernel_normalization":
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        observed, used = 0.0, 0
-        for ch in scenario.network.binary:
-            for _ in range(max(1, samples // max(1, len(scenario.network.binary)))):
-                t, tp = rng.exponential(scale, size=2)
-                total = ch.kernel.check_normalization(
-                    ch.pair[0], float(t), ch.pair[1], float(tp), scenario.types
-                )
-                expected = ch.kernel.outcome_mass(
-                    ch.pair[0], float(t), ch.pair[1], float(tp), scenario.types
-                )
-                observed = max(observed, abs(total - expected))
-                used += 1
+        per_channel = max(1, samples // max(1, len(scenario.network.binary)))
+        errors = scenario.network.kernel_normalization_errors(
+            per_channel, np.random.default_rng(int(params.get("seed", 0))), scale
+        )
+        observed = max(errors.values(), default=0.0)
+        used = per_channel * len(errors)
     elif name == "admissible_pair":
         rho1 = density_from_spec(params["rho1"])
         rho2 = density_from_spec(params["rho2"])

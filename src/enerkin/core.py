@@ -3,7 +3,10 @@
 A molecule type carries a fixed internal energy; a particle carries a
 nonnegative kinetic energy on top of it.  Binary collisions and unary type
 changes redistribute kinetic energy so that the total (internal + kinetic)
-energy of the system is conserved exactly, up to floating point.
+energy of the system is conserved exactly, up to floating point; the one
+rule for that, ``available_kinetic_energy``, lives here and every module
+that moves energy between types calls it.  Events themselves are applied by
+the simulator's engine (``simulate.execute_event`` for a single event).
 
 Type ids are 1-based throughout the public surface.
 """
@@ -27,11 +30,7 @@ __all__ = [
     "Particle",
     "ParticleSystem",
     "total_energy",
-    "collision_feasible",
     "available_kinetic_energy",
-    "apply_collision",
-    "apply_unary",
-    "renormalize_total_energy",
 ]
 
 
@@ -211,100 +210,16 @@ def total_energy(system: ParticleSystem, types: TypeTable) -> float:
     return float(np.sum(internal) + np.sum(system.kinetic_energies))
 
 
-def collision_feasible(v, t, v_other, t_other, v_out, v_out_other, types: TypeTable) -> bool:
-    """Whether the incoming pair carries enough energy for the outgoing types."""
-    e = available_kinetic_energy(v, t, v_other, t_other, v_out, v_out_other, types)
-    return bool(e >= 0.0)
+def available_kinetic_energy(kinetic, inputs, outputs, types: TypeTable):
+    """Kinetic energy left when particles of types ``inputs`` become ``outputs``.
 
-
-def available_kinetic_energy(
-    v, t, v_other, t_other, v_out, v_out_other, types: TypeTable
-) -> float:
-    """Kinetic energy left for the outgoing pair; negative means infeasible."""
+    ``kinetic`` is the kinetic energy the inputs carry in all (a scalar or an
+    array); the result is kinetic + (sum I_in - sum I_out), negative when the
+    change is infeasible.  This is the one energy-bookkeeping rule of every
+    collision and type conversion, and it conserves sum (I + T).  The
+    internal-energy difference is taken first, so a type-preserving change
+    adds an exact 0.  Type ids are not checked here: they are validated where
+    they enter (type table, network, particle system, ``execute_event``).
+    """
     ie = types.internal_energies
-    types.check_ids(np.array([v, v_other, v_out, v_out_other]))
-    return float(ie[v - 1] + t + ie[v_other - 1] + t_other - ie[v_out - 1] - ie[v_out_other - 1])
-
-
-def apply_collision(
-    system: ParticleSystem,
-    i: int,
-    j: int,
-    outcome: tuple[int, float, int],
-    types: TypeTable,
-) -> ParticleSystem:
-    """Replace particles i, j by the outgoing pair, conserving total energy.
-
-    ``outcome`` is (type of the particle replacing i, its kinetic energy,
-    type of the particle replacing j); the second outgoing energy is fixed
-    by conservation.
-    """
-    if i == j:
-        raise ValidationError(f"collision needs two distinct particles, got i=j={i}")
-    m = system.size
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValidationError(f"particle indices ({i}, {j}) outside 0..{m - 1}")
-    v_out, u, v_out_other = outcome
-    vi = int(system.type_ids[i])
-    vj = int(system.type_ids[j])
-    ti = float(system.kinetic_energies[i])
-    tj = float(system.kinetic_energies[j])
-    e_avail = available_kinetic_energy(vi, ti, vj, tj, v_out, v_out_other, types)
-    if e_avail < 0.0:
-        raise InfeasibleReactionError(
-            f"outcome types ({v_out}, {v_out_other}) need more energy than "
-            f"available from ({vi}, {ti}) + ({vj}, {tj})"
-        )
-    if not (0.0 <= u <= e_avail):
-        raise InfeasibleReactionError(
-            f"outgoing kinetic energy {u} outside [0, {e_avail}]"
-        )
-    out = system.copy()
-    out.type_ids[i] = v_out
-    out.type_ids[j] = v_out_other
-    out.kinetic_energies[i] = u
-    out.kinetic_energies[j] = e_avail - u
-    return out
-
-
-def apply_unary(system: ParticleSystem, i: int, target: int, types: TypeTable) -> ParticleSystem:
-    """Change the type of particle i, moving the internal-energy gap into kinetic energy."""
-    m = system.size
-    if not (0 <= i < m):
-        raise ValidationError(f"particle index {i} outside 0..{m - 1}")
-    source = int(system.type_ids[i])
-    types.check_ids(np.array([source, target]))
-    t = float(system.kinetic_energies[i])
-    gap = float(types.internal_energies[source - 1] - types.internal_energies[target - 1])
-    t_new = t + gap
-    if t_new < 0.0:
-        raise InfeasibleReactionError(
-            f"type change {source}->{target} needs kinetic energy >= {-gap}, particle has {t}"
-        )
-    out = system.copy()
-    out.type_ids[i] = target
-    out.kinetic_energies[i] = t_new
-    return out
-
-
-def renormalize_total_energy(
-    system: ParticleSystem, types: TypeTable, target_total: float
-) -> ParticleSystem:
-    """Rescale kinetic energies so the system total matches a reference value.
-
-    Optional drift-repair pass for very long runs; the event rules already
-    conserve energy up to float rounding, so this is off by default everywhere.
-    """
-    internal = float(np.sum(types.internal_energies[system.type_ids - 1]))
-    kinetic = float(np.sum(system.kinetic_energies))
-    if target_total < internal:
-        raise ValidationError(
-            f"target total {target_total} below internal energy floor {internal}"
-        )
-    if kinetic == 0.0:
-        if target_total != internal:
-            raise ValidationError("cannot rescale a zero-kinetic-energy state")
-        return system.copy()
-    out = system.copy()
-    out.kinetic_energies *= (target_total - internal) / kinetic
-    return out
+    return kinetic + (sum(ie[v - 1] for v in inputs) - sum(ie[v - 1] for v in outputs))

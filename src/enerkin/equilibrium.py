@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy import special
 
-from .core import KernelSupportError, KineticsError, ValidationError
+from .core import KernelSupportError, KineticsError, ValidationError, available_kinetic_energy
 from .densities import DensityFamily, ShiftedGamma
 from .reactions import ReactionNetwork
 from .solver import DensityGrid
@@ -37,7 +37,6 @@ __all__ = [
     "relative_entropy",
     "entropy_monotonicity_check",
     "additive_conservation_residual",
-    "canonical_kernel_density",
     "convolution_density",
     "convolution_equality_check",
     "admissible_pair_check",
@@ -133,7 +132,7 @@ def sample_conserving_quadruples(
 
     if not network.binary:
         raise ValidationError("network has no binary channels to sample")
-    ie = network.types.internal_energies
+    types = network.types
     halton = qmc.Halton(d=3, seed=seed)
     pts = halton.random(n)
     sources = []
@@ -152,14 +151,7 @@ def sample_conserving_quadruples(
         for shift in range(len(outs)):
             o = outs[(k + shift) % len(outs)]
             first, second = (o.first, o.second) if (vp, v1p) == ch.pair else (o.second, o.first)
-            e = (
-                xp
-                + x1p
-                + ie[vp - 1]
-                + ie[v1p - 1]
-                - ie[first - 1]
-                - ie[second - 1]
-            )
+            e = available_kinetic_energy(xp + x1p, (vp, v1p), (first, second), types)
             if e < 0:
                 continue
             x = u3 * e
@@ -170,7 +162,7 @@ def sample_conserving_quadruples(
             for xp, x1p, u in ((0.0, energy_scale, 0.5), (energy_scale, energy_scale, 0.0), (energy_scale, energy_scale, 1.0)):
                 o = ch.kernel.outputs[0]
                 first, second = (o.first, o.second) if (vp, v1p) == ch.pair else (o.second, o.first)
-                e = xp + x1p + ie[vp - 1] + ie[v1p - 1] - ie[first - 1] - ie[second - 1]
+                e = available_kinetic_energy(xp + x1p, (vp, v1p), (first, second), types)
                 if e < 0:
                     continue
                 x = u * e
@@ -217,15 +209,13 @@ def _le_integral(
 ) -> float:
     """Outgoing-integrated balance at (gamma, gamma1): gain minus loss."""
     net = w.network
-    ie = net.types.internal_energies
     n_types = net.types.count
     (v, x), (v1, x1) = gamma, gamma1
-    total_e = w.total_energy_of(gamma, gamma1)
     acc = 0.0
     f_here = f.pdf(v, x) * f.pdf(v1, x1)
     for vp in range(1, n_types + 1):
         for v1p in range(1, n_types + 1):
-            e = total_e - ie[vp - 1] - ie[v1p - 1]
+            e = available_kinetic_energy(x + x1, (v, v1), (vp, v1p), net.types)
             if e < 0:
                 continue
             h = e / n_quad if n_quad else 0.0
@@ -385,13 +375,6 @@ def additive_conservation_residual(
 # ---------------------------------------------------------------------------
 # kernels, convolutions, admissibility
 # ---------------------------------------------------------------------------
-
-
-def canonical_kernel_density(rho_v: DensityFamily, rho_w: DensityFamily, total: float, x):
-    """Density of the first coordinate of an independent pair given its sum."""
-    from .reactions import canonical_split_pdf
-
-    return canonical_split_pdf(rho_v, rho_w, total, x)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)

@@ -437,19 +437,11 @@ def _spot_check_kernels(network: ReactionNetwork, n_samples: int) -> None:
     """Quadrature spot-check that each kernel's outcome law is normalized."""
     if n_samples <= 0:
         return
-    rng = np.random.default_rng(0)
-    for ch in network.binary:
-        v, w = ch.pair
-        worst = 0.0
-        for _ in range(n_samples):
-            t = float(rng.exponential(1.0))
-            tp = float(rng.exponential(1.0))
-            total = ch.kernel.check_normalization(v, t, w, tp, network.types)
-            expected = ch.kernel.outcome_mass(v, t, w, tp, network.types)
-            worst = max(worst, abs(total - expected))
+    errors = network.kernel_normalization_errors(n_samples, np.random.default_rng(0))
+    for pair, worst in errors.items():
         if worst > 5e-3:
             raise ValidationError(
-                f"network.binary {ch.pair}: kernel outcome law integrates to "
+                f"network.binary {pair}: kernel outcome law integrates to "
                 f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes"
             )
 

@@ -7,6 +7,11 @@ alpha(T_i, T_j) / M; the total binary rate is kept as cached per-particle
 row sums that are updated incrementally (O(M) per event) and refreshed
 periodically to cancel float drift.
 
+One engine applies every event: ``run`` drives it, and ``execute_event``
+applies a single validated event through the same code without building
+rate caches.  Energy moves between types only through
+``core.available_kinetic_energy``.
+
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
 replica 0.  Identical configurations therefore give bit-identical output.
@@ -14,7 +19,6 @@ replica 0.  Identical configurations therefore give bit-identical output.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Union
@@ -22,10 +26,12 @@ from typing import Union
 import numpy as np
 
 from .core import (
+    InfeasibleReactionError,
     KineticsError,
     ParticleSystem,
     SimulationError,
     ValidationError,
+    available_kinetic_energy,
 )
 from .densities import DensityFamily
 from .reactions import ConstantRate, ReactionNetwork
@@ -167,9 +173,13 @@ def _categorical(rng: np.random.Generator, weights: np.ndarray) -> int:
 
 
 class _Engine:
-    """Mutable simulation state with cached per-particle rates."""
+    """Mutable simulation state with cached per-particle rates.
 
-    def __init__(self, system: ParticleSystem, network: ReactionNetwork):
+    With ``track_rates=False`` no rate is cached or updated: the engine then
+    only applies events, as ``execute_event`` needs.
+    """
+
+    def __init__(self, system: ParticleSystem, network: ReactionNetwork, track_rates: bool = True):
         self.net = network
         self.types = network.types
         network.types.check_ids(system.type_ids)
@@ -177,8 +187,8 @@ class _Engine:
         self.kin = system.kinetic_energies.copy()
         self.m = int(self.tids.size)
         self.counts = np.bincount(self.tids, minlength=self.types.count + 1)
-        self.has_binary = bool(network.binary)
-        self.has_unary = bool(network.unary)
+        self.has_binary = track_rates and bool(network.binary)
+        self.has_unary = track_rates and bool(network.unary)
         self.row_rate = np.zeros(self.m)
         self.unary_rate = np.zeros(self.m)
         # energy-independent rates: pair columns reduce to a type-pair lookup
@@ -293,18 +303,31 @@ class _Engine:
             return wait, CollisionEvent(i, j)
         i = _categorical(rng, self.unary_rate)
         v = int(self.tids[i])
-        channels = self.net.unary_from(v)
-        u_full = float(self.kin[i]) + float(self.types.internal_energies[v - 1])
-        rates = np.array(
-            [
-                float(ch.rate(u_full))
-                if u_full >= self.types.internal_energies[ch.target - 1]
-                else 0.0
-                for ch in channels
-            ]
-        )
-        target = channels[_categorical(rng, rates)].target
+        rates = np.array([float(r) for r in self.net.unary_rates(v, float(self.kin[i]))])
+        target = self.net.unary_from(v)[_categorical(rng, rates)].target
         return wait, UnaryEvent(i, target)
+
+    def check(self, event) -> None:
+        """Reject an event the engine cannot apply to the current state.
+
+        Events drawn by ``next_event`` always pass; this guards events that
+        come from outside the run loop.
+        """
+        if isinstance(event, CollisionEvent):
+            indices = (event.i, event.j)
+        elif isinstance(event, UnaryEvent):
+            indices = (event.i,)
+        else:
+            raise ValidationError(f"unknown event {event!r}")
+        for k in indices:
+            if not (isinstance(k, (int, np.integer)) and 0 <= k < self.m):
+                raise ValidationError(f"particle index {k!r} outside 0..{self.m - 1}")
+        if isinstance(event, CollisionEvent) and event.i == event.j:
+            raise ValidationError(f"collision needs two distinct particles, got i=j={event.i}")
+        if isinstance(event, UnaryEvent):
+            v = int(self.tids[event.i])
+            if all(ch.target != event.target for ch in self.net.unary_from(v)):
+                raise ValidationError(f"no unary channel {v}->{event.target}")
 
     def apply(self, event, rng: np.random.Generator) -> bool:
         """Apply an event in place; False when the collision fizzles (no feasible output)."""
@@ -326,14 +349,11 @@ class _Engine:
         if isinstance(event, UnaryEvent):
             i = event.i
             v = int(self.tids[i])
-            gap = float(
-                self.types.internal_energies[v - 1]
-                - self.types.internal_energies[event.target - 1]
-            )
-            t_new = float(self.kin[i]) + gap
+            t_new = available_kinetic_energy(float(self.kin[i]), (v,), (event.target,), self.types)
             if t_new < 0.0:
-                raise ValidationError(
-                    f"unary event {v}->{event.target} selected while infeasible"
+                raise InfeasibleReactionError(
+                    f"type change {v}->{event.target} needs more kinetic energy than "
+                    f"particle {i} has ({float(self.kin[i])})"
                 )
             self._mutate((i,), (event.target,), (t_new,))
             return True
@@ -377,12 +397,20 @@ def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
 
 
 def execute_event(system: ParticleSystem, event, network: ReactionNetwork, rng):
-    """Pure counterpart of the engine's event application.
+    """Apply one event to a copy of ``system`` with the run loop's engine.
 
-    Returns (new system, applied flag); a fizzled collision returns the
-    original system unchanged with applied=False.
+    The event is validated first: a collision needs two distinct particle
+    indices in 0..M-1, a conversion an index in range and a unary channel
+    from the particle's type to ``target`` (ValidationError otherwise); a
+    conversion the particle lacks the energy for raises
+    InfeasibleReactionError, and a collision with no binary channel for
+    its types raises ValidationError.  No rate is evaluated.
+
+    Returns (new system, applied flag); a fizzled collision (no feasible
+    output) returns an unchanged copy with applied=False.
     """
-    engine = _Engine(system, network)
+    engine = _Engine(system, network, track_rates=False)
+    engine.check(event)
     applied = engine.apply(event, rng)
     return engine.to_system(system.time), applied
 
@@ -516,21 +544,13 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
 
 
 def run_ensemble(config: SimulatorConfig) -> list[Trajectory]:
-    """Independent replicas with per-replica seeds derived from the master seed.
+    """Independent replicas, run one after another in replica order.
 
-    Replica r draws from SeedSequence(entropy=seed, spawn_key=(r,)); results
-    are ordered by replica index regardless of how workers are scheduled.
-    Set ENERKIN_THREADS to run replicas on a thread pool.
+    Replica r draws from SeedSequence(entropy=seed, spawn_key=(r,)), so each
+    replica's trajectory depends only on the master seed and r.
     """
     config.validate()
-    seqs = [
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,))
+    return [
+        run(config, _seed_seq=np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))
         for r in range(config.replicas)
     ]
-    workers = int(os.environ.get("ENERKIN_THREADS", "1"))
-    if workers > 1 and config.replicas > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: run(config, _seed_seq=s), seqs))
-    return [run(config, _seed_seq=s) for s in seqs]

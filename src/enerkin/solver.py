@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverBlowupError, TypeTable, ValidationError
-from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
+from .core import SolverBlowupError, TypeTable, ValidationError, available_kinetic_energy
+from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, ScatteringKernel, UniformKernel
 
 __all__ = [
     "DensityGrid",
     "CollisionPlan",
     "SolverConfig",
-    "gain_one_type",
     "rhs_one_type",
     "rhs_multitype",
     "integrate",
@@ -289,7 +288,6 @@ class CollisionPlan:
         x_max: float,
         *,
         leak_to_last: bool = False,
-        assume_normalized_kernels: bool = True,
     ):
         if network.has_unary:
             raise ValidationError("the collision equation covers binary channels only")
@@ -297,12 +295,11 @@ class CollisionPlan:
         self.network = network
         self.shape = (network.types.count, n)
         self.h = h = float(x_max) / n
-        self.assume_normalized_kernels = assume_normalized_kernels
         self.fast = _fast_path_ok(network)
         if not self.fast:
             return
         sigma = np.arange(1.0, 2.0 * n) * h  # pair-sum grid, s_m = (m+1) h
-        ie = network.types.internal_energies
+        types = network.types
         self._size = _fast_len(2 * n - 1)
         # per type: (partner, gate) for gates constant on the s grid, whose
         # correlation is a plain sum, and (partner, gate FFT) for the others
@@ -314,9 +311,8 @@ class CollisionPlan:
         for ch in network.binary:
             v, w = ch.pair[0] - 1, ch.pair[1] - 1
             alpha_s = _sum_rate_values(ch.rate, sigma)
-            delta_i = np.array(
-                [ie[v] + ie[w] - ie[o.first - 1] - ie[o.second - 1] for o in ch.kernel.outputs]
-            )
+            outs = [(o.first, o.second) for o in ch.kernel.outputs]
+            delta_i = np.array([available_kinetic_energy(0.0, ch.pair, o, types) for o in outs])
             w_eff = _effective_weights(ch.kernel, delta_i, sigma)
             # collisions remove the pair wherever at least one output is feasible
             gate = alpha_s * (w_eff.sum(axis=1) > 0.0)
@@ -377,9 +373,7 @@ class CollisionPlan:
         """Collision gain minus loss for every (type, cell) of ``values``."""
         values = self._check(values)
         if not self.fast:
-            return _rhs_multitype_generic(
-                values, self.h, self.network, self.assume_normalized_kernels
-            )
+            return _rhs_multitype_generic(values, self.h, self.network)
         spectra = np.fft.rfft(values, self._size, axis=1)
         out = self._gain(spectra)
         n = self.shape[1]
@@ -393,13 +387,10 @@ class CollisionPlan:
         return out
 
 
-def _rhs_multitype_generic(
-    vals: np.ndarray, h: float, network: ReactionNetwork, assume_normalized: bool
-):
+def _rhs_multitype_generic(vals: np.ndarray, h: float, network: ReactionNetwork):
     """Direct quadrature of the gain/loss integrals; O(V^2 n^3), small grids only."""
     n = vals.shape[1]
     x = (np.arange(n) + 0.5) * h
-    ie = network.types.internal_energies
     out = np.zeros_like(vals)
     types = network.types
     for ch in network.binary:
@@ -407,9 +398,12 @@ def _rhs_multitype_generic(
         rho_v = vals[v - 1]
         rho_w = vals[w - 1]
         delta_i = {
-            (o.first, o.second): ie[v - 1] + ie[w - 1] - ie[o.first - 1] - ie[o.second - 1]
+            (o.first, o.second): available_kinetic_energy(0.0, ch.pair, (o.first, o.second), types)
             for o in ch.kernel.outputs
         }
+        # a kernel that overrides outcome_mass may fizzle (a sub-normalized law);
+        # any other one removes the pair wherever an output is feasible
+        fizzles = type(ch.kernel).outcome_mass is not ScatteringKernel.outcome_mass
         raw_w = {(o.first, o.second): o.weight for o in ch.kernel.outputs}
         for iy in range(n):
             ty = x[iy]
@@ -422,10 +416,10 @@ def _rhs_multitype_generic(
                 s = ty + tz
                 feas = {k: s + d >= 0 for k, d in delta_i.items()}
                 norm = sum(raw_w[k] for k, f in feas.items() if f)
-                if assume_normalized:
-                    mass_out = 1.0 if norm > 0 else 0.0
-                else:
+                if fizzles:
                     mass_out = ch.kernel.outcome_mass(v, ty, w, tz, types)
+                else:
+                    mass_out = 1.0 if norm > 0 else 0.0
                 # one ordered loss term per source slot; the ordered (y, z)
                 # double loop already covers both roles when v == w
                 out[v - 1, iy] -= rates[iz] * mass_out * rho_v[iy] * rho_w[iz] * h
@@ -456,7 +450,6 @@ def rhs_multitype(
     grid,
     network: ReactionNetwork,
     *,
-    assume_normalized_kernels: bool = True,
     leak_to_last: bool = False,
     plan: CollisionPlan | None = None,
 ) -> np.ndarray:
@@ -473,16 +466,10 @@ def rhs_multitype(
 
     Without ``plan`` a plan is built for this call.  With a plan built for
     ``network`` and this grid, ``grid`` may also be the raw (V, n) values,
-    and the plan's own kernel and leak settings apply.
+    and the plan's own leak setting applies.
     """
     if plan is None:
-        plan = CollisionPlan(
-            network,
-            grid.n_cells,
-            grid.x_max,
-            leak_to_last=leak_to_last,
-            assume_normalized_kernels=assume_normalized_kernels,
-        )
+        plan = CollisionPlan(network, grid.n_cells, grid.x_max, leak_to_last=leak_to_last)
     elif plan.network is not network:
         raise ValidationError("the collision plan was built for another network")
     return plan.rhs(grid.values if isinstance(grid, DensityGrid) else grid)
@@ -494,13 +481,6 @@ def _gain_1d(vals: np.ndarray, h: float) -> np.ndarray:
     return plan.gain(vals[None, :])[0]
 
 
-def gain_one_type(grid: DensityGrid) -> np.ndarray:
-    """Collision gain at each cell for a single-type grid."""
-    if grid.n_types != 1:
-        raise ValidationError("gain_one_type needs a single-type grid")
-    return _gain_1d(grid.values[0], grid.h)
-
-
 def rhs_one_type(grid: DensityGrid, alpha: float) -> np.ndarray:
     """Time derivative of a normalized one-type density: alpha * (gain - rho).
 
@@ -510,7 +490,9 @@ def rhs_one_type(grid: DensityGrid, alpha: float) -> np.ndarray:
     """
     if alpha < 0:
         raise ValidationError(f"rate must be >= 0, got {alpha}")
-    return alpha * (gain_one_type(grid) - grid.values[0])
+    if grid.n_types != 1:
+        raise ValidationError("rhs_one_type needs a single-type grid")
+    return alpha * (_gain_1d(grid.values[0], grid.h) - grid.values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +509,6 @@ class SolverConfig:
     network: ReactionNetwork | None = None
     snapshot_times: tuple | None = None
     renormalize_mass: bool = False
-    assume_normalized_kernels: bool = True
     clip_budget: float = 1e-6
 
     def validate(self) -> None:
@@ -577,13 +558,7 @@ def integrate(grid0: DensityGrid, config: SolverConfig):
         if grid0.n_types != 1:
             raise ValidationError("scalar-rate configuration needs a one-type grid")
         network = _one_type_network(config.alpha)
-    plan = CollisionPlan(
-        network,
-        grid0.n_cells,
-        grid0.x_max,
-        leak_to_last=config.renormalize_mass,
-        assume_normalized_kernels=config.assume_normalized_kernels,
-    )
+    plan = CollisionPlan(network, grid0.n_cells, grid0.x_max, leak_to_last=config.renormalize_mass)
     h = grid0.h
     vals = plan._check(grid0.values).copy()
     mass0 = float(vals.sum() * h)

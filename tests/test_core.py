@@ -59,103 +59,146 @@ class TestTotalEnergy:
             ek.total_energy(sys0, one_type_table)
 
 
+avail = ek.available_kinetic_energy
+
+
+def fixed_split_network(tt, pair, outputs, split, unary=()):
+    """One binary channel whose kernel always gives the first output ``split(e)``."""
+    kernel = ek.TableKernel(
+        outputs,
+        split_pdf_fn=lambda a, b, e, u: np.zeros(np.shape(u)),
+        split_sample_fn=lambda a, b, e, rng: split(e),
+    )
+    return ek.ReactionNetwork(tt, [ek.BinaryChannel(pair, ek.ConstantRate(1.0), kernel)], unary)
+
+
+def unary_network(tt, *pairs):
+    return ek.ReactionNetwork(
+        tt, unary=[ek.UnaryChannel(a, b, ek.ConstantUnaryRate(1.0)) for a, b in pairs]
+    )
+
+
+def execute(system, event, net, seed=0):
+    return ek.execute_event(system, event, net, np.random.default_rng(seed))
+
+
 class TestCollisionFeasible:
     def test_zero_internal_always(self, one_type_table):
-        assert ek.collision_feasible(1, 1.0, 1, 1.0, 1, 1, one_type_table)
+        assert avail(2.0, (1, 1), (1, 1), one_type_table) >= 0.0
 
     def test_insufficient_energy(self):
         tt = ek.TypeTable(np.array([0.0, 1.0]))
-        assert not ek.collision_feasible(1, 0.4, 1, 0.6, 2, 2, tt)
+        assert avail(0.4 + 0.6, (1, 1), (2, 2), tt) < 0.0
 
     def test_boundary_equality_is_feasible(self):
         tt = ek.TypeTable(np.array([0.0, 1.0]))
-        assert ek.collision_feasible(1, 1.0, 1, 1.0, 2, 2, tt)
-        assert ek.available_kinetic_energy(1, 1.0, 1, 1.0, 2, 2, tt) == 0.0
+        assert avail(1.0 + 1.0, (1, 1), (2, 2), tt) == 0.0
 
     def test_identity_channel_always_feasible(self):
+        # the internal-energy difference of a type-preserving change is an exact 0
         tt = ek.TypeTable(np.array([0.3, 2.0]))
         rng = np.random.default_rng(1)
         for _ in range(50):
-            v, vp = rng.integers(1, 3, size=2)
+            v, vp = (int(x) for x in rng.integers(1, 3, size=2))
             t, tp = rng.exponential(1.0, size=2)
-            assert ek.collision_feasible(int(v), t, int(vp), tp, int(v), int(vp), tt)
+            assert avail(t + tp, (v, vp), (v, vp), tt) == t + tp
+            assert avail(t + tp, (v, vp), (vp, v), tt) == t + tp
 
 
 class TestApplyCollision:
     def test_energy_arithmetic(self, one_type_table):
         sys0 = make_system([(1, 2.0), (1, 3.0)])
-        out = ek.apply_collision(sys0, 0, 1, (1, 1.5, 1), one_type_table)
+        net = fixed_split_network(one_type_table, (1, 1), [(1, 1, 1.0)], lambda e: 1.5)
+        out, applied = execute(sys0, ek.CollisionEvent(0, 1), net)
+        assert applied
         assert out.multiset_equal(make_system([(1, 1.5), (1, 3.5)]))
 
     def test_full_energy_to_first(self, one_type_table):
         sys0 = make_system([(1, 2.0), (1, 3.0)])
-        out = ek.apply_collision(sys0, 0, 1, (1, 5.0, 1), one_type_table)
-        assert out.kinetic_energies[1] == 0.0
+        net = fixed_split_network(one_type_table, (1, 1), [(1, 1, 1.0)], lambda e: e)
+        out, _ = execute(sys0, ek.CollisionEvent(0, 1), net)
+        assert out.kinetic_energies.tolist() == [5.0, 0.0]
 
     def test_conservation_over_random_outcomes(self):
+        # type-changing outputs, nonzero internal energies, collisions and conversions
         rng = np.random.default_rng(7)
         tt = ek.TypeTable(np.array([0.0, 0.7, 1.3]))
-        sys0 = ek.ParticleSystem(
-            rng.integers(1, 4, size=20), rng.exponential(2.0, size=20)
+        outs = [(a, b, 1.0) for a in (1, 2, 3) for b in (1, 2, 3)]
+        net = ek.ReactionNetwork(
+            tt,
+            [
+                ek.BinaryChannel((v, w), ek.ConstantRate(1.0), ek.UniformKernel(outs))
+                for v in (1, 2, 3)
+                for w in (1, 2, 3)
+                if v <= w
+            ],
+            [ek.UnaryChannel(a, b, ek.ConstantUnaryRate(1.0)) for a in (1, 2, 3) for b in (1, 2, 3) if a != b],
         )
-        e0 = ek.total_energy(sys0, tt)
-        state = sys0
+        state = ek.ParticleSystem(rng.integers(1, 4, size=20), rng.exponential(2.0, size=20))
+        e0 = ek.total_energy(state, tt)
+        changed = 0
         for _ in range(10_000):
-            i, j = rng.choice(20, size=2, replace=False)
-            v_out = int(rng.integers(1, 4))
-            vp_out = int(rng.integers(1, 4))
-            e = ek.available_kinetic_energy(
-                int(state.type_ids[i]), float(state.kinetic_energies[i]),
-                int(state.type_ids[j]), float(state.kinetic_energies[j]),
-                v_out, vp_out, tt,
-            )
-            if e < 0:
-                continue
-            u = rng.uniform(0, e) if e > 0 else 0.0
-            state = ek.apply_collision(state, int(i), int(j), (v_out, u, vp_out), tt)
+            if rng.uniform() < 0.8:
+                i, j = (int(x) for x in rng.choice(20, size=2, replace=False))
+                event = ek.CollisionEvent(i, j)
+            else:
+                i, target = int(rng.integers(20)), int(rng.integers(1, 4))
+                v = int(state.type_ids[i])
+                if target == v or avail(state.kinetic_energies[i], (v,), (target,), tt) < 0:
+                    continue
+                event = ek.UnaryEvent(i, target)
+            before = state.type_ids.copy()
+            state, _ = ek.execute_event(state, event, net, rng)
+            changed += int(np.any(state.type_ids != before))
         assert state.size == 20
+        assert changed > 1000
         assert abs(ek.total_energy(state, tt) - e0) <= 1e-9 * e0
 
-    def test_infeasible_outcome_faults(self):
+    def test_infeasible_outcome_fizzles(self):
         tt = ek.TypeTable(np.array([0.0, 5.0]))
         sys0 = make_system([(1, 1.0), (1, 1.0)])
-        with pytest.raises(ek.InfeasibleReactionError):
-            ek.apply_collision(sys0, 0, 1, (2, 0.0, 2), tt)
+        net = ek.ReactionNetwork(
+            tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(2, 2, 1.0)]))]
+        )
+        out, applied = execute(sys0, ek.CollisionEvent(0, 1), net)
+        assert not applied
+        assert out.multiset_equal(sys0)
 
     def test_out_of_range_split_faults(self, one_type_table):
         sys0 = make_system([(1, 1.0), (1, 1.0)])
+        net = fixed_split_network(one_type_table, (1, 1), [(1, 1, 1.0)], lambda e: 2.5)
         with pytest.raises(ek.InfeasibleReactionError):
-            ek.apply_collision(sys0, 0, 1, (1, 2.5, 1), one_type_table)
+            execute(sys0, ek.CollisionEvent(0, 1), net)
 
-    def test_same_index_faults(self, one_type_table):
+    def test_same_index_faults(self, one_type_network):
         sys0 = make_system([(1, 1.0), (1, 1.0)])
         with pytest.raises(ek.ValidationError):
-            ek.apply_collision(sys0, 1, 1, (1, 0.5, 1), one_type_table)
+            execute(sys0, ek.CollisionEvent(1, 1), one_type_network)
 
     def test_reverse_collision_restores_state(self):
         tt = ek.TypeTable(np.array([0.0, 0.5]))
-        sys0 = make_system([(1, 2.0), (2, 1.0), (1, 0.3)])
-        mid = ek.apply_collision(sys0, 0, 1, (2, 0.75, 2), tt)
-        # putting the original types back with the original first energy
-        back = ek.apply_collision(mid, 0, 1, (1, 2.0, 2), tt)
-        assert back.multiset_equal(sys0, tol=1e-12)
+        there = avail(2.0 + 1.0, (1, 2), (2, 2), tt)
+        assert there == 2.5
+        # putting the original types back restores the original kinetic energy
+        assert avail(there, (2, 2), (1, 2), tt) == pytest.approx(3.0, rel=1e-15)
 
 
 class TestApplyUnary:
     def test_downhill_gains_kinetic_energy(self):
         tt = ek.TypeTable(np.array([0.0, 1.0]))
-        out = ek.apply_unary(make_system([(2, 0.3)]), 0, 1, tt)
+        out, applied = execute(make_system([(2, 0.3)]), ek.UnaryEvent(0, 1), unary_network(tt, (2, 1)))
+        assert applied
         assert out.type_ids[0] == 1
         assert out.kinetic_energies[0] == pytest.approx(1.3)
 
     def test_uphill_blocked(self):
         tt = ek.TypeTable(np.array([0.0, 1.0]))
         with pytest.raises(ek.InfeasibleReactionError):
-            ek.apply_unary(make_system([(1, 0.5)]), 0, 2, tt)
+            execute(make_system([(1, 0.5)]), ek.UnaryEvent(0, 2), unary_network(tt, (1, 2)))
 
     def test_uphill_boundary(self):
         tt = ek.TypeTable(np.array([0.0, 1.0]))
-        out = ek.apply_unary(make_system([(1, 1.0)]), 0, 2, tt)
+        out, _ = execute(make_system([(1, 1.0)]), ek.UnaryEvent(0, 2), unary_network(tt, (1, 2)))
         assert out.type_ids[0] == 2
         assert out.kinetic_energies[0] == 0.0
 
@@ -163,8 +206,56 @@ class TestApplyUnary:
         tt = ek.TypeTable(np.array([0.0, 1.0, 2.5]))
         sys0 = make_system([(3, 0.4), (1, 5.0)])
         e0 = ek.total_energy(sys0, tt)
-        out = ek.apply_unary(sys0, 0, 1, tt)
+        out, _ = execute(sys0, ek.UnaryEvent(0, 1), unary_network(tt, (3, 1)))
         assert ek.total_energy(out, tt) == pytest.approx(e0, rel=1e-14)
+
+
+class TestExecuteEventRejects:
+    def system(self):
+        return make_system([(1, 3.0), (1, 3.0)])
+
+    @pytest.mark.parametrize("event", [ek.CollisionEvent(0, 0), ek.CollisionEvent(-1, 0)])
+    def test_bad_collision_indices(self, one_type_network, event):
+        # both were applied before validation: (0, 0) turned 6.0 into less,
+        # and -1 wrapped round to the last particle
+        with pytest.raises(ek.ValidationError):
+            execute(self.system(), event, one_type_network)
+
+    @pytest.mark.parametrize(
+        "event", [ek.CollisionEvent(0, 2), ek.CollisionEvent(5, 1), ek.UnaryEvent(2, 1)]
+    )
+    def test_out_of_range_index(self, event):
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        unary = [ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(1.0))]
+        net = fixed_split_network(tt, (1, 1), [(1, 1, 1.0)], lambda e: e / 2, unary)
+        with pytest.raises(ek.KineticsError):
+            execute(self.system(), event, net)
+
+    def test_unary_without_channel(self):
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        with pytest.raises(ek.ValidationError, match="no unary channel"):
+            execute(self.system(), ek.UnaryEvent(0, 2), unary_network(tt, (2, 1)))
+
+    def test_infeasible_unary(self):
+        tt = ek.TypeTable(np.array([0.0, 4.0]))
+        with pytest.raises(ek.InfeasibleReactionError):
+            execute(self.system(), ek.UnaryEvent(0, 2), unary_network(tt, (1, 2)))
+
+    def test_evaluates_no_rate(self):
+        calls = []
+
+        def rate(t, tp):
+            calls.append(1)
+            return np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp)))
+
+        tt = ek.TypeTable(np.array([0.0]))
+        net = ek.ReactionNetwork(
+            tt, [ek.BinaryChannel((1, 1), ek.CallableRate(rate), ek.UniformKernel([(1, 1, 1.0)]))]
+        )
+        sys0 = ek.ParticleSystem(np.ones(50, dtype=int), np.linspace(0.1, 5.0, 50))
+        out, applied = execute(sys0, ek.CollisionEvent(3, 7), net)
+        assert applied and calls == []
+        assert out.kinetic_energies.sum() == pytest.approx(sys0.kinetic_energies.sum(), rel=1e-15)
 
 
 @given(
@@ -174,13 +265,14 @@ class TestApplyUnary:
 )
 @settings(max_examples=200, deadline=None)
 def test_collision_conserves_energy_and_count(t, tp, u_frac):
-    tt = ek.TypeTable(np.array([0.0]))
-    sys0 = ek.ParticleSystem(np.array([1, 1]), np.array([t, tp]))
-    e = t + tp
-    out = ek.apply_collision(sys0, 0, 1, (1, u_frac * e, 1), tt)
-    assert out.size == 2
-    total = out.kinetic_energies.sum()
-    assert total == pytest.approx(e, rel=1e-12, abs=1e-12)
+    tt = ek.TypeTable(np.array([0.0, 0.25, 1.5]))
+    outs = [(a, b, 1.0) for a in (1, 2, 3) for b in (1, 2, 3)]
+    net = fixed_split_network(tt, (2, 3), outs, lambda e: u_frac * e)
+    sys0 = ek.ParticleSystem(np.array([2, 3]), np.array([t, tp]))
+    e0 = ek.total_energy(sys0, tt)
+    out, applied = execute(sys0, ek.CollisionEvent(0, 1), net)
+    assert applied and out.size == 2
+    assert ek.total_energy(out, tt) == pytest.approx(e0, rel=1e-12, abs=1e-12)
     assert np.all(out.kinetic_energies >= 0)
 
 
@@ -189,21 +281,13 @@ def test_collision_conserves_energy_and_count(t, tp, u_frac):
 def test_unary_feasibility_matches_energy_rule(gap, t):
     tt = ek.TypeTable(np.array([0.0, gap]))
     sys0 = ek.ParticleSystem(np.array([1]), np.array([t]))
+    net = unary_network(tt, (1, 2))
     if t - gap >= 0:
-        out = ek.apply_unary(sys0, 0, 2, tt)
+        out, _ = execute(sys0, ek.UnaryEvent(0, 2), net)
         assert out.kinetic_energies[0] == pytest.approx(t - gap, abs=1e-12)
     else:
         with pytest.raises(ek.InfeasibleReactionError):
-            ek.apply_unary(sys0, 0, 2, tt)
-
-
-def test_renormalize_total_energy():
-    tt = ek.TypeTable(np.array([0.0, 1.0]))
-    sys0 = make_system([(1, 1.0), (2, 2.0)])
-    out = ek.renormalize_total_energy(sys0, tt, 5.0)
-    assert ek.total_energy(out, tt) == pytest.approx(5.0, rel=1e-14)
-    with pytest.raises(ek.ValidationError):
-        ek.renormalize_total_energy(sys0, tt, 0.5)
+            execute(sys0, ek.UnaryEvent(0, 2), net)
 
 
 def test_multiset_equality_ignores_order():

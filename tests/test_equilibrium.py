@@ -199,15 +199,15 @@ class TestKernelsAndConvolutions:
     def test_exponential_canonical_kernel_is_flat(self):
         t = 2.0
         for x in (0.0, 0.5, 1.3, 2.0):
-            val = ek.canonical_kernel_density(ek.Exponential(3.0), ek.Exponential(3.0), t, x)
+            val = ek.canonical_split_pdf(ek.Exponential(3.0), ek.Exponential(3.0), t, x)
             assert val == pytest.approx(1.0 / t, rel=1e-10)
 
     def test_gamma_beta_reduction(self):
-        val = ek.canonical_kernel_density(ek.GammaDensity(2, 1), ek.GammaDensity(1, 1), 1.0, 0.5)
+        val = ek.canonical_split_pdf(ek.GammaDensity(2, 1), ek.GammaDensity(1, 1), 1.0, 0.5)
         assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_outside_interval_zero(self):
-        assert ek.canonical_kernel_density(ek.Exponential(1.0), ek.Exponential(1.0), 1.0, 1.5) == 0.0
+        assert ek.canonical_split_pdf(ek.Exponential(1.0), ek.Exponential(1.0), 1.0, 1.5) == 0.0
 
     def test_density_integrates_to_one(self):
         for pair, t in [
@@ -215,7 +215,7 @@ class TestKernelsAndConvolutions:
             ((ek.GammaDensity(1.5, 2.0), ek.GammaDensity(3.0, 2.0)), 0.9),
         ]:
             val, _ = spint.quad(
-                lambda x: float(ek.canonical_kernel_density(pair[0], pair[1], t, x)), 0, t
+                lambda x: float(ek.canonical_split_pdf(pair[0], pair[1], t, x)), 0, t
             )
             assert val == pytest.approx(1.0, abs=1e-8)
 

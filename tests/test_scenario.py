@@ -92,6 +92,30 @@ class TestLoad:
         with pytest.raises(ek.ValidationError, match="kernel kind"):
             scenario_from_dict(doc, kernel_spot_samples=0)
 
+    @staticmethod
+    def canonical_doc(density):
+        doc = minimal_doc()
+        doc["network"]["binary"][0]["kernel"] = {
+            "kind": "canonical",
+            "outputs": [{"pair": [1, 1], "weight": 1.0}],
+            "densities": {"1": density},
+        }
+        return doc
+
+    def test_singular_gamma_canonical_kernel_loads(self):
+        # Gamma(1/2) densities split as Beta(1/2, 1/2), exactly normalized; its
+        # endpoint singularities must not fail the load-time normalization check
+        doc = self.canonical_doc({"family": "gamma", "nu": 0.5, "beta": 1.0})
+        sc = scenario_from_dict(doc)
+        errors = sc.network.kernel_normalization_errors(200, np.random.default_rng(1))
+        assert errors[(1, 1)] < 1e-6
+
+    def test_canonical_kernel_without_support_rejected(self):
+        # two Uniform[1, 2] draws never sum below 2: the split law does not exist there
+        doc = self.canonical_doc({"family": "uniform", "lo": 1.0, "hi": 2.0})
+        with pytest.raises(ek.KernelSupportError):
+            scenario_from_dict(doc)
+
     def test_parse_error_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

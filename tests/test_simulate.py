@@ -482,20 +482,3 @@ class TestEnsemble:
         var_grouped = groups.var(axis=0, ddof=1).mean()
         ratio = var_single / var_grouped
         assert 2.0 < ratio < 8.0  # ideal 4, wide band for sampling noise
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        net = uniform_net()
-        cfg = ek.SimulatorConfig(
-            net,
-            ek.TypeCountsInitial((20,), (ek.Exponential(1.0),)),
-            t_end=2.0,
-            seed=21,
-            replicas=4,
-        )
-        seq = ek.run_ensemble(cfg)
-        monkeypatch.setenv("ENERKIN_THREADS", "4")
-        par = ek.run_ensemble(cfg)
-        for a, b in zip(seq, par):
-            assert np.array_equal(
-                a.final_state.kinetic_energies, b.final_state.kinetic_energies
-            )
