@@ -28,15 +28,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_FAULT = 2
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
+    """Write floats as repr(float(x)), other cells as str(x): one ``%s`` per cell,
+    after converting float subclasses (numpy.float64), whose str may differ."""
+    rows = [tuple(r) for r in rows]
+    cells = [c for r in rows for c in r]
+    if any(k is not float and issubclass(k, float) for k in set(map(type, cells))):
+        cells = [repr(float(c)) if isinstance(c, float) else c for c in cells]
+    lines = {w: ",".join(["%s"] * w) + "\n" for w in {len(r) for r in rows}}
+    fmt = "".join([lines[len(r)] for r in rows])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+        fh.write(",".join(header) + "\n" + fmt % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -51,27 +53,21 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, seed, replicas) -> int:
     for r, traj in enumerate(trajectories):
         base = out_dir if cfg.replicas == 1 else out_dir / f"replica_{r:02d}"
         base.mkdir(parents=True, exist_ok=True)
-        hist_rows = []
-        for k, snap in enumerate(traj.snapshots):
-            state = snap.state
+        # a run without snapshot times writes its final state as snapshot 0
+        states = [snap.state for snap in traj.snapshots] or [traj.final_state]
+        for k, state in enumerate(states):
             _write_csv(
                 base / f"snapshot_{k:03d}.csv",
                 ["type_id", "kinetic_energy"],
                 zip(state.type_ids.tolist(), state.kinetic_energies.tolist()),
             )
-            edges = traj.histogram_edges
-            for v, hist in enumerate(snap.histograms, start=1):
-                for b in range(hist.size):
-                    hist_rows.append(
-                        (k, float(snap.time), v, float(edges[b]), float(edges[b + 1]), float(hist[b]))
-                    )
-        if not traj.snapshots:
-            state = traj.final_state
-            _write_csv(
-                base / "snapshot_000.csv",
-                ["type_id", "kinetic_energy"],
-                zip(state.type_ids.tolist(), state.kinetic_energies.tolist()),
-            )
+        edges = traj.histogram_edges.tolist()
+        hist_rows = [
+            (k, float(snap.time), v, edges[b], edges[b + 1], float(hist[b]))
+            for k, snap in enumerate(traj.snapshots)
+            for v, hist in enumerate(snap.histograms, start=1)
+            for b in range(hist.size)
+        ]
         _write_csv(
             base / "histograms.csv",
             ["snapshot", "time", "type_id", "bin_left", "bin_right", "density"],

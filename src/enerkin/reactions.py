@@ -46,7 +46,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# collision rates alpha(T, T'), required symmetric under slot exchange
+# collision rates alpha(T, T'), symmetric under slot exchange, with a majorant ``bound``
 # ---------------------------------------------------------------------------
 
 
@@ -59,6 +59,7 @@ class ConstantRate:
         if not (value >= 0 and math.isfinite(value)):
             raise ValidationError(f"rate must be finite and >= 0, got {value}")
         self.value = float(value)
+        self.bound = self.value
 
     def __call__(self, t, t_other):
         shape = np.broadcast_shapes(np.shape(t), np.shape(t_other))
@@ -85,6 +86,7 @@ class SumDecayRate:
             raise ValidationError("scale and decay must be >= 0")
         self.scale = float(scale)
         self.decay = float(decay)
+        self.bound = self.scale
 
     def __call__(self, t, t_other):
         return self.of_sum(np.asarray(t, dtype=float) + np.asarray(t_other, dtype=float))
@@ -104,13 +106,16 @@ class SumDecayRate:
 
 
 class CallableRate:
-    """Wrap an arbitrary vectorized rate function alpha(T, T')."""
+    """Wrap a vectorized rate function alpha(T, T') with an optional majorant ``bound``."""
 
     depends_on_sum_only = False
 
-    def __init__(self, fn: Callable, name: str = "custom"):
+    def __init__(self, fn: Callable, name: str = "custom", bound: float | None = None):
+        if bound is not None and not (bound >= 0 and math.isfinite(bound)):
+            raise ValidationError(f"rate bound must be finite and >= 0, got {bound}")
         self.fn = fn
         self.name = name
+        self.bound = None if bound is None else float(bound)
 
     def __call__(self, t, t_other):
         return self.fn(t, t_other)

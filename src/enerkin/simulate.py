@@ -1,15 +1,17 @@
 """Exact continuous-time simulation of the finite-particle chain.
 
-Events are drawn with the direct method: one exponential clock for the
-total rate, then a categorical pick among pair collisions and unary
-conversions.  Each unordered particle pair (i, j) collides at rate
-alpha(T_i, T_j) / M; the total binary rate is kept as cached per-particle
-row sums that are updated incrementally (O(M) per event) and refreshed
-periodically to cancel float drift.
+Each unordered pair (i, j) collides at rate alpha(T_i, T_j) / M and each
+particle converts at its feasibility-gated unary rate.  Selection costs do
+not grow with M.  Collisions are thinned over type pairs (Lewis & Shedler
+1979): channel (v, w) is proposed at bound_vw times its pair count over M,
+two distinct members are drawn uniformly, and the proposal is accepted with
+probability alpha / bound_vw (always, with no rate evaluated, for constant
+rates); a rejected proposal advances the clock but is no event.
+Conversions come from a binary sum tree of unary rates (Wong & Easton 1980).
 
 One engine applies every event: ``run`` drives it, and ``execute_event``
 applies a single validated event through the same code without building
-rate caches.  Energy moves between types only through
+selection structures.  Energy moves between types only through
 ``core.available_kinetic_energy``.
 
 Reproducibility: replica r of a run with master seed s draws from
@@ -19,6 +21,7 @@ replica 0.  Identical configurations therefore give bit-identical output.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Union
@@ -99,7 +102,6 @@ class SimulatorConfig:
     max_events: int | None = None
     histogram_edges: np.ndarray | None = None
     store_states: bool = True
-    rate_refresh_every: int = 4096
 
     def validate(self) -> None:
         if self.t_end < 0:
@@ -113,8 +115,6 @@ class SimulatorConfig:
             )
         if self.max_events is not None and self.max_events < 0:
             raise ValidationError("max_events must be >= 0")
-        if self.rate_refresh_every < 1:
-            raise ValidationError("rate_refresh_every must be >= 1")
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=float)
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -138,6 +138,7 @@ class Trajectory:
     histogram_edges: np.ndarray
     events_applied: int
     noop_events: int
+    rejected_proposals: int = 0  # thinned collision proposals; not events
 
     @property
     def event_count(self) -> int:
@@ -165,18 +166,46 @@ def empirical_histogram(system: ParticleSystem, type_id: int, bin_edges) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _categorical(rng: np.random.Generator, weights: np.ndarray) -> int:
-    cum = np.cumsum(weights)
-    total = cum[-1]
-    u = rng.uniform(0.0, total)
-    return int(np.clip(np.searchsorted(cum, u, side="right"), 0, weights.size - 1))
+class _SumTree:
+    """Rates in an array-backed binary sum tree (leaf i at ``size + i``).
+
+    An update recomputes each node on the path to the root from its two
+    children, so the root is always the same pairwise sum of the leaves.
+    """
+
+    def __init__(self, leaves: np.ndarray):
+        self.size = size = 1 << max(0, leaves.size - 1).bit_length()
+        nodes = np.zeros(2 * size)
+        nodes[size : size + leaves.size] = leaves
+        while size > 1:
+            nodes[size // 2 : size] = nodes[size : 2 * size : 2] + nodes[size + 1 : 2 * size : 2]
+            size //= 2
+        self.nodes = nodes.tolist()
+
+    def update(self, i: int, value: float) -> None:
+        nodes, k = self.nodes, self.size + i
+        if nodes[k] != value:
+            nodes[k] = value
+            while k > 1:
+                k >>= 1
+                nodes[k] = nodes[2 * k] + nodes[2 * k + 1]
+
+    def find(self, u: float) -> int:
+        """Leaf whose cumulative interval holds u in [0, root); never a zero leaf."""
+        nodes, k = self.nodes, 1
+        while k < self.size:
+            k *= 2
+            if not (nodes[k] > 0.0 and (u < nodes[k] or nodes[k + 1] <= 0.0)):
+                u -= nodes[k]
+                k += 1
+        return k - self.size
 
 
 class _Engine:
-    """Mutable simulation state with cached per-particle rates.
-
-    With ``track_rates=False`` no rate is cached or updated: the engine then
-    only applies events, as ``execute_event`` needs.
+    """Mutable chain state; selection keeps a member list per type (swap-remove,
+    so a type change is O(1)), the channels' rate bounds and a sum tree of
+    unary rates.  With ``track_rates=False`` none is built and no rate is
+    evaluated: the engine then only applies events, as ``execute_event`` needs.
     """
 
     def __init__(self, system: ParticleSystem, network: ReactionNetwork, track_rates: bool = True):
@@ -186,126 +215,92 @@ class _Engine:
         self.tids = system.type_ids.copy()
         self.kin = system.kinetic_energies.copy()
         self.m = int(self.tids.size)
-        self.counts = np.bincount(self.tids, minlength=self.types.count + 1)
-        self.has_binary = track_rates and bool(network.binary)
-        self.has_unary = track_rates and bool(network.unary)
-        self.row_rate = np.zeros(self.m)
-        self.unary_rate = np.zeros(self.m)
-        # energy-independent rates: pair columns reduce to a type-pair lookup
-        # and type-preserving events leave every row sum unchanged
-        self._const_matrix = None
-        if self.has_binary and all(
-            isinstance(ch.rate, ConstantRate) for ch in network.binary
-        ):
-            crm = np.zeros((self.types.count + 1, self.types.count + 1))
-            for ch in network.binary:
-                v, w = ch.pair
-                crm[v, w] = crm[w, v] = ch.rate.value
-            self._const_matrix = crm
-        self.refresh()
+        self.tracking = track_rates
+        self.rejected = 0
+        if not track_rates:
+            return
+        self.channels = []
+        for ch in network.binary:
+            if getattr(ch.rate, "bound", None) is None:
+                raise ValidationError(
+                    f"collision rate {ch.rate!r} of channel {ch.pair} declares no bound, "
+                    "which thinning needs: use CallableRate(fn, name, bound=...)"
+                )
+            self.channels.append((ch.pair, ch.rate.bound, isinstance(ch.rate, ConstantRate)))
+        self.members = [np.flatnonzero(self.tids == v).tolist() for v in range(self.types.count + 1)]
+        pos = np.zeros(self.m, dtype=np.int64)
+        unary = np.zeros(self.m)
+        for v, idx in enumerate(self.members):
+            pos[idx] = np.arange(len(idx))
+            if idx and network.unary_from(v):
+                unary[idx] = network.unary_rate(v, self.kin[idx])
+        if not np.all(unary >= 0):
+            raise ValidationError("negative rate from a unary rate function")
+        self.pos = pos.tolist()
+        self.unary_tree = _SumTree(unary)
+        self._rebuild_channel_tree()
 
     def to_system(self, time: float) -> ParticleSystem:
         return ParticleSystem(self.tids.copy(), self.kin.copy(), time)
 
-    # -- rate bookkeeping ----------------------------------------------------
+    def _rebuild_channel_tree(self) -> None:
+        """Sum tree of each channel's majorant rate bound_vw * (pairs of types v, w) / M."""
+        n = [len(idx) for idx in self.members]
+        self.channel_tree = _SumTree(np.array([
+            bound * (n[v] * (n[v] - 1) // 2 if v == w else n[v] * n[w]) / self.m
+            for (v, w), bound, _ in self.channels
+        ]))
 
-    def refresh(self) -> None:
-        if self.has_binary:
-            self._refresh_row_rates()
-        if self.has_unary:
-            self._refresh_unary_rates()
-
-    def _refresh_row_rates(self) -> None:
-        if self._const_matrix is not None:
-            per_type = self._const_matrix[1:, 1:] @ self.counts[1:].astype(float)
-            per_type -= np.diag(self._const_matrix)[1:]
-            self.row_rate = per_type[self.tids - 1]
-            return
-        r = np.zeros(self.m)
-        for ch in self.net.binary:
-            v, w = ch.pair
-            idx_v = np.flatnonzero(self.tids == v)
-            if idx_v.size == 0:
-                continue
-            idx_w = idx_v if w == v else np.flatnonzero(self.tids == w)
-            if idx_w.size == 0:
-                continue
-            t_w = self.kin[idx_w]
-            block = max(1, (1 << 22) // idx_w.size)
-            for start in range(0, idx_v.size, block):
-                rows = idx_v[start : start + block]
-                mat = np.asarray(self.net.pair_rate(v, self.kin[rows][:, None], w, t_w[None, :]))
-                if np.any(mat < 0):
-                    raise ValidationError(f"negative rate from channel {ch.pair}")
-                if v == w:
-                    mat[np.arange(rows.size), start + np.arange(rows.size)] = 0.0
-                r[rows] += mat.sum(axis=1)
-                if v != w:
-                    r[idx_w] += mat.sum(axis=0)
-        self.row_rate = r
-
-    def _refresh_unary_rates(self) -> None:
-        u = np.zeros(self.m)
-        for v in range(1, self.types.count + 1):
-            if self.counts[v] == 0 or not self.net.unary_from(v):
-                continue
-            mask = self.tids == v
-            u[mask] = self.net.unary_rate(v, self.kin[mask])
-        if np.any(u < 0):
-            raise ValidationError("negative rate from a unary rate function")
-        self.unary_rate = u
-
-    def _pair_column(self, i: int) -> np.ndarray:
-        """alpha between particle i and every other particle (self entry 0)."""
-        vi = int(self.tids[i])
-        ti = float(self.kin[i])
-        if self._const_matrix is not None:
-            vals = self._const_matrix[vi][self.tids]
-            vals[i] = 0.0
-            return vals
-        if self.counts[vi] == self.m:
-            vals = np.asarray(self.net.pair_rate(vi, ti, vi, self.kin), dtype=float).copy()
-        else:
-            vals = np.zeros(self.m)
-            for w in range(1, self.types.count + 1):
-                if self.counts[w] == 0 or self.net.binary_channel(vi, w) is None:
-                    continue
-                mask = self.tids == w
-                vals[mask] = self.net.pair_rate(vi, ti, w, self.kin[mask])
-        if np.any(vals < 0):
-            raise ValidationError("negative rate from a collision rate function")
-        vals[i] = 0.0
-        return vals
-
-    def _unary_rate_of(self, i: int) -> float:
-        v = int(self.tids[i])
-        if not self.net.unary_from(v):
-            return 0.0
-        return float(self.net.unary_rate(v, self.kin[i]))
-
-    # -- event sampling and application ---------------------------------------
-
-    def total_rates(self) -> tuple[float, float]:
-        lam_b = float(self.row_rate.sum()) / (2.0 * self.m) if self.has_binary else 0.0
-        lam_u = float(self.unary_rate.sum()) if self.has_unary else 0.0
-        return lam_b, lam_u
-
-    def next_event(self, rng: np.random.Generator):
-        lam_b, lam_u = self.total_rates()
+    def next_event(self, rng: np.random.Generator, horizon: float = np.inf):
+        """(waiting time, event) of the next accepted event; thinned proposals add
+        their waits and count in ``rejected``.  Returns (inf, None) when the total
+        rate vanishes and (wait, None) once the wait passes ``horizon``."""
+        lam_b, lam_u = self.channel_tree.nodes[1], self.unary_tree.nodes[1]
         lam = lam_b + lam_u
         if lam <= 0.0:
             return np.inf, None
-        wait = float(rng.exponential(1.0 / lam))
-        if rng.uniform(0.0, lam) < lam_b:
-            i = _categorical(rng, self.row_rate)
-            col = self._pair_column(i)
-            j = _categorical(rng, col)
-            return wait, CollisionEvent(i, j)
-        i = _categorical(rng, self.unary_rate)
-        v = int(self.tids[i])
-        rates = np.array([float(r) for r in self.net.unary_rates(v, float(self.kin[i]))])
-        target = self.net.unary_from(v)[_categorical(rng, rates)].target
-        return wait, UnaryEvent(i, target)
+        wait = 0.0
+        while True:
+            # one call draws every uniform a proposal may need
+            r_wait, r_pick, r_i, r_j, r_accept = rng.random(5).tolist()
+            wait -= math.log1p(-r_wait) / lam
+            if wait > horizon:
+                return wait, None
+            u = r_pick * lam
+            if u >= lam_b and lam_u > 0.0:
+                i = self.unary_tree.find(u - lam_b)
+                v = int(self.tids[i])
+                chans, k = self.net.unary_from(v), 0
+                if len(chans) > 1:
+                    rates = _SumTree(np.array(self.net.unary_rates(v, float(self.kin[i]))))
+                    k = rates.find(r_i * rates.nodes[1])
+                return wait, UnaryEvent(i, chans[k].target)
+            event = self._propose_collision(u, r_i, r_j, r_accept)
+            if event is not None:
+                return wait, event
+            self.rejected += 1
+
+    def _propose_collision(self, u, r_i, r_j, r_accept):
+        """A uniform pair of the channel holding u, or None when thinned away."""
+        (v, w), bound, constant = self.channels[self.channel_tree.find(u)]
+        first, second = self.members[v], self.members[w]
+        a = int(r_i * len(first))
+        if v == w:
+            b = int(r_j * (len(first) - 1))
+            j = first[b + (b >= a)]
+        else:
+            j = second[int(r_j * len(second))]
+        i = first[a]
+        if constant:
+            return CollisionEvent(i, j)
+        t_i, t_j = float(self.kin[i]), float(self.kin[j])
+        rate = np.asarray(self.net.pair_rate(v, t_i, w, t_j), dtype=float).item()
+        if not 0.0 <= rate <= bound:
+            raise ValidationError(
+                f"{'negative rate' if rate < 0 else 'rate above the declared bound'} {rate} "
+                f"of collision channel {(v, w)} (bound {bound}) at energies {t_i}, {t_j}"
+            )
+        return CollisionEvent(i, j) if r_accept * bound < rate else None
 
     def check(self, event) -> None:
         """Reject an event the engine cannot apply to the current state.
@@ -360,27 +355,27 @@ class _Engine:
         raise ValidationError(f"unknown event {event!r}")
 
     def _mutate(self, indices, new_types, new_energies) -> None:
-        update_rows = self.has_binary and not (
-            self._const_matrix is not None
-            and all(self.tids[i] == v for i, v in zip(indices, new_types))
-        )
-        cols_old = [self._pair_column(i) for i in indices] if update_rows else None
         for i, v, t in zip(indices, new_types, new_energies):
-            self.counts[self.tids[i]] -= 1
-            self.counts[v] += 1
+            old = int(self.tids[i])
             self.tids[i] = v
             self.kin[i] = t
-        if update_rows:
-            r = self.row_rate
-            cols_new = [self._pair_column(i) for i in indices]
-            for old, new in zip(cols_old, cols_new):
-                r += new - old
-            for i, new in zip(indices, cols_new):
-                r[i] = new.sum()
-            np.maximum(r, 0.0, out=r)
-        if self.has_unary:
-            for i in indices:
-                self.unary_rate[i] = self._unary_rate_of(i)
+            if not self.tracking:
+                continue
+            if old != v:  # swap-remove i from its old type's members
+                src, k = self.members[old], self.pos[i]
+                last = src.pop()
+                if last != i:
+                    src[k] = last
+                    self.pos[last] = k
+                self.pos[i] = len(self.members[v])
+                self.members[v].append(i)
+                self._rebuild_channel_tree()
+            rate = 0.0
+            if self.net.unary_from(v):
+                rate = np.asarray(self.net.unary_rate(v, float(t)), dtype=float).item()
+                if not rate >= 0.0:
+                    raise ValidationError(f"negative rate {rate} from a unary rate function")
+            self.unary_tree.update(i, rate)
 
 
 def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
@@ -389,7 +384,8 @@ def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
     The waiting time is exponential with the total event rate
     (1/M) * sum over unordered pairs of alpha(T_i, T_j), plus all unary
     rates; the event is picked proportionally to its rate.  Returns
-    (inf, None) when the total rate vanishes.
+    (inf, None) when the total rate vanishes.  Every collision rate needs a
+    bound (ValidationError otherwise).
     """
     if system.size < 1:
         raise ValidationError("need at least one particle")
@@ -502,20 +498,21 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
     pending = deque(sorted(float(s) for s in config.snapshot_times))
     snaps: list[Snapshot] = []
     attempted = applied = noops = 0
-    while True:
+
+    def flush(before: float) -> None:
+        while pending and pending[0] < before:
+            snaps.append(_make_snapshot(engine, pending.popleft(), attempted, edges, config.store_states))
+
+    while config.max_events is None or attempted < config.max_events:
         try:
-            wait, event = engine.next_event(rng)
+            wait, event = engine.next_event(rng, config.t_end - t)
         except KineticsError as exc:
             raise SimulationError(str(exc), time=t) from exc
-        t_next = t + wait
-        while pending and pending[0] < t_next:
-            snaps.append(
-                _make_snapshot(engine, pending.popleft(), attempted, edges, config.store_states)
-            )
-        if event is None or t_next > config.t_end:
+        flush(t + wait)
+        if event is None or t + wait > config.t_end:
             t = config.t_end
             break
-        t = t_next
+        t += wait
         attempted += 1
         try:
             if engine.apply(event, rng):
@@ -525,21 +522,16 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
         except KineticsError as exc:
             idx = (event.i, event.j) if isinstance(event, CollisionEvent) else (event.i,)
             raise SimulationError(str(exc), time=t, indices=idx) from exc
-        if attempted % config.rate_refresh_every == 0:
-            engine.refresh()
-        if config.max_events is not None and attempted >= config.max_events:
-            # snapshot times beyond the event budget are unreachable and dropped
-            while pending and pending[0] <= t:
-                snaps.append(
-                    _make_snapshot(engine, pending.popleft(), attempted, edges, config.store_states)
-                )
-            break
+    else:
+        # the event budget is spent: later snapshot times are unreachable and dropped
+        flush(np.nextafter(t, np.inf))
     return Trajectory(
         snapshots=snaps,
         final_state=engine.to_system(t),
         histogram_edges=edges,
         events_applied=applied,
         noop_events=noops,
+        rejected_proposals=engine.rejected,
     )
 
 

@@ -5,9 +5,11 @@ Its phase clock times ``cli.run_ensemble``, ``cli.integrate``,
 wraps layer boundaries such as ``solver.rhs_one_type``, ``solver._gain_1d``,
 ``ScatteringKernel.check_normalization`` and ``sample_outcome``.  Renaming or
 deleting any of them breaks only benchmark runs, so this installs both sets
-of hooks the way a benchmark child process does.
+of hooks the way a benchmark child process does, and runs a traced
+simulation to check that the rate spans the per-layer metrics count are hit.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -30,18 +32,80 @@ print("hooks installed")
 """
 
 
-def test_benchmark_hooks_install_in_fresh_interpreter():
+TRACED_RUN = """
+import json
+import sys
+sys.path.insert(0, "perfbench")
+import numpy as np
+import enerkin
+import enerkin as ek
+import enerkin.cli
+import tracing
+
+rec = tracing.Recorder(0)
+tracing.install(rec, enerkin)
+tt = ek.TypeTable(np.array([0.0, 0.5]))
+rate = ek.SumDecayRate(1.0, 0.5)
+net = ek.ReactionNetwork(
+    tt,
+    binary=[
+        ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)])),
+        ek.BinaryChannel((1, 2), rate, ek.UniformKernel([(1, 2, 1.0), (2, 1, 1.0)])),
+        ek.BinaryChannel((2, 2), rate, ek.UniformKernel([(2, 2, 1.0)])),
+    ],
+    unary=[
+        ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(1.0)),
+        ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(1.0)),
+    ],
+)
+cfg = ek.SimulatorConfig(
+    net,
+    ek.TypeCountsInitial((30, 10), (ek.Exponential(1.0), ek.Exponential(1.0))),
+    t_end=1e9,
+    max_events=200,
+    seed=3,
+)
+traj = enerkin.simulate.run(cfg)
+sums = tracing.command_sums(rec.spans)
+names = {row[tracing.NAME] for row in rec.spans}
+print(json.dumps({
+    "names": sorted(names),
+    "event_count": traj.event_count,
+    "run_count": [row[tracing.COUNT] for row in rec.spans if row[tracing.NAME] == "simulate.run"],
+    "rate_evals_in_run": sums["rate_evals_in_run"],
+}))
+"""
+
+
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", INSTALL],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_benchmark_hooks_install_in_fresh_interpreter():
+    proc = _run(INSTALL)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "hooks installed"
+
+
+def test_traced_simulation_records_rate_spans():
+    # the per-layer rate metrics count values returned by the wrapped
+    # ReactionNetwork.pair_rate/unary_rate; an engine that bypassed them
+    # would make reactions.rate_evals_per_event read 0 without failing
+    proc = _run(TRACED_RUN)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {"reactions.pair_rate", "reactions.unary_rate"} <= set(out["names"])
+    assert out["event_count"] == 200
+    assert out["run_count"] == [out["event_count"]]
+    assert out["rate_evals_in_run"] > 0

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from enerkin import cli
@@ -233,3 +234,27 @@ class TestAnalyzeCommand:
 def test_missing_scenario_file_faults(tmp_path, capsys):
     rc = cli.main(["check", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == cli.EXIT_FAULT
+
+
+def test_csv_writer_matches_per_cell_rule(tmp_path):
+    # the rule the writer must reproduce byte for byte: floats (numpy.float64
+    # included) as repr(float(x)), every other cell as str(x)
+    def per_cell(header, rows):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
+        return "".join(line + "\n" for line in lines)
+
+    class Tagged(float):  # a float subclass whose str is not its float repr
+        def __str__(self):
+            return "tagged"
+
+    values = [1, np.int64(-7), 0.1, np.float64(1.0), np.float64(1e-300), 2.5e16, np.float32(0.1),
+              np.float64(np.nan), -0.0, np.float64(np.inf), True, "label", Tagged(0.3)]
+    rng = np.random.default_rng(0)
+    uniform = [tuple(values[k] for k in rng.integers(0, len(values), 3)) for _ in range(200)]
+    ragged = uniform[:50] + [(1,), (np.float64(0.5), 2, 3.0, np.int64(4))] + [[np.float64(2.0), 3]]
+    for name, rows in (("uniform", uniform), ("ragged", ragged), ("python", [(1, 0.1), (2, 2.0)]), ("empty", [])):
+        path = tmp_path / f"{name}.csv"
+        cli._write_csv(path, ["a", "b", "c"], iter(rows))
+        assert path.read_bytes() == per_cell(["a", "b", "c"], rows).encode()

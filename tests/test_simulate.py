@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare, ks_2samp
 
 import enerkin as ek
 
@@ -31,8 +32,9 @@ class TestSampleNextEvent:
     def test_pair_selection_frequencies_match_rates(self):
         # brute-force oracle: the three unordered pair rates at M = 3
         tt = ek.TypeTable(np.array([0.0]))
+        # the bound holds for these energies: no pair sum exceeds 4
         rate = ek.CallableRate(
-            lambda t, tp: np.asarray(t, dtype=float) + np.asarray(tp, dtype=float)
+            lambda t, tp: np.asarray(t, dtype=float) + np.asarray(tp, dtype=float), bound=4.0
         )
         net = ek.ReactionNetwork(
             tt, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
@@ -58,7 +60,7 @@ class TestSampleNextEvent:
 
     def test_negative_rate_faults(self):
         tt = ek.TypeTable(np.array([0.0]))
-        rate = ek.CallableRate(lambda t, tp: np.asarray(t) - np.asarray(tp) * 0 - 10.0)
+        rate = ek.CallableRate(lambda t, tp: np.asarray(t) - np.asarray(tp) * 0 - 10.0, bound=1.0)
         net = ek.ReactionNetwork(
             tt, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
         )
@@ -183,6 +185,50 @@ class TestRun:
         )
         traj = ek.run(cfg)
         assert traj.events_applied + traj.noop_events == 250
+
+    def test_zero_event_budget_returns_initial_state(self):
+        net = uniform_net()
+        init = ek.ParticleSystem(np.full(10, 1), np.linspace(0.1, 1.0, 10))
+        times = tuple(np.linspace(0.0, 2.0, 21))
+
+        def cfg(budget):
+            return ek.SimulatorConfig(
+                net, init, t_end=10.0, snapshot_times=times, max_events=budget, seed=4
+            )
+
+        first = ek.run(cfg(1)).final_state.time  # time of the first event
+        traj = ek.run(cfg(0))
+        assert traj.event_count == 0
+        assert traj.final_state.time == 0.0
+        assert traj.final_state.multiset_equal(init)
+        assert traj.snapshots and all(s.time <= first for s in traj.snapshots)
+        assert all(s.state.multiset_equal(init) and s.event_count == 0 for s in traj.snapshots)
+
+    def test_thinning_rejections_are_counted_not_events(self):
+        tt = ek.TypeTable(np.array([0.0, 0.4]))
+        net = ek.ReactionNetwork(
+            tt,
+            binary=[
+                ek.BinaryChannel((1, 1), ek.SumDecayRate(1.0, 0.5), ek.UniformKernel([(1, 1, 1.0)])),
+                ek.BinaryChannel((1, 2), ek.SumDecayRate(1.0, 0.5), ek.UniformKernel([(1, 2, 1.0), (2, 1, 1.0)])),
+            ],
+            unary=[
+                ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(0.2)),
+                ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(0.2)),
+            ],
+        )
+        cfg = ek.SimulatorConfig(
+            net,
+            ek.TypeCountsInitial((30, 10), (ek.Exponential(1.0), ek.Exponential(1.0))),
+            t_end=1e9,
+            max_events=400,
+            seed=21,
+        )
+        traj = ek.run(cfg)
+        assert traj.rejected_proposals > 0
+        assert traj.event_count == traj.events_applied + traj.noop_events == 400
+        again = ek.run_ensemble(cfg)[0]
+        assert again.rejected_proposals == traj.rejected_proposals
 
     def test_infeasible_channels_are_noops(self):
         # the only output needs more energy than most collisions carry
@@ -309,7 +355,9 @@ class TestRun:
 
     def test_error_context_on_bad_rate(self):
         tt = ek.TypeTable(np.array([0.0]))
-        rate = ek.CallableRate(lambda t, tp: -np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp)) or (1,)))
+        rate = ek.CallableRate(
+            lambda t, tp: -np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp)) or (1,)), bound=1.0
+        )
         net = ek.ReactionNetwork(
             tt, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
         )
@@ -326,16 +374,13 @@ class TestRun:
             ek.run(cfg)
 
 
-class TestRateBookkeeping:
-    def test_incremental_row_rates_match_fresh_recompute(self):
-        # energy-dependent rates force the incremental update path on every
-        # event; the cached row sums must track a from-scratch evaluation
-        from enerkin.simulate import _Engine
-
+class TestSelectionBookkeeping:
+    @staticmethod
+    def _network():
         tt = ek.TypeTable(np.array([0.0, 0.4]))
         rate = ek.SumDecayRate(1.0, 0.3)
         kernel = ek.UniformKernel([(1, 2, 1.0), (2, 1, 1.0)])
-        net = ek.ReactionNetwork(
+        return ek.ReactionNetwork(
             tt,
             binary=[
                 ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)])),
@@ -344,50 +389,92 @@ class TestRateBookkeeping:
             ],
             unary=[ek.UnaryChannel(2, 1, ek.PowerGapRate(0.5, 1.0, 0.0))],
         )
+
+    def test_sum_tree_matches_fresh_unary_rates(self):
+        # every event updates leaves along their paths; after 2000 events the
+        # tree must hold exactly the fresh rates and their pairwise sums
+        from enerkin.simulate import _Engine, _SumTree
+
+        net = self._network()
         rng = np.random.default_rng(3)
-        sys0 = ek.ParticleSystem(
-            rng.integers(1, 3, 60), rng.exponential(1.0, 60)
-        )
+        sys0 = ek.ParticleSystem(rng.integers(1, 3, 60), rng.exponential(1.0, 60))
         engine = _Engine(sys0, net)
         for _ in range(2000):
             _, event = engine.next_event(rng)
             engine.apply(event, rng)
-        cached_rows = engine.row_rate.copy()
-        cached_unary = engine.unary_rate.copy()
-        engine.refresh()
-        np.testing.assert_allclose(cached_rows, engine.row_rate, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(cached_unary, engine.unary_rate, rtol=1e-12)
-
-    def test_constant_rate_shortcut_matches_general_path(self):
-        # the type-lookup fast path must agree with the generic evaluation
-        from enerkin.simulate import _Engine
-
-        tt = ek.TypeTable(np.array([0.0, 0.4]))
-
-        def nets(rate_cls):
-            return ek.ReactionNetwork(
-                tt,
-                binary=[
-                    ek.BinaryChannel((1, 1), rate_cls(2.0), ek.UniformKernel([(1, 1, 1.0)])),
-                    ek.BinaryChannel((1, 2), rate_cls(0.5), ek.UniformKernel([(1, 2, 1.0), (2, 1, 1.0)])),
-                ],
-            )
-
-        wrapped = lambda c: ek.CallableRate(
-            lambda t, tp, c=c: np.full(np.broadcast_shapes(np.shape(t), np.shape(tp)), c)
-            if np.broadcast_shapes(np.shape(t), np.shape(tp))
-            else c
+        tree = engine.unary_tree
+        leaves = np.array(tree.nodes[tree.size : tree.size + engine.m])
+        fresh = np.array(
+            [float(net.unary_rate(int(v), float(t))) for v, t in zip(engine.tids, engine.kin)]
         )
-        rng = np.random.default_rng(5)
-        sys0 = ek.ParticleSystem(rng.integers(1, 3, 40), rng.exponential(1.0, 40))
-        fast = _Engine(sys0, nets(ek.ConstantRate))
-        slow = _Engine(sys0, nets(wrapped))
-        assert fast._const_matrix is not None and slow._const_matrix is None
-        np.testing.assert_allclose(fast.row_rate, slow.row_rate, rtol=1e-12)
-        for i in (0, 7, 39):
-            np.testing.assert_allclose(
-                fast._pair_column(i), slow._pair_column(i), rtol=1e-12
-            )
+        assert np.array_equal(leaves, fresh)
+        assert tree.nodes[1] == pytest.approx(fresh.sum(), rel=1e-14)  # the root
+        assert tree.nodes == _SumTree(fresh).nodes
+        # the member lists are a partition of the particles by current type
+        for v in (1, 2):
+            members = engine.members[v]
+            assert sorted(members) == np.flatnonzero(engine.tids == v).tolist()
+            assert all(engine.pos[i] == k for k, i in enumerate(members))
+
+    def test_sum_tree_never_selects_a_zero_leaf(self):
+        from enerkin.simulate import _SumTree
+
+        leaves = np.array([0.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.25])
+        tree = _SumTree(leaves)
+        for u in np.concatenate([np.linspace(0.0, tree.nodes[1], 101), [tree.nodes[1] * (1 + 1e-15)]]):
+            assert leaves[tree.find(u)] > 0.0
+
+    def test_rate_above_bound_faults(self):
+        tt = ek.TypeTable(np.array([0.0]))
+        rate = ek.CallableRate(
+            lambda t, tp: np.asarray(t, dtype=float) + np.asarray(tp, dtype=float), bound=1.0
+        )
+        net = ek.ReactionNetwork(
+            tt, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
+        )
+        sys0 = ek.ParticleSystem(np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ek.ValidationError, match="above the declared bound"):
+            ek.sample_next_event(sys0, net, np.random.default_rng(0))
+        cfg = ek.SimulatorConfig(net, sys0, t_end=10.0, seed=0)
+        with pytest.raises(ek.SimulationError, match=r"channel \(1, 1\)"):
+            ek.run(cfg)
+
+    def test_unbounded_callable_rate_faults(self):
+        tt = ek.TypeTable(np.array([0.0]))
+        rate = ek.CallableRate(lambda t, tp: np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp))))
+        net = ek.ReactionNetwork(
+            tt, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
+        )
+        sys0 = ek.ParticleSystem(np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ek.ValidationError, match=r"channel \(1, 1\) declares no bound"):
+            ek.sample_next_event(sys0, net, np.random.default_rng(0))
+        with pytest.raises(ek.ValidationError, match="declares no bound"):
+            ek.run(ek.SimulatorConfig(net, sys0, t_end=1.0))
+        with pytest.raises(ek.ValidationError):
+            ek.CallableRate(lambda t, tp: t, bound=-1.0)
+
+    def test_sample_next_event_evaluates_few_pair_rates(self, monkeypatch):
+        # at M = 10^4 a draw evaluates a handful of pair rates, not O(M^2)
+        net = self._network()
+        evals = []
+        orig = ek.ReactionNetwork.pair_rate
+
+        def counting(self, v, t, w, t_other):
+            out = orig(self, v, t, w, t_other)
+            evals.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(ek.ReactionNetwork, "pair_rate", counting)
+        rng = np.random.default_rng(11)
+        m = 10_000
+        sys0 = ek.ParticleSystem(rng.integers(1, 3, m), rng.exponential(1.0, m))
+        for _ in range(20):
+            _, event = ek.sample_next_event(sys0, net, rng)
+            assert event is not None
+        # one scalar rate per collision proposal (mean acceptance 1/1.3^2 at
+        # these energies); the dense row-rate sweep evaluated 5e7 values per draw
+        assert 0 < len(evals) < 200
+        assert max(evals) == 1
 
 
 class TestInitialConditions:
@@ -482,3 +569,148 @@ class TestEnsemble:
         var_grouped = groups.var(axis=0, ddof=1).mean()
         ratio = var_single / var_grouped
         assert 2.0 < ratio < 8.0  # ideal 4, wide band for sampling noise
+
+
+# ---------------------------------------------------------------------------
+# dense direct-method oracle
+# ---------------------------------------------------------------------------
+
+
+def _categorical(rng, weights):
+    cum = np.cumsum(weights)
+    u = rng.uniform(0.0, cum[-1])
+    return int(np.clip(np.searchsorted(cum, u, side="right"), 0, weights.size - 1))
+
+
+def dense_next_event(system, network, rng):
+    """Direct method over every unordered pair and every particle's conversions.
+
+    One exponential clock for the total rate, then a categorical pick among
+    all M(M-1)/2 pair rates alpha / M and all M unary rates: O(M^2) work per
+    event, kept as the reference law for the engine's selection.
+    """
+    tids, kin, m = system.type_ids, system.kinetic_energies, system.size
+    pair = np.zeros((m, m))
+    for ch in network.binary:
+        v, w = ch.pair
+        iv, iw = np.flatnonzero(tids == v), np.flatnonzero(tids == w)
+        block = network.pair_rate(v, kin[iv][:, None], w, kin[iw][None, :])
+        pair[iv[:, None], iw[None, :]] = block
+        pair[iw[:, None], iv[None, :]] = np.transpose(block)
+    unary = np.zeros(m)
+    for v in range(1, network.types.count + 1):
+        iv = tids == v
+        if iv.any() and network.unary_from(v):
+            unary[iv] = network.unary_rate(v, kin[iv])
+    weights = np.concatenate([np.triu(pair, 1).ravel() / m, unary])
+    total = weights.sum()
+    if total <= 0.0:
+        return np.inf, None
+    wait = float(rng.exponential(1.0 / total))
+    k = _categorical(rng, weights)
+    if k < m * m:
+        return wait, ek.CollisionEvent(k // m, k % m)
+    i = k - m * m
+    v = int(tids[i])
+    rates = np.array([float(r) for r in network.unary_rates(v, float(kin[i]))])
+    return wait, ek.UnaryEvent(i, network.unary_from(v)[_categorical(rng, rates)].target)
+
+
+def _oracle_network(case):
+    # three types; collisions and conversions both move particles between
+    # types, and same-type collisions carry most of the total rate
+    tt = ek.TypeTable(np.array([0.0, 0.5, 1.0]))
+    constant = {(1, 1): 2.0, (1, 2): 0.5, (2, 3): 0.5, (3, 3): 3.0}
+    if case == "sum_decay":
+        rates = {p: ek.SumDecayRate(c, 0.4) for p, c in constant.items()}
+    elif case == "callable":
+        def inverse_product(c):
+            return lambda t, tp: c / (1.0 + np.asarray(t, dtype=float) * np.asarray(tp, dtype=float))
+
+        rates = {p: ek.CallableRate(inverse_product(c), "inverse product", bound=c) for p, c in constant.items()}
+    else:
+        rates = {p: ek.ConstantRate(c) for p, c in constant.items()}
+    outputs = {
+        (1, 1): [(1, 1, 1.0), (2, 2, 1.0)],
+        (1, 2): [(1, 2, 1.0), (2, 1, 1.0), (3, 1, 0.5), (1, 3, 0.5)],
+        (2, 3): [(2, 3, 1.0)],
+        (3, 3): [(3, 3, 1.0), (1, 1, 1.0)],
+    }
+    binary = [ek.BinaryChannel(p, rates[p], ek.UniformKernel(outputs[p])) for p in constant]
+    ie = tt.internal_energies
+    unary = []
+    for k, (v, w) in enumerate([(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)]):
+        if case == "power_gap":
+            rate = ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, float(ie[w - 1]))
+        else:
+            rate = ek.ConstantUnaryRate(0.1 + 0.1 * k)
+        unary.append(ek.UnaryChannel(v, w, rate))
+    return ek.ReactionNetwork(tt, binary, unary)
+
+
+class TestAgainstDenseOracle:
+    """Same law as the dense direct method: two-sample KS after N events."""
+
+    INIT = ek.ParticleSystem(
+        np.array([1, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
+        np.array([2.5, 0.1, 0.7, 1.2, 0.3, 1.9, 0.05, 0.8, 3.0, 0.4]),
+    )
+    EVENTS, REPLICAS = 25, 300
+
+    @staticmethod
+    def _stats(state):
+        kin, tids = state.kinetic_energies, state.type_ids
+        return (state.time, kin[0], float(np.sum(tids == 1)), float(kin[tids == 1].sum()))
+
+    @pytest.mark.parametrize("case", ["constant", "sum_decay", "power_gap", "callable"])
+    def test_final_state_law_matches_oracle(self, case):
+        net = _oracle_network(case)
+        cfg = ek.SimulatorConfig(
+            net, self.INIT, t_end=1e9, max_events=self.EVENTS, seed=2024, replicas=self.REPLICAS
+        )
+        engine = np.array([self._stats(t.final_state) for t in ek.run_ensemble(cfg)])
+        rng = np.random.default_rng(4048)
+        oracle = []
+        for _ in range(self.REPLICAS):
+            state = self.INIT.copy()
+            for _ in range(self.EVENTS):
+                wait, event = dense_next_event(state, net, rng)
+                state, _ = ek.execute_event(state, event, net, rng)
+                state.time += wait
+            oracle.append(self._stats(state))
+        oracle = np.array(oracle)
+        names = ("time of event N", "energy of particle 0", "type-1 count", "type-1 energy")
+        pvalues = {n: ks_2samp(engine[:, k], oracle[:, k]).pvalue for k, n in enumerate(names)}
+        assert min(pvalues.values()) > 1e-3, pvalues
+
+    @pytest.mark.parametrize("case", ["constant", "sum_decay", "power_gap", "callable"])
+    def test_event_law_in_one_state_matches_dense_rates(self, case):
+        # from one fixed state: the mean wait is 1 / (total rate), thinned
+        # proposals included, and each pair and each (particle, target)
+        # conversion is drawn in proportion to its dense rate
+        from enerkin.simulate import _Engine
+
+        net = _oracle_network(case)
+        state = self.INIT
+        m, tids, kin = state.size, state.type_ids, state.kinetic_energies
+        rates = {}
+        for i in range(m):
+            for j in range(i + 1, m):
+                rates[("pair", i, j)] = float(net.pair_rate(tids[i], kin[i], tids[j], kin[j])) / m
+            for ch, r in zip(net.unary_from(int(tids[i])), net.unary_rates(int(tids[i]), kin[i])):
+                rates[("unary", i, ch.target)] = float(r)
+        total = sum(rates.values())
+        engine = _Engine(state, net)
+        rng = np.random.default_rng(77)
+        n = 20_000
+        waits = np.empty(n)
+        counts = dict.fromkeys(rates, 0)
+        for k in range(n):
+            waits[k], ev = engine.next_event(rng)
+            key = ("pair", *sorted((ev.i, ev.j))) if isinstance(ev, ek.CollisionEvent) else ("unary", ev.i, ev.target)
+            counts[key] += 1
+        assert abs(waits.mean() * total - 1.0) < 4.0 / np.sqrt(n)
+        assert all(counts[k] == 0 for k, r in rates.items() if r == 0.0)
+        live = [k for k, r in rates.items() if r > 0.0]
+        expected = np.array([rates[k] for k in live]) / total * n
+        assert chisquare([counts[k] for k in live], expected).pvalue > 1e-3
