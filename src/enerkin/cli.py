@@ -18,10 +18,9 @@ import numpy as np
 
 from . import equilibrium as eq
 from .core import KineticsError, ValidationError
-from .densities import density_from_spec
-from .scenario import Scenario, load_scenario, _reference_from_spec
+from .scenario import CHECKS, Scenario, check_arguments, load_scenario
 from .simulate import run_ensemble
-from .solver import DensityGrid, integrate, rhs_one_type
+from .solver import integrate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,132 +137,14 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_reference(scenario: Scenario, params: dict, key: str) -> eq.TypedDensity:
-    if key in params:
-        return _reference_from_spec(params[key], f"checks.{key}", scenario.types.count)
-    if scenario.reference is not None:
-        return scenario.reference
-    raise ValidationError(f"check needs an equilibrium reference ({key} or analysis.reference)")
-
-
 def _run_check(scenario: Scenario, params: dict) -> dict:
-    name = params["name"]
-    tol = float(params.get("tolerance", 1e-8))
-    samples = int(params.get("samples", 1000))
-    scale = float(params.get("energy_scale", 1.0))
-    w = eq.CollisionRateDensity(scenario.network)
-
-    if name == "detailed_balance":
-        f0 = _check_reference(scenario, params, "equilibrium")
-        quads = eq.sample_conserving_quadruples(scenario.network, samples, energy_scale=scale)
-        rep = eq.detailed_balance_residual(w, f0, quads)
-        observed, used = rep.max_residual, rep.n_evaluated
-    elif name == "local_equilibrium":
-        f0 = _check_reference(scenario, params, "equilibrium")
-        quads = eq.sample_conserving_quadruples(scenario.network, samples, energy_scale=scale)
-        pairs = [(q[0], q[1]) for q in quads]
-        rep = eq.local_equilibrium_residual(w, f0, pairs)
-        observed, used = rep.max_residual, rep.n_evaluated
-    elif name == "fixed_point":
-        f0 = _check_reference(scenario, params, "equilibrium")
-        quads = eq.sample_conserving_quadruples(scenario.network, samples, energy_scale=scale)
-        gammas = [q[0] for q in quads]
-        rep = eq.fixed_point_residual(w, f0, gammas)
-        observed, used = rep.max_residual, rep.n_evaluated
-    elif name == "additive_conservation":
-        f = _check_reference(scenario, params, "f")
-        f0 = _check_reference(scenario, params, "f0")
-        quads = eq.sample_conserving_quadruples(scenario.network, samples, energy_scale=scale)
-        rep = eq.additive_conservation_residual(f, f0, quads, w=w)
-        observed, used = rep.max_residual, rep.n_evaluated
-    elif name == "stationary_profile_residual":
-        beta = float(params.get("beta", 1.0))
-        cells = int(params.get("cells", 4000))
-        x_max = float(params.get("x_max", 40.0 / beta))
-        alpha = float(params.get("alpha", 1.0))
-        grid = DensityGrid.from_families(
-            [density_from_spec({"family": "exponential", "beta": beta})], x_max, cells
-        )
-        observed = float(np.max(np.abs(rhs_one_type(grid, alpha))))
-        used = cells
-    elif name == "kernel_normalization":
-        per_channel = max(1, samples // max(1, len(scenario.network.binary)))
-        errors = scenario.network.kernel_normalization_errors(
-            per_channel, np.random.default_rng(int(params.get("seed", 0))), scale
-        )
-        observed = max(errors.values(), default=0.0)
-        used = per_channel * len(errors)
-    elif name == "admissible_pair":
-        rho1 = density_from_spec(params["rho1"])
-        rho2 = density_from_spec(params["rho2"])
-        gap = float(params["gap"])
-        xs = np.linspace(0.0, float(params.get("x_max", 10.0)), int(params.get("points", 200)))
-        observed = eq.admissible_pair_check(rho1, rho2, gap, xs)
-        used = xs.size
-    elif name == "two_type_balance":
-        rho1 = density_from_spec(params["rho1"])
-        gap = float(params["gap"])
-        a12, a21 = float(params["a12"]), float(params["a21"])
-        pi1, pi2 = eq.two_type_unary_stationary(a12, a21, rho1, gap)
-        y1 = 1.0 - float(rho1.cdf(gap))
-        observed = abs(pi1 * y1 * a12 - pi2 * a21)
-        used = 1
-    elif name == "conversion_reversibility":
-        pi = eq.unary_energy_dependent_stationary(
-            params["p"], np.asarray(params["b"], dtype=float), params["nu"],
-            params["internal"], float(params["beta"]),
-        )
-        observed = eq.shifted_gamma_reversibility_residual(
-            pi, np.asarray(params["b"], dtype=float), np.asarray(params["nu"], dtype=float),
-            np.asarray(params["internal"], dtype=float), float(params["beta"]),
-        )
-        used = len(params["p"])
-    elif name == "pair_reaction_reversibility":
-        channels = [eq.PairReactionSpec(**c) for c in params["channels"]]
-        pi = eq.vector_particle_stationary(
-            params["p"], params["nu"], params["internal"], float(params["beta"]), channels
-        )
-        observed = eq.pair_reversibility_residual(
-            pi, np.asarray(params["nu"], dtype=float),
-            np.asarray(params["internal"], dtype=float), float(params["beta"]), channels,
-        )
-        used = len(channels)
-    elif name == "kolmogorov":
-        chain = eq.DiscreteChainSpec(np.asarray(params["rates"], dtype=float))
-        res = eq.kolmogorov_cycle_check(chain, int(params.get("max_cycle_len", 6)))
-        observed = 0.0 if res.passed else res.worst_ratio - 1.0
-        used = res.cycles_checked
-    elif name == "measure_transform_ks":
-        rho = density_from_spec(params["rho"])
-        beta = float(params.get("beta", 1.0))
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        draws = rho.sample(rng, size=samples)
-        mapped = eq.measure_transform(rho, beta, draws)
-        from .densities import Exponential
-
-        observed = eq.ks_distance(mapped, Exponential(beta).cdf)
-        used = samples
-    elif name == "convolution_equality":
-        pa = [density_from_spec(d) for d in params["pair_a"]]
-        pb = [density_from_spec(d) for d in params["pair_b"]]
-        xs = np.linspace(0.01, float(params.get("x_max", 20.0)), int(params.get("points", 100)))
-        observed = eq.convolution_equality_check(pa[0], pa[1], pb[0], pb[1], xs)
-        used = xs.size
-    elif name == "entropy_monotonicity":
-        grid0, cfg = scenario.solver_setup()
-        snaps = integrate(grid0, cfg)
-        ref = _check_reference(scenario, params, "equilibrium")
-        res = eq.entropy_monotonicity_check(snaps, ref, tol=tol)
-        observed = max(0.0, -res.min_delta)
-        used = len(snaps)
-    else:
-        raise ValidationError(f"unknown check name {name!r}")
-
+    args = check_arguments(scenario, params)
+    observed, used = CHECKS[params["name"]].run(scenario, args)
     return {
-        "name": name,
-        "tolerance": tol,
+        "name": params["name"],
+        "tolerance": args["tolerance"],
         "observed": float(observed),
-        "passed": bool(observed <= tol),
+        "passed": bool(observed <= args["tolerance"]),
         "samples": int(used),
     }
 

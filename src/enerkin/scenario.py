@@ -6,17 +6,26 @@ condition, run/solve parameters, an optional analysis reference and a list
 of residual checks.  Loading validates every module-level precondition and
 reports the offending field; loading then serializing is semantically
 idempotent.
+
+The ``run`` and ``solve`` sections and every residual check declare their
+keys once, as parameter tables: a converter and a default, or none when the
+key is required.  ``CHECKS`` maps each check name to its runner and its
+parameters; the loader validates every ``checks[k]`` entry against it, and
+``enerkin check`` runs the entries through it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TypeTable, ValidationError
-from .densities import DensityFamily, density_from_spec, density_to_spec
+from . import equilibrium as eq
+from .core import KineticsError, TypeTable, ValidationError
+from .densities import DensityFamily, Exponential, density_from_spec, density_to_spec
 from .reactions import (
     BinaryChannel,
     CanonicalKernel,
@@ -30,7 +39,7 @@ from .reactions import (
     UniformKernel,
 )
 from .simulate import MixtureInitial, SimulatorConfig, TypeCountsInitial
-from .solver import DensityGrid, SolverConfig
+from .solver import SCHEMES, DensityGrid, SolverConfig, integrate, rhs_one_type
 from .equilibrium import TypedDensity
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -41,6 +50,144 @@ SCHEMA_VERSION = 1
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ValidationError(f"{field}: {message}")
+
+
+@contextmanager
+def _naming(field: str):
+    """Report a failed conversion as a ValidationError that names ``field``."""
+    try:
+        yield
+    except (KineticsError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{field}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# declared parameters
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _number(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, (bool, str)) or int(value) != value:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _times(value) -> tuple:
+    return tuple(_number(t) for t in value)
+
+
+def _instance(kind: type, what: str):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+_flag = _instance(bool, "true or false")
+_object = _instance(dict, "an object")
+_list = _instance(list, "a list")
+
+
+def _scheme(value) -> str:
+    if value not in SCHEMES:
+        raise ValueError(f"expected one of {', '.join(SCHEMES)}, got {value!r}")
+    return value
+
+
+def _array(ndim: int):
+    def convert(value) -> np.ndarray:
+        out = np.asarray(value, dtype=float)
+        if out.ndim != ndim:
+            raise ValueError(f"expected {ndim}-dimensional numbers, got {value!r}")
+        return out
+
+    return convert
+
+
+def _density_pair(value) -> list:
+    out = [density_from_spec(d) for d in _list(value)]
+    if len(out) != 2:
+        raise ValueError(f"expected two densities, got {len(out)}")
+    return out
+
+
+def _pair_reactions(value) -> list:
+    return [eq.PairReactionSpec(**_object(c)) for c in _list(value)]
+
+
+@dataclass(frozen=True)
+class _Param:
+    """A declared key: the converter of its value, and its default, if any.
+
+    A key that is absent or null takes the default; without one it is
+    required.
+    """
+
+    convert: Callable = _number
+    default: object = _REQUIRED
+
+    def read(self, spec: dict, key: str, field: str, scenario) -> object:
+        if spec.get(key) is None:
+            _require(self.default is not _REQUIRED, field, "required key is missing")
+            return self.default
+        with _naming(field):
+            return self.convert(spec[key])
+
+
+class _Reference:
+    """A per-type equilibrium spec; absent, the scenario's analysis.reference."""
+
+    def read(self, spec: dict, key: str, field: str, scenario) -> TypedDensity:
+        if spec.get(key) is None:
+            _require(
+                scenario.reference is not None,
+                field,
+                "needs this key or an 'analysis.reference' section",
+            )
+            return scenario.reference
+        with _naming(field):
+            return _reference_from_spec(spec[key], scenario.types.count)
+
+
+def _read_params(spec, declared: dict, field: str, scenario=None) -> dict:
+    """Every declared key of ``spec``, converted or defaulted; unknown keys fail."""
+    _require(isinstance(spec, dict), field, "must be an object")
+    for key in spec:
+        _require(
+            key in declared, f"{field}.{key}", f"unknown key; expected one of {', '.join(declared)}"
+        )
+    return {key: p.read(spec, key, f"{field}.{key}", scenario) for key, p in declared.items()}
+
+
+_RUN = {
+    "t_end": _Param(),
+    "snapshot_times": _Param(_times, ()),
+    "seed": _Param(_integer, 0),
+    "replicas": _Param(_integer, 1),
+    "max_events": _Param(_integer, None),
+    "histogram": _Param(_object, None),
+}
+_HISTOGRAM = {"x_max": _Param(), "bins": _Param(_integer)}
+_SOLVE = {
+    "grid": _Param(_object),
+    "initial": _Param(_list),
+    "dt": _Param(),
+    "t_end": _Param(),
+    "scheme": _Param(_scheme, "rk4"),
+    "snapshot_times": _Param(_times, None),
+    "renormalize_mass": _Param(_flag, False),
+}
+_GRID = {"x_max": _Param(), "cells": _Param(_integer)}
 
 
 def _rate_from_spec(spec: dict, field: str):
@@ -122,10 +269,11 @@ def _kernel_to_spec(kernel) -> dict:
     return out
 
 
-def _reference_from_spec(spec: dict, field: str, n_types: int) -> TypedDensity:
-    _require(isinstance(spec, dict), field, "reference must be an object")
+def _reference_from_spec(spec: dict, n_types: int) -> TypedDensity:
+    _object(spec)
     dens = spec.get("densities")
-    _require(isinstance(dens, list) and len(dens) == n_types, field, f"needs {n_types} densities")
+    if not (isinstance(dens, list) and len(dens) == n_types):
+        raise ValueError(f"needs {n_types} densities")
     weights = spec.get("weights", [1.0 / n_types] * n_types)
     return TypedDensity(
         families=tuple(density_from_spec(d) for d in dens),
@@ -172,39 +320,37 @@ class Scenario:
     def simulator_config(self, seed=None, replicas=None) -> SimulatorConfig:
         if self.run_params is None or self.initial is None:
             raise ValidationError("scenario has no 'run' section")
-        p = self.run_params
-        hist = p.get("histogram")
+        p = _read_params(self.run_params, _RUN, "run")
         edges = None
-        if hist is not None:
-            edges = np.linspace(0.0, float(hist["x_max"]), int(hist["bins"]) + 1)
+        if p["histogram"] is not None:
+            hist = _read_params(p["histogram"], _HISTOGRAM, "run.histogram")
+            edges = np.linspace(0.0, hist["x_max"], hist["bins"] + 1)
         return SimulatorConfig(
             network=self.network,
             initial_state=self.initial,
-            t_end=float(p["t_end"]),
-            snapshot_times=tuple(p.get("snapshot_times", ())),
-            seed=int(seed if seed is not None else p.get("seed", 0)),
-            replicas=int(replicas if replicas is not None else p.get("replicas", 1)),
-            max_events=p.get("max_events"),
+            t_end=p["t_end"],
+            snapshot_times=p["snapshot_times"],
+            seed=int(seed) if seed is not None else p["seed"],
+            replicas=int(replicas) if replicas is not None else p["replicas"],
+            max_events=p["max_events"],
             histogram_edges=edges,
         )
 
     def solver_setup(self) -> tuple[DensityGrid, SolverConfig]:
         if self.solve_params is None:
             raise ValidationError("scenario has no 'solve' section")
-        p = self.solve_params
-        grid_spec = p["grid"]
+        p = _read_params(self.solve_params, _SOLVE, "solve")
+        grid_spec = _read_params(p["grid"], _GRID, "solve.grid")
         families = [e["family_obj"] for e in p["initial"]]
         weights = [e["weight"] for e in p["initial"]]
-        grid = DensityGrid.from_families(
-            families, float(grid_spec["x_max"]), int(grid_spec["cells"]), weights
-        )
+        grid = DensityGrid.from_families(families, grid_spec["x_max"], grid_spec["cells"], weights)
         cfg = SolverConfig(
-            dt=float(p["dt"]),
-            t_end=float(p["t_end"]),
-            scheme=p.get("scheme", "rk4"),
+            dt=p["dt"],
+            t_end=p["t_end"],
+            scheme=p["scheme"],
             network=self.network,
-            snapshot_times=tuple(p["snapshot_times"]) if p.get("snapshot_times") else None,
-            renormalize_mass=bool(p.get("renormalize_mass", False)),
+            snapshot_times=p["snapshot_times"] or None,
+            renormalize_mass=p["renormalize_mass"],
         )
         return grid, cfg
 
@@ -329,14 +475,16 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
 
     run_params = None
     if "run" in doc:
+        run = _read_params(doc["run"], _RUN, "run")
+        if run["histogram"] is not None:
+            _read_params(run["histogram"], _HISTOGRAM, "run.histogram")
         run_params = dict(doc["run"])
-        _require("t_end" in run_params, "run", "needs 't_end'")
 
     solve_params = None
     if "solve" in doc:
+        solve = _read_params(doc["solve"], _SOLVE, "solve")
+        _read_params(solve["grid"], _GRID, "solve.grid")
         p = dict(doc["solve"])
-        for key in ("grid", "initial", "dt", "t_end"):
-            _require(key in p, "solve", f"needs '{key}'")
         entries = []
         for k, e in enumerate(p["initial"]):
             _require(
@@ -360,23 +508,21 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
 
     reference = None
     if "analysis" in doc:
-        reference = _reference_from_spec(
-            doc["analysis"].get("reference", {}), "analysis.reference", n_types
-        )
+        with _naming("analysis.reference"):
+            reference = _reference_from_spec(doc["analysis"].get("reference", {}), n_types)
 
-    checks = list(doc.get("checks", []))
-    for k, c in enumerate(checks):
-        _require(isinstance(c, dict) and "name" in c, f"checks[{k}]", "needs a 'name'")
-
-    return Scenario(
+    scenario = Scenario(
         types=types,
         network=network,
         initial=initial,
         run_params=run_params,
         solve_params=solve_params,
         reference=reference,
-        checks=checks,
+        checks=list(doc.get("checks", [])),
     )
+    for k, c in enumerate(scenario.checks):
+        check_arguments(scenario, c, f"checks[{k}]")
+    return scenario
 
 
 def _initial_from_spec(spec: dict, n_types: int):
@@ -444,6 +590,207 @@ def _spot_check_kernels(network: ReactionNetwork, n_samples: int) -> None:
                 f"network.binary {pair}: kernel outcome law integrates to "
                 f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes"
             )
+
+
+# ---------------------------------------------------------------------------
+# residual checks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A residual check: ``run(scenario, args)`` returns the observed residual
+    and the number of samples it used; ``params`` declares every key of its
+    ``checks[]`` entry but ``name``."""
+
+    run: Callable
+    params: dict
+    needs_solve: bool = False
+
+
+def _check(run, needs_solve: bool = False, **params) -> _Check:
+    return _Check(run, {"tolerance": _Param(_number, 1e-8), **params}, needs_solve)
+
+
+def check_arguments(scenario: Scenario, params: dict, field: str = "check") -> dict:
+    """The converted arguments of one ``checks[]`` entry; evaluates nothing."""
+    _require(isinstance(params, dict) and "name" in params, field, "needs a 'name'")
+    name = params["name"]
+    _require(
+        isinstance(name, str) and name in CHECKS,
+        f"{field}.name",
+        f"unknown check name {name!r}; known names: {', '.join(CHECKS)}",
+    )
+    check = CHECKS[name]
+    _require(
+        not check.needs_solve or scenario.solve_params is not None,
+        f"{field}.name",
+        f"{name} needs a 'solve' section",
+    )
+    rest = {k: v for k, v in params.items() if k != "name"}
+    return _read_params(rest, check.params, field, scenario)
+
+
+def _quadruples(scenario: Scenario, a: dict):
+    return eq.sample_conserving_quadruples(
+        scenario.network, a["samples"], energy_scale=a["energy_scale"]
+    )
+
+
+def _detailed_balance(scenario: Scenario, a: dict):
+    w = eq.CollisionRateDensity(scenario.network)
+    rep = eq.detailed_balance_residual(w, a["equilibrium"], _quadruples(scenario, a))
+    return rep.max_residual, rep.n_evaluated
+
+
+def _local_equilibrium(scenario: Scenario, a: dict):
+    w = eq.CollisionRateDensity(scenario.network)
+    pairs = [(q[0], q[1]) for q in _quadruples(scenario, a)]
+    rep = eq.local_equilibrium_residual(w, a["equilibrium"], pairs)
+    return rep.max_residual, rep.n_evaluated
+
+
+def _fixed_point(scenario: Scenario, a: dict):
+    w = eq.CollisionRateDensity(scenario.network)
+    gammas = [q[0] for q in _quadruples(scenario, a)]
+    rep = eq.fixed_point_residual(w, a["equilibrium"], gammas)
+    return rep.max_residual, rep.n_evaluated
+
+
+def _additive_conservation(scenario: Scenario, a: dict):
+    w = eq.CollisionRateDensity(scenario.network)
+    rep = eq.additive_conservation_residual(a["f"], a["f0"], _quadruples(scenario, a), w=w)
+    return rep.max_residual, rep.n_evaluated
+
+
+def _stationary_profile_residual(scenario: Scenario, a: dict):
+    x_max = a["x_max"] if a["x_max"] is not None else 40.0 / a["beta"]
+    grid = DensityGrid.from_families([Exponential(a["beta"])], x_max, a["cells"])
+    return float(np.max(np.abs(rhs_one_type(grid, a["alpha"])))), a["cells"]
+
+
+def _kernel_normalization(scenario: Scenario, a: dict):
+    per_channel = max(1, a["samples"] // max(1, len(scenario.network.binary)))
+    errors = scenario.network.kernel_normalization_errors(
+        per_channel, np.random.default_rng(a["seed"]), a["energy_scale"]
+    )
+    return max(errors.values(), default=0.0), per_channel * len(errors)
+
+
+def _admissible_pair(scenario: Scenario, a: dict):
+    xs = np.linspace(0.0, a["x_max"], a["points"])
+    return eq.admissible_pair_check(a["rho1"], a["rho2"], a["gap"], xs), xs.size
+
+
+def _two_type_balance(scenario: Scenario, a: dict):
+    pi1, pi2 = eq.two_type_unary_stationary(a["a12"], a["a21"], a["rho1"], a["gap"])
+    y1 = 1.0 - float(a["rho1"].cdf(a["gap"]))
+    return abs(pi1 * y1 * a["a12"] - pi2 * a["a21"]), 1
+
+
+def _conversion_reversibility(scenario: Scenario, a: dict):
+    model = (a["b"], a["nu"], a["internal"], a["beta"])
+    pi = eq.unary_energy_dependent_stationary(a["p"], *model)
+    return eq.shifted_gamma_reversibility_residual(pi, *model), a["p"].size
+
+
+def _pair_reaction_reversibility(scenario: Scenario, a: dict):
+    model = (a["nu"], a["internal"], a["beta"], a["channels"])
+    pi = eq.vector_particle_stationary(a["p"], *model)
+    return eq.pair_reversibility_residual(pi, *model), len(a["channels"])
+
+
+def _kolmogorov(scenario: Scenario, a: dict):
+    res = eq.kolmogorov_cycle_check(a["rates"], a["max_cycle_len"])
+    return (0.0 if res.passed else res.worst_ratio - 1.0), res.cycles_checked
+
+
+def _measure_transform_ks(scenario: Scenario, a: dict):
+    draws = a["rho"].sample(np.random.default_rng(a["seed"]), size=a["samples"])
+    mapped = eq.measure_transform(a["rho"], a["beta"], draws)
+    return eq.ks_distance(mapped, Exponential(a["beta"]).cdf), a["samples"]
+
+
+def _convolution_equality(scenario: Scenario, a: dict):
+    xs = np.linspace(0.01, a["x_max"], a["points"])
+    return eq.convolution_equality_check(*a["pair_a"], *a["pair_b"], xs), xs.size
+
+
+def _entropy_monotonicity(scenario: Scenario, a: dict):
+    snaps = integrate(*scenario.solver_setup())
+    res = eq.entropy_monotonicity_check(snaps, a["equilibrium"], tol=a["tolerance"])
+    return max(0.0, -res.min_delta), len(snaps)
+
+
+_REFERENCE = _Reference()
+_QUADRATURE = {"samples": _Param(_integer, 1000), "energy_scale": _Param(_number, 1.0)}
+_DENSITY = _Param(density_from_spec)
+_VECTOR = _Param(_array(1))
+
+# Every check name, its runner and its parameters; the README lists the same.
+CHECKS = {
+    "detailed_balance": _check(_detailed_balance, equilibrium=_REFERENCE, **_QUADRATURE),
+    "local_equilibrium": _check(_local_equilibrium, equilibrium=_REFERENCE, **_QUADRATURE),
+    "fixed_point": _check(_fixed_point, equilibrium=_REFERENCE, **_QUADRATURE),
+    "additive_conservation": _check(
+        _additive_conservation, f=_REFERENCE, f0=_REFERENCE, **_QUADRATURE
+    ),
+    "stationary_profile_residual": _check(
+        _stationary_profile_residual,
+        beta=_Param(_number, 1.0),
+        cells=_Param(_integer, 4000),
+        x_max=_Param(_number, None),  # None: 40 / beta
+        alpha=_Param(_number, 1.0),
+    ),
+    "kernel_normalization": _check(_kernel_normalization, seed=_Param(_integer, 0), **_QUADRATURE),
+    "admissible_pair": _check(
+        _admissible_pair,
+        rho1=_DENSITY,
+        rho2=_DENSITY,
+        gap=_Param(),
+        x_max=_Param(_number, 10.0),
+        points=_Param(_integer, 200),
+    ),
+    "two_type_balance": _check(
+        _two_type_balance, rho1=_DENSITY, gap=_Param(), a12=_Param(), a21=_Param()
+    ),
+    "conversion_reversibility": _check(
+        _conversion_reversibility,
+        p=_VECTOR,
+        b=_Param(_array(2)),
+        nu=_VECTOR,
+        internal=_VECTOR,
+        beta=_Param(),
+    ),
+    "pair_reaction_reversibility": _check(
+        _pair_reaction_reversibility,
+        p=_VECTOR,
+        nu=_VECTOR,
+        internal=_VECTOR,
+        beta=_Param(),
+        channels=_Param(_pair_reactions),
+    ),
+    "kolmogorov": _check(
+        _kolmogorov, rates=_Param(eq.DiscreteChainSpec), max_cycle_len=_Param(_integer, 6)
+    ),
+    "measure_transform_ks": _check(
+        _measure_transform_ks,
+        rho=_DENSITY,
+        beta=_Param(_number, 1.0),
+        samples=_Param(_integer, 1000),
+        seed=_Param(_integer, 0),
+    ),
+    "convolution_equality": _check(
+        _convolution_equality,
+        pair_a=_Param(_density_pair),
+        pair_b=_Param(_density_pair),
+        x_max=_Param(_number, 20.0),
+        points=_Param(_integer, 100),
+    ),
+    "entropy_monotonicity": _check(
+        _entropy_monotonicity, needs_solve=True, equilibrium=_REFERENCE
+    ),
+}
 
 
 def load_scenario(path, kernel_spot_samples: int = 1000) -> Scenario:

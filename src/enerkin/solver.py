@@ -16,9 +16,12 @@ and one FFT correlation per canonical recipient.
 
 Conservation: without internal-energy gaps the discrete generator conserves
 mass and energy exactly, up to the truncation at x_max, where both leak
-with the convolution tail.  Across a gap the available energy s + dI of a
-uniform split lies off the grid, so its deposit is exact in mass only and
-energy drifts (2.7e-5 per unit time at h = 0.05 across a gap of 0.5).
+with the convolution tail.  Across a gap both deposits are exact in mass
+only: the available energy s + dI lies off the grid, and energy drifts at
+O(h^2).  With Exp(1) densities of equal weight on [0, 20], the relative
+dE/dt is 4.6e-5 at n = 400 and 4.3e-7 at n = 4000 for uniform splits
+across a gap of 0.5, and 2.6e-5 and 2.6e-7 for Gamma(2)/Exp(1) canonical
+splits across a gap of 0.3.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ __all__ = [
     "integrate",
     "mass",
     "mean_energy",
-    "suggest_dt",
 ]
+
+SCHEMES = ("euler", "rk4")
 
 
 @dataclass
@@ -462,7 +466,8 @@ def rhs_multitype(
     on direct O(V^2 n^3) quadrature, intended for small grids.  Unary
     channels have no counterpart in this equation and are rejected.  Mass is
     conserved up to the leak past x_max, energy too, but only without
-    internal-energy gaps: across one the uniform deposit is mass-exact only.
+    internal-energy gaps: across one both the uniform and the canonical
+    deposit are mass-exact only, and energy drifts at O(h^2).
 
     Without ``plan`` a plan is built for this call.  With a plan built for
     ``network`` and this grid, ``grid`` may also be the raw (V, n) values,
@@ -516,29 +521,12 @@ class SolverConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValidationError(f"t_end must be >= 0, got {self.t_end}")
-        if self.scheme not in ("euler", "rk4"):
+        if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
         if (self.alpha is None) == (self.network is None):
             raise ValidationError("provide exactly one of alpha (one-type) or network")
         if self.alpha is not None and self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
-
-
-def suggest_dt(grid: DensityGrid, config: SolverConfig) -> float:
-    """Heuristic stability estimate for the explicit schemes (not enforced).
-
-    The loss term relaxes each cell at rate about alpha * mass, so a step
-    well below its inverse keeps the explicit update contractive.
-    """
-    if config.alpha is not None:
-        rate = config.alpha
-    else:
-        rate = max(
-            (getattr(ch.rate, "value", 1.0) for ch in config.network.binary),
-            default=1.0,
-        )
-    m = max(mass(grid), 1e-12)
-    return 0.2 / (rate * m)
 
 
 def integrate(grid0: DensityGrid, config: SolverConfig):

@@ -38,6 +38,57 @@ def small_doc():
     }
 
 
+REFERENCE = {"weights": [1.0], "densities": [{"family": "exponential", "beta": 1.0}]}
+UNIFORM_TO_EXP = {
+    "name": "measure_transform_ks",
+    "tolerance": 0.05,
+    "rho": {"family": "uniform", "lo": 0.0, "hi": 1.0},
+    "samples": 100,
+}
+
+
+def small_doc_checking(*checks, **sections):
+    doc = small_doc()
+    doc.update(sections, checks=list(checks))
+    return doc
+
+
+def unary_doc_with_first_check(**changes):
+    doc = json.loads((SCENARIO_DIR / "unary_two_type.json").read_text())
+    check = doc["checks"][0]  # two_type_balance
+    check.update(changes)
+    for key in [k for k, v in changes.items() if v is None]:
+        del check[key]
+    return doc
+
+
+# scenario documents, and the field that the load-time fault must name
+MALFORMED_CHECKS = {
+    "unknown_name": (lambda: small_doc_checking({"name": "no_such_check"}), "checks[0].name"),
+    "unknown_name_after_ks": (
+        lambda: small_doc_checking(UNIFORM_TO_EXP, {"name": "no_such_check"}),
+        "checks[1].name",
+    ),
+    "missing_required": (lambda: unary_doc_with_first_check(a21=None), "checks[0].a21"),
+    "misspelled_key": (lambda: unary_doc_with_first_check(tolerence=1e-30), "checks[0].tolerence"),
+    "unconvertible_value": (
+        lambda: small_doc_checking(
+            {"name": "kolmogorov", "rates": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "max_cycle_len": "four"}
+        ),
+        "checks[0].max_cycle_len",
+    ),
+    "unparsable_density": (
+        lambda: small_doc_checking(dict(UNIFORM_TO_EXP, rho={"family": "lognormal"})),
+        "checks[0].rho",
+    ),
+    "no_reference": (lambda: small_doc_checking({"name": "detailed_balance"}), "checks[0].equilibrium"),
+    "entropy_without_solve": (
+        lambda: small_doc_checking({"name": "entropy_monotonicity"}, analysis={"reference": REFERENCE}),
+        "checks[0].name",
+    ),
+}
+
+
 class TestSimulateCommand:
     def test_t_end_zero_snapshot_equals_initial(self, tmp_path):
         sc = write_scenario(tmp_path, small_doc())
@@ -111,6 +162,34 @@ class TestSolveCommand:
         assert len(lines) == 51
         assert (out / "grid_001.csv").exists()
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"grid": {"x_max": 10.0}}, "solve.grid.cells"),
+            ({"grid": {"cells": 50}}, "solve.grid.x_max"),
+            ({"scheme": "rk5"}, "solve.scheme"),
+            ({"renormalize_mass": "false"}, "solve.renormalize_mass"),
+            ({"snapshot_time": [1.0]}, "solve.snapshot_time"),
+        ],
+        ids=["no_cells", "no_x_max", "scheme", "flag", "unknown"],
+    )
+    def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):
+        doc = small_doc()
+        doc["solve"] = {
+            "grid": {"x_max": 10.0, "cells": 50},
+            "initial": [{"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}}],
+            "dt": 0.05,
+            "t_end": 1.0,
+        }
+        doc["solve"].update(change)
+        sc = write_scenario(tmp_path, doc)
+        rc = cli.main(["solve", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_FAULT
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(field + ": ")
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_maps_to_fault_exit(self, tmp_path, capsys):
         doc = small_doc()
         del doc["run"]
@@ -177,14 +256,19 @@ class TestCheckCommand:
         assert not report["passed"]
         assert report["checks"][0]["observed"] == pytest.approx(1.0)  # ratio 2 - 1
 
-    def test_unknown_check_name_faults(self, tmp_path, capsys):
-        doc = small_doc()
-        doc["checks"] = [{"name": "no_such_check"}]
-        sc = write_scenario(tmp_path, doc)
-        rc = cli.main(["check", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKS))
+    def test_unknown_check_name_faults(self, case, tmp_path, capsys, monkeypatch):
+        # and every other malformed checks[] entry: refused at load, before any check runs
+        make_doc, field = MALFORMED_CHECKS[case]
+        sc = write_scenario(tmp_path, make_doc())
+        monkeypatch.setattr(cli, "_run_check", lambda *a: pytest.fail("a check ran"))
+        out = tmp_path / "out"
+        rc = cli.main(["check", "--scenario", str(sc), "--out", str(out)])
         assert rc == cli.EXIT_FAULT
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
+        assert err["message"].startswith(field + ": ")
+        assert not (out / "report.json").exists()
 
 
 class TestAnalyzeCommand:

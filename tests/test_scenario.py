@@ -1,12 +1,18 @@
+import dataclasses
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import enerkin as ek
-from enerkin.scenario import scenario_from_dict
+from enerkin import scenario
+from enerkin.scenario import CHECKS, scenario_from_dict
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+BUNDLED = ["exponential_equilibrium.json", "two_type_canonical.json", "unary_two_type.json"]
 
 
 def minimal_doc():
@@ -116,6 +122,23 @@ class TestLoad:
         with pytest.raises(ek.KernelSupportError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"snapshot_time": [0.5]}, "run.snapshot_time: unknown key"),
+            ({"t_end": None}, "run.t_end: required"),
+            ({"seed": 1.5}, "run.seed: expected an integer"),
+            ({"histogram": {"x_max": 4.0}}, "run.histogram.bins: required"),
+            ({"histogram": {"x_max": 4.0, "bins": 4, "log": True}}, "run.histogram.log: unknown"),
+        ],
+        ids=["unknown", "required", "integer", "histogram_required", "histogram_unknown"],
+    )
+    def test_malformed_run_section_rejected_naming_field(self, change, message):
+        doc = minimal_doc()
+        doc["run"].update(change)
+        with pytest.raises(ek.ValidationError, match=re.escape(message)):
+            scenario_from_dict(doc, kernel_spot_samples=0)
+
     def test_parse_error_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -124,10 +147,7 @@ class TestLoad:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "name",
-        ["exponential_equilibrium.json", "two_type_canonical.json", "unary_two_type.json"],
-    )
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_scenarios_round_trip(self, name):
         sc = ek.load_scenario(SCENARIO_DIR / name, kernel_spot_samples=8)
         doc = sc.to_dict()
@@ -157,3 +177,60 @@ class TestSolverSetup:
         sc = ek.load_scenario(SCENARIO_DIR / "two_type_canonical.json", kernel_spot_samples=8)
         with pytest.raises(ek.ValidationError):
             sc.solver_setup()  # no solve section in that scenario
+
+
+def readme_checks():
+    """{check name: {parameter: text in parentheses after it}} from the README."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("* `checks[]`:", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for item in section.split("\n  - ")[1:]:
+        name, body = re.match(r"`(\w+)`: (.*)", item, re.S).groups()
+        listed[name] = dict(re.findall(r"`(\w+)`(?:\s+\(([^)]*)\))?", body))
+    return listed
+
+
+class TestCheckTable:
+    def test_readme_lists_every_check_with_its_parameters(self):
+        listed = readme_checks()
+        assert set(listed) == set(CHECKS)
+        for name, check in CHECKS.items():
+            declared = {k: p for k, p in check.params.items() if k != "tolerance"}
+            assert set(listed[name]) == set(declared), name
+            for key, param in declared.items():
+                default = getattr(param, "default", None)
+                if isinstance(default, (int, float)):
+                    assert listed[name][key] == repr(default), (name, key)
+
+    def test_every_check_appears_in_a_bundled_scenario(self):
+        # so that running the bundled scenarios' checks exercises every runner
+        used = set()
+        for name in BUNDLED:
+            doc = json.loads((SCENARIO_DIR / name).read_text())
+            used |= {c["name"] for c in doc.get("checks", [])}
+        assert used == set(CHECKS)
+
+    def test_loading_evaluates_no_check(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("loading evaluated a check")
+
+        for name, check in CHECKS.items():
+            monkeypatch.setitem(CHECKS, name, dataclasses.replace(check, run=evaluated))
+        monkeypatch.setattr(scenario, "integrate", evaluated)
+        monkeypatch.setattr(ek.equilibrium, "sample_conserving_quadruples", evaluated)
+        for name in BUNDLED:
+            sc = ek.load_scenario(SCENARIO_DIR / name, kernel_spot_samples=0)
+            assert sc.checks
+
+    def test_arguments_are_converted_and_defaulted(self):
+        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=0)
+        args = scenario.check_arguments(sc, {"name": "detailed_balance"})
+        assert args == {
+            "tolerance": 1e-8,
+            "equilibrium": sc.reference,
+            "samples": 1000,
+            "energy_scale": 1.0,
+        }
+        args = scenario.check_arguments(sc, {"name": "kolmogorov", "rates": [[0, 2], [1, 0]]})
+        assert isinstance(args["rates"], ek.DiscreteChainSpec)
+        assert args["max_cycle_len"] == 6

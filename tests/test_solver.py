@@ -477,9 +477,3 @@ class TestIntegrate:
             ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0))  # neither alpha nor network
         with pytest.raises(ek.ValidationError):
             ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, scheme="leapfrog"))
-
-    def test_suggest_dt_is_positive_heuristic(self):
-        g = exp_grid(n=100)
-        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, alpha=2.0)
-        dt = ek.suggest_dt(g, cfg)
-        assert 0 < dt < 1.0
