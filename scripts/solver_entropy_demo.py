@@ -17,9 +17,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--x-max", type=float, default=20.0)
     ap.add_argument("--cells", type=int, default=2000)
-    ap.add_argument("--dt", type=float, default=0.01)
+    ap.add_argument("--dt", type=float, default=None, help="rk4's fixed step (rk4 only, required)")
+    ap.add_argument("--rtol", type=float, default=None, help="dopri5's tolerance (default 1e-8)")
     ap.add_argument("--t-end", type=float, default=20.0)
-    ap.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
+    ap.add_argument("--scheme", choices=ek.solver.SCHEMES, default="dopri5")
     ap.add_argument("--hi", type=float, default=2.0, help="upper edge of the flat start")
     args = ap.parse_args()
 
@@ -30,11 +31,20 @@ def main():
 
     times = tuple(np.round(np.linspace(0.0, args.t_end, 21), 10))
     cfg = ek.SolverConfig(
-        dt=args.dt, t_end=args.t_end, scheme=args.scheme, alpha=1.0, snapshot_times=times
+        t_end=args.t_end,
+        dt=args.dt,
+        scheme=args.scheme,
+        rtol=args.rtol,
+        alpha=1.0,
+        snapshot_times=times,
     )
     snaps = ek.integrate(grid0, cfg)
 
-    print(f"beta from initial mean: {beta:.6f}; dt={args.dt}, scheme={args.scheme}")
+    print(
+        f"beta from initial mean: {beta:.6f}; scheme={args.scheme}, dt={args.dt}, "
+        f"rtol={args.rtol}; {snaps.rhs_evals} right-hand sides, "
+        f"{snaps.steps_accepted} steps accepted, {snaps.steps_rejected} rejected"
+    )
     print(f"{'time':>8} {'entropy':>12} {'mass':>10} {'max|rho - limit|':>18}")
     for t, grid in snaps:
         h = ek.relative_entropy(grid, f0, grid)

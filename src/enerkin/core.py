@@ -71,10 +71,10 @@ class SimulationError(KineticsError):
 
 
 class SolverBlowupError(KineticsError):
-    """The time stepper produced NaN/negative blow-up; reduce dt."""
+    """The time stepper produced a negative or non-finite state, or its step underflowed."""
 
     def __init__(self, message: str, *, step: int, time: float):
-        super().__init__(f"{message} at step {step}, t={time:.6g}; try a smaller dt")
+        super().__init__(f"{message} at step {step}, t={time:.6g}")
         self.step = step
         self.time = time
 

@@ -115,6 +115,26 @@ class CollisionRateDensity:
         return rate * dens
 
 
+def _scrambled_halton(n: int, seed: int) -> np.ndarray:
+    """The first n points of the Halton sequence in bases 2, 3 and 5, shape (n, 3).
+
+    Each coordinate is the radical inverse of the point's index, with every
+    digit position mapped through its own permutation of the digits drawn
+    from ``seed``; as many digits are kept as a double resolves, so every
+    coordinate lies in [0, 1).
+    """
+    rng = np.random.default_rng(seed)
+    pts = np.zeros((n, 3))
+    for col, base in enumerate((2, 3, 5)):
+        index = np.arange(n)
+        scale = 1.0
+        for _ in range(int(52 / math.log2(base))):
+            scale /= base
+            pts[:, col] += rng.permutation(base)[index % base] * scale
+            index //= base
+    return pts
+
+
 def sample_conserving_quadruples(
     network: ReactionNetwork,
     n: int,
@@ -128,13 +148,10 @@ def sample_conserving_quadruples(
     exponential quantile with the given scale; outgoing states use each
     channel's feasible outputs in rotation.  Deterministic in ``seed``.
     """
-    from scipy.stats import qmc  # costs ~0.5 s to import, and only this function uses it
-
     if not network.binary:
         raise ValidationError("network has no binary channels to sample")
     types = network.types
-    halton = qmc.Halton(d=3, seed=seed)
-    pts = halton.random(n)
+    pts = _scrambled_halton(n, seed)
     sources = []
     for ch in network.binary:
         v, w = ch.pair

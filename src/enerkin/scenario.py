@@ -7,9 +7,12 @@ of residual checks.  Loading validates every module-level precondition and
 reports the offending field; loading then serializing is semantically
 idempotent.
 
-The ``run`` and ``solve`` sections and every residual check declare their
-keys once, as parameter tables: a converter and a default, or none when the
-key is required.  ``CHECKS`` maps each check name to its runner and its
+Every section (the top level, ``types``, ``network`` with its rates,
+kernels and outputs, ``initial``, ``run``, ``solve`` and ``analysis``) and
+every residual check declares its keys once, as parameter tables: a
+converter and a default, or none when the key is required.  A section that
+names its form (a rate's ``form``, a kernel's ``kind``, ``initial.mode``)
+has one table per form.  ``CHECKS`` maps each check name to its runner and its
 parameters; the loader validates every ``checks[k]`` entry against it, and
 ``enerkin check`` runs the entries through it.
 """
@@ -39,7 +42,7 @@ from .reactions import (
     UniformKernel,
 )
 from .simulate import MixtureInitial, SimulatorConfig, TypeCountsInitial
-from .solver import SCHEMES, DensityGrid, SolverConfig, integrate, rhs_one_type
+from .solver import SCHEMES, DensityGrid, SolverConfig, check_rtol, integrate, rhs_one_type
 from .equilibrium import TypedDensity
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -80,6 +83,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _positive(value) -> float:
+    out = _number(value)
+    if not out > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return out
+
+
 def _times(value) -> tuple:
     return tuple(_number(t) for t in value)
 
@@ -102,6 +112,10 @@ def _scheme(value) -> str:
     if value not in SCHEMES:
         raise ValueError(f"expected one of {', '.join(SCHEMES)}, got {value!r}")
     return value
+
+
+def _rtol(value) -> float:
+    return check_rtol(_number(value))
 
 
 def _array(ndim: int):
@@ -155,18 +169,55 @@ class _Reference:
                 "needs this key or an 'analysis.reference' section",
             )
             return scenario.reference
-        with _naming(field):
-            return _reference_from_spec(spec[key], scenario.types.count)
+        return _reference_from_spec(spec[key], scenario.types.count, field)
 
 
 def _read_params(spec, declared: dict, field: str, scenario=None) -> dict:
     """Every declared key of ``spec``, converted or defaulted; unknown keys fail."""
     _require(isinstance(spec, dict), field, "must be an object")
+    prefix = f"{field}." if field else ""
     for key in spec:
         _require(
-            key in declared, f"{field}.{key}", f"unknown key; expected one of {', '.join(declared)}"
+            key in declared, prefix + key, f"unknown key; expected one of {', '.join(declared)}"
         )
-    return {key: p.read(spec, key, f"{field}.{key}", scenario) for key, p in declared.items()}
+    return {key: p.read(spec, key, prefix + key, scenario) for key, p in declared.items()}
+
+
+def _read_form(spec, key: str, forms: dict, field: str, what: str) -> tuple:
+    """(form, its declared keys read) of a spec whose ``key`` names one of ``forms``."""
+    _require(isinstance(spec, dict), field, "must be an object")
+    form = spec.get(key)
+    _require(
+        isinstance(form, str) and form in forms,
+        f"{field}.{key}",
+        f"unknown {what} {form!r}; expected one of {', '.join(forms)}",
+    )
+    p = _read_params(spec, {key: _Param(str), **forms[form]}, field)
+    del p[key]
+    return form, p
+
+
+def _integers(value) -> tuple:
+    return tuple(_integer(v) for v in _list(value))
+
+
+def _type_pair(value) -> tuple:
+    out = _integers(value)
+    if len(out) != 2:
+        raise ValueError(f"expected two type ids, got {len(out)}")
+    return out
+
+
+def _labels(value) -> tuple | None:
+    return tuple(_instance(str, "a string")(s) for s in _list(value)) or None
+
+
+def _particles(value) -> list:
+    out = []
+    for p in _list(value):
+        v, t = _list(p)
+        out.append((_integer(v), _number(t)))
+    return out
 
 
 _RUN = {
@@ -181,25 +232,55 @@ _HISTOGRAM = {"x_max": _Param(), "bins": _Param(_integer)}
 _SOLVE = {
     "grid": _Param(_object),
     "initial": _Param(_list),
-    "dt": _Param(),
+    "dt": _Param(_positive, None),
+    "rtol": _Param(_rtol, None),
     "t_end": _Param(),
-    "scheme": _Param(_scheme, "rk4"),
+    "scheme": _Param(_scheme, "dopri5"),
     "snapshot_times": _Param(_times, None),
     "renormalize_mass": _Param(_flag, False),
 }
 _GRID = {"x_max": _Param(), "cells": _Param(_integer)}
+_SOLVE_INITIAL = {"density": _Param(density_from_spec), "weight": _Param(_number, None)}
+_TOP = {
+    "version": _Param(_integer),
+    "types": _Param(_object),
+    "network": _Param(_object, None),
+    "initial": _Param(_object, None),
+    "run": _Param(_object, None),
+    "solve": _Param(_object, None),
+    "analysis": _Param(_object, None),
+    "checks": _Param(_list, None),
+}
+_TYPES = {"internal_energies": _Param(_array(1)), "labels": _Param(_labels, None)}
+_NETWORK = {"binary": _Param(_list, ()), "unary": _Param(_list, ())}
+_BINARY = {"reactants": _Param(_type_pair), "rate": _Param(_object), "kernel": _Param(_object)}
+_UNARY = {"source": _Param(_integer), "target": _Param(_integer), "rate": _Param(_object)}
+_BINARY_RATES = {
+    "constant": {"value": _Param()},
+    "sum_decay": {"scale": _Param(), "decay": _Param()},
+}
+_UNARY_RATES = {
+    "constant": {"value": _Param()},
+    "power_gap": {"b": _Param(), "exponent": _Param()},
+}
+_OUTPUTS = {"outputs": _Param(_list)}
+_KERNELS = {"uniform": _OUTPUTS, "canonical": {**_OUTPUTS, "densities": _Param(_object)}}
+_OUTPUT = {"pair": _Param(_type_pair), "weight": _Param(_number, 1.0)}
+_ENERGIES = {"energies": _Param(_list)}
+_INITIAL = {
+    "particles": {"particles": _Param(_particles)},
+    "counts": {"counts": _Param(_integers), **_ENERGIES},
+    "mixture": {"total": _Param(_integer), "probabilities": _Param(_times), **_ENERGIES},
+}
+_ENERGY = {"value": _Param(_number, None), "density": _Param(density_from_spec, None)}
+_ANALYSIS = {"reference": _Param(_object)}
+_REFERENCE_KEYS = {"densities": _Param(_list), "weights": _Param(_times, None)}
 
 
-def _rate_from_spec(spec: dict, field: str):
-    _require(isinstance(spec, dict) and "form" in spec, field, "rate needs a 'form'")
-    form = spec["form"]
-    if form == "constant":
-        _require("value" in spec, field, "constant rate needs 'value'")
-        return ConstantRate(float(spec["value"]))
-    if form == "sum_decay":
-        _require("scale" in spec and "decay" in spec, field, "sum_decay needs 'scale' and 'decay'")
-        return SumDecayRate(float(spec["scale"]), float(spec["decay"]))
-    raise ValidationError(f"{field}: unknown binary rate form {form!r}")
+def _rate_from_spec(spec, field: str):
+    form, p = _read_form(spec, "form", _BINARY_RATES, field, "binary rate form")
+    with _naming(field):
+        return ConstantRate(**p) if form == "constant" else SumDecayRate(**p)
 
 
 def _rate_to_spec(rate) -> dict:
@@ -210,16 +291,10 @@ def _rate_to_spec(rate) -> dict:
     raise ValidationError(f"rate {rate!r} has no JSON form")
 
 
-def _unary_rate_from_spec(spec: dict, field: str, threshold: float):
-    _require(isinstance(spec, dict) and "form" in spec, field, "rate needs a 'form'")
-    form = spec["form"]
-    if form == "constant":
-        _require("value" in spec, field, "constant rate needs 'value'")
-        return ConstantUnaryRate(float(spec["value"]))
-    if form == "power_gap":
-        _require("b" in spec and "exponent" in spec, field, "power_gap needs 'b' and 'exponent'")
-        return PowerGapRate(float(spec["b"]), float(spec["exponent"]), threshold)
-    raise ValidationError(f"{field}: unknown unary rate form {form!r}")
+def _unary_rate_from_spec(spec, field: str, threshold: float):
+    form, p = _read_form(spec, "form", _UNARY_RATES, field, "unary rate form")
+    with _naming(field):
+        return ConstantUnaryRate(**p) if form == "constant" else PowerGapRate(**p, threshold=threshold)
 
 
 def _unary_rate_to_spec(rate) -> dict:
@@ -230,29 +305,19 @@ def _unary_rate_to_spec(rate) -> dict:
     raise ValidationError(f"rate {rate!r} has no JSON form")
 
 
-def _kernel_from_spec(spec: dict, field: str):
-    _require(isinstance(spec, dict) and "kind" in spec, field, "kernel needs a 'kind'")
-    kind = spec["kind"]
-    outs = spec.get("outputs")
-    _require(bool(outs), field, "kernel needs a nonempty 'outputs' list")
+def _kernel_from_spec(spec, field: str):
+    kind, p = _read_form(spec, "kind", _KERNELS, field, "kernel kind")
+    _require(bool(p["outputs"]), f"{field}.outputs", "needs at least one output pair")
     outputs = []
-    for k, o in enumerate(outs):
-        _require(
-            isinstance(o, dict) and "pair" in o and len(o["pair"]) == 2,
-            f"{field}.outputs[{k}]",
-            "needs a 'pair' of two type ids",
-        )
-        outputs.append(
-            OutputPair(int(o["pair"][0]), int(o["pair"][1]), float(o.get("weight", 1.0)))
-        )
-    if kind == "uniform":
-        return UniformKernel(outputs)
-    if kind == "canonical":
-        dens = spec.get("densities")
-        _require(isinstance(dens, dict) and dens, field, "canonical kernel needs 'densities'")
-        families = {int(tid): density_from_spec(d) for tid, d in dens.items()}
-        return CanonicalKernel(outputs, families)
-    raise ValidationError(f"{field}: unknown kernel kind {kind!r}")
+    for k, o in enumerate(p["outputs"]):
+        out = _read_params(o, _OUTPUT, f"{field}.outputs[{k}]")
+        outputs.append(OutputPair(*out["pair"], out["weight"]))
+    families = {}
+    for tid, d in p.get("densities", {}).items():
+        with _naming(f"{field}.densities.{tid}"):
+            families[int(tid)] = density_from_spec(d)
+    with _naming(field):
+        return UniformKernel(outputs) if kind == "uniform" else CanonicalKernel(outputs, families)
 
 
 def _kernel_to_spec(kernel) -> dict:
@@ -269,16 +334,15 @@ def _kernel_to_spec(kernel) -> dict:
     return out
 
 
-def _reference_from_spec(spec: dict, n_types: int) -> TypedDensity:
-    _object(spec)
-    dens = spec.get("densities")
-    if not (isinstance(dens, list) and len(dens) == n_types):
-        raise ValueError(f"needs {n_types} densities")
-    weights = spec.get("weights", [1.0 / n_types] * n_types)
-    return TypedDensity(
-        families=tuple(density_from_spec(d) for d in dens),
-        weights=tuple(float(x) for x in weights),
-    )
+def _reference_from_spec(spec, n_types: int, field: str) -> TypedDensity:
+    p = _read_params(spec, _REFERENCE_KEYS, field)
+    _require(len(p["densities"]) == n_types, f"{field}.densities", f"needs {n_types} densities")
+    families = []
+    for k, d in enumerate(p["densities"]):
+        with _naming(f"{field}.densities[{k}]"):
+            families.append(density_from_spec(d))
+    with _naming(field):
+        return TypedDensity(families=tuple(families), weights=p["weights"])
 
 
 def _reference_to_spec(ref: TypedDensity) -> dict:
@@ -288,15 +352,15 @@ def _reference_to_spec(ref: TypedDensity) -> dict:
     }
 
 
-def _energy_entry_from_spec(spec: dict, field: str):
-    _require(isinstance(spec, dict), field, "energy entry must be an object")
-    if "value" in spec:
-        v = float(spec["value"])
-        _require(v >= 0, field, "fixed energy must be >= 0")
-        return v
-    if "density" in spec:
-        return density_from_spec(spec["density"])
-    raise ValidationError(f"{field}: energy entry needs 'value' or 'density'")
+def _energy_entry_from_spec(spec, field: str):
+    p = _read_params(spec, _ENERGY, field)
+    _require(
+        (p["value"] is None) != (p["density"] is None), field, "needs one of 'value' or 'density'"
+    )
+    if p["density"] is not None:
+        return p["density"]
+    _require(p["value"] >= 0, f"{field}.value", "fixed energy must be >= 0")
+    return p["value"]
 
 
 def _energy_entry_to_spec(entry) -> dict:
@@ -345,9 +409,10 @@ class Scenario:
         weights = [e["weight"] for e in p["initial"]]
         grid = DensityGrid.from_families(families, grid_spec["x_max"], grid_spec["cells"], weights)
         cfg = SolverConfig(
-            dt=p["dt"],
             t_end=p["t_end"],
+            dt=p["dt"],
             scheme=p["scheme"],
+            rtol=p["rtol"],
             network=self.network,
             snapshot_times=p["snapshot_times"] or None,
             renormalize_mass=p["renormalize_mass"],
@@ -423,79 +488,78 @@ class Scenario:
 
 def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
     _require(isinstance(doc, dict), "scenario", "top level must be an object")
-    version = doc.get("version")
+    top = _read_params(doc, _TOP, "")
+    version = top["version"]
     _require(version == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION}, got {version}")
 
-    tspec = doc.get("types")
-    _require(isinstance(tspec, dict) and "internal_energies" in tspec, "types", "needs 'internal_energies'")
-    types = TypeTable(
-        np.asarray(tspec["internal_energies"], dtype=float),
-        labels=tuple(tspec["labels"]) if tspec.get("labels") else None,
-    )
+    tspec = _read_params(top["types"], _TYPES, "types")
+    with _naming("types"):
+        types = TypeTable(tspec["internal_energies"], labels=tspec["labels"])
     n_types = types.count
 
-    nspec = doc.get("network", {})
+    nspec = _read_params(top["network"] or {}, _NETWORK, "network")
     binary: list[BinaryChannel] = []
     raw_by_pair: dict[tuple, dict] = {}
-    for k, ch in enumerate(nspec.get("binary", [])):
+    for k, ch in enumerate(nspec["binary"]):
         field = f"network.binary[{k}]"
-        _require("reactants" in ch and len(ch["reactants"]) == 2, field, "needs 'reactants' [v, w]")
-        a, b = int(ch["reactants"][0]), int(ch["reactants"][1])
+        p = _read_params(ch, _BINARY, field)
+        a, b = p["reactants"]
         pair = (min(a, b), max(a, b))
-        rate_spec = ch.get("rate")
-        _require(rate_spec is not None, field, "needs a 'rate'")
         if pair in raw_by_pair:
-            if raw_by_pair[pair] != rate_spec:
+            if raw_by_pair[pair] != p["rate"]:
                 raise ValidationError(
                     f"{field}: rate for reactants ({a},{b}) conflicts with the one "
                     f"given for ({pair[0]},{pair[1]}); the collision rate must be "
                     "symmetric in the reactant pair"
                 )
             continue
-        raw_by_pair[pair] = rate_spec
-        rate = _rate_from_spec(rate_spec, f"{field}.rate")
-        kernel = _kernel_from_spec(ch.get("kernel", {}), f"{field}.kernel")
+        raw_by_pair[pair] = p["rate"]
+        rate = _rate_from_spec(p["rate"], f"{field}.rate")
+        kernel = _kernel_from_spec(p["kernel"], f"{field}.kernel")
         binary.append(BinaryChannel(pair=pair, rate=rate, kernel=kernel))
     unary: list[UnaryChannel] = []
-    for k, ch in enumerate(nspec.get("unary", [])):
+    for k, ch in enumerate(nspec["unary"]):
         field = f"network.unary[{k}]"
-        _require("source" in ch and "target" in ch, field, "needs 'source' and 'target'")
-        target = int(ch["target"])
+        p = _read_params(ch, _UNARY, field)
+        target = p["target"]
         _require(1 <= target <= n_types, f"{field}.target", f"type id outside 1..{n_types}")
         threshold = float(types.internal_energies[target - 1])
-        rate = _unary_rate_from_spec(ch.get("rate", {}), f"{field}.rate", threshold)
-        unary.append(UnaryChannel(source=int(ch["source"]), target=target, rate=rate))
-    network = ReactionNetwork(types, binary, unary)
+        rate = _unary_rate_from_spec(p["rate"], f"{field}.rate", threshold)
+        unary.append(UnaryChannel(source=p["source"], target=target, rate=rate))
+    with _naming("network"):
+        network = ReactionNetwork(types, binary, unary)
     network.validate_rate_symmetry()
     _spot_check_kernels(network, kernel_spot_samples)
 
     initial = None
-    if "initial" in doc:
-        initial = _initial_from_spec(doc["initial"], n_types)
+    if top["initial"] is not None:
+        initial = _initial_from_spec(top["initial"], n_types)
 
     run_params = None
-    if "run" in doc:
-        run = _read_params(doc["run"], _RUN, "run")
+    if top["run"] is not None:
+        run = _read_params(top["run"], _RUN, "run")
         if run["histogram"] is not None:
             _read_params(run["histogram"], _HISTOGRAM, "run.histogram")
-        run_params = dict(doc["run"])
+        run_params = dict(top["run"])
 
     solve_params = None
-    if "solve" in doc:
-        solve = _read_params(doc["solve"], _SOLVE, "solve")
+    if top["solve"] is not None:
+        solve = _read_params(top["solve"], _SOLVE, "solve")
         _read_params(solve["grid"], _GRID, "solve.grid")
-        p = dict(doc["solve"])
+        if solve["scheme"] == "rk4":
+            _require(solve["dt"] is not None, "solve.dt", "scheme rk4 needs a fixed step")
+            _require(solve["rtol"] is None, "solve.rtol", "applies to scheme dopri5 only")
+        else:
+            _require(solve["dt"] is None, "solve.dt", "applies to scheme rk4 only")
+        p = dict(top["solve"])
         entries = []
-        for k, e in enumerate(p["initial"]):
-            _require(
-                isinstance(e, dict) and "density" in e,
-                f"solve.initial[{k}]",
-                "needs a 'density'",
-            )
+        for k, e in enumerate(solve["initial"]):
+            entry = _read_params(e, _SOLVE_INITIAL, f"solve.initial[{k}]")
+            weight = entry["weight"]
             entries.append(
                 {
-                    "family_obj": density_from_spec(e["density"]),
-                    "weight": float(e.get("weight", 1.0 / len(p["initial"]))),
+                    "family_obj": entry["density"],
+                    "weight": 1.0 / len(solve["initial"]) if weight is None else weight,
                 }
             )
         _require(
@@ -507,9 +571,9 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
         solve_params = p
 
     reference = None
-    if "analysis" in doc:
-        with _naming("analysis.reference"):
-            reference = _reference_from_spec(doc["analysis"].get("reference", {}), n_types)
+    if top["analysis"] is not None:
+        analysis = _read_params(top["analysis"], _ANALYSIS, "analysis")
+        reference = _reference_from_spec(analysis["reference"], n_types, "analysis.reference")
 
     scenario = Scenario(
         types=types,
@@ -518,65 +582,31 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
         run_params=run_params,
         solve_params=solve_params,
         reference=reference,
-        checks=list(doc.get("checks", [])),
+        checks=list(top["checks"] or []),
     )
     for k, c in enumerate(scenario.checks):
         check_arguments(scenario, c, f"checks[{k}]")
     return scenario
 
 
-def _initial_from_spec(spec: dict, n_types: int):
+def _initial_from_spec(spec, n_types: int):
     from .core import ParticleSystem
 
-    _require(isinstance(spec, dict) and "mode" in spec, "initial", "needs a 'mode'")
-    mode = spec["mode"]
+    mode, p = _read_form(spec, "mode", _INITIAL, "initial", "initial mode")
     if mode == "particles":
-        pts = spec.get("particles")
-        _require(bool(pts), "initial.particles", "needs a nonempty particle list")
-        return ParticleSystem.from_particles([(int(v), float(t)) for v, t in pts])
-    if mode == "counts":
-        counts = spec.get("counts")
-        energies = spec.get("energies")
-        _require(
-            isinstance(counts, list) and len(counts) == n_types,
-            "initial.counts",
-            f"needs {n_types} per-type counts",
-        )
-        _require(
-            isinstance(energies, list) and len(energies) == n_types,
-            "initial.energies",
-            f"needs {n_types} per-type energy entries",
-        )
-        return TypeCountsInitial(
-            counts=tuple(int(c) for c in counts),
-            energies=tuple(
-                _energy_entry_from_spec(e, f"initial.energies[{k}]")
-                for k, e in enumerate(energies)
-            ),
-        )
-    if mode == "mixture":
-        _require("total" in spec, "initial", "mixture needs 'total'")
-        probs = spec.get("probabilities")
-        energies = spec.get("energies")
-        _require(
-            isinstance(probs, list) and len(probs) == n_types,
-            "initial.probabilities",
-            f"needs {n_types} entries",
-        )
-        _require(
-            isinstance(energies, list) and len(energies) == n_types,
-            "initial.energies",
-            f"needs {n_types} per-type energy entries",
-        )
-        return MixtureInitial(
-            total=int(spec["total"]),
-            probabilities=tuple(float(x) for x in probs),
-            energies=tuple(
-                _energy_entry_from_spec(e, f"initial.energies[{k}]")
-                for k, e in enumerate(energies)
-            ),
-        )
-    raise ValidationError(f"initial.mode: unknown mode {mode!r}")
+        _require(bool(p["particles"]), "initial.particles", "needs a nonempty particle list")
+        with _naming("initial.particles"):
+            return ParticleSystem.from_particles(p["particles"])
+    for key in ("counts", "probabilities", "energies"):
+        if key in p:
+            _require(len(p[key]) == n_types, f"initial.{key}", f"needs {n_types} per-type entries")
+    energies = tuple(
+        _energy_entry_from_spec(e, f"initial.energies[{k}]") for k, e in enumerate(p["energies"])
+    )
+    with _naming("initial"):
+        if mode == "counts":
+            return TypeCountsInitial(counts=p["counts"], energies=energies)
+        return MixtureInitial(total=p["total"], probabilities=p["probabilities"], energies=energies)
 
 
 def _spot_check_kernels(network: ReactionNetwork, n_samples: int) -> None:

@@ -22,6 +22,12 @@ O(h^2).  With Exp(1) densities of equal weight on [0, 20], the relative
 dE/dt is 4.6e-5 at n = 400 and 4.3e-7 at n = 4000 for uniform splits
 across a gap of 0.5, and 2.6e-5 and 2.6e-7 for Gamma(2)/Exp(1) canonical
 splits across a gap of 0.3.
+
+``integrate`` steps the equation with the adaptive embedded Dormand-Prince
+5(4) pair (``dopri5``, the default) or with fixed-step classical RK4
+(``rk4``).  Neither steps past a requested time, and neither clips: a
+``dopri5`` step whose stage or result is negative or non-finite is
+rejected and halved, and ``rk4`` raises SolverBlowupError on one.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "DensityGrid",
     "CollisionPlan",
     "SolverConfig",
+    "SolveResult",
     "rhs_one_type",
     "rhs_multitype",
     "integrate",
@@ -44,7 +51,7 @@ __all__ = [
     "mean_energy",
 ]
 
-SCHEMES = ("euler", "rk4")
+SCHEMES = ("dopri5", "rk4")
 
 
 @dataclass
@@ -504,41 +511,189 @@ def rhs_one_type(grid: DensityGrid, alpha: float) -> np.ndarray:
 # time stepping
 # ---------------------------------------------------------------------------
 
+# Dormand-Prince 5(4): each row builds the next stage from the stages before
+# it; the last row is the fifth-order solution, whose right-hand side is the
+# first stage of the next step (FSAL).  _DP_E weighs the stages into the
+# difference of the fifth- and fourth-order solutions.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DEFAULT_RTOL = 1e-8
+
 
 @dataclass
 class SolverConfig:
-    dt: float
+    """A solve: ``t_end``, the scheme, and one of ``alpha`` or ``network``.
+
+    ``rk4`` takes fixed steps of ``dt``, which it requires.  ``dopri5`` adapts
+    its steps to the relative tolerance ``rtol`` (None: 1e-8) and takes no
+    ``dt``.
+    """
+
     t_end: float
-    scheme: str = "rk4"
+    dt: float | None = None
+    scheme: str = "dopri5"
+    rtol: float | None = None
     alpha: float | None = None
     network: ReactionNetwork | None = None
     snapshot_times: tuple | None = None
     renormalize_mass: bool = False
-    clip_budget: float = 1e-6
 
     def validate(self) -> None:
-        if not (self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValidationError(f"t_end must be >= 0, got {self.t_end}")
         if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
+            raise ValidationError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
+        if self.dt is not None and not (self.dt > 0):
+            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if self.scheme == "rk4":
+            if self.dt is None:
+                raise ValidationError("scheme 'rk4' needs dt")
+            if self.rtol is not None:
+                raise ValidationError("rtol applies to scheme 'dopri5' only")
+        else:
+            if self.dt is not None:
+                raise ValidationError("dt applies to scheme 'rk4' only")
+            if self.rtol is not None:
+                check_rtol(self.rtol)
         if (self.alpha is None) == (self.network is None):
             raise ValidationError("provide exactly one of alpha (one-type) or network")
         if self.alpha is not None and self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
 
 
-def integrate(grid0: DensityGrid, config: SolverConfig):
-    """Fixed-step explicit integration; returns [(time, DensityGrid)] snapshots.
+def check_rtol(rtol: float) -> float:
+    """``rtol`` itself if it lies in (0, 1), the range dopri5's step control takes."""
+    if not (0 < rtol < 1):
+        raise ValidationError(f"rtol must lie in (0, 1), got {rtol}")
+    return rtol
 
-    Steps of ``dt`` run from t = 0.  A step that would pass a requested
-    snapshot time or t_end is shortened to land on it, so each snapshot holds
-    the state at the time of its label; when every requested time is a
-    multiple of dt, every step is dt.  ``alpha`` stands for the one-type
+
+class SolveResult(list):
+    """The [(time, DensityGrid)] snapshots of a solve, with its step counts:
+    ``rhs_evals`` right-hand sides, ``steps_accepted`` and ``steps_rejected``."""
+
+    def __init__(self):
+        super().__init__()
+        self.rhs_evals = 0
+        self.steps_accepted = 0
+        self.steps_rejected = 0
+
+
+def _admissible(u: np.ndarray) -> bool:
+    """True when every density is finite and nonnegative."""
+    return bool(u.min() >= 0.0 and u.max() < np.inf)
+
+
+def _rk4(u, targets, dt, rhs, accept):
+    """Fixed steps of dt from t = 0, yielding (t, u) at each target.
+
+    A step that would pass the target is shortened to land on it, and the
+    steps after it start from there; when every target is a multiple of dt,
+    every step is dt.  A negative or non-finite stage or result raises.
+    """
+    tol = 1e-9 * dt
+    step = 0
+    t = base = 0.0  # time reached, and where the current run of dt steps began
+    k = 0  # dt steps since base
+
+    def admitted(v, what):
+        if not _admissible(v):
+            raise SolverBlowupError(f"non-finite or negative {what}", step=step, time=t)
+        return v
+
+    for target in targets:
+        while t < target - tol:
+            step += 1
+            t_next = base + (k + 1) * dt
+            if t_next > target + tol:
+                tau, t, base, k = target - t, target, target, 0
+            else:
+                tau, k = dt, k + 1
+                t = target if t_next >= target - tol else t_next
+            k1 = rhs(u)
+            k2 = rhs(admitted(u + 0.5 * tau * k1, "Runge-Kutta stage"))
+            k3 = rhs(admitted(u + 0.5 * tau * k2, "Runge-Kutta stage"))
+            k4 = rhs(admitted(u + tau * k3, "Runge-Kutta stage"))
+            u = admitted(u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "density")
+            accept(u)
+        yield t, u
+
+
+def _dopri5(u, targets, rtol, rhs, accept, result):
+    """Adaptive Dormand-Prince 5(4) steps from t = 0, yielding (t, u) at each target.
+
+    The first step is 1% of max(u) / max|u'|.  Step control after Hairer,
+    Norsett & Wanner (Solving ODEs I, II.4): the RMS norm of the embedded
+    error, each cell scaled by atol + rtol * max(u, u_new) with atol = rtol
+    times the initial state's mean, must be at most 1; the next step is the
+    last one times 0.9 err^(-1/5), kept in [0.2, 5] (and at most 1 after a
+    rejection).  A step never passes the target: the one that would reach
+    past it, or within 1% of it, is set to land on it.  A step with a
+    negative or non-finite stage or result is rejected and halved; a step
+    too small to advance the time raises.
+    """
+    atol = max(rtol * float(u.mean()), np.finfo(float).tiny)
+    f = rhs(u)
+    fmax = float(np.abs(f).max())
+    h = 0.01 * float(u.max()) / fmax if fmax > 0 else np.inf
+    t = 0.0
+    grow = 5.0
+    for target in targets:
+        while t < target:
+            land = t + 1.01 * h >= target
+            tau = target - t if land else h
+            if tau <= 16 * np.finfo(float).eps * target:
+                raise SolverBlowupError(
+                    f"step size underflow ({tau:.3g})", step=result.steps_accepted + 1, time=t
+                )
+            ks = [f]
+            for row in _DP_A:
+                y = u + tau * sum(a * k for a, k in zip(row, ks) if a)
+                if not _admissible(y):
+                    break
+                ks.append(rhs(y))
+            if len(ks) <= len(_DP_A):  # a stage or the result went negative or non-finite
+                result.steps_rejected += 1
+                h, grow = 0.5 * tau, 1.0
+                continue
+            err_est = tau * sum(e * k for e, k in zip(_DP_E, ks) if e)
+            err = float(np.linalg.norm(err_est / (atol + rtol * np.maximum(u, y)))) / np.sqrt(y.size)
+            fac = 0.9 * err ** -0.2 if err > 0 else np.inf
+            if err > 1.0:
+                result.steps_rejected += 1
+                h, grow = tau * max(0.2, fac), 1.0
+                continue
+            t = target if land else t + tau
+            u, f = y, ks[-1]
+            if accept(u):
+                f = rhs(u)  # the state was rescaled
+            h_next = tau * min(grow, fac)
+            h = max(h, h_next) if land else h_next
+            grow = 5.0
+        yield t, u
+
+
+def integrate(grid0: DensityGrid, config: SolverConfig) -> SolveResult:
+    """Explicit Runge-Kutta integration; returns the [(time, DensityGrid)] snapshots.
+
+    ``dopri5`` (the default) takes adaptive embedded Dormand-Prince 5(4)
+    steps; ``rk4`` takes fixed steps of ``dt``.  Either scheme lands exactly
+    on every requested snapshot time and on t_end, so each snapshot holds
+    the state at the time of its label.  ``alpha`` stands for the one-type
     network with that constant rate and a uniform split.  The collision plan
-    is built once; a Runge-Kutta stage that is non-finite or negative raises
-    SolverBlowupError, as does negative mass clipped past ``clip_budget``.
+    is built once.  Nothing is clipped: ``dopri5`` rejects and halves a step
+    whose stage or result is negative or non-finite, ``rk4`` raises
+    SolverBlowupError, and so does ``dopri5`` when its step underflows.
+    ``renormalize_mass`` rescales the mass after each accepted step, and
+    ``dopri5`` then evaluates the right-hand side of the rescaled state.  The
+    returned SolveResult also counts right-hand sides and steps.
     """
     config.validate()
     network = config.network
@@ -558,54 +713,28 @@ def integrate(grid0: DensityGrid, config: SolverConfig):
     for s in snap_times:
         if s < 0 or s > config.t_end + 1e-12:
             raise ValidationError(f"snapshot time {s} outside [0, {config.t_end}]")
+    result = SolveResult()
 
     def rhs(u):
+        result.rhs_evals += 1
         return rhs_multitype(u, network, plan=plan)
 
-    def stage(u):
-        lo, hi = u.min(), u.max()
-        if not (lo >= 0.0 and hi < np.inf):
-            raise SolverBlowupError("non-finite or negative Runge-Kutta stage", step=step, time=t)
-        return rhs(u)
+    def accept(u) -> bool:
+        """Count an accepted step and renormalize its mass in place; True if rescaled."""
+        result.steps_accepted += 1
+        m_now = float(u.sum() * h) if config.renormalize_mass else 0.0
+        if not m_now > 0:
+            return False
+        u *= mass0 / m_now
+        return True
 
-    dt = config.dt
-    tol = 1e-9 * dt
-    out = []
-    clipped = 0.0
-    step = 0
-    t = base = 0.0  # time reached, and where the current run of dt steps began
-    k = 0  # dt steps since base
-    for target, keep in [(s, True) for s in snap_times] + [(config.t_end, False)]:
-        while t < target - tol:
-            step += 1
-            t_next = base + (k + 1) * dt
-            if t_next > target + tol:  # shorten the step to land on the target
-                tau, t, base, k = target - t, target, target, 0
-            else:
-                tau, k = dt, k + 1
-                t = target if t_next >= target - tol else t_next
-            if config.scheme == "euler":
-                vals = vals + tau * rhs(vals)
-            else:
-                k1 = rhs(vals)
-                k2 = stage(vals + 0.5 * tau * k1)
-                k3 = stage(vals + 0.5 * tau * k2)
-                k4 = stage(vals + tau * k3)
-                vals = vals + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(vals)):
-                raise SolverBlowupError("non-finite density", step=step, time=t)
-            neg = vals < 0.0
-            if np.any(neg):
-                clipped += float(-vals[neg].sum() * h)
-                vals[neg] = 0.0
-                if clipped > config.clip_budget:
-                    raise SolverBlowupError(
-                        f"clipped negative mass {clipped:.3e} exceeds budget", step=step, time=t
-                    )
-            if config.renormalize_mass:
-                m_now = float(vals.sum() * h)
-                if m_now > 0:
-                    vals *= mass0 / m_now
-        if keep:
-            out.append((t, DensityGrid(grid0.x_max, vals.copy())))
-    return out
+    targets = snap_times + [config.t_end]
+    if config.scheme == "rk4":
+        states = _rk4(vals, targets, config.dt, rhs, accept)
+    else:
+        rtol = _DEFAULT_RTOL if config.rtol is None else config.rtol
+        states = _dopri5(vals, targets, rtol, rhs, accept, result)
+    for k, (t, u) in enumerate(states):
+        if k < len(snap_times):
+            result.append((t, DensityGrid(grid0.x_max, u)))
+    return result

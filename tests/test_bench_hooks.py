@@ -6,7 +6,8 @@ wraps layer boundaries such as ``solver.rhs_one_type``, ``solver._gain_1d``,
 ``ScatteringKernel.check_normalization`` and ``sample_outcome``.  Renaming or
 deleting any of them breaks only benchmark runs, so this installs both sets
 of hooks the way a benchmark child process does, and runs a traced
-simulation to check that the rate spans the per-layer metrics count are hit.
+simulation and a traced solve to check that the rate and right-hand-side
+spans the per-layer metrics count are hit.
 """
 
 import json
@@ -77,6 +78,29 @@ print(json.dumps({
 """
 
 
+TRACED_SOLVE = """
+import json
+import sys
+sys.path.insert(0, "perfbench")
+import enerkin
+import enerkin as ek
+import enerkin.cli
+import tracing
+
+rec = tracing.Recorder(0)
+tracing.install(rec, enerkin)
+g = ek.DensityGrid.from_families([ek.UniformDensity(0.0, 2.0)], 10.0, 200)
+out = ek.integrate(g, ek.SolverConfig(t_end=2.0, alpha=1.0, snapshot_times=(0.5, 2.0)))
+sums = tracing.command_sums(rec.spans)
+print(json.dumps({
+    "scheme": ek.SolverConfig(t_end=1.0, alpha=1.0).scheme,
+    "rhs_evals": out.rhs_evals,
+    "rhs_spans": sum(row[tracing.NAME].startswith(tracing.RHS_PREFIX) for row in rec.spans),
+    "rhs_calls": sums["rhs_calls"],
+}))
+"""
+
+
 def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -109,3 +133,14 @@ def test_traced_simulation_records_rate_spans():
     assert out["event_count"] == 200
     assert out["run_count"] == [out["event_count"]]
     assert out["rate_evals_in_run"] > 0
+
+
+def test_traced_solve_records_one_span_per_right_hand_side():
+    # solver.rhs_calls counts spans of the wrapped module-level rhs_multitype;
+    # a stepper that called the plan directly would make it read 0
+    proc = _run(TRACED_SOLVE)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["scheme"] == "dopri5"
+    assert out["rhs_evals"] > 0
+    assert out["rhs_spans"] == out["rhs_calls"] == out["rhs_evals"]

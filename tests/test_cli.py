@@ -170,15 +170,24 @@ class TestSolveCommand:
             ({"scheme": "rk5"}, "solve.scheme"),
             ({"renormalize_mass": "false"}, "solve.renormalize_mass"),
             ({"snapshot_time": [1.0]}, "solve.snapshot_time"),
+            ({"scheme": "euler"}, "solve.scheme"),
+            ({"scheme": "rk4", "dt": None}, "solve.dt"),
+            ({"scheme": "rk4", "dt": 0.05, "rtol": 1e-6}, "solve.rtol"),
+            ({"scheme": "rk4", "dt": 0.0}, "solve.dt"),
+            ({"dt": 0.05}, "solve.dt"),
+            ({"rtol": -1e-8}, "solve.rtol"),
+            ({"rtol": 1.5}, "solve.rtol"),
         ],
-        ids=["no_cells", "no_x_max", "scheme", "flag", "unknown"],
+        ids=[
+            "no_cells", "no_x_max", "scheme", "flag", "unknown", "euler", "rk4_without_dt",
+            "rk4_with_rtol", "zero_dt", "dopri5_with_dt", "negative_rtol", "rtol_ge_1",
+        ],
     )
     def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):
         doc = small_doc()
         doc["solve"] = {
             "grid": {"x_max": 10.0, "cells": 50},
             "initial": [{"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}}],
-            "dt": 0.05,
             "t_end": 1.0,
         }
         doc["solve"].update(change)
@@ -199,14 +208,84 @@ class TestSolveCommand:
             "initial": [{"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "weight": 1.0}],
             "dt": 50.0,
             "t_end": 200.0,
-            "scheme": "euler",
+            "scheme": "rk4",
         }
         sc = write_scenario(tmp_path, doc)
         rc = cli.main(["solve", "--scenario", str(sc), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_FAULT
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverBlowupError"
-        assert "step" in err["message"]
+        assert "negative Runge-Kutta stage at step 1, t=50" in err["message"]
+
+
+def _set(path, value):
+    """A small_doc edit: ``value`` at the key path ``path``, or the key deleted for None."""
+
+    def make():
+        doc = json.loads(json.dumps(small_doc_checking(UNIFORM_TO_EXP, analysis={"reference": REFERENCE})))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        return doc
+
+    return make
+
+
+MALFORMED_SECTIONS = {
+    "counts_entry": (
+        _set(("initial",), {"mode": "counts", "counts": ["x"], "energies": [{"value": 1.0}]}),
+        "initial.counts",
+    ),
+    "rate_value": (_set(("network", "binary", 0, "rate", "value"), "x"), "network.binary[0].rate.value"),
+    "analysis_list": (_set(("analysis",), []), "analysis"),
+    "checks_object": (_set(("checks",), {"name": "kolmogorov"}), "checks"),
+    "rate_unknown_key": (
+        _set(("network", "binary", 0, "rate"), {"form": "constant", "vlaue": 1.0}),
+        "network.binary[0].rate.vlaue",
+    ),
+    "initial_unknown_key": (
+        _set(("initial",), {"mode": "counts", "count": [3], "counts": [3], "energies": [{"value": 1.0}]}),
+        "initial.count",
+    ),
+    "top_level_unknown_key": (_set(("anlysis",), {"reference": REFERENCE}), "anlysis"),
+    "types_energies": (_set(("types", "internal_energies"), "zero"), "types.internal_energies"),
+    "kernel_output_pair": (
+        _set(("network", "binary", 0, "kernel", "outputs", 0, "pair"), [1]),
+        "network.binary[0].kernel.outputs[0].pair",
+    ),
+    "unary_source": (
+        _set(("network", "unary"), [{"source": "one", "target": 1, "rate": {"form": "constant", "value": 1.0}}]),
+        "network.unary[0].source",
+    ),
+    "kernel_density": (
+        _set(
+            ("network", "binary", 0, "kernel"),
+            {"kind": "canonical", "outputs": [{"pair": [1, 1]}], "densities": {"1": {"family": "gamma", "nu": "x", "beta": 1.0}}},
+        ),
+        "network.binary[0].kernel.densities.1",
+    ),
+    "particles_entry": (_set(("initial", "particles", 0), [1]), "initial.particles"),
+    "reference_weights": (_set(("analysis", "reference", "weights"), ["a"]), "analysis.reference.weights"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
+def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
+    make_doc, field = MALFORMED_SECTIONS[case]
+    sc = write_scenario(tmp_path, make_doc())
+    monkeypatch.setattr(cli, "_run_check", lambda *a: pytest.fail("a check ran"))
+    out = tmp_path / "out"
+    rc = cli.main(["check", "--scenario", str(sc), "--out", str(out)])
+    assert rc == cli.EXIT_FAULT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(field + ": ")
+    assert not out.exists()
 
 
 class TestCheckCommand:

@@ -1,8 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate as spint
 
 import enerkin as ek
+from enerkin import solver
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def exp_grid(beta=1.0, x_max=40.0, n=4000, cell_average=True):
@@ -345,7 +351,9 @@ class TestCollisionPlan:
         counts = []
         for t_end in (0.1, 0.5):
             calls.clear()
-            cfg = ek.SolverConfig(dt=0.05, t_end=t_end, network=two_type_canonical_network)
+            cfg = ek.SolverConfig(
+                dt=0.05, t_end=t_end, scheme="rk4", network=two_type_canonical_network
+            )
             ek.integrate(g0, cfg)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
@@ -354,7 +362,7 @@ class TestCollisionPlan:
 class TestIntegrate:
     def test_t_end_zero_returns_initial(self):
         g = exp_grid(n=100)
-        cfg = ek.SolverConfig(dt=0.1, t_end=0.0, alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.1, t_end=0.0, scheme="rk4", alpha=1.0)
         out = ek.integrate(g, cfg)
         assert len(out) == 1
         t, grid = out[0]
@@ -382,12 +390,23 @@ class TestIntegrate:
         (_, out), = ek.integrate(g, cfg)
         assert ek.mass(out) == pytest.approx(ek.mass(g), abs=1e-13)
 
-    def test_euler_and_rk4_agree_at_small_dt(self):
+    def test_renormalized_mass_under_dopri5_matches_rk4(self):
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
+        cfg = ek.SolverConfig(t_end=5.0, alpha=1.0, renormalize_mass=True)
+        out = ek.integrate(g, cfg)
+        (_, end), = out
+        assert ek.mass(end) == pytest.approx(ek.mass(g), abs=1e-13)
+        # one more right-hand side per accepted step, for the rescaled state
+        attempts = out.steps_accepted + out.steps_rejected
+        assert out.steps_accepted * 7 < out.rhs_evals <= 1 + 6 * attempts + out.steps_accepted
+        (_, ref), = ek.integrate(g, dataclasses.replace(cfg, scheme="rk4", dt=0.01))
+        assert np.max(np.abs(end.values - ref.values)) < 1e-7
+
+    def test_dopri5_and_rk4_agree_at_small_dt(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 300)
-        out_e = ek.integrate(g, ek.SolverConfig(dt=0.002, t_end=1.0, scheme="euler", alpha=1.0))
+        out_d = ek.integrate(g, ek.SolverConfig(t_end=1.0, alpha=1.0))
         out_r = ek.integrate(g, ek.SolverConfig(dt=0.002, t_end=1.0, scheme="rk4", alpha=1.0))
-        # first-order global error of the explicit Euler step
-        assert np.max(np.abs(out_e[0][1].values - out_r[0][1].values)) < 5e-4
+        assert np.max(np.abs(out_d[0][1].values - out_r[0][1].values)) < 1e-7
 
     def test_grid_refinement_convergence(self):
         # successive resolutions must differ by at most O(h)
@@ -420,13 +439,32 @@ class TestIntegrate:
 
     def test_blowup_reports_step(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
-        cfg = ek.SolverConfig(dt=50.0, t_end=200.0, scheme="euler", alpha=1.0)
-        with pytest.raises(ek.SolverBlowupError, match="step"):
+        cfg = ek.SolverConfig(dt=50.0, t_end=200.0, scheme="rk4", alpha=1.0)
+        with pytest.raises(ek.SolverBlowupError, match="step") as err:
             ek.integrate(g, cfg)
+        assert (err.value.step, err.value.time) == (1, 50.0)
+
+    def test_negative_rk4_result_raises(self, monkeypatch):
+        # stages stay at the (nonnegative) state, and only the last stage's
+        # slope takes the empty cells below zero: nothing is clipped
+        calls = []
+
+        def rhs(u, network, plan):
+            calls.append(1)
+            return np.where(u > 0, 0.0, -1e-9) if len(calls) % 4 == 0 else np.zeros_like(u)
+
+        monkeypatch.setattr(solver, "rhs_multitype", rhs)
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
+        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0)
+        with pytest.raises(ek.SolverBlowupError, match="negative density") as err:
+            ek.integrate(g, cfg)
+        assert (err.value.step, err.value.time) == (1, 0.1)
 
     def test_snapshot_times(self):
         g = exp_grid(n=100, x_max=20.0)
-        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, snapshot_times=(0.0, 0.5, 1.0))
+        cfg = ek.SolverConfig(
+            dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0, snapshot_times=(0.0, 0.5, 1.0)
+        )
         out = ek.integrate(g, cfg)
         assert [round(t, 6) for t, _ in out] == [0.0, 0.5, 1.0]
 
@@ -453,7 +491,10 @@ class TestIntegrate:
         )
         coarse, fine = (
             ek.integrate(
-                g0, ek.SolverConfig(dt=dt, t_end=1.0, network=net, snapshot_times=(0.5, 1.0))
+                g0,
+                ek.SolverConfig(
+                    dt=dt, t_end=1.0, scheme="rk4", network=net, snapshot_times=(0.5, 1.0)
+                ),
             )
             for dt in (0.3, 0.01)
         )
@@ -463,17 +504,129 @@ class TestIntegrate:
 
     def test_snapshots_at_multiples_of_dt_keep_the_steps(self):
         g = exp_grid(n=100, x_max=20.0)
-        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, snapshot_times=(0.3, 1.0))
+        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0, snapshot_times=(0.3, 1.0))
         (t1, _), (t2, end) = ek.integrate(g, cfg)
         assert (t1, t2) == (0.3, 1.0)
-        (_, alone), = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0))
+        (_, alone), = ek.integrate(g, dataclasses.replace(cfg, snapshot_times=None))
         assert np.array_equal(end.values, alone.values)
 
     def test_config_validation(self):
         g = exp_grid(n=100)
         with pytest.raises(ek.ValidationError):
-            ek.integrate(g, ek.SolverConfig(dt=0.0, t_end=1.0, alpha=1.0))
+            ek.integrate(g, ek.SolverConfig(dt=0.0, t_end=1.0, scheme="rk4", alpha=1.0))
         with pytest.raises(ek.ValidationError):
-            ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0))  # neither alpha nor network
+            # neither alpha nor network
+            ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4"))
         with pytest.raises(ek.ValidationError):
             ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, scheme="leapfrog"))
+
+    def test_scheme_options_validated(self):
+        g = exp_grid(n=100)
+        for cfg, message in (
+            (ek.SolverConfig(t_end=1.0, alpha=1.0, scheme="rk4"), "needs dt"),
+            (ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, scheme="rk4", rtol=1e-6), "rtol"),
+            (ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0), "dt applies to scheme 'rk4' only"),
+            (ek.SolverConfig(t_end=1.0, alpha=1.0, rtol=0.0), "rtol"),
+            (ek.SolverConfig(t_end=1.0, alpha=1.0, rtol=1.5), "rtol"),
+            (ek.SolverConfig(t_end=1.0, alpha=1.0, scheme="euler"), "scheme"),
+        ):
+            with pytest.raises(ek.ValidationError, match=message):
+                ek.integrate(g, cfg)
+
+    def test_result_counts_steps_and_right_hand_sides(self):
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 100)
+        out = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0))
+        assert (out.steps_accepted, out.steps_rejected, out.rhs_evals) == (10, 0, 40)
+        out = ek.integrate(g, ek.SolverConfig(t_end=1.0, alpha=1.0))
+        assert 0 < out.steps_accepted < 20
+        attempts = out.steps_accepted + out.steps_rejected
+        # FSAL: one right-hand side to start, at most six per attempted step
+        assert out.steps_accepted * 6 < out.rhs_evals <= 1 + 6 * attempts
+
+
+def two_gap_grid():
+    return ek.DensityGrid.from_families(
+        [ek.UniformDensity(0, 2), ek.UniformDensity(0, 1.5)], 20.0, 400, weights=[0.6, 0.4]
+    )
+
+
+class TestDopri5:
+    def test_lands_exactly_on_every_requested_time(self):
+        net = gap_network()
+        times = (0.0, 0.13, 0.5, 0.51, 1.7, 2.5)
+        cfg = ek.SolverConfig(t_end=3.0, network=net, snapshot_times=times)
+        out = ek.integrate(two_gap_grid(), cfg)
+        assert [t for t, _ in out] == list(times)
+        # and each state is the one at its label
+        ref = ek.integrate(two_gap_grid(), dataclasses.replace(cfg, scheme="rk4", dt=0.01))
+        assert [t for t, _ in ref] == list(times)
+        for (_, a), (_, b) in zip(out, ref):
+            assert np.max(np.abs(a.values - b.values)) < 1e-7
+
+    def test_bundled_solve_matches_fixed_step_rk4(self):
+        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=0)
+        grid0, cfg = sc.solver_setup()
+        assert (cfg.scheme, cfg.dt, cfg.rtol) == ("dopri5", None, None)
+        out = ek.integrate(grid0, cfg)
+        assert [t for t, _ in out] == [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0]
+        assert out.rhs_evals <= 500
+        ref = ek.integrate(grid0, dataclasses.replace(cfg, scheme="rk4", dt=0.01))
+        assert max(np.max(np.abs(a.values - b.values)) for (_, a), (_, b) in zip(out, ref)) < 1e-7
+
+    def test_mass_conserved_without_gap_or_leak(self, two_type_canonical_network):
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        g0 = ek.DensityGrid.from_families(
+            [ek.UniformDensity(0, 2), ek.Exponential(1.0)], 18.0, 360, weights=[0.5, 0.5]
+        )
+        cfg = ek.SolverConfig(t_end=2.0, network=two_type_canonical_network, snapshot_times=(1.0, 2.0))
+        for _, grid in ek.integrate(g0, cfg):
+            assert abs(ek.mass(grid) - ek.mass(g0)) <= 1e-12 * ek.mass(g0)
+            assert ek.mean_energy(grid, tt) == pytest.approx(ek.mean_energy(g0, tt), rel=1e-6)
+
+    def test_negative_stage_is_rejected_and_retried(self, monkeypatch):
+        # the first step's second stage derivative is pushed far below zero,
+        # so its third stage is negative; the step is halved and retried,
+        # and no right-hand side sees the negative stage
+        seen = []
+        rhs = solver.rhs_multitype
+
+        def spy(u, network, plan):
+            seen.append(float(u.min()))
+            return rhs(u, network, plan=plan) - (1e6 if len(seen) == 2 else 0.0)
+
+        monkeypatch.setattr(solver, "rhs_multitype", spy)
+        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
+        out = ek.integrate(g, ek.SolverConfig(t_end=4.0, alpha=1.0))
+        assert out.steps_rejected >= 1
+        assert len(seen) == out.rhs_evals and min(seen) >= 0.0
+        (_, end), = out
+        (_, ref), = ek.integrate(g, ek.SolverConfig(dt=0.01, t_end=4.0, scheme="rk4", alpha=1.0))
+        assert np.max(np.abs(end.values - ref.values)) < 1e-7
+
+    def test_error_control_meets_rtol_on_linear_decay(self, monkeypatch):
+        # du/dt = -u from u = 1, with one stage of the first step perturbed by
+        # 1e-2: its error estimate passes rtol, so that step is rejected and
+        # redone, and every snapshot still meets the tolerance
+        calls = []
+
+        def rhs(u, network, plan):
+            calls.append(1)
+            return -u + (1e-2 if len(calls) == 3 else 0.0)
+
+        monkeypatch.setattr(solver, "rhs_multitype", rhs)
+        g = ek.DensityGrid(10.0, np.ones((1, 4)))
+        times = (0.25, 1.0, 3.0)
+        out = ek.integrate(g, ek.SolverConfig(t_end=3.0, alpha=1.0, snapshot_times=times))
+        assert out.steps_rejected == 1
+        for t, grid in out:
+            assert np.max(np.abs(grid.values - np.exp(-t))) < 1e-7 * np.exp(-t)
+
+    def test_step_size_underflow_raises_with_step_and_time(self, monkeypatch):
+        # every cell falls at unit rate: the density reaches zero at t = 1, and
+        # any step past it goes negative, so the step halves until it underflows
+        monkeypatch.setattr(solver, "rhs_multitype", lambda u, network, plan: -np.ones_like(u))
+        g = ek.DensityGrid(10.0, np.ones((1, 50)))
+        with pytest.raises(ek.SolverBlowupError, match="underflow") as err:
+            ek.integrate(g, ek.SolverConfig(t_end=2.0, alpha=1.0))
+        assert err.value.time == pytest.approx(1.0, abs=1e-12)
+        assert err.value.step > 1
