@@ -136,6 +136,8 @@ class ConstantUnaryRate:
         self.value = float(value)
 
     def __call__(self, u):
+        if isinstance(u, float):
+            return self.value
         shape = np.shape(u)
         return np.full(shape, self.value) if shape else self.value
 
@@ -306,6 +308,7 @@ class ScatteringKernel:
                 raise ValidationError(f"duplicate outgoing pair {key}")
             seen.add(key)
         self.outputs = tuple(outs)
+        self._release_types, self._releases = None, {}
 
     # -- energy split law per outgoing pair ---------------------------------
 
@@ -348,25 +351,54 @@ class ScatteringKernel:
         idx, _, _ = self.feasible_outputs(v, t, v_other, t_other, types)
         return 1.0 if idx else 0.0
 
-    def sample_outcome(self, v, t, v_other, t_other, types, rng):
-        """Sample (v1, U, v1', U') or None when no outgoing pair is feasible.
+    @property
+    def sub_normalized(self) -> bool:
+        """True when ``outcome_mass`` may lie below 1 where an output is feasible."""
+        return type(self).outcome_mass is not ScatteringKernel.outcome_mass
 
-        A split outside [0, available energy] (a faulty custom sampler)
-        raises InfeasibleReactionError.
+    def sample_outcome(self, v, t, v_other, t_other, types, rng):
+        """Sample (v1, U, v1', U') or None when the collision fizzles.
+
+        It fizzles when no outgoing pair is feasible, and otherwise with
+        probability 1 - outcome_mass; only a sub-normalized kernel draws the
+        uniform that decides this.  A one-output kernel builds no weights and
+        draws no output.  A split outside [0, available energy] (a faulty
+        custom sampler) raises InfeasibleReactionError.
         """
-        idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
-        if not idx:
-            return None
-        if len(idx) == 1:
-            pick = 0
+        if len(self.outputs) == 1:
+            out = self.outputs[0]
+            e = (t + t_other) + self._release(v, v_other, types)
+            if e < 0.0 or self._fizzles(v, t, v_other, t_other, types, rng):
+                return None
         else:
-            pick = int(rng.choice(len(idx), p=w))
-        out = self.outputs[idx[pick]]
-        e = avail[pick]
+            idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
+            if not idx or self._fizzles(v, t, v_other, t_other, types, rng):
+                return None
+            pick = 0 if len(idx) == 1 else int(rng.choice(len(idx), p=w))
+            out, e = self.outputs[idx[pick]], avail[pick]
         u = self.split_sample(out, e, rng)
         if not 0.0 <= u <= e:
             raise InfeasibleReactionError(f"split {u} of output {out} outside [0, {e}]")
         return out.first, u, out.second, e - u
+
+    def _release(self, v, v_other, types: TypeTable) -> float:
+        """Energy the one output pair releases from inputs (v, v_other), cached per type table."""
+        if self._release_types is not types:
+            self._release_types, self._releases = types, {}
+        release = self._releases.get((v, v_other))
+        if release is None:
+            out = self.outputs[0]
+            release = float(available_kinetic_energy(0.0, (v, v_other), (out.first, out.second), types))
+            self._releases[v, v_other] = release
+        return release
+
+    def _fizzles(self, v, t, v_other, t_other, types, rng) -> bool:
+        if not self.sub_normalized:
+            return False
+        mass = self.outcome_mass(v, t, v_other, t_other, types)
+        if not 0.0 <= mass <= 1.0:
+            raise ValidationError(f"outcome mass {mass} outside [0, 1] at energies {t}, {t_other}")
+        return rng.random() >= mass
 
     def check_normalization(self, v, t, v_other, t_other, types) -> float:
         """Tanh-sinh quadrature of the total outcome density; should equal outcome_mass."""
@@ -436,8 +468,11 @@ class TableKernel(ScatteringKernel):
 
     ``split_pdf_fn(first, second, e_avail, u)`` and
     ``split_sample_fn(first, second, e_avail, rng)``; an optional
-    ``mass_fn(v, t, v_other, t_other)`` makes the kernel sub-normalized
-    (collisions may fizzle with the remaining probability).
+    ``mass_fn(v, t, v_other, t_other)`` in [0, 1] makes the kernel
+    sub-normalized: a feasible collision fizzles, leaving both particles
+    unchanged, with probability 1 - mass_fn.  The simulator draws one more
+    uniform per collision to decide; the solver removes pairs at
+    alpha * mass_fn, and ``split_pdf_fn`` should integrate to mass_fn.
     """
 
     kind = "table"
@@ -454,6 +489,10 @@ class TableKernel(ScatteringKernel):
     def split_sample(self, out, e_avail, rng):
         return float(self._sample(out.first, out.second, e_avail, rng))
 
+    @property
+    def sub_normalized(self) -> bool:
+        return self._mass is not None
+
     def outcome_mass(self, v, t, v_other, t_other, types):
         if self._mass is not None:
             return float(self._mass(v, t, v_other, t_other))
@@ -463,6 +502,11 @@ class TableKernel(ScatteringKernel):
 # ---------------------------------------------------------------------------
 # channels and network
 # ---------------------------------------------------------------------------
+
+
+def _as_float(rate) -> float:
+    """A rate function's value at one energy (a float, or a 0-d or size-1 array)."""
+    return rate if type(rate) is float else np.asarray(rate, dtype=float).item()
 
 
 @dataclass(frozen=True)
@@ -543,6 +587,15 @@ class ReactionNetwork:
                 )
             seen.add((ch.source, ch.target))
             self._unary_by_source.setdefault(ch.source, []).append(ch)
+        # per source type: I_v, and each channel's gate offset I_v - I_w and rate
+        self._unary_table = {
+            v: (
+                available_kinetic_energy(0.0, (v,), (), types),
+                [(float(available_kinetic_energy(0.0, (v,), (ch.target,), types)), ch.rate)
+                 for ch in chans],
+            )
+            for v, chans in self._unary_by_source.items()
+        }
 
     def binary_channel(self, v: int, w: int) -> BinaryChannel | None:
         return self._by_pair.get((min(v, w), max(v, w)))
@@ -568,8 +621,13 @@ class ReactionNetwork:
         """Rate of each channel in ``unary_from(v)`` out of a particle (v, T).
 
         A channel's rate is a function of the full energy U = I_v + T and is
-        0 wherever the conversion would leave negative kinetic energy.
+        0 wherever the conversion would leave negative kinetic energy.  A
+        float T gives a list of floats, evaluated from the per-type table
+        built with the network; they equal the array results bit for bit.
         """
+        if isinstance(t, float):
+            i_v, chans = self._unary_table.get(v, (0.0, ()))
+            return [_as_float(rate(t + i_v)) if t + gate >= 0.0 else 0.0 for gate, rate in chans]
         t = np.asarray(t, dtype=float)
         u_full = available_kinetic_energy(t, (v,), (), self.types)
         rates = []
@@ -579,7 +637,12 @@ class ReactionNetwork:
         return rates
 
     def unary_rate(self, v: int, t):
-        """Total conversion rate out of a particle (v, T), feasibility-gated."""
+        """Total conversion rate out of a particle (v, T), feasibility-gated (a float for a float T)."""
+        if isinstance(t, float):
+            total = 0.0
+            for rate in self.unary_rates(v, t):  # left to right, as the array sum below
+                total += rate
+            return total
         t = np.asarray(t, dtype=float)
         return sum(self.unary_rates(v, t), np.zeros_like(t))
 

@@ -12,7 +12,16 @@ Conversions come from a binary sum tree of unary rates (Wong & Easton 1980).
 One engine applies every event: ``run`` drives it, and ``execute_event``
 applies a single validated event through the same code without building
 selection structures.  Energy moves between types only through
-``core.available_kinetic_energy``.
+``core.available_kinetic_energy``, evaluated once per type combination
+where the per-event path needs it.
+
+The per-event path runs on Python floats.  Unary rates of one particle
+come from the network's per-type table of I_v, gate offsets I_v - I_w and
+rate objects; a one-output kernel computes its available energy from a
+cached release and builds no weight array; a type change updates only the
+channel-tree leaves of channels involving the old or the new type.  Each
+gives the value the array path gives, bit for bit, and draws the same
+random numbers, so the output is unchanged.
 
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
@@ -217,6 +226,11 @@ class _Engine:
         self.m = int(self.tids.size)
         self.tracking = track_rates
         self.rejected = 0
+        # kinetic energy each conversion v -> w releases, I_v - I_w
+        self.unary_release = {
+            (ch.source, ch.target): float(available_kinetic_energy(0.0, (ch.source,), (ch.target,), self.types))
+            for ch in network.unary
+        }
         if not track_rates:
             return
         self.channels = []
@@ -238,18 +252,20 @@ class _Engine:
             raise ValidationError("negative rate from a unary rate function")
         self.pos = pos.tolist()
         self.unary_tree = _SumTree(unary)
-        self._rebuild_channel_tree()
+        self.channel_tree = _SumTree(np.array([self._channel_rate(k) for k in range(len(self.channels))]))
+        self.channels_of = [
+            [k for k, (pair, _, _) in enumerate(self.channels) if v in pair]
+            for v in range(self.types.count + 1)
+        ]
 
     def to_system(self, time: float) -> ParticleSystem:
         return ParticleSystem(self.tids.copy(), self.kin.copy(), time)
 
-    def _rebuild_channel_tree(self) -> None:
-        """Sum tree of each channel's majorant rate bound_vw * (pairs of types v, w) / M."""
-        n = [len(idx) for idx in self.members]
-        self.channel_tree = _SumTree(np.array([
-            bound * (n[v] * (n[v] - 1) // 2 if v == w else n[v] * n[w]) / self.m
-            for (v, w), bound, _ in self.channels
-        ]))
+    def _channel_rate(self, k: int) -> float:
+        """Majorant rate of channel k: bound_vw * (pairs of types v, w) / M."""
+        (v, w), bound, _ = self.channels[k]
+        n_v, n_w = len(self.members[v]), len(self.members[w])
+        return bound * (n_v * (n_v - 1) // 2 if v == w else n_v * n_w) / self.m
 
     def next_event(self, rng: np.random.Generator, horizon: float = np.inf):
         """(waiting time, event) of the next accepted event; thinned proposals add
@@ -344,7 +360,7 @@ class _Engine:
         if isinstance(event, UnaryEvent):
             i = event.i
             v = int(self.tids[i])
-            t_new = available_kinetic_energy(float(self.kin[i]), (v,), (event.target,), self.types)
+            t_new = float(self.kin[i]) + self.unary_release[v, event.target]
             if t_new < 0.0:
                 raise InfeasibleReactionError(
                     f"type change {v}->{event.target} needs more kinetic energy than "
@@ -369,10 +385,11 @@ class _Engine:
                     self.pos[last] = k
                 self.pos[i] = len(self.members[v])
                 self.members[v].append(i)
-                self._rebuild_channel_tree()
+                for k in self.channels_of[old] + self.channels_of[v]:
+                    self.channel_tree.update(k, self._channel_rate(k))
             rate = 0.0
             if self.net.unary_from(v):
-                rate = np.asarray(self.net.unary_rate(v, float(t)), dtype=float).item()
+                rate = self.net.unary_rate(v, float(t))
                 if not rate >= 0.0:
                     raise ValidationError(f"negative rate {rate} from a unary rate function")
             self.unary_tree.update(i, rate)

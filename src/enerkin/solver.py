@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SolverBlowupError, TypeTable, ValidationError, available_kinetic_energy
-from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, ScatteringKernel, UniformKernel
+from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
 
 __all__ = [
     "DensityGrid",
@@ -412,9 +412,9 @@ def _rhs_multitype_generic(vals: np.ndarray, h: float, network: ReactionNetwork)
             (o.first, o.second): available_kinetic_energy(0.0, ch.pair, (o.first, o.second), types)
             for o in ch.kernel.outputs
         }
-        # a kernel that overrides outcome_mass may fizzle (a sub-normalized law);
-        # any other one removes the pair wherever an output is feasible
-        fizzles = type(ch.kernel).outcome_mass is not ScatteringKernel.outcome_mass
+        # a sub-normalized kernel may fizzle; any other one removes the pair
+        # wherever an output is feasible
+        fizzles = ch.kernel.sub_normalized
         raw_w = {(o.first, o.second): o.weight for o in ch.kernel.outputs}
         for iy in range(n):
             ty = x[iy]

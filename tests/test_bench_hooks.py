@@ -130,6 +130,10 @@ def test_traced_simulation_records_rate_spans():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert {"reactions.pair_rate", "reactions.unary_rate"} <= set(out["names"])
+    # reactions.sample_outcome_us times the wrapped ScatteringKernel.sample_outcome;
+    # an outcome path outside it (say, a subclass override for one-output
+    # kernels) would make that metric read 0
+    assert "reactions.sample_outcome" in out["names"]
     assert out["event_count"] == 200
     assert out["run_count"] == [out["event_count"]]
     assert out["rate_evals_in_run"] > 0

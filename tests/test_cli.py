@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -139,6 +140,40 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
         assert (out / "replica_00" / "snapshot_000.csv").exists()
         assert (out / "replica_01" / "snapshot_000.csv").exists()
+
+
+# SHA-256 of every CSV ``enerkin simulate`` writes for the bundled scenarios
+BUNDLED_SIMULATE_SHA256 = {
+    "exponential_equilibrium": {
+        "histograms.csv": "0488c018d347ffb0e9f3857ca9db8b0b2845125ed85dca94fc2b353602b4d334",
+        "snapshot_000.csv": "536460368f8cf0ed6ec6ef8d1bb3214c690de3b10976bb800949a66356377096",
+        "snapshot_001.csv": "900383457d3107f0a346d861d6db3124ea903bb8ecc4ebc713393f30ea1b7a73",
+        "snapshot_002.csv": "1ed387ff3b476a5092ff7593a59c66a934621b4605e44c2c4ec5517f05b16980",
+    },
+    "two_type_canonical": {
+        "histograms.csv": "4fc8081955a9e026f510b4b322b8c0eded43924202beebe691ffeb1415f0e66b",
+        "snapshot_000.csv": "978bb2c1692486e50cc1d05c408865f4260bd664e0ef9e43cba4e2873d1612af",
+    },
+    "unary_two_type": {
+        "histograms.csv": "10618192b4bb851b13b031dc9e663d09d6eaf803708d4ea0d208f550e52bceea",
+        "snapshot_000.csv": "0cc60246c540495472af4f89b63244e85cd28fe340d0dd7cb884f402237dc5dc",
+        "snapshot_001.csv": "1abc3e3482b82a29c9d797e006225a329925001351026428e86ca5759f8033cb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SIMULATE_SHA256))
+def test_bundled_simulate_outputs_are_pinned(name, tmp_path):
+    """Every CSV of ``enerkin simulate`` on a bundled scenario keeps its pinned SHA-256.
+
+    A fixed scenario and seed give byte-identical output, so new digests mean
+    the simulator samples differently: a change to them needs a CHANGES.md
+    entry that says why.
+    """
+    out = tmp_path / name
+    assert cli.main(["simulate", "--scenario", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == BUNDLED_SIMULATE_SHA256[name]
 
 
 class TestSolveCommand:

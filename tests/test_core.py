@@ -290,6 +290,64 @@ def test_unary_feasibility_matches_energy_rule(gap, t):
             execute(sys0, ek.UnaryEvent(0, 2), net)
 
 
+@st.composite
+def small_networks(draw):
+    """2-3 types with random internal energies, uniform or canonical-gamma kernels
+    with one or two outputs on every reactant pair, and random unary channels."""
+    n = draw(st.integers(2, 3))
+    internal = draw(st.lists(st.floats(0.0, 3.0, allow_subnormal=False), min_size=n, max_size=n))
+    tt = ek.TypeTable(np.array(internal))
+    type_ids = st.integers(1, n)
+    dens = {v: ek.GammaDensity(draw(st.floats(0.5, 3.0)), 1.0) for v in range(1, n + 1)}
+    binary = []
+    for v in range(1, n + 1):
+        for w in range(v, n + 1):
+            if v == w:  # exchangeable slots: a mixed output needs its mirror
+                a, b = draw(type_ids), draw(type_ids)
+                outputs = [(a, b, 1.0)] if a == b else [(a, b, 1.0), (b, a, 1.0)]
+            else:
+                pairs = draw(st.lists(st.tuples(type_ids, type_ids), min_size=1, max_size=2, unique=True))
+                outputs = [(a, b, draw(st.floats(0.1, 3.0))) for a, b in pairs]
+            if draw(st.booleans()):
+                kernel = ek.UniformKernel(outputs)
+            else:
+                kernel = ek.CanonicalKernel(outputs, dens)
+            binary.append(ek.BinaryChannel((v, w), ek.ConstantRate(1.0), kernel))
+    unary = []
+    for v in range(1, n + 1):
+        for w in range(1, n + 1):
+            if v != w and draw(st.booleans()):
+                if draw(st.booleans()):
+                    rate = ek.ConstantUnaryRate(draw(st.floats(0.1, 2.0)))
+                else:
+                    rate = ek.PowerGapRate(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)), internal[w - 1])
+                unary.append(ek.UnaryChannel(v, w, rate))
+    return ek.ReactionNetwork(tt, binary, unary)
+
+
+@given(
+    net=small_networks(),
+    particles=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.0, 5.0, allow_subnormal=False)), min_size=2, max_size=6
+    ),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_events_on_random_networks_conserve_energy(net, particles, seed):
+    # both outcome paths (one output, several outputs) and conversions
+    n = net.types.count
+    state = make_system([(min(v, n), t) for v, t in particles])
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        _, event = ek.sample_next_event(state, net, rng)
+        if event is None:
+            break
+        e0 = ek.total_energy(state, net.types)
+        state, _ = ek.execute_event(state, event, net, rng)
+        assert abs(ek.total_energy(state, net.types) - e0) <= 1e-12 * e0
+        assert np.all(state.kinetic_energies >= 0.0)
+
+
 def test_multiset_equality_ignores_order():
     a = make_system([(1, 0.5), (2, 1.0)])
     b = make_system([(2, 1.0), (1, 0.5)])

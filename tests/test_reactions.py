@@ -250,3 +250,133 @@ class TestReactionNetwork:
         assert float(net.unary_rate(1, 1.5)) == 1.0
         # downhill always allowed
         assert float(net.unary_rate(2, 0.0)) == 1.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+class TestScalarRates:
+    """The engine evaluates rates on Python floats; the values must be the array ones, bit for bit."""
+
+    INTERNAL = np.array([0.0, 0.6, 1.5])
+    UNARY_FORMS = {
+        "constant": lambda thr: ek.ConstantUnaryRate(1.3),
+        "power_0": lambda thr: ek.PowerGapRate(0.7, 0.0, thr),
+        "power_1": lambda thr: ek.PowerGapRate(0.7, 1.0, thr),
+        "power_half": lambda thr: ek.PowerGapRate(0.7, 0.5, thr),
+        "callable_0d": lambda thr: ek.CallableUnaryRate(lambda u: np.asarray(0.25 + np.sqrt(u))),
+        "callable_size1": lambda thr: ek.CallableUnaryRate(lambda u: np.reshape(0.25 + np.sqrt(u), -1)),
+    }
+
+    def _unary_network(self, form):
+        tt = ek.TypeTable(self.INTERNAL)
+        make = self.UNARY_FORMS[form]
+        pairs = [(1, 2), (1, 3), (2, 3), (2, 1), (3, 1)]
+        return ek.ReactionNetwork(
+            tt, unary=[ek.UnaryChannel(v, w, make(float(self.INTERNAL[w - 1]))) for v, w in pairs]
+        )
+
+    def _energies(self, v):
+        # every gate boundary t + I_v - I_w == 0 of the source type, its neighbours, and a spread
+        ts = [0.0, 0.3, 1.0, 2.2, 7.3]
+        for w in (1, 2, 3):
+            boundary = -(self.INTERNAL[v - 1] - self.INTERNAL[w - 1])
+            if boundary >= 0.0:
+                assert boundary + (self.INTERNAL[v - 1] - self.INTERNAL[w - 1]) == 0.0
+                ts += [boundary, np.nextafter(boundary, np.inf)]
+                if boundary > 0.0:
+                    ts.append(np.nextafter(boundary, -np.inf))
+        return [float(t) for t in ts]
+
+    @pytest.mark.parametrize("form", sorted(UNARY_FORMS))
+    def test_unary_rates_on_a_float_match_arrays_bitwise(self, form):
+        net = self._unary_network(form)
+        for v in (1, 2, 3):
+            ts = self._energies(v)
+            array_rates = net.unary_rates(v, np.array(ts))
+            array_total = net.unary_rate(v, np.array(ts))
+            for k, t in enumerate(ts):
+                rates = net.unary_rates(v, t)
+                total = net.unary_rate(v, t)
+                assert type(total) is float and all(type(r) is float for r in rates)
+                zero_d = net.unary_rates(v, np.asarray(t))
+                assert _bits(rates) == [_bits(r)[0] for r in zero_d]
+                assert _bits(total) == _bits(net.unary_rate(v, np.asarray(t)))
+                if form != "callable_size1":  # a size-1 result does not broadcast over energies
+                    assert _bits(rates) == [_bits(r)[k] for r in array_rates]
+                    assert _bits(total) == [_bits(array_total)[k]]
+
+    def test_gate_closes_below_the_boundary(self):
+        net = self._unary_network("power_0")
+        below = float(np.nextafter(0.6, -np.inf))
+        assert net.unary_rates(1, below) == [0.0, 0.0]
+        assert net.unary_rates(1, 0.6) == [0.7, 0.0]
+        assert net.unary_rate(1, 0.6) == 0.7
+
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            ek.ConstantRate(0.8),
+            ek.SumDecayRate(1.3, 0.45),
+            ek.CallableRate(lambda t, tp: 0.5 + np.exp(-0.3 * np.add(t, tp)) * np.multiply(t, tp), bound=4.0),
+        ],
+        ids=["constant", "sum_decay", "callable"],
+    )
+    def test_pair_rate_on_floats_matches_arrays_bitwise(self, rate):
+        tt = ek.TypeTable(np.array([0.0, 0.5]))
+        kernel = ek.UniformKernel([(1, 2, 1.0)])
+        net = ek.ReactionNetwork(tt, [ek.BinaryChannel((1, 2), rate, kernel)])
+        rng = np.random.default_rng(4)
+        ts, tps = rng.exponential(1.0, 40), rng.exponential(2.0, 40)
+        ts[:2], tps[:2] = 0.0, [0.0, 3.0]
+        for v, w in ((1, 2), (2, 1)):
+            arrays = _bits(net.pair_rate(v, ts, w, tps))
+            floats = [_bits(net.pair_rate(v, float(t), w, float(tp)))[0] for t, tp in zip(ts, tps)]
+            assert floats == arrays
+
+
+class TestSubNormalizedKernel:
+    @staticmethod
+    def _kernel(outputs, mass):
+        return ek.TableKernel(
+            outputs,
+            split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
+            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
+            mass_fn=None if mass is None else (lambda v, t, vp, tp: mass),
+        )
+
+    def test_only_a_mass_function_makes_a_kernel_sub_normalized(self):
+        assert not ek.UniformKernel([(1, 1, 1.0)]).sub_normalized
+        assert not self._kernel([(1, 1, 1.0)], None).sub_normalized
+        assert self._kernel([(1, 1, 1.0)], 0.5).sub_normalized
+
+    @pytest.mark.parametrize("outputs", [[(1, 1, 1.0)], [(1, 1, 1.0), (2, 2, 1.0)]])
+    def test_fizzle_frequency_follows_the_mass(self, outputs):
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        k = self._kernel(outputs, 0.25)
+        rng = np.random.default_rng(12)
+        n = 4000
+        fizzled = sum(k.sample_outcome(1, 1.0, 1, 2.0, tt, rng) is None for _ in range(n))
+        # bound fixed before the run: about 4.4 sigma of a binomial(4000, 1/4) fraction
+        assert abs(fizzled / n - 0.75) < 0.03
+
+    @pytest.mark.parametrize("mass", [-0.1, 1.5, float("nan")])
+    def test_mass_outside_unit_interval_faults(self, mass):
+        tt = ek.TypeTable(np.array([0.0]))
+        k = self._kernel([(1, 1, 1.0)], mass)
+        with pytest.raises(ek.ValidationError, match="outcome mass"):
+            k.sample_outcome(1, 1.0, 1, 1.0, tt, np.random.default_rng(0))
+
+
+def test_one_output_release_follows_the_type_table():
+    # the cached release belongs to the type table it was computed with
+    k = ek.UniformKernel([(2, 2, 1.0)])
+    low, high = ek.TypeTable(np.array([0.0, 0.5])), ek.TypeTable(np.array([0.0, 2.0]))
+    rng = np.random.default_rng(1)
+    for tt, e in ((low, 1.0), (high, None), (low, 1.0)):
+        out = k.sample_outcome(1, 1.0, 1, 1.0, tt, rng)
+        if e is None:
+            assert out is None
+        else:
+            assert out[0] == out[2] == 2 and out[1] + out[3] == pytest.approx(e, rel=1e-15)

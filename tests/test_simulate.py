@@ -365,6 +365,33 @@ class TestRun:
         with pytest.raises((ek.SimulationError, ek.ValidationError)):
             ek.run(cfg)
 
+    @pytest.mark.parametrize("outputs", [[(1, 1, 1.0)], [(1, 1, 1.0), (2, 2, 1.0)]], ids=["one", "two"])
+    def test_sub_normalized_kernel_fizzles(self, outputs):
+        # TableKernel(mass_fn=...) at mass 1/2: half the collisions are no-ops
+        def kernel(outs):
+            return ek.TableKernel(
+                outs,
+                split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
+                split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
+                mass_fn=lambda v, t, vp, tp: 0.5,
+            )
+
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        rate = ek.ConstantRate(1.0)
+        net = ek.ReactionNetwork(
+            tt,
+            [
+                ek.BinaryChannel((1, 1), rate, kernel(outputs)),
+                ek.BinaryChannel((1, 2), rate, kernel([(1, 2, 1.0)])),
+                ek.BinaryChannel((2, 2), rate, kernel([(2, 2, 1.0)])),
+            ],
+        )
+        initial = ek.TypeCountsInitial((100, 0), (ek.Exponential(1.0), 1.0))
+        traj = ek.run(ek.SimulatorConfig(net, initial, t_end=1e9, max_events=4000, seed=5))
+        assert traj.event_count == 4000
+        # bound fixed before the run: about 3.8 sigma of a binomial(4000, 1/2) fraction
+        assert abs(traj.noop_events / traj.event_count - 0.5) < 0.03
+
     def test_snapshot_time_validation(self):
         net = uniform_net()
         cfg = ek.SimulatorConfig(
@@ -415,6 +442,15 @@ class TestSelectionBookkeeping:
             members = engine.members[v]
             assert sorted(members) == np.flatnonzero(engine.tids == v).tolist()
             assert all(engine.pos[i] == k for k, i in enumerate(members))
+        # the channel tree, updated leaf by leaf on type changes, is the tree a
+        # fresh build from the current type counts gives
+        n = np.bincount(engine.tids, minlength=3)
+        majorants = np.array([
+            ch.rate.bound * (n[v] * (n[v] - 1) // 2 if v == w else n[v] * n[w]) / engine.m
+            for ch in net.binary
+            for v, w in [ch.pair]
+        ])
+        assert engine.channel_tree.nodes == _SumTree(majorants).nodes
 
     def test_sum_tree_never_selects_a_zero_leaf(self):
         from enerkin.simulate import _SumTree
