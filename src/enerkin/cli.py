@@ -18,7 +18,7 @@ import numpy as np
 
 from . import equilibrium as eq
 from .core import KineticsError, ValidationError
-from .scenario import CHECKS, Scenario, check_arguments, load_scenario
+from .scenario import CHECKS, Scenario, load_scenario
 from .simulate import run_ensemble
 from .solver import integrate
 
@@ -97,7 +97,7 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
     if ref is None:
         raise ValidationError("analyze needs an 'analysis.reference' section")
     wrote_any = False
-    if scenario.solve_params is not None:
+    if scenario.solve is not None:
         grid0, cfg = scenario.solver_setup()
         snaps = integrate(grid0, cfg)
         rows = [
@@ -105,7 +105,7 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
         ]
         _write_csv(out_dir / "entropy.csv", ["time", "entropy"], rows)
         wrote_any = True
-    if scenario.run_params is not None:
+    if scenario.run is not None:
         cfg = scenario.simulator_config(seed=seed)
         cfg.store_states = True
         trajectories = run_ensemble(cfg)
@@ -137,11 +137,10 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_check(scenario: Scenario, params: dict) -> dict:
-    args = check_arguments(scenario, params)
-    observed, used = CHECKS[params["name"]].run(scenario, args)
+def _run_check(scenario: Scenario, name: str, args: dict) -> dict:
+    observed, used = CHECKS[name].run(scenario, args)
     return {
-        "name": params["name"],
+        "name": name,
         "tolerance": args["tolerance"],
         "observed": float(observed),
         "passed": bool(observed <= args["tolerance"]),
@@ -153,7 +152,7 @@ def _cmd_check(scenario: Scenario, out_dir: Path) -> int:
     if not scenario.checks:
         raise ValidationError("scenario requests no checks")
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = [_run_check(scenario, dict(c)) for c in scenario.checks]
+    results = [_run_check(scenario, name, args) for name, args in scenario.checks]
     passed = all(r["passed"] for r in results)
     report = {"passed": passed, "checks": results}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
@@ -180,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        if name in ("simulate", "analyze"):
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         if name == "simulate":
             p.add_argument(
                 "--replicas", type=int, default=None, help="override the replica count"

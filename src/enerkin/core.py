@@ -27,7 +27,6 @@ __all__ = [
     "SimulationError",
     "SolverBlowupError",
     "TypeTable",
-    "Particle",
     "ParticleSystem",
     "total_energy",
     "available_kinetic_energy",
@@ -39,7 +38,12 @@ class KineticsError(Exception):
 
 
 class ValidationError(KineticsError):
-    """A configuration object or input failed validation."""
+    """A configuration object or input failed validation; ``field``, when
+    given, names the attribute at fault."""
+
+    def __init__(self, message: str, *, field: str = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnknownTypeError(KineticsError):
@@ -122,22 +126,6 @@ class TypeTable:
             )
 
 
-@dataclass(frozen=True)
-class Particle:
-    """A (type, kinetic energy) pair."""
-
-    type_id: int
-    kinetic_energy: float
-
-    def __post_init__(self):
-        if self.type_id < 1:
-            raise ValidationError(f"type id must be >= 1, got {self.type_id}")
-        if not (self.kinetic_energy >= 0):
-            raise ValidationError(
-                f"kinetic energy must be >= 0, got {self.kinetic_energy}"
-            )
-
-
 @dataclass
 class ParticleSystem:
     """State of the M-particle chain: parallel type/energy arrays and a clock.
@@ -163,23 +151,18 @@ class ParticleSystem:
         self.kinetic_energies = kin
 
     @classmethod
-    def from_particles(cls, particles: Iterable[Particle | tuple], time: float = 0.0):
-        pts = [p if isinstance(p, Particle) else Particle(*p) for p in particles]
+    def from_particles(cls, particles: Iterable[tuple], time: float = 0.0):
+        """The system of the given (type id, kinetic energy) pairs."""
+        pairs = list(particles)
         return cls(
-            type_ids=np.array([p.type_id for p in pts], dtype=np.int64),
-            kinetic_energies=np.array([p.kinetic_energy for p in pts], dtype=float),
+            type_ids=np.array([v for v, _ in pairs], dtype=np.int64),
+            kinetic_energies=np.array([t for _, t in pairs], dtype=float),
             time=time,
         )
 
     @property
     def size(self) -> int:
         return int(self.type_ids.size)
-
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(int(v), float(t))
-            for v, t in zip(self.type_ids, self.kinetic_energies)
-        ]
 
     def type_counts(self, n_types: int) -> np.ndarray:
         """Occupation numbers per type, indexed 0..V-1 for types 1..V."""

@@ -3,9 +3,12 @@
 A scenario names the type table, the reaction channels (rates and kernels
 drawn from a closed catalog of named forms, no embedded code), an initial
 condition, run/solve parameters, an optional analysis reference and a list
-of residual checks.  Loading validates every module-level precondition and
-reports the offending field; loading then serializing is semantically
-idempotent.
+of residual checks.  Loading reads every section once, converts it into what
+its consumer takes and validates it there, reporting the offending field:
+the ranges of ``run`` and ``initial`` are checked at load, not when a
+command first uses them.  A ``Scenario`` keeps the converted sections with a
+copy of its source document, which ``to_dict`` returns; loading then
+serializing is idempotent.
 
 Every section (the top level, ``types``, ``network`` with its rates,
 kernels and outputs, ``initial``, ``run``, ``solve`` and ``analysis``) and
@@ -13,12 +16,13 @@ every residual check declares its keys once, as parameter tables: a
 converter and a default, or none when the key is required.  A section that
 names its form (a rate's ``form``, a kernel's ``kind``, ``initial.mode``)
 has one table per form.  ``CHECKS`` maps each check name to its runner and its
-parameters; the loader validates every ``checks[k]`` entry against it, and
-``enerkin check`` runs the entries through it.
+parameters; the loader converts every ``checks[k]`` entry against it, and
+``enerkin check`` runs the converted entries.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibrium as eq
-from .core import KineticsError, TypeTable, ValidationError
-from .densities import DensityFamily, Exponential, density_from_spec, density_to_spec
+from .core import KineticsError, ParticleSystem, TypeTable, ValidationError
+from .densities import Exponential, density_from_spec
 from .reactions import (
     BinaryChannel,
     CanonicalKernel,
@@ -61,7 +65,8 @@ def _naming(field: str):
     try:
         yield
     except (KineticsError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{field}: {exc}") from exc
+        sub = getattr(exc, "field", None)
+        raise ValidationError(f"{field}.{sub}: {exc}" if sub else f"{field}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,13 @@ def _positive(value) -> float:
     out = _number(value)
     if not out > 0:
         raise ValueError(f"expected a positive number, got {value!r}")
+    return out
+
+
+def _count(value) -> int:
+    out = _integer(value)
+    if out < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
     return out
 
 
@@ -228,7 +240,7 @@ _RUN = {
     "max_events": _Param(_integer, None),
     "histogram": _Param(_object, None),
 }
-_HISTOGRAM = {"x_max": _Param(), "bins": _Param(_integer)}
+_HISTOGRAM = {"x_max": _Param(_positive), "bins": _Param(_count)}
 _SOLVE = {
     "grid": _Param(_object),
     "initial": _Param(_list),
@@ -239,7 +251,7 @@ _SOLVE = {
     "snapshot_times": _Param(_times, None),
     "renormalize_mass": _Param(_flag, False),
 }
-_GRID = {"x_max": _Param(), "cells": _Param(_integer)}
+_GRID = {"x_max": _Param(_positive), "cells": _Param(_count)}
 _SOLVE_INITIAL = {"density": _Param(density_from_spec), "weight": _Param(_number, None)}
 _TOP = {
     "version": _Param(_integer),
@@ -283,26 +295,10 @@ def _rate_from_spec(spec, field: str):
         return ConstantRate(**p) if form == "constant" else SumDecayRate(**p)
 
 
-def _rate_to_spec(rate) -> dict:
-    if isinstance(rate, ConstantRate):
-        return {"form": "constant", "value": rate.value}
-    if isinstance(rate, SumDecayRate):
-        return {"form": "sum_decay", "scale": rate.scale, "decay": rate.decay}
-    raise ValidationError(f"rate {rate!r} has no JSON form")
-
-
 def _unary_rate_from_spec(spec, field: str, threshold: float):
     form, p = _read_form(spec, "form", _UNARY_RATES, field, "unary rate form")
     with _naming(field):
         return ConstantUnaryRate(**p) if form == "constant" else PowerGapRate(**p, threshold=threshold)
-
-
-def _unary_rate_to_spec(rate) -> dict:
-    if isinstance(rate, ConstantUnaryRate):
-        return {"form": "constant", "value": rate.value}
-    if isinstance(rate, PowerGapRate):
-        return {"form": "power_gap", "b": rate.b, "exponent": rate.exponent}
-    raise ValidationError(f"rate {rate!r} has no JSON form")
 
 
 def _kernel_from_spec(spec, field: str):
@@ -320,20 +316,6 @@ def _kernel_from_spec(spec, field: str):
         return UniformKernel(outputs) if kind == "uniform" else CanonicalKernel(outputs, families)
 
 
-def _kernel_to_spec(kernel) -> dict:
-    out = {
-        "kind": kernel.kind,
-        "outputs": [
-            {"pair": [o.first, o.second], "weight": o.weight} for o in kernel.outputs
-        ],
-    }
-    if isinstance(kernel, CanonicalKernel):
-        out["densities"] = {
-            str(tid): density_to_spec(fam) for tid, fam in sorted(kernel.densities.items())
-        }
-    return out
-
-
 def _reference_from_spec(spec, n_types: int, field: str) -> TypedDensity:
     p = _read_params(spec, _REFERENCE_KEYS, field)
     _require(len(p["densities"]) == n_types, f"{field}.densities", f"needs {n_types} densities")
@@ -343,13 +325,6 @@ def _reference_from_spec(spec, n_types: int, field: str) -> TypedDensity:
             families.append(density_from_spec(d))
     with _naming(field):
         return TypedDensity(families=tuple(families), weights=p["weights"])
-
-
-def _reference_to_spec(ref: TypedDensity) -> dict:
-    return {
-        "weights": list(ref.weights),
-        "densities": [density_to_spec(f) for f in ref.families],
-    }
 
 
 def _energy_entry_from_spec(spec, field: str):
@@ -363,130 +338,49 @@ def _energy_entry_from_spec(spec, field: str):
     return p["value"]
 
 
-def _energy_entry_to_spec(entry) -> dict:
-    if isinstance(entry, DensityFamily):
-        return {"density": density_to_spec(entry)}
-    return {"value": float(entry)}
-
-
 @dataclass
 class Scenario:
+    """A loaded scenario: its sections converted and validated once.
+
+    ``run`` holds the simulator's config values (histogram edges built) and
+    ``solve`` the grid's and the solver's; ``checks`` holds one (name,
+    converted arguments) pair per ``checks[]`` entry; ``source`` is a copy of
+    the document it was loaded from.
+    """
+
     types: TypeTable
     network: ReactionNetwork
     initial: object | None
-    run_params: dict | None
-    solve_params: dict | None
+    run: dict | None
+    solve: dict | None
     reference: TypedDensity | None
     checks: list
+    source: dict
 
     # -- assembled configs ----------------------------------------------------
 
     def simulator_config(self, seed=None, replicas=None) -> SimulatorConfig:
-        if self.run_params is None or self.initial is None:
+        if self.run is None or self.initial is None:
             raise ValidationError("scenario has no 'run' section")
-        p = _read_params(self.run_params, _RUN, "run")
-        edges = None
-        if p["histogram"] is not None:
-            hist = _read_params(p["histogram"], _HISTOGRAM, "run.histogram")
-            edges = np.linspace(0.0, hist["x_max"], hist["bins"] + 1)
-        return SimulatorConfig(
-            network=self.network,
-            initial_state=self.initial,
-            t_end=p["t_end"],
-            snapshot_times=p["snapshot_times"],
-            seed=int(seed) if seed is not None else p["seed"],
-            replicas=int(replicas) if replicas is not None else p["replicas"],
-            max_events=p["max_events"],
-            histogram_edges=edges,
-        )
+        p = dict(self.run)
+        if seed is not None:
+            p["seed"] = int(seed)
+        if replicas is not None:
+            p["replicas"] = int(replicas)
+        return SimulatorConfig(self.network, self.initial, **p)
 
     def solver_setup(self) -> tuple[DensityGrid, SolverConfig]:
-        if self.solve_params is None:
+        if self.solve is None:
             raise ValidationError("scenario has no 'solve' section")
-        p = _read_params(self.solve_params, _SOLVE, "solve")
-        grid_spec = _read_params(p["grid"], _GRID, "solve.grid")
-        families = [e["family_obj"] for e in p["initial"]]
-        weights = [e["weight"] for e in p["initial"]]
-        grid = DensityGrid.from_families(families, grid_spec["x_max"], grid_spec["cells"], weights)
-        cfg = SolverConfig(
-            t_end=p["t_end"],
-            dt=p["dt"],
-            scheme=p["scheme"],
-            rtol=p["rtol"],
-            network=self.network,
-            snapshot_times=p["snapshot_times"] or None,
-            renormalize_mass=p["renormalize_mass"],
-        )
-        return grid, cfg
-
-    # -- serialization ---------------------------------------------------------
+        grid = DensityGrid.from_families(**self.solve["grid"])
+        return grid, SolverConfig(network=self.network, **self.solve["config"])
 
     def to_dict(self) -> dict:
-        out = {
-            "version": SCHEMA_VERSION,
-            "types": {"internal_energies": [float(x) for x in self.types.internal_energies]},
-        }
-        if self.types.labels:
-            out["types"]["labels"] = list(self.types.labels)
-        net = {"binary": [], "unary": []}
-        for ch in self.network.binary:
-            net["binary"].append(
-                {
-                    "reactants": [ch.pair[0], ch.pair[1]],
-                    "rate": _rate_to_spec(ch.rate),
-                    "kernel": _kernel_to_spec(ch.kernel),
-                }
-            )
-        for ch in self.network.unary:
-            net["unary"].append(
-                {
-                    "source": ch.source,
-                    "target": ch.target,
-                    "rate": _unary_rate_to_spec(ch.rate),
-                }
-            )
-        out["network"] = net
-        if self.initial is not None:
-            if isinstance(self.initial, TypeCountsInitial):
-                out["initial"] = {
-                    "mode": "counts",
-                    "counts": [int(c) for c in self.initial.counts],
-                    "energies": [_energy_entry_to_spec(e) for e in self.initial.energies],
-                }
-            elif isinstance(self.initial, MixtureInitial):
-                out["initial"] = {
-                    "mode": "mixture",
-                    "total": int(self.initial.total),
-                    "probabilities": [float(x) for x in self.initial.probabilities],
-                    "energies": [_energy_entry_to_spec(e) for e in self.initial.energies],
-                }
-            else:  # explicit particles
-                out["initial"] = {
-                    "mode": "particles",
-                    "particles": [
-                        [int(v), float(t)]
-                        for v, t in zip(self.initial.type_ids, self.initial.kinetic_energies)
-                    ],
-                }
-        if self.run_params is not None:
-            out["run"] = {
-                k: v for k, v in self.run_params.items() if v is not None
-            }
-        if self.solve_params is not None:
-            p = dict(self.solve_params)
-            p["initial"] = [
-                {"density": density_to_spec(e["family_obj"]), "weight": e["weight"]}
-                for e in p["initial"]
-            ]
-            out["solve"] = p
-        if self.reference is not None:
-            out["analysis"] = {"reference": _reference_to_spec(self.reference)}
-        if self.checks:
-            out["checks"] = [dict(c) for c in self.checks]
-        return out
+        """A copy of the document the scenario was loaded from."""
+        return copy.deepcopy(self.source)
 
 
-def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
+def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "scenario", "top level must be an object")
     top = _read_params(doc, _TOP, "")
     version = top["version"]
@@ -529,46 +423,11 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
     with _naming("network"):
         network = ReactionNetwork(types, binary, unary)
     network.validate_rate_symmetry()
-    _spot_check_kernels(network, kernel_spot_samples)
+    _spot_check_kernels(network)
 
-    initial = None
-    if top["initial"] is not None:
-        initial = _initial_from_spec(top["initial"], n_types)
-
-    run_params = None
-    if top["run"] is not None:
-        run = _read_params(top["run"], _RUN, "run")
-        if run["histogram"] is not None:
-            _read_params(run["histogram"], _HISTOGRAM, "run.histogram")
-        run_params = dict(top["run"])
-
-    solve_params = None
-    if top["solve"] is not None:
-        solve = _read_params(top["solve"], _SOLVE, "solve")
-        _read_params(solve["grid"], _GRID, "solve.grid")
-        if solve["scheme"] == "rk4":
-            _require(solve["dt"] is not None, "solve.dt", "scheme rk4 needs a fixed step")
-            _require(solve["rtol"] is None, "solve.rtol", "applies to scheme dopri5 only")
-        else:
-            _require(solve["dt"] is None, "solve.dt", "applies to scheme rk4 only")
-        p = dict(top["solve"])
-        entries = []
-        for k, e in enumerate(solve["initial"]):
-            entry = _read_params(e, _SOLVE_INITIAL, f"solve.initial[{k}]")
-            weight = entry["weight"]
-            entries.append(
-                {
-                    "family_obj": entry["density"],
-                    "weight": 1.0 / len(solve["initial"]) if weight is None else weight,
-                }
-            )
-        _require(
-            len(entries) == n_types, "solve.initial", f"needs one density per type ({n_types})"
-        )
-        total_w = sum(e["weight"] for e in entries)
-        _require(abs(total_w - 1.0) < 1e-8, "solve.initial", "weights must sum to 1")
-        p["initial"] = entries
-        solve_params = p
+    initial = None if top["initial"] is None else _initial_from_spec(top["initial"], types)
+    run = None if top["run"] is None else _run_from_spec(top["run"], network, initial)
+    solve = None if top["solve"] is None else _solve_from_spec(top["solve"], network)
 
     reference = None
     if top["analysis"] is not None:
@@ -576,27 +435,59 @@ def scenario_from_dict(doc: dict, kernel_spot_samples: int = 1000) -> Scenario:
         reference = _reference_from_spec(analysis["reference"], n_types, "analysis.reference")
 
     scenario = Scenario(
-        types=types,
-        network=network,
-        initial=initial,
-        run_params=run_params,
-        solve_params=solve_params,
-        reference=reference,
-        checks=list(top["checks"] or []),
+        types, network, initial, run, solve, reference, checks=[], source=copy.deepcopy(doc)
     )
-    for k, c in enumerate(scenario.checks):
-        check_arguments(scenario, c, f"checks[{k}]")
+    for k, c in enumerate(top["checks"] or []):
+        args = check_arguments(scenario, c, f"checks[{k}]")
+        scenario.checks.append((c["name"], args))
     return scenario
 
 
-def _initial_from_spec(spec, n_types: int):
-    from .core import ParticleSystem
+def _run_from_spec(spec, network: ReactionNetwork, initial) -> dict:
+    """The simulator's config values of a ``run`` section, validated."""
+    p = _read_params(spec, _RUN, "run")
+    hist = p.pop("histogram")
+    if hist is not None:
+        hist = _read_params(hist, _HISTOGRAM, "run.histogram")
+        p["histogram_edges"] = np.linspace(0.0, hist["x_max"], hist["bins"] + 1)
+    with _naming("run"):
+        SimulatorConfig(network, initial, **p).validate()
+    return p
 
+
+def _solve_from_spec(spec, network: ReactionNetwork) -> dict:
+    """The grid's and the solver's config values of a ``solve`` section, validated."""
+    p = _read_params(spec, _SOLVE, "solve")
+    g = _read_params(p.pop("grid"), _GRID, "solve.grid")
+    initial = p.pop("initial")
+    p["snapshot_times"] = p["snapshot_times"] or None
+    with _naming("solve"):
+        SolverConfig(network=network, **p).validate()
+    entries = [
+        _read_params(e, _SOLVE_INITIAL, f"solve.initial[{k}]") for k, e in enumerate(initial)
+    ]
+    n_types = network.types.count
+    _require(len(entries) == n_types, "solve.initial", f"needs one density per type ({n_types})")
+    weights = [1.0 / len(initial) if e["weight"] is None else e["weight"] for e in entries]
+    _require(abs(sum(weights) - 1.0) < 1e-8, "solve.initial", "weights must sum to 1")
+    grid = {
+        "families": [e["density"] for e in entries],
+        "x_max": g["x_max"],
+        "n_cells": g["cells"],
+        "weights": weights,
+    }
+    return {"grid": grid, "config": p}
+
+
+def _initial_from_spec(spec, types: TypeTable):
     mode, p = _read_form(spec, "mode", _INITIAL, "initial", "initial mode")
     if mode == "particles":
         _require(bool(p["particles"]), "initial.particles", "needs a nonempty particle list")
         with _naming("initial.particles"):
-            return ParticleSystem.from_particles(p["particles"])
+            system = ParticleSystem.from_particles(p["particles"])
+            types.check_ids(system.type_ids)
+        return system
+    n_types = types.count
     for key in ("counts", "probabilities", "energies"):
         if key in p:
             _require(len(p[key]) == n_types, f"initial.{key}", f"needs {n_types} per-type entries")
@@ -609,11 +500,9 @@ def _initial_from_spec(spec, n_types: int):
         return MixtureInitial(total=p["total"], probabilities=p["probabilities"], energies=energies)
 
 
-def _spot_check_kernels(network: ReactionNetwork, n_samples: int) -> None:
+def _spot_check_kernels(network: ReactionNetwork) -> None:
     """Quadrature spot-check that each kernel's outcome law is normalized."""
-    if n_samples <= 0:
-        return
-    errors = network.kernel_normalization_errors(n_samples, np.random.default_rng(0))
+    errors = network.kernel_normalization_errors(1000, np.random.default_rng(0))
     for pair, worst in errors.items():
         if worst > 5e-3:
             raise ValidationError(
@@ -653,7 +542,7 @@ def check_arguments(scenario: Scenario, params: dict, field: str = "check") -> d
     )
     check = CHECKS[name]
     _require(
-        not check.needs_solve or scenario.solve_params is not None,
+        not check.needs_solve or scenario.solve is not None,
         f"{field}.name",
         f"{name} needs a 'solve' section",
     )
@@ -823,7 +712,7 @@ CHECKS = {
 }
 
 
-def load_scenario(path, kernel_spot_samples: int = 1000) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -832,4 +721,4 @@ def load_scenario(path, kernel_spot_samples: int = 1000) -> Scenario:
         raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(doc, kernel_spot_samples=kernel_spot_samples)
+    return scenario_from_dict(doc)

@@ -80,12 +80,30 @@ class UnaryEvent:
     target: int
 
 
+def _check_energies(energies, n_types: int) -> None:
+    if len(energies) != n_types:
+        raise ValidationError(
+            f"needs {n_types} per-type energies, got {len(energies)}", field="energies"
+        )
+    for e in energies:
+        if not isinstance(e, DensityFamily) and not float(e) >= 0:
+            raise ValidationError(f"fixed initial energy must be >= 0, got {e}", field="energies")
+
+
 @dataclass(frozen=True)
 class TypeCountsInitial:
     """n_v particles per type; energies i.i.d. from a density or at a fixed value."""
 
     counts: tuple
     energies: tuple  # per type: DensityFamily or a fixed float
+
+    def __post_init__(self):
+        if any(c < 0 for c in self.counts) or sum(self.counts) < 1:
+            raise ValidationError(
+                f"counts must be >= 0 with at least one particle, got {self.counts}",
+                field="counts",
+            )
+        _check_energies(self.energies, len(self.counts))
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,19 @@ class MixtureInitial:
     total: int
     probabilities: tuple
     energies: tuple
+
+    def __post_init__(self):
+        if self.total < 1:
+            raise ValidationError(
+                f"mixture initial needs at least one particle, got {self.total}", field="total"
+            )
+        p = np.asarray(self.probabilities, dtype=float)
+        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+            raise ValidationError(
+                f"mixture probabilities must be a distribution, got {self.probabilities}",
+                field="probabilities",
+            )
+        _check_energies(self.energies, p.size)
 
 
 InitialState = Union[ParticleSystem, TypeCountsInitial, MixtureInitial]
@@ -114,16 +145,18 @@ class SimulatorConfig:
 
     def validate(self) -> None:
         if self.t_end < 0:
-            raise ValidationError(f"t_end must be >= 0, got {self.t_end}")
+            raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
         if self.replicas < 1:
-            raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
+            raise ValidationError(f"replicas must be >= 1, got {self.replicas}", field="replicas")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}", field="seed")
         times = tuple(float(s) for s in self.snapshot_times)
         if any(s < 0 or s > self.t_end for s in times):
             raise ValidationError(
-                f"snapshot times {times} must lie within [0, {self.t_end}]"
+                f"snapshot times {times} must lie within [0, {self.t_end}]", field="snapshot_times"
             )
         if self.max_events is not None and self.max_events < 0:
-            raise ValidationError("max_events must be >= 0")
+            raise ValidationError("max_events must be >= 0", field="max_events")
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=float)
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -436,10 +469,7 @@ def execute_event(system: ParticleSystem, event, network: ReactionNetwork, rng):
 def _sample_energy(spec, size: int, rng) -> np.ndarray:
     if isinstance(spec, DensityFamily):
         return np.asarray(spec.sample(rng, size=size), dtype=float)
-    value = float(spec)
-    if value < 0:
-        raise ValidationError(f"fixed initial energy must be >= 0, got {value}")
-    return np.full(size, value)
+    return np.full(size, float(spec))
 
 
 def _materialize_initial(initial: InitialState, n_types: int, rng) -> ParticleSystem:
@@ -447,12 +477,8 @@ def _materialize_initial(initial: InitialState, n_types: int, rng) -> ParticleSy
         return initial.copy()
     if isinstance(initial, TypeCountsInitial):
         counts = [int(c) for c in initial.counts]
-        if len(counts) != n_types or len(initial.energies) != n_types:
-            raise ValidationError(
-                f"initial spec needs counts and energies for all {n_types} types"
-            )
-        if sum(counts) < 1:
-            raise ValidationError("initial state needs at least one particle")
+        if len(counts) != n_types:
+            raise ValidationError(f"initial counts need an entry for all {n_types} types")
         tids = np.repeat(np.arange(1, n_types + 1), counts)
         kin = np.concatenate(
             [
@@ -463,10 +489,8 @@ def _materialize_initial(initial: InitialState, n_types: int, rng) -> ParticleSy
         return ParticleSystem(tids, kin, 0.0)
     if isinstance(initial, MixtureInitial):
         p = np.asarray(initial.probabilities, dtype=float)
-        if p.size != n_types or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValidationError("mixture probabilities must be a distribution over types")
-        if initial.total < 1:
-            raise ValidationError("mixture initial needs at least one particle")
+        if p.size != n_types:
+            raise ValidationError(f"mixture probabilities need an entry for all {n_types} types")
         tids = rng.choice(np.arange(1, n_types + 1), size=initial.total, p=p)
         kin = np.empty(initial.total)
         for v in range(1, n_types + 1):

@@ -547,19 +547,19 @@ class SolverConfig:
 
     def validate(self) -> None:
         if self.t_end < 0:
-            raise ValidationError(f"t_end must be >= 0, got {self.t_end}")
+            raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         if self.dt is not None and not (self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+            raise ValidationError(f"dt must be positive, got {self.dt}", field="dt")
         if self.scheme == "rk4":
             if self.dt is None:
-                raise ValidationError("scheme 'rk4' needs dt")
+                raise ValidationError("scheme 'rk4' needs dt", field="dt")
             if self.rtol is not None:
-                raise ValidationError("rtol applies to scheme 'dopri5' only")
+                raise ValidationError("rtol applies to scheme 'dopri5' only", field="rtol")
         else:
             if self.dt is not None:
-                raise ValidationError("dt applies to scheme 'rk4' only")
+                raise ValidationError("dt applies to scheme 'rk4' only", field="dt")
             if self.rtol is not None:
                 check_rtol(self.rtol)
         if (self.alpha is None) == (self.network is None):

@@ -63,6 +63,15 @@ def unary_doc_with_first_check(**changes):
     return doc
 
 
+def unary_doc_with(**sections):
+    doc = json.loads((SCENARIO_DIR / "unary_two_type.json").read_text())
+    doc.update(sections)
+    return doc
+
+
+EXP_ENERGIES = [{"density": {"family": "exponential", "beta": 1.0}}] * 2
+
+
 # scenario documents, and the field that the load-time fault must name
 MALFORMED_CHECKS = {
     "unknown_name": (lambda: small_doc_checking({"name": "no_such_check"}), "checks[0].name"),
@@ -132,6 +141,12 @@ class TestSimulateCommand:
         b = (tmp_path / "b" / "snapshot_000.csv").read_bytes()
         assert a != b
 
+    def test_negative_seed_override_faults(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, small_doc())
+        rc = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == cli.EXIT_FAULT
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
     def test_replicas_create_subdirectories(self, tmp_path):
         doc = small_doc()
         doc["run"]["replicas"] = 2
@@ -176,6 +191,38 @@ def test_bundled_simulate_outputs_are_pinned(name, tmp_path):
     assert digests == BUNDLED_SIMULATE_SHA256[name]
 
 
+# SHA-256 of every CSV ``enerkin solve`` writes for the bundled scenario with a solve section
+BUNDLED_SOLVE_SHA256 = {
+    "grid_000.csv": "0edd7a2f4dbd2400a3a74fbf2fa01e6ae1c32737b702660ce02b43fe65f3918b",
+    "grid_001.csv": "345cd7012088466db287e7c74c45c3be3d790640eceb217b614ec4e486a2a048",
+    "grid_002.csv": "626628cb5449f515f8dce27920f7819c3a0604345ef0de9293ff26b5b8d33bf8",
+    "grid_003.csv": "740088eececb5fca42b261edece87348b687353c82b6fd683e869fcb680456e6",
+    "grid_004.csv": "3881dc7815105e76fe69d64eb38165fa6fe4dd3188162010b10baf1a271fabdc",
+    "grid_005.csv": "9ab1f34868786f8553f422beb72699ef2c68056e22bbefdaf0f9007b19503ab9",
+    "grid_006.csv": "7909cd0277e0083b106a1551884e6078040b4829fe316fd24088885a2870fb58",
+    "grid_007.csv": "be0b1bbc54851b280bf3468c1fc49a0aa954fa2997a85116dd6bfd09006bc350",
+    "times.csv": "32c4abf3dac35baf5d87132a784230de2191ae6bd8e49cdf9b79c19f55180e81",
+}
+
+
+def test_bundled_solve_outputs_are_pinned(tmp_path):
+    """Every CSV of ``enerkin solve`` on the bundled scenario keeps its pinned SHA-256;
+    new digests need a CHANGES.md entry that says why."""
+    out = tmp_path / "out"
+    scenario = SCENARIO_DIR / "exponential_equilibrium.json"
+    assert cli.main(["solve", "--scenario", str(scenario), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == BUNDLED_SOLVE_SHA256
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_seed_is_refused_by_solve_and_check(command, tmp_path):
+    scenario = SCENARIO_DIR / "exponential_equilibrium.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(scenario), "--out", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
+
+
 class TestSolveCommand:
     def test_grid_csv_schema(self, tmp_path):
         doc = small_doc()
@@ -212,10 +259,13 @@ class TestSolveCommand:
             ({"dt": 0.05}, "solve.dt"),
             ({"rtol": -1e-8}, "solve.rtol"),
             ({"rtol": 1.5}, "solve.rtol"),
+            ({"grid": {"x_max": 10.0, "cells": 0}}, "solve.grid.cells"),
+            ({"grid": {"x_max": -1.0, "cells": 50}}, "solve.grid.x_max"),
         ],
         ids=[
             "no_cells", "no_x_max", "scheme", "flag", "unknown", "euler", "rk4_without_dt",
             "rk4_with_rtol", "zero_dt", "dopri5_with_dt", "negative_rtol", "rtol_ge_1",
+            "zero_cells", "negative_x_max",
         ],
     )
     def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):
@@ -305,6 +355,29 @@ MALFORMED_SECTIONS = {
         "network.binary[0].kernel.densities.1",
     ),
     "particles_entry": (_set(("initial", "particles", 0), [1]), "initial.particles"),
+    "particles_type": (_set(("initial", "particles", 0), [2, 0.5]), "initial.particles"),
+    "counts_negative": (
+        lambda: unary_doc_with(initial={"mode": "counts", "counts": [-5, 10], "energies": EXP_ENERGIES}),
+        "initial.counts",
+    ),
+    "counts_empty": (
+        _set(("initial",), {"mode": "counts", "counts": [0], "energies": [{"value": 1.0}]}),
+        "initial.counts",
+    ),
+    "mixture_probabilities": (
+        lambda: unary_doc_with(
+            initial={"mode": "mixture", "total": 10, "probabilities": [0.5, 0.2], "energies": EXP_ENERGIES}
+        ),
+        "initial.probabilities",
+    ),
+    "mixture_total": (
+        _set(("initial",), {"mode": "mixture", "total": 0, "probabilities": [1.0], "energies": [{"value": 1.0}]}),
+        "initial.total",
+    ),
+    "run_snapshot_beyond_t_end": (_set(("run", "snapshot_times"), [1.0]), "run.snapshot_times"),
+    "run_replicas_zero": (_set(("run", "replicas"), 0), "run.replicas"),
+    "run_seed_negative": (_set(("run", "seed"), -1), "run.seed"),
+    "histogram_bins": (_set(("run", "histogram", "bins"), -5), "run.histogram.bins"),
     "reference_weights": (_set(("analysis", "reference", "weights"), ["a"]), "analysis.reference.weights"),
 }
 
@@ -323,18 +396,27 @@ def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# SHA-256 of the report.json ``enerkin check`` writes for each bundled scenario
+BUNDLED_CHECK_SHA256 = {
+    "exponential_equilibrium": "93f23d32ebf962e781516abeedef43518fac64905986a27f2399e0e0f0504bd6",
+    "two_type_canonical": "ab8cc0dfada4c2e743e76e4dac0e1074a20bc9e9d4bf86718b04d9b5b489c1fe",
+    "unary_two_type": "6183ebd68beb8e0edc1134886033588423b315245516da8566750ae2cdc52eea",
+}
+
+
+def run_bundled_check(name, out):
+    """``enerkin check`` on a bundled scenario, whose report keeps its pinned SHA-256;
+    returns the exit code."""
+    rc = cli.main(["check", "--scenario", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)])
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == BUNDLED_CHECK_SHA256[name]
+    return rc
+
+
 class TestCheckCommand:
     def test_bundled_exponential_scenario_passes(self, tmp_path):
         out = tmp_path / "out"
-        rc = cli.main(
-            [
-                "check",
-                "--scenario",
-                str(SCENARIO_DIR / "exponential_equilibrium.json"),
-                "--out",
-                str(out),
-            ]
-        )
+        rc = run_bundled_check("exponential_equilibrium", out)
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["passed"]
@@ -343,16 +425,10 @@ class TestCheckCommand:
         assert {"detailed_balance", "local_equilibrium", "fixed_point"} <= names
 
     def test_bundled_unary_scenario_passes(self, tmp_path):
-        rc = cli.main(
-            [
-                "check",
-                "--scenario",
-                str(SCENARIO_DIR / "unary_two_type.json"),
-                "--out",
-                str(tmp_path / "out"),
-            ]
-        )
-        assert rc == 0
+        assert run_bundled_check("unary_two_type", tmp_path / "out") == 0
+
+    def test_bundled_two_type_scenario_passes(self, tmp_path):
+        assert run_bundled_check("two_type_canonical", tmp_path / "out") == 0
 
     def test_failing_check_exits_nonzero(self, tmp_path):
         doc = small_doc()

@@ -35,7 +35,7 @@ def minimal_doc():
 
 class TestLoad:
     def test_minimal_one_type(self):
-        sc = scenario_from_dict(minimal_doc(), kernel_spot_samples=16)
+        sc = scenario_from_dict(minimal_doc())
         assert sc.types.count == 1
         cfg = sc.simulator_config()
         assert cfg.t_end == 1.0
@@ -65,7 +65,7 @@ class TestLoad:
         ]
         doc["initial"] = {"mode": "counts", "counts": [50, 50], "energies": [{"value": 1.0}, {"value": 1.0}]}
         with pytest.raises(ek.ValidationError, match=r"\(1,2\)"):
-            scenario_from_dict(doc, kernel_spot_samples=0)
+            scenario_from_dict(doc)
 
     def test_matching_reversed_reactants_merge(self):
         doc = minimal_doc()
@@ -83,20 +83,20 @@ class TestLoad:
             },
         ]
         doc["initial"] = {"mode": "counts", "counts": [5, 5], "energies": [{"value": 1.0}, {"value": 1.0}]}
-        sc = scenario_from_dict(doc, kernel_spot_samples=0)
+        sc = scenario_from_dict(doc)
         assert len(sc.network.binary) == 1
 
     def test_zero_shape_gamma_rejected(self):
         doc = minimal_doc()
         doc["initial"]["energies"] = [{"density": {"family": "gamma", "nu": 0.0, "beta": 1.0}}]
         with pytest.raises(ek.ValidationError, match="shape"):
-            scenario_from_dict(doc, kernel_spot_samples=0)
+            scenario_from_dict(doc)
 
     def test_unknown_kernel_kind_rejected(self):
         doc = minimal_doc()
         doc["network"]["binary"][0]["kernel"]["kind"] = "magic"
         with pytest.raises(ek.ValidationError, match="kernel kind"):
-            scenario_from_dict(doc, kernel_spot_samples=0)
+            scenario_from_dict(doc)
 
     @staticmethod
     def canonical_doc(density):
@@ -137,7 +137,7 @@ class TestLoad:
         doc = minimal_doc()
         doc["run"].update(change)
         with pytest.raises(ek.ValidationError, match=re.escape(message)):
-            scenario_from_dict(doc, kernel_spot_samples=0)
+            scenario_from_dict(doc)
 
     def test_parse_error_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -149,14 +149,14 @@ class TestLoad:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_scenarios_round_trip(self, name):
-        sc = ek.load_scenario(SCENARIO_DIR / name, kernel_spot_samples=8)
+        sc = ek.load_scenario(SCENARIO_DIR / name)
         doc = sc.to_dict()
-        sc2 = scenario_from_dict(doc, kernel_spot_samples=0)
+        sc2 = scenario_from_dict(doc)
         assert sc2.to_dict() == doc
 
     def test_round_trip_preserves_semantics(self):
-        sc = scenario_from_dict(minimal_doc(), kernel_spot_samples=0)
-        sc2 = scenario_from_dict(sc.to_dict(), kernel_spot_samples=0)
+        sc = scenario_from_dict(minimal_doc())
+        sc2 = scenario_from_dict(sc.to_dict())
         t1 = ek.run(sc.simulator_config())
         t2 = ek.run(sc2.simulator_config())
         assert np.array_equal(
@@ -167,14 +167,14 @@ class TestRoundTrip:
 class TestSolverSetup:
     def test_one_type_uses_network(self):
         # every solve, the one-type one included, runs the scenario's network
-        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=8)
+        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json")
         grid, cfg = sc.solver_setup()
         assert cfg.alpha is None and cfg.network is sc.network
         assert grid.n_cells == 2000
         assert ek.mass(grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_type_uses_network(self):
-        sc = ek.load_scenario(SCENARIO_DIR / "two_type_canonical.json", kernel_spot_samples=8)
+        sc = ek.load_scenario(SCENARIO_DIR / "two_type_canonical.json")
         with pytest.raises(ek.ValidationError):
             sc.solver_setup()  # no solve section in that scenario
 
@@ -219,11 +219,11 @@ class TestCheckTable:
         monkeypatch.setattr(scenario, "integrate", evaluated)
         monkeypatch.setattr(ek.equilibrium, "sample_conserving_quadruples", evaluated)
         for name in BUNDLED:
-            sc = ek.load_scenario(SCENARIO_DIR / name, kernel_spot_samples=0)
+            sc = ek.load_scenario(SCENARIO_DIR / name)
             assert sc.checks
 
     def test_arguments_are_converted_and_defaulted(self):
-        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=0)
+        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json")
         args = scenario.check_arguments(sc, {"name": "detailed_balance"})
         assert args == {
             "tolerance": 1e-8,

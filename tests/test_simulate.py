@@ -542,6 +542,23 @@ class TestInitialConditions:
             )
             ek.run(cfg)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: ek.TypeCountsInitial((-5, 10), (1.0, 1.0)), "counts"),
+            (lambda: ek.TypeCountsInitial((0, 0), (1.0, 1.0)), "counts"),
+            (lambda: ek.TypeCountsInitial((5,), (-1.0,)), "energies"),
+            (lambda: ek.TypeCountsInitial((5, 5), (1.0,)), "energies"),
+            (lambda: ek.MixtureInitial(0, (1.0,), (1.0,)), "total"),
+            (lambda: ek.MixtureInitial(10, (0.5, 0.2), (1.0, 1.0)), "probabilities"),
+        ],
+        ids=["negative_count", "no_particle", "negative_energy", "energies_length", "total", "probabilities"],
+    )
+    def test_initial_specs_validate_on_construction(self, make, field):
+        with pytest.raises(ek.ValidationError) as exc:
+            make()
+        assert exc.value.field == field
+
 
 class TestEnsemble:
     def test_single_replica_matches_run(self):

@@ -564,7 +564,7 @@ class TestDopri5:
             assert np.max(np.abs(a.values - b.values)) < 1e-7
 
     def test_bundled_solve_matches_fixed_step_rk4(self):
-        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json", kernel_spot_samples=0)
+        sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json")
         grid0, cfg = sc.solver_setup()
         assert (cfg.scheme, cfg.dt, cfg.rtol) == ("dopri5", None, None)
         out = ek.integrate(grid0, cfg)
