@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import ValidationError
 
@@ -101,7 +100,7 @@ class GammaDensity(DensityFamily):
                 self.nu * math.log(self.beta)
                 + (self.nu - 1.0) * np.log(x, where=x > 0, out=np.full_like(x, -np.inf))
                 - self.beta * x
-                - special.gammaln(self.nu)
+                - math.lgamma(self.nu)
             )
         out = np.where(x > 0, np.exp(logp), 0.0)
         if self.nu == 1.0:
@@ -109,8 +108,11 @@ class GammaDensity(DensityFamily):
         return out
 
     def cdf(self, x):
+        # scipy.special takes a quarter second to import and only this method needs it
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0, special.gammainc(self.nu, self.beta * x), 0.0)
+        return np.where(x > 0, gammainc(self.nu, self.beta * x), 0.0)
 
     def mean(self) -> float:
         return self.nu / self.beta

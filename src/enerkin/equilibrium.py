@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy import special
 
 from .core import KernelSupportError, KineticsError, ValidationError, available_kinetic_energy
 from .densities import DensityFamily, ShiftedGamma
@@ -487,7 +486,8 @@ def unary_energy_dependent_stationary(
     if beta <= 0 or np.any(nu <= 0) or np.any(p <= 0) or np.any(b < 0):
         raise ValidationError("need beta > 0, nu > 0, p > 0 and b >= 0")
     _check_discrete_reversibility(p, b, "unary model")
-    log_pi = np.log(p) - beta * internal + special.gammaln(nu) - nu * np.log(beta)
+    log_gamma = np.array([math.lgamma(x) for x in nu])
+    log_pi = np.log(p) - beta * internal + log_gamma - nu * np.log(beta)
     pi = np.exp(log_pi - log_pi.max())
     pi /= pi.sum()
     residual = shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)

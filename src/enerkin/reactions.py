@@ -11,7 +11,9 @@ would leave negative kinetic energy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -284,6 +286,14 @@ def _tanh_sinh_rule(n: int = 81, t_max: float = 3.1):
 _QUAD_NODES, _QUAD_WEIGHTS = _tanh_sinh_rule()
 
 
+def _pick(weights: list, rng) -> int:
+    """Index drawn with probabilities ``weights``, as ``rng.choice(len(weights), p=weights)``
+    draws it: one ``random()`` against the cumulative weights divided by their total."""
+    cdf = list(accumulate(weights))
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], rng.random())
+
+
 class ScatteringKernel:
     """Conditional law of the outgoing (types, energy split) given a colliding pair.
 
@@ -374,7 +384,7 @@ class ScatteringKernel:
             idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
             if not idx or self._fizzles(v, t, v_other, t_other, types, rng):
                 return None
-            pick = 0 if len(idx) == 1 else int(rng.choice(len(idx), p=w))
+            pick = 0 if len(idx) == 1 else _pick(w.tolist(), rng)
             out, e = self.outputs[idx[pick]], avail[pick]
         u = self.split_sample(out, e, rng)
         if not 0.0 <= u <= e:
@@ -427,7 +437,7 @@ class UniformKernel(ScatteringKernel):
     def split_sample(self, out, e_avail, rng):
         if e_avail == 0.0:
             return 0.0
-        return float(rng.uniform(0.0, e_avail))
+        return e_avail * rng.random()  # the double rng.uniform(0.0, e_avail) returns
 
 
 class CanonicalKernel(ScatteringKernel):

@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import equilibrium as eq
 from .core import KineticsError, ParticleSystem, TypeTable, ValidationError
@@ -502,7 +503,7 @@ def _initial_from_spec(spec, types: TypeTable):
 
 def _spot_check_kernels(network: ReactionNetwork) -> None:
     """Quadrature spot-check that each kernel's outcome law is normalized."""
-    errors = network.kernel_normalization_errors(1000, np.random.default_rng(0))
+    errors = network.kernel_normalization_errors(1000, default_rng(0))
     for pair, worst in errors.items():
         if worst > 5e-3:
             raise ValidationError(
@@ -591,7 +592,7 @@ def _stationary_profile_residual(scenario: Scenario, a: dict):
 def _kernel_normalization(scenario: Scenario, a: dict):
     per_channel = max(1, a["samples"] // max(1, len(scenario.network.binary)))
     errors = scenario.network.kernel_normalization_errors(
-        per_channel, np.random.default_rng(a["seed"]), a["energy_scale"]
+        per_channel, default_rng(a["seed"]), a["energy_scale"]
     )
     return max(errors.values(), default=0.0), per_channel * len(errors)
 
@@ -625,7 +626,7 @@ def _kolmogorov(scenario: Scenario, a: dict):
 
 
 def _measure_transform_ks(scenario: Scenario, a: dict):
-    draws = a["rho"].sample(np.random.default_rng(a["seed"]), size=a["samples"])
+    draws = a["rho"].sample(default_rng(a["seed"]), size=a["samples"])
     mapped = eq.measure_transform(a["rho"], a["beta"], draws)
     return eq.ks_distance(mapped, Exponential(a["beta"]).cdf), a["samples"]
 

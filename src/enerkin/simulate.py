@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .core import (
     InfeasibleReactionError,
@@ -161,7 +162,6 @@ class SimulatorConfig:
             edges = np.asarray(self.histogram_edges, dtype=float)
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
                 raise ValidationError("histogram edges must be strictly increasing")
-        self.network.validate_rate_symmetry()
 
 
 @dataclass
@@ -521,11 +521,17 @@ def _make_snapshot(engine: _Engine, time: float, event_count: int, edges, store:
     )
 
 
+def _validate(config: SimulatorConfig) -> None:
+    config.validate()
+    config.network.validate_rate_symmetry()
+
+
 def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
     """Run a single trajectory (replica 0 of the configured seed)."""
-    config.validate()
-    seed_seq = _seed_seq or np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))
-    rng = np.random.default_rng(seed_seq)
+    if _seed_seq is None:  # run_ensemble validates once and passes each replica's seed
+        _validate(config)
+        _seed_seq = SeedSequence(entropy=config.seed, spawn_key=(0,))
+    rng = default_rng(_seed_seq)
     system = _materialize_initial(config.initial_state, config.network.types.count, rng)
     engine = _Engine(system, config.network)
     edges = (
@@ -582,8 +588,8 @@ def run_ensemble(config: SimulatorConfig) -> list[Trajectory]:
     Replica r draws from SeedSequence(entropy=seed, spawn_key=(r,)), so each
     replica's trajectory depends only on the master seed and r.
     """
-    config.validate()
+    _validate(config)
     return [
-        run(config, _seed_seq=np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))
+        run(config, _seed_seq=SeedSequence(entropy=config.seed, spawn_key=(r,)))
         for r in range(config.replicas)
     ]

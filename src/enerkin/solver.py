@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .core import SolverBlowupError, TypeTable, ValidationError, available_kinetic_energy
 from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
@@ -268,14 +269,14 @@ class _CanonicalGain:
         self.inv_denom = np.where(ok, 1.0 / np.where(ok, denom, 1.0), 0.0)
         self.inv_denom[: self.n_tiny] = 0.0
         self.size = _fast_len(lag.size)
-        self.lag_hat = np.fft.rfft(lag, self.size)
+        self.lag_hat = rfft(lag, self.size)
         self.n = n
         self.h = h
 
     def deposit(self, q: np.ndarray) -> np.ndarray:
-        scale_hat = np.fft.rfft(q * self.inv_denom, self.size)
+        scale_hat = rfft(q * self.inv_denom, self.size)
         # corr[p] = sum_m scale_m G[m + p]; cell k takes lag p = n - 1 - k
-        corr = np.fft.irfft(scale_hat.conj() * self.lag_hat, self.size)[self.n - 1 :: -1]
+        corr = irfft(scale_hat.conj() * self.lag_hat, self.size)[self.n - 1 :: -1]
         out = self.pr * np.maximum(corr, 0.0)  # FFT round-off can dip below zero
         out[0] += q[: self.n_tiny].sum() / self.h
         return out
@@ -328,7 +329,7 @@ class CollisionPlan:
             # collisions remove the pair wherever at least one output is feasible
             gate = alpha_s * (w_eff.sum(axis=1) > 0.0)
             flat = bool(np.all(gate == gate[0]))
-            gate_hat = None if flat else np.fft.rfft(gate, self._size)
+            gate_hat = None if flat else rfft(gate, self._size)
             for a, b in ((v, w), (w, v)) if v != w else ((v, w),):
                 if flat:
                     self._loss_flat[a].append((b, gate[0]))
@@ -366,7 +367,7 @@ class CollisionPlan:
         n = self.shape[1]
         q = [np.zeros(2 * n - 1) for _ in self._deposits]
         for v, w, terms in self._pairs:
-            conv = np.fft.irfft(spectra[v] * spectra[w], self._size)[: 2 * n - 1]
+            conv = irfft(spectra[v] * spectra[w], self._size)[: 2 * n - 1]
             np.maximum(conv, 0.0, out=conv)  # FFT round-off can dip below zero
             for g, mult in terms:
                 q[g] += mult * conv
@@ -378,21 +379,21 @@ class CollisionPlan:
     def gain(self, values) -> np.ndarray:
         """Gain term alone, for fast-path networks."""
         values = self._check(values)
-        return self._gain(np.fft.rfft(values, self._size, axis=1))
+        return self._gain(rfft(values, self._size, axis=1))
 
     def rhs(self, values) -> np.ndarray:
         """Collision gain minus loss for every (type, cell) of ``values``."""
         values = self._check(values)
         if not self.fast:
             return _rhs_multitype_generic(values, self.h, self.network)
-        spectra = np.fft.rfft(values, self._size, axis=1)
+        spectra = rfft(values, self._size, axis=1)
         out = self._gain(spectra)
         n = self.shape[1]
         for a, (flat, terms) in enumerate(zip(self._loss_flat, self._loss)):
             # loss rate sum_j alpha(s_{k+j}) rho_b[j]
             rate = sum(g * values[b].sum() for b, g in flat)
             if terms:  # a correlation, read off the FFT product without wrap-around
-                corr = np.fft.irfft(sum(g * spectra[b].conj() for b, g in terms), self._size)[:n]
+                corr = irfft(sum(g * spectra[b].conj() for b, g in terms), self._size)[:n]
                 rate = rate + np.maximum(corr, 0.0)
             out[a] -= values[a] * rate * self.h
         return out

@@ -396,11 +396,12 @@ def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-# SHA-256 of the report.json ``enerkin check`` writes for each bundled scenario
+# SHA-256 of the report.json ``enerkin check`` writes for each bundled scenario;
+# new digests need a CHANGES.md entry that lists every changed field, before and after
 BUNDLED_CHECK_SHA256 = {
-    "exponential_equilibrium": "93f23d32ebf962e781516abeedef43518fac64905986a27f2399e0e0f0504bd6",
-    "two_type_canonical": "ab8cc0dfada4c2e743e76e4dac0e1074a20bc9e9d4bf86718b04d9b5b489c1fe",
-    "unary_two_type": "6183ebd68beb8e0edc1134886033588423b315245516da8566750ae2cdc52eea",
+    "exponential_equilibrium": "4ac135eb9faec20a91b4b942c030e2fe8205441a85975db7379fdf90498b19c5",
+    "two_type_canonical": "fb282abe35e75aeb24aad8f3c1b80ded2a3e625946fd8da441d01f629335a6cf",
+    "unary_two_type": "3cde3c223091f7606e0a0e903f54e5b2f92fb07c0bb1e2d59c45c35abd71292c",
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as spint
+from scipy.special import gammaln
 
 import enerkin as ek
 
@@ -341,6 +342,21 @@ class TestEnergyDependentStationary:
             pi, b, np.array([1.0, 2.0, 1.5]), np.array([0.0, 0.5, 2.0]), 1.3
         )
         assert res < 1e-10
+
+    def test_matches_scipy_log_gamma(self):
+        # shapes over [0.05, 150]; bound relative to the largest log Γ, as for the gamma pdf
+        p = np.array([0.2, 0.5, 0.3])
+        b = np.array([[0.0, 1.0, 0.4], [0.4, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        b[2, :2] = p[:2] * b[:2, 2] / p[2]
+        internal, beta = np.array([0.0, 0.7, 1.9]), 1.3
+        grid = np.geomspace(0.05, 150.0, 13)
+        for k in range(grid.size):
+            nu = grid[[k, (k + 5) % 13, (k + 9) % 13]]
+            pi = ek.unary_energy_dependent_stationary(p, b, nu, internal, beta)
+            log_pi = np.log(p) - beta * internal + gammaln(nu) - nu * np.log(beta)
+            ref = np.exp(log_pi - log_pi.max())
+            ref /= ref.sum()
+            assert np.max(np.abs(pi / ref - 1.0)) <= 1e-14 * max(1.0, np.abs(gammaln(nu)).max())
 
     def test_irreversible_input_faults(self):
         b = np.array([[0.0, 1.0], [3.0, 0.0]])

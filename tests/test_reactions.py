@@ -50,6 +50,16 @@ class TestUniformSplit:
         draws = np.array([self.kernel.split_sample(self.out, 0.5 + 1.5, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
+    def test_split_is_the_draw_of_rng_uniform(self):
+        # e * random() is the double rng.uniform(0.0, e) returns; e = 0 draws nothing
+        energies = np.random.default_rng(4).exponential(2.0, size=20_000)
+        energies[::400] = 0.0
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = [self.kernel.split_sample(self.out, float(e), rng) for e in energies]
+        want = [float(ref.uniform(0.0, e)) if e > 0.0 else 0.0 for e in energies]
+        assert got == want
+        assert rng.random() == ref.random()
+
     def test_ks_against_uniform(self):
         rng = np.random.default_rng(2)
         s = 2.0
@@ -142,6 +152,24 @@ class TestScatteringKernel:
         assert idx == [0] and w.tolist() == [1.0]
         idx, w, _ = k.feasible_outputs(1, 4.0, 1, 4.0, tt)
         assert idx == [0, 1] and np.allclose(w, [0.25, 0.75])
+
+    @pytest.mark.parametrize("weights", [(0.3, 1.7), (0.3, 1.7, 0.9)], ids=["two", "three"])
+    def test_pick_is_the_draw_of_rng_choice(self, weights):
+        # the feasible outputs carry unequal weights; a type-3 output never is feasible
+        tt = ek.TypeTable(np.array([0.0, 0.4, 100.0]))
+        pairs = [(1, 1), (1, 2), (2, 2)][: len(weights)]
+        k = ek.UniformKernel([(a, b, w) for (a, b), w in zip(pairs, weights)] + [(3, 3, 5.0)])
+        energies = 0.5 + np.random.default_rng(4).exponential(1.0, size=(10_000, 2))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for t, tp in energies.tolist():
+            got = k.sample_outcome(1, t, 1, tp, tt, rng)
+            idx, w, avail = k.feasible_outputs(1, t, 1, tp, tt)
+            assert len(idx) == len(weights)
+            pick = int(ref.choice(len(idx), p=w))
+            out, e = k.outputs[idx[pick]], avail[pick]
+            u = float(ref.uniform(0.0, e))
+            assert got == (out.first, u, out.second, e - u)
+        assert rng.random() == ref.random()
 
     def test_no_feasible_output_returns_none(self):
         tt = ek.TypeTable(np.array([0.0, 10.0]))

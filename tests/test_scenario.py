@@ -42,6 +42,33 @@ class TestLoad:
         traj = ek.run(cfg)
         assert traj.final_state.size == 100
 
+    def test_rate_symmetry_spot_checked_once_per_load_and_per_run(self, monkeypatch):
+        calls = []
+        check = ek.ReactionNetwork.validate_rate_symmetry
+
+        def spy(net, *args, **kwargs):
+            calls.append(net)
+            return check(net, *args, **kwargs)
+
+        monkeypatch.setattr(ek.ReactionNetwork, "validate_rate_symmetry", spy)
+        sc = scenario_from_dict(minimal_doc())
+        assert len(calls) == 1
+        cfg = sc.simulator_config(replicas=3)
+        for runner in (ek.run_ensemble, ek.run):
+            calls.clear()
+            runner(cfg)
+            assert calls == [sc.network]
+
+    def test_run_refuses_asymmetric_rate(self, one_type_table):
+        rate = ek.CallableRate(lambda t, tp: 1.0 + np.asarray(t) - np.asarray(tp))
+        net = ek.ReactionNetwork(
+            one_type_table, [ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0)]))]
+        )
+        cfg = ek.SimulatorConfig(net, ek.TypeCountsInitial((10,), (ek.Exponential(1.0),)), t_end=1.0)
+        for runner in (ek.run_ensemble, ek.run):
+            with pytest.raises(ek.ValidationError, match=r"rate for pair \(1, 1\) is not symmetric"):
+                runner(cfg)
+
     def test_wrong_version_rejected(self):
         doc = minimal_doc()
         doc["version"] = 99
