@@ -3,8 +3,9 @@
 All numeric CSV output uses the shortest round-trip decimal form of the
 underlying 64-bit value, so identical scenarios and seeds produce
 byte-identical files.  Faults are reported as one JSON object on stderr
-with a nonzero exit code; ``check`` exits 0 only when every requested
-check passes.
+with a nonzero exit code: the exception's class and message, and its
+``field``, ``step``, ``time`` and ``indices`` where it sets them.  ``check``
+exits 0 only when every requested check passes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .solver import integrate
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_FAULT = 2
+
+# the exception attributes a fault's JSON object carries when they are set
+FAULT_FIELDS = ("field", "step", "time", "indices")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -169,6 +173,15 @@ def _cmd_check(scenario: Scenario, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fault(exc: KineticsError) -> dict:
+    """The JSON object of a fault: its class, its message and its set ``FAULT_FIELDS``."""
+    record = {"error": type(exc).__name__, "message": str(exc)}
+    for name in FAULT_FIELDS:
+        if getattr(exc, name, None) is not None:
+            record[name] = getattr(exc, name)
+    return record
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enerkin",
@@ -203,10 +216,7 @@ def main(argv=None) -> int:
             return _cmd_check(scenario, out_dir)
         raise ValidationError(f"unknown command {args.command!r}")
     except KineticsError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
+        json.dump(_fault(exc), sys.stderr)
         sys.stderr.write("\n")
         return EXIT_FAULT
 

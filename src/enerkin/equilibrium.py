@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -393,7 +394,10 @@ def additive_conservation_residual(
 # ---------------------------------------------------------------------------
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 240-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(240)
 
 
 def convolution_density(rho_v: DensityFamily, rho_w: DensityFamily, total: float) -> float:
@@ -402,8 +406,9 @@ def convolution_density(rho_v: DensityFamily, rho_w: DensityFamily, total: float
         raise ValidationError(f"total must be >= 0, got {total}")
     if total == 0.0:
         return 0.0
-    y = 0.5 * total * (_GL_NODES + 1.0)
-    wts = 0.5 * total * _GL_WEIGHTS
+    nodes, weights = _gauss_legendre()
+    y = 0.5 * total * (nodes + 1.0)
+    wts = 0.5 * total * weights
     return float(np.sum(rho_v.pdf(y) * rho_w.pdf(total - y) * wts))
 
 

@@ -48,14 +48,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# collision rates alpha(T, T'), symmetric under slot exchange, with a majorant ``bound``
+# collision rates alpha(T, T'), symmetric under slot exchange, with a majorant ``bound``;
+# a rate of the energy sum alone also has ``of_sum(s)``, the form the grid solver takes
 # ---------------------------------------------------------------------------
 
 
 class ConstantRate:
     """Collision rate independent of the incoming energies."""
-
-    depends_on_sum_only = True
 
     def __init__(self, value: float):
         if not (value >= 0 and math.isfinite(value)):
@@ -80,8 +79,6 @@ class ConstantRate:
 
 class SumDecayRate:
     """Bounded rate scale * exp(-decay * (T + T')), a function of the energy sum."""
-
-    depends_on_sum_only = True
 
     def __init__(self, scale: float, decay: float):
         if not (scale >= 0 and decay >= 0):
@@ -108,9 +105,10 @@ class SumDecayRate:
 
 
 class CallableRate:
-    """Wrap a vectorized rate function alpha(T, T') with an optional majorant ``bound``."""
+    """Wrap a vectorized rate function alpha(T, T') with an optional majorant ``bound``.
 
-    depends_on_sum_only = False
+    It has no ``of_sum``, so it is simulator-only: the grid solver refuses it.
+    """
 
     def __init__(self, fn: Callable, name: str = "custom", bound: float | None = None):
         if bound is not None and not (bound >= 0 and math.isfinite(bound)):
@@ -481,8 +479,9 @@ class TableKernel(ScatteringKernel):
     ``mass_fn(v, t, v_other, t_other)`` in [0, 1] makes the kernel
     sub-normalized: a feasible collision fizzles, leaving both particles
     unchanged, with probability 1 - mass_fn.  The simulator draws one more
-    uniform per collision to decide; the solver removes pairs at
-    alpha * mass_fn, and ``split_pdf_fn`` should integrate to mass_fn.
+    uniform per collision to decide, and ``split_pdf_fn`` should integrate
+    to mass_fn.  Table kernels are simulator-only: the collision equation's
+    ``CollisionPlan`` refuses them.
     """
 
     kind = "table"

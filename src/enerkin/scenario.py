@@ -57,7 +57,7 @@ SCHEMA_VERSION = 1
 
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
-        raise ValidationError(f"{field}: {message}")
+        raise ValidationError(f"{field}: {message}", field=field)
 
 
 @contextmanager
@@ -67,7 +67,8 @@ def _naming(field: str):
         yield
     except (KineticsError, TypeError, ValueError) as exc:
         sub = getattr(exc, "field", None)
-        raise ValidationError(f"{field}.{sub}: {exc}" if sub else f"{field}: {exc}") from exc
+        path = f"{field}.{sub}" if sub else field
+        raise ValidationError(f"{path}: {exc}", field=path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ValidationError(
                     f"{field}: rate for reactants ({a},{b}) conflicts with the one "
                     f"given for ({pair[0]},{pair[1]}); the collision rate must be "
-                    "symmetric in the reactant pair"
+                    "symmetric in the reactant pair",
+                    field=field,
                 )
             continue
         raw_by_pair[pair] = p["rate"]

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import enerkin as ek
 from enerkin import cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -70,6 +71,17 @@ def unary_doc_with(**sections):
 
 
 EXP_ENERGIES = [{"density": {"family": "exponential", "beta": 1.0}}] * 2
+
+
+def mixed_beta_canonical_doc():
+    """The bundled two-type canonical scenario with type 1 at Gamma(2, beta=2), 500 events."""
+    doc = json.loads((SCENARIO_DIR / "two_type_canonical.json").read_text())
+    for ch in doc["network"]["binary"][:2]:
+        ch["kernel"]["densities"]["1"]["beta"] = 2.0
+    doc["initial"]["energies"][0]["density"]["beta"] = 2.0
+    doc["run"]["max_events"] = 500
+    del doc["analysis"], doc["checks"]
+    return doc
 
 
 # scenario documents, and the field that the load-time fault must name
@@ -155,6 +167,22 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
         assert (out / "replica_00" / "snapshot_000.csv").exists()
         assert (out / "replica_01" / "snapshot_000.csv").exists()
+
+    def test_simulation_fault_carries_time_and_indices(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise ek.SimulationError("rate above bound", time=0.25, indices=(3, 7))
+
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+        sc = write_scenario(tmp_path, small_doc())
+        rc = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_FAULT
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "SimulationError",
+            "message": "rate above bound (t=0.25, particles=(3, 7))",
+            "time": 0.25,
+            "indices": [3, 7],
+        }
 
 
 # SHA-256 of every CSV ``enerkin simulate`` writes for the bundled scenarios
@@ -282,6 +310,43 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(field + ": ")
+        assert err["field"] == field
+        assert not (tmp_path / "out").exists()
+
+    def test_unrepresentable_network_faults_at_load(self, tmp_path, capsys):
+        # Gamma(2, beta=2) next to Exp(1): the (1, 2) channel's canonical split
+        # has two betas, which the collision plan refuses
+        doc = mixed_beta_canonical_doc()
+        doc["solve"] = {
+            "grid": {"x_max": 10.0, "cells": 50},
+            "initial": [
+                {"density": {"family": "gamma", "nu": 2.0, "beta": 2.0}},
+                {"density": {"family": "exponential", "beta": 1.0}},
+            ],
+            "t_end": 1.0,
+        }
+        sc = write_scenario(tmp_path, doc)
+        rc = cli.main(["solve", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_FAULT
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "solve"
+        assert err["message"].startswith("solve: reactant pair (1, 2): canonical densities need one common beta")
+        assert not (tmp_path / "out").exists()
+        # the same network without a solve section loads and simulates
+        del doc["solve"]
+        sc = write_scenario(tmp_path, doc)
+        assert cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "sim")]) == 0
+        assert len((tmp_path / "sim" / "snapshot_000.csv").read_text().splitlines()) == 601
+
+    def test_shifted_gamma_canonical_density_faults_at_load(self, tmp_path, capsys):
+        doc = mixed_beta_canonical_doc()
+        shifted = {"family": "shifted_gamma", "nu": 2.0, "beta": 1.0, "shift": 1.0}
+        doc["network"]["binary"][1]["kernel"]["densities"]["1"] = shifted
+        sc = write_scenario(tmp_path, doc)
+        rc = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_FAULT
+        assert json.loads(capsys.readouterr().err)["error"] == "KernelSupportError"
         assert not (tmp_path / "out").exists()
 
     def test_blowup_maps_to_fault_exit(self, tmp_path, capsys):
@@ -301,6 +366,8 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverBlowupError"
         assert "negative Runge-Kutta stage at step 1, t=50" in err["message"]
+        assert (err["step"], err["time"]) == (1, 50.0)
+        assert "field" not in err
 
 
 def _set(path, value):
@@ -393,6 +460,7 @@ def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert err["message"].startswith(field + ": ")
+    assert err["field"] == field
     assert not out.exists()
 
 

@@ -65,8 +65,24 @@ def canonical_gap_network():
     )
 
 
+def table_kernel(mass=None):
+    """A uniform split given as callables; with ``mass``, sub-normalized at that mass."""
+    return ek.TableKernel(
+        [(1, 2, 1.0)],
+        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / max(e, 1e-300), 0.0),
+        split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
+        mass_fn=None if mass is None else (lambda v, t, vp, tp: mass),
+    )
+
+
+def canonical_channel(rho_1, rho_2):
+    return ek.BinaryChannel(
+        (1, 2), ek.ConstantRate(1.0), ek.CanonicalKernel([(1, 2, 1.0)], {1: rho_1, 2: rho_2})
+    )
+
+
 def reference_rhs(grid, network, leak_to_last=False):
-    """The operator's fast-path formulas with dense tables and direct convolutions."""
+    """The collision plan's formulas with dense tables and direct convolutions."""
     vals, n, h, x = grid.values, grid.n_cells, grid.h, grid.centers
     ie = network.types.internal_energies
     sigma = np.arange(1.0, 2.0 * n) * h  # s_m = (m+1) h
@@ -259,47 +275,48 @@ class TestRhsMultitype:
         )
         with pytest.raises(ek.ValidationError, match="binary"):
             ek.rhs_multitype(g, unary_two_type_network)
+        with pytest.raises(ek.ValidationError, match="binary"):
+            ek.SolverConfig(t_end=1.0, network=unary_two_type_network).validate()
 
-    def test_generic_path_matches_fast_path(self):
-        # a non-sum rate forces the direct-quadrature path; compare on a
-        # constant-rate network where both paths apply
-        tt = ek.TypeTable(np.array([0.0]))
-        fast_net = ek.ReactionNetwork(
-            tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))]
-        )
-        slow_rate = ek.CallableRate(lambda t, tp: np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp)) or ()))
-        slow_net = ek.ReactionNetwork(
-            tt, [ek.BinaryChannel((1, 1), slow_rate, ek.UniformKernel([(1, 1, 1.0)]))]
-        )
-        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 6.0, 48)
-        fast = ek.rhs_multitype(g, fast_net)
-        slow = ek.rhs_multitype(g, slow_net)
-        # same operator, different quadrature alignment: O(h) agreement
-        assert np.max(np.abs(fast - slow)) < 0.1 * np.max(np.abs(fast))
-
-    def test_subnormalized_kernel_reduces_loss(self):
-        # a kernel that fizzles half the time must lose mass at half speed
-        tt = ek.TypeTable(np.array([0.0]))
-        full = ek.TableKernel(
-            [(1, 1, 1.0)],
-            split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / max(e, 1e-300), 0.0),
-            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-        )
-        half = ek.TableKernel(
-            [(1, 1, 1.0)],
-            split_pdf_fn=lambda a, b, e, u: 0.5 * np.where((u >= 0) & (u <= e), 1.0 / max(e, 1e-300), 0.0),
-            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-            mass_fn=lambda v, t, vp, tp: 0.5,
-        )
-        rate = ek.CallableRate(lambda t, tp: np.ones(np.broadcast_shapes(np.shape(t), np.shape(tp)) or ()))
-        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 6.0, 40)
-        r_full = ek.rhs_multitype(
-            g, ek.ReactionNetwork(tt, [ek.BinaryChannel((1, 1), rate, full)]),
-        )
-        r_half = ek.rhs_multitype(
-            g, ek.ReactionNetwork(tt, [ek.BinaryChannel((1, 1), rate, half)]),
-        )
-        assert np.max(np.abs(r_half - 0.5 * r_full)) < 1e-10 * max(1.0, np.max(np.abs(r_full)))
+    @pytest.mark.parametrize(
+        "channel, reason",
+        [
+            (
+                lambda: ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), table_kernel()),
+                "kernel kind 'table' is simulator-only",
+            ),
+            (
+                lambda: ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), table_kernel(mass=0.5)),
+                "kernel kind 'table' is simulator-only",
+            ),
+            (
+                lambda: ek.BinaryChannel(
+                    (1, 2),
+                    ek.CallableRate(lambda t, tp: 1.0 + np.asarray(t) * np.asarray(tp)),
+                    ek.UniformKernel([(1, 2, 1.0)]),
+                ),
+                "not a function of the energy sum",
+            ),
+            (
+                lambda: canonical_channel(ek.GammaDensity(2.0, 2.0), ek.Exponential(1.0)),
+                r"one common beta, got betas \[1.0, 2.0\]",
+            ),
+            (
+                lambda: canonical_channel(ek.UniformDensity(0.0, 30.0), ek.Exponential(1.0)),
+                "type 1 is UniformDensity, not a gamma law",
+            ),
+        ],
+        ids=["table", "table_mass_fn", "non_sum_rate", "mixed_beta", "uniform_density"],
+    )
+    def test_refuses_what_the_plan_cannot_represent(self, channel, reason):
+        # a representable (1, 1) channel next to the refused (1, 2) one
+        good = ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))
+        net = ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [good, channel()])
+        match = r"reactant pair \(1, 2\): .*" + reason
+        with pytest.raises(ek.ValidationError, match=match):
+            ek.CollisionPlan(net, 40, 6.0)
+        with pytest.raises(ek.ValidationError, match=match):
+            ek.SolverConfig(t_end=1.0, network=net).validate()
 
 
 class TestCollisionPlan:
