@@ -44,7 +44,7 @@ def main():
 
     grid0 = ek.DensityGrid.from_families([ek.UniformDensity(0.0, 2.0)], 20.0, 2000)
     scfg = ek.SolverConfig(
-        dt=0.01, t_end=max(args.times), scheme="rk4", alpha=1.0,
+        dt=0.01, t_end=max(args.times), scheme="rk4", network=net,
         snapshot_times=tuple(sorted(args.times)),
     )
     snaps = ek.integrate(grid0, scfg)

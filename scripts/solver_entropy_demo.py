@@ -26,6 +26,10 @@ def main():
 
     grid0 = ek.DensityGrid.from_families([ek.UniformDensity(0.0, args.hi)], args.x_max, args.cells)
     tt = ek.TypeTable(np.array([0.0]))
+    # the one-type equation: constant unit rate, uniform energy split
+    net = ek.ReactionNetwork(
+        tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))]
+    )
     beta = 1.0 / ek.mean_energy(grid0, tt)  # conserved mean fixes the limit
     f0 = ek.TypedDensity((ek.Exponential(beta),), (1.0,))
 
@@ -35,7 +39,7 @@ def main():
         dt=args.dt,
         scheme=args.scheme,
         rtol=args.rtol,
-        alpha=1.0,
+        network=net,
         snapshot_times=times,
     )
     snaps = ek.integrate(grid0, cfg)

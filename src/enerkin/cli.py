@@ -51,7 +51,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 def _cmd_simulate(scenario: Scenario, out_dir: Path, seed, replicas) -> int:
     cfg = scenario.simulator_config(seed=seed, replicas=replicas)
-    cfg.store_states = True
     trajectories = run_ensemble(cfg)
     for r, traj in enumerate(trajectories):
         base = out_dir if cfg.replicas == 1 else out_dir / f"replica_{r:02d}"
@@ -111,7 +110,6 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
         wrote_any = True
     if scenario.run is not None:
         cfg = scenario.simulator_config(seed=seed)
-        cfg.store_states = True
         trajectories = run_ensemble(cfg)
         rows = []
         for snap_idx in range(len(trajectories[0].snapshots)):

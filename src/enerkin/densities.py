@@ -24,7 +24,6 @@ __all__ = [
     "Shifted",
     "Tabulated",
     "density_from_spec",
-    "density_to_spec",
 ]
 
 
@@ -274,14 +273,6 @@ def quadrature_mass(density: DensityFamily, x_cap: float = None, n: int = 200_00
     return float(np.sum(density.pdf(mid)) * (xs[1] - xs[0]))
 
 
-_FAMILY_TAGS = {
-    "exponential": Exponential,
-    "gamma": GammaDensity,
-    "shifted_gamma": ShiftedGamma,
-    "uniform": UniformDensity,
-}
-
-
 def density_from_spec(spec: dict) -> DensityFamily:
     """Build a density from its JSON description ({"family": ..., params})."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -304,20 +295,3 @@ def density_from_spec(spec: dict) -> DensityFamily:
     except KeyError as exc:
         raise ValidationError(f"density family {family!r} is missing parameter {exc}") from exc
     raise ValidationError(f"unknown density family {family!r}")
-
-
-def density_to_spec(density: DensityFamily) -> dict:
-    if isinstance(density, Exponential):
-        return {"family": "exponential", "beta": density.beta}
-    if isinstance(density, GammaDensity):
-        return {"family": "gamma", "nu": density.nu, "beta": density.beta}
-    if isinstance(density, ShiftedGamma):
-        return {
-            "family": "shifted_gamma",
-            "nu": density.nu,
-            "beta": density.beta,
-            "shift": density.shift,
-        }
-    if isinstance(density, UniformDensity):
-        return {"family": "uniform", "lo": density.lo, "hi": density.hi}
-    raise ValidationError(f"density {density!r} has no JSON form")

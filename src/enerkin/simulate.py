@@ -142,7 +142,6 @@ class SimulatorConfig:
     replicas: int = 1
     max_events: int | None = None
     histogram_edges: np.ndarray | None = None
-    store_states: bool = True
 
     def validate(self) -> None:
         if self.t_end < 0:
@@ -161,16 +160,21 @@ class SimulatorConfig:
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=float)
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
-                raise ValidationError("histogram edges must be strictly increasing")
+                raise ValidationError(
+                    "histogram edges must be strictly increasing", field="histogram_edges"
+                )
 
 
 @dataclass
 class Snapshot:
+    """The chain at a requested time: events attempted so far, per-type counts
+    and histograms, and a copy of the particle state."""
+
     time: float
     event_count: int
     type_counts: np.ndarray
     histograms: list
-    state: ParticleSystem | None
+    state: ParticleSystem
 
 
 @dataclass
@@ -507,7 +511,7 @@ def _default_edges(system: ParticleSystem) -> np.ndarray:
     return np.linspace(0.0, hi, 33)
 
 
-def _make_snapshot(engine: _Engine, time: float, event_count: int, edges, store: bool):
+def _make_snapshot(engine: _Engine, time: float, event_count: int, edges):
     state = engine.to_system(time)
     hists = [
         empirical_histogram(state, v, edges) for v in range(1, engine.types.count + 1)
@@ -517,7 +521,7 @@ def _make_snapshot(engine: _Engine, time: float, event_count: int, edges, store:
         event_count=event_count,
         type_counts=state.type_counts(engine.types.count),
         histograms=hists,
-        state=state if store else None,
+        state=state,
     )
 
 
@@ -548,7 +552,7 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
 
     def flush(before: float) -> None:
         while pending and pending[0] < before:
-            snaps.append(_make_snapshot(engine, pending.popleft(), attempted, edges, config.store_states))
+            snaps.append(_make_snapshot(engine, pending.popleft(), attempted, edges))
 
     while config.max_events is None or attempted < config.max_events:
         try:

@@ -25,9 +25,11 @@ splits across a gap of 0.3.
 
 ``integrate`` steps the equation with the adaptive embedded Dormand-Prince
 5(4) pair (``dopri5``, the default) or with fixed-step classical RK4
-(``rk4``).  Neither steps past a requested time, and neither clips: a
-``dopri5`` step whose stage or result is negative or non-finite is
-rejected and halved, and ``rk4`` raises SolverBlowupError on one.
+(``rk4``).  Neither steps past a requested time, and neither clips nor
+rescales: a ``dopri5`` step whose stage or result is negative or
+non-finite is rejected and halved, and ``rk4`` raises SolverBlowupError on
+one.  A ``SolverConfig`` names the network to solve; the one-type equation
+is the network of one type with a constant rate and a uniform split.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class DensityGrid:
     @property
     def centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.h
-
-    def copy(self) -> "DensityGrid":
-        return DensityGrid(self.x_max, self.values.copy())
 
     @classmethod
     def from_families(
@@ -218,14 +217,6 @@ def _ordered_recipients(ch):
             yield o, o.second, o.first
 
 
-def _one_type_network(alpha: float) -> ReactionNetwork:
-    """The one-type equation as a network: constant rate alpha, uniform split."""
-    return ReactionNetwork(
-        TypeTable(np.array([0.0])),
-        [BinaryChannel((1, 1), ConstantRate(alpha), UniformKernel([(1, 1, 1.0)]))],
-    )
-
-
 class _UniformGain:
     """Deposit of the uniform split at available energies e_m = s_m + dI.
 
@@ -236,7 +227,7 @@ class _UniformGain:
     whole mass at x = 0.  Cell indices and shares depend on the grid only.
     """
 
-    def __init__(self, e: np.ndarray, h: float, n: int, leak_to_last: bool):
+    def __init__(self, e: np.ndarray, h: float, n: int):
         pos = e > 0.0
         self.inv_e = np.where(pos, 1.0 / np.where(pos, e, 1.0), 0.0)
         kfull = np.floor(e / h)
@@ -248,18 +239,12 @@ class _UniformGain:
         self.bnd_k = kfull[bnd].astype(int)
         self.bnd_share = share[bnd]
         self.n = n
-        # share of each s cell's output interval falling past the grid
-        self.leak = None
-        if leak_to_last:
-            self.leak = np.clip(e - n * h, 0.0, None) / np.maximum(e, 1e-300) / h
 
     def deposit(self, q: np.ndarray) -> np.ndarray:
         tail = np.zeros(q.size + 1)
         np.cumsum((q * self.inv_e)[::-1], out=tail[-2::-1])
         out = tail[self.first]
         out += np.bincount(self.bnd_k, q[self.bnd_m] * self.bnd_share, minlength=self.n)
-        if self.leak is not None:
-            out[-1] += q @ self.leak
         return out
 
 
@@ -315,14 +300,7 @@ class CollisionPlan:
     the plan cannot represent raises ValidationError (``check_plan_support``).
     """
 
-    def __init__(
-        self,
-        network: ReactionNetwork,
-        n_cells: int,
-        x_max: float,
-        *,
-        leak_to_last: bool = False,
-    ):
+    def __init__(self, network: ReactionNetwork, n_cells: int, x_max: float):
         check_plan_support(network)
         n = int(n_cells)
         self.network = network
@@ -364,7 +342,7 @@ class CollisionPlan:
                 if key not in index:
                     index[key] = len(self._deposits)
                     if ch.kernel.kind == "uniform":
-                        dep = _UniformGain(sigma + d, h, n, leak_to_last)
+                        dep = _UniformGain(sigma + d, h, n)
                     else:
                         dep = _CanonicalGain(key[1], key[2], sigma + d, d, h, n)
                     self._deposits.append((rcp - 1, dep))
@@ -416,11 +394,7 @@ class CollisionPlan:
 
 
 def rhs_multitype(
-    grid,
-    network: ReactionNetwork,
-    *,
-    leak_to_last: bool = False,
-    plan: CollisionPlan | None = None,
+    grid, network: ReactionNetwork, *, plan: CollisionPlan | None = None
 ) -> np.ndarray:
     """Collision gain minus loss for every (type, cell).
 
@@ -429,25 +403,28 @@ def rhs_multitype(
     ``CollisionPlan`` is built.  The plan takes rates that depend only on the
     energy sum and kernels that are uniform or gamma-family canonical with
     one common beta; any other network, and any with unary channels, raises
-    ValidationError (``check_plan_support``).  Mass is
-    conserved up to the leak past x_max, energy too, but only without
-    internal-energy gaps: across one both the uniform and the canonical
-    deposit are mass-exact only, and energy drifts at O(h^2).
+    ValidationError (``check_plan_support``).  Mass is conserved up to the
+    leak past x_max, energy too, but only without internal-energy gaps:
+    across one both the uniform and the canonical deposit are mass-exact
+    only, and energy drifts at O(h^2).
 
     Without ``plan`` a plan is built for this call.  With a plan built for
-    ``network`` and this grid, ``grid`` may also be the raw (V, n) values,
-    and the plan's own leak setting applies.
+    ``network`` and this grid, ``grid`` may also be the raw (V, n) values.
     """
     if plan is None:
-        plan = CollisionPlan(network, grid.n_cells, grid.x_max, leak_to_last=leak_to_last)
+        plan = CollisionPlan(network, grid.n_cells, grid.x_max)
     elif plan.network is not network:
         raise ValidationError("the collision plan was built for another network")
     return plan.rhs(grid.values if isinstance(grid, DensityGrid) else grid)
 
 
 def _gain_1d(vals: np.ndarray, h: float) -> np.ndarray:
-    """Gain of the one-type equation at unit rate."""
-    plan = CollisionPlan(_one_type_network(1.0), vals.size, vals.size * h)
+    """Gain of the one-type equation at unit rate: constant rate 1, uniform split."""
+    network = ReactionNetwork(
+        TypeTable(np.array([0.0])),
+        [BinaryChannel((1, 1), ConstantRate(1.0), UniformKernel([(1, 1, 1.0)]))],
+    )
+    plan = CollisionPlan(network, vals.size, vals.size * h)
     return plan.gain(vals[None, :])[0]
 
 
@@ -487,7 +464,8 @@ _DEFAULT_RTOL = 1e-8
 
 @dataclass
 class SolverConfig:
-    """A solve: ``t_end``, the scheme, and one of ``alpha`` or ``network``.
+    """A solve of ``network`` to ``t_end`` with one scheme, snapshots at
+    ``snapshot_times`` (None: ``t_end`` only), each in [0, t_end].
 
     ``rk4`` takes fixed steps of ``dt``, which it requires.  ``dopri5`` adapts
     its steps to the relative tolerance ``rtol`` (None: 1e-8) and takes no
@@ -495,20 +473,20 @@ class SolverConfig:
     (``check_plan_support``).
     """
 
+    network: ReactionNetwork
     t_end: float
     dt: float | None = None
     scheme: str = "dopri5"
     rtol: float | None = None
-    alpha: float | None = None
-    network: ReactionNetwork | None = None
     snapshot_times: tuple | None = None
-    renormalize_mass: bool = False
 
     def validate(self) -> None:
         if self.t_end < 0:
             raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
         if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
+            raise ValidationError(
+                f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}", field="scheme"
+            )
         if self.dt is not None and not (self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt}", field="dt")
         if self.scheme == "rk4":
@@ -521,12 +499,12 @@ class SolverConfig:
                 raise ValidationError("dt applies to scheme 'rk4' only", field="dt")
             if self.rtol is not None:
                 check_rtol(self.rtol)
-        if (self.alpha is None) == (self.network is None):
-            raise ValidationError("provide exactly one of alpha (one-type) or network")
-        if self.alpha is not None and self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.network is not None:
-            check_plan_support(self.network)
+        for s in self.snapshot_times or ():
+            if s < 0 or s > self.t_end + 1e-12:
+                raise ValidationError(
+                    f"snapshot time {s} outside [0, {self.t_end}]", field="snapshot_times"
+                )
+        check_plan_support(self.network)
 
 
 def check_rtol(rtol: float) -> float:
@@ -552,7 +530,7 @@ def _admissible(u: np.ndarray) -> bool:
     return bool(u.min() >= 0.0 and u.max() < np.inf)
 
 
-def _rk4(u, targets, dt, rhs, accept):
+def _rk4(u, targets, dt, rhs, result):
     """Fixed steps of dt from t = 0, yielding (t, u) at each target.
 
     A step that would pass the target is shortened to land on it, and the
@@ -583,11 +561,11 @@ def _rk4(u, targets, dt, rhs, accept):
             k3 = rhs(admitted(u + 0.5 * tau * k2, "Runge-Kutta stage"))
             k4 = rhs(admitted(u + tau * k3, "Runge-Kutta stage"))
             u = admitted(u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "density")
-            accept(u)
+            result.steps_accepted += 1
         yield t, u
 
 
-def _dopri5(u, targets, rtol, rhs, accept, result):
+def _dopri5(u, targets, rtol, rhs, result):
     """Adaptive Dormand-Prince 5(4) steps from t = 0, yielding (t, u) at each target.
 
     The first step is 1% of max(u) / max|u'|.  Step control after Hairer,
@@ -633,8 +611,7 @@ def _dopri5(u, targets, rtol, rhs, accept, result):
                 continue
             t = target if land else t + tau
             u, f = y, ks[-1]
-            if accept(u):
-                f = rhs(u)  # the state was rescaled
+            result.steps_accepted += 1
             h_next = tau * min(grow, fac)
             h = max(h, h_next) if land else h_next
             grow = 5.0
@@ -647,54 +624,32 @@ def integrate(grid0: DensityGrid, config: SolverConfig) -> SolveResult:
     ``dopri5`` (the default) takes adaptive embedded Dormand-Prince 5(4)
     steps; ``rk4`` takes fixed steps of ``dt``.  Either scheme lands exactly
     on every requested snapshot time and on t_end, so each snapshot holds
-    the state at the time of its label.  ``alpha`` stands for the one-type
-    network with that constant rate and a uniform split.  The collision plan
-    is built once.  Nothing is clipped: ``dopri5`` rejects and halves a step
+    the state at the time of its label.  The collision plan is built once.
+    Nothing is clipped or rescaled: ``dopri5`` rejects and halves a step
     whose stage or result is negative or non-finite, ``rk4`` raises
-    SolverBlowupError, and so does ``dopri5`` when its step underflows.
-    ``renormalize_mass`` rescales the mass after each accepted step, and
-    ``dopri5`` then evaluates the right-hand side of the rescaled state.  The
+    SolverBlowupError, and so does ``dopri5`` when its step underflows.  The
     returned SolveResult also counts right-hand sides and steps.
     """
     config.validate()
-    network = config.network
-    if config.alpha is not None:
-        if grid0.n_types != 1:
-            raise ValidationError("scalar-rate configuration needs a one-type grid")
-        network = _one_type_network(config.alpha)
-    plan = CollisionPlan(network, grid0.n_cells, grid0.x_max, leak_to_last=config.renormalize_mass)
-    h = grid0.h
+    plan = CollisionPlan(config.network, grid0.n_cells, grid0.x_max)
     vals = plan._check(grid0.values).copy()
-    mass0 = float(vals.sum() * h)
     snap_times = (
         sorted(float(s) for s in config.snapshot_times)
         if config.snapshot_times is not None
         else [config.t_end]
     )
-    for s in snap_times:
-        if s < 0 or s > config.t_end + 1e-12:
-            raise ValidationError(f"snapshot time {s} outside [0, {config.t_end}]")
     result = SolveResult()
 
     def rhs(u):
         result.rhs_evals += 1
-        return rhs_multitype(u, network, plan=plan)
-
-    def accept(u) -> bool:
-        """Count an accepted step and renormalize its mass in place; True if rescaled."""
-        result.steps_accepted += 1
-        m_now = float(u.sum() * h) if config.renormalize_mass else 0.0
-        if not m_now > 0:
-            return False
-        u *= mass0 / m_now
-        return True
+        return rhs_multitype(u, config.network, plan=plan)
 
     targets = snap_times + [config.t_end]
     if config.scheme == "rk4":
-        states = _rk4(vals, targets, config.dt, rhs, accept)
+        states = _rk4(vals, targets, config.dt, rhs, result)
     else:
         rtol = _DEFAULT_RTOL if config.rtol is None else config.rtol
-        states = _dopri5(vals, targets, rtol, rhs, accept, result)
+        states = _dopri5(vals, targets, rtol, rhs, result)
     for k, (t, u) in enumerate(states):
         if k < len(snap_times):
             result.append((t, DensityGrid(grid0.x_max, u)))

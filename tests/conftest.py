@@ -4,18 +4,23 @@ import pytest
 import enerkin as ek
 
 
+def uniform_net(alpha=1.0):
+    """Single type, constant rate ``alpha``, uniform energy split: the one-type equation."""
+    return ek.ReactionNetwork(
+        ek.TypeTable(np.array([0.0])),
+        [ek.BinaryChannel((1, 1), ek.ConstantRate(alpha), ek.UniformKernel([(1, 1, 1.0)]))],
+    )
+
+
 @pytest.fixture
 def one_type_table():
     return ek.TypeTable(np.array([0.0]))
 
 
 @pytest.fixture
-def one_type_network(one_type_table):
+def one_type_network():
     """Single type, constant unit rate, uniform energy split."""
-    return ek.ReactionNetwork(
-        one_type_table,
-        [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))],
-    )
+    return uniform_net()
 
 
 @pytest.fixture

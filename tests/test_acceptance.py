@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import enerkin as ek
+from conftest import uniform_net
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -19,10 +20,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def one_type_net():
-    tt = ek.TypeTable(np.array([0.0]))
-    return ek.ReactionNetwork(
-        tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))]
-    )
+    return uniform_net()
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +31,7 @@ def relaxation_run():
         dt=0.01,
         t_end=20.0,
         scheme="rk4",
-        alpha=1.0,
+        network=uniform_net(),
         snapshot_times=tuple(np.round(np.arange(0.0, 20.0 + 1e-9, 0.5), 10)),
     )
     start = time.perf_counter()
@@ -288,7 +286,9 @@ def test_criterion_11_simulator_matches_solver(one_type_net):
     )
     trajs = ek.run_ensemble(cfg)
     grid0 = ek.DensityGrid.from_families([ek.UniformDensity(0.0, 2.0)], 20.0, 2000)
-    scfg = ek.SolverConfig(dt=0.01, t_end=5.0, scheme="rk4", alpha=1.0, snapshot_times=(1.0, 5.0))
+    scfg = ek.SolverConfig(
+        dt=0.01, t_end=5.0, scheme="rk4", network=one_type_net, snapshot_times=(1.0, 5.0)
+    )
     snaps = ek.integrate(grid0, scfg)
     elapsed = time.perf_counter() - start
     worst_z = 0.0

@@ -85,15 +85,20 @@ sys.path.insert(0, "perfbench")
 import enerkin
 import enerkin as ek
 import enerkin.cli
+import numpy as np
 import tracing
 
 rec = tracing.Recorder(0)
 tracing.install(rec, enerkin)
+net = ek.ReactionNetwork(
+    ek.TypeTable(np.array([0.0])),
+    [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))],
+)
 g = ek.DensityGrid.from_families([ek.UniformDensity(0.0, 2.0)], 10.0, 200)
-out = ek.integrate(g, ek.SolverConfig(t_end=2.0, alpha=1.0, snapshot_times=(0.5, 2.0)))
+out = ek.integrate(g, ek.SolverConfig(t_end=2.0, network=net, snapshot_times=(0.5, 2.0)))
 sums = tracing.command_sums(rec.spans)
 print(json.dumps({
-    "scheme": ek.SolverConfig(t_end=1.0, alpha=1.0).scheme,
+    "scheme": ek.SolverConfig(t_end=1.0, network=net).scheme,
     "rhs_evals": out.rhs_evals,
     "rhs_spans": sum(row[tracing.NAME].startswith(tracing.RHS_PREFIX) for row in rec.spans),
     "rhs_calls": sums["rhs_calls"],

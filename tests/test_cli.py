@@ -289,11 +289,13 @@ class TestSolveCommand:
             ({"rtol": 1.5}, "solve.rtol"),
             ({"grid": {"x_max": 10.0, "cells": 0}}, "solve.grid.cells"),
             ({"grid": {"x_max": -1.0, "cells": 50}}, "solve.grid.x_max"),
+            ({"snapshot_times": [99.0]}, "solve.snapshot_times"),
+            ({"snapshot_times": [0.5, -0.5]}, "solve.snapshot_times"),
         ],
         ids=[
             "no_cells", "no_x_max", "scheme", "flag", "unknown", "euler", "rk4_without_dt",
             "rk4_with_rtol", "zero_dt", "dopri5_with_dt", "negative_rtol", "rtol_ge_1",
-            "zero_cells", "negative_x_max",
+            "zero_cells", "negative_x_max", "snapshot_past_t_end", "negative_snapshot",
         ],
     )
     def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):

@@ -98,9 +98,17 @@ def test_gamma_shape_detection():
 
 
 def test_spec_round_trip():
-    for fam in (ek.Exponential(2.0), ek.GammaDensity(2.0, 3.0), ek.ShiftedGamma(1.5, 2.0, 0.5), ek.UniformDensity(0.0, 2.0)):
-        again = ek.density_from_spec(ek.density_to_spec(fam))
-        assert again == fam
+    specs = [
+        ({"family": "exponential", "beta": 2.0}, ek.Exponential(2.0)),
+        ({"family": "gamma", "nu": 2.0, "beta": 3.0}, ek.GammaDensity(2.0, 3.0)),
+        (
+            {"family": "shifted_gamma", "nu": 1.5, "beta": 2.0, "shift": 0.5},
+            ek.ShiftedGamma(1.5, 2.0, 0.5),
+        ),
+        ({"family": "uniform", "lo": 0.0, "hi": 2.0}, ek.UniformDensity(0.0, 2.0)),
+    ]
+    for spec, fam in specs:
+        assert ek.density_from_spec(spec) == fam
 
 
 def test_spec_rejects_zero_shape():

@@ -6,6 +6,7 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
+from conftest import uniform_net
 
 
 @pytest.fixture
@@ -140,7 +141,7 @@ class TestLocalEquilibriumAndFixedPoint:
 def relaxation_snapshots():
     g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
     cfg = ek.SolverConfig(
-        dt=0.02, t_end=10.0, scheme="rk4", alpha=1.0,
+        dt=0.02, t_end=10.0, scheme="rk4", network=uniform_net(),
         snapshot_times=tuple(np.linspace(0, 10, 21)),
     )
     return ek.integrate(g, cfg)
@@ -156,7 +157,7 @@ class TestEntropyMonotonicity:
     def test_stationary_start_keeps_entropy_constant(self, exp_f0):
         g = ek.DensityGrid.from_families([ek.Exponential(1.0)], 30.0, 1000)
         cfg = ek.SolverConfig(
-            dt=0.02, t_end=2.0, scheme="rk4", alpha=1.0,
+            dt=0.02, t_end=2.0, scheme="rk4", network=uniform_net(),
             snapshot_times=(0.0, 1.0, 2.0),
         )
         snaps = ek.integrate(g, cfg)

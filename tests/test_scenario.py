@@ -196,7 +196,7 @@ class TestSolverSetup:
         # every solve, the one-type one included, runs the scenario's network
         sc = ek.load_scenario(SCENARIO_DIR / "exponential_equilibrium.json")
         grid, cfg = sc.solver_setup()
-        assert cfg.alpha is None and cfg.network is sc.network
+        assert cfg.network is sc.network
         assert grid.n_cells == 2000
         assert ek.mass(grid) == pytest.approx(1.0, abs=1e-12)
 
@@ -217,7 +217,22 @@ def readme_checks():
     return listed
 
 
+def readme_section_keys(section):
+    """The backticked names outside parentheses in the README's ``section`` bullet."""
+    text = (ROOT / "README.md").read_text()
+    bullet = text.split(f"* `{section}`:", 1)[1].split("\n* ", 1)[0]
+    bare = None
+    while bare != bullet:  # innermost parentheses first
+        bare, bullet = bullet, re.sub(r"\([^()]*\)", "", bullet)
+    return set(re.findall(r"`(\w+)`", bullet))
+
+
 class TestCheckTable:
+    @pytest.mark.parametrize("section", ["run", "solve"])
+    def test_readme_lists_every_section_key(self, section):
+        declared = {"run": scenario._RUN, "solve": scenario._SOLVE}[section]
+        assert readme_section_keys(section) == set(declared)
+
     def test_readme_lists_every_check_with_its_parameters(self):
         listed = readme_checks()
         assert set(listed) == set(CHECKS)

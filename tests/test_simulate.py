@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 import enerkin as ek
-
-
-def uniform_net(alpha=1.0):
-    tt = ek.TypeTable(np.array([0.0]))
-    return ek.ReactionNetwork(
-        tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(alpha), ek.UniformKernel([(1, 1, 1.0)]))]
-    )
+from conftest import uniform_net
 
 
 class TestSampleNextEvent:
@@ -558,6 +552,17 @@ class TestInitialConditions:
         with pytest.raises(ek.ValidationError) as exc:
             make()
         assert exc.value.field == field
+
+    def test_unordered_histogram_edges_fault_names_their_field(self):
+        cfg = ek.SimulatorConfig(
+            uniform_net(),
+            ek.TypeCountsInitial((5,), (1.0,)),
+            t_end=1.0,
+            histogram_edges=np.array([1.0, 0.5]),
+        )
+        with pytest.raises(ek.ValidationError) as exc:
+            cfg.validate()
+        assert exc.value.field == "histogram_edges"
 
 
 class TestEnsemble:

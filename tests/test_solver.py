@@ -3,12 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spint
 
 import enerkin as ek
+from conftest import uniform_net
 from enerkin import solver
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ONE_TYPE = uniform_net()  # the one-type equation at unit rate
 
 
 def exp_grid(beta=1.0, x_max=40.0, n=4000, cell_average=True):
@@ -21,11 +25,7 @@ def exp_grid(beta=1.0, x_max=40.0, n=4000, cell_average=True):
 
 def gain_one_type(grid):
     """Gain of the one-type equation at unit rate, read from its collision plan."""
-    net = ek.ReactionNetwork(
-        ek.TypeTable(np.array([0.0])),
-        [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))],
-    )
-    return ek.CollisionPlan(net, grid.n_cells, grid.x_max).gain(grid.values)[0]
+    return ek.CollisionPlan(uniform_net(), grid.n_cells, grid.x_max).gain(grid.values)[0]
 
 
 def gap_network(ie=(0.0, 0.5), low_rate=None):
@@ -81,7 +81,7 @@ def canonical_channel(rho_1, rho_2):
     )
 
 
-def reference_rhs(grid, network, leak_to_last=False):
+def reference_rhs(grid, network):
     """The collision plan's formulas with dense tables and direct convolutions."""
     vals, n, h, x = grid.values, grid.n_cells, grid.h, grid.centers
     ie = network.types.internal_energies
@@ -112,9 +112,6 @@ def reference_rhs(grid, network, leak_to_last=False):
                 dens = np.where(e > 0, q / np.where(e > 0, e, 1.0), 0.0)
                 out[rcp - 1] += overlap @ dens / h
                 out[rcp - 1, 0] += q[e == 0].sum() / h
-                if leak_to_last:
-                    past = np.clip(e - n * h, 0.0, None) / np.maximum(e, 1e-300)
-                    out[rcp - 1, -1] += np.sum(q * past) / h
             else:
                 tiny = e < 0.5 * h
                 out[rcp - 1, 0] += q[tiny].sum() / h
@@ -321,16 +318,15 @@ class TestRhsMultitype:
 
 class TestCollisionPlan:
     @pytest.mark.parametrize(
-        "make_network, leak",
+        "make_network",
         [
-            ("two_type_canonical_network", False),
-            (canonical_gap_network, False),
-            (gap_network, False),
-            (lambda: gap_network((0.0, 0.5037), ek.SumDecayRate(1.5, 0.4)), False),
-            (lambda: gap_network((0.0, 0.5037), ek.SumDecayRate(1.5, 0.4)), True),
+            "two_type_canonical_network",
+            canonical_gap_network,
+            gap_network,
+            lambda: gap_network((0.0, 0.5037), ek.SumDecayRate(1.5, 0.4)),
         ],
     )
-    def test_matches_dense_reference(self, make_network, leak, request):
+    def test_matches_dense_reference(self, make_network, request):
         if isinstance(make_network, str):
             net = request.getfixturevalue(make_network)
         else:
@@ -338,8 +334,8 @@ class TestCollisionPlan:
         g = ek.DensityGrid.from_families(
             [ek.UniformDensity(0, 3), ek.Exponential(1.0)], 12.0, 96, weights=[0.6, 0.4]
         )
-        ref = reference_rhs(g, net, leak_to_last=leak)
-        got = ek.rhs_multitype(g, net, leak_to_last=leak)
+        ref = reference_rhs(g, net)
+        got = ek.rhs_multitype(g, net)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_plan_takes_raw_values(self, two_type_canonical_network):
@@ -376,10 +372,70 @@ class TestCollisionPlan:
         assert counts[0] == counts[1] > 0
 
 
+PROBE_X_MAX = 12.0
+
+
+@st.composite
+def plan_networks(draw):
+    """Networks the collision plan represents, small enough that nothing leaks.
+
+    Up to three types whose internal energies are all 0 or drawn from
+    [0, x_max / 8]; on every reactant pair a constant or sum_decay rate and a
+    uniform or canonical kernel with one or two outputs, the canonical
+    densities gammas of one common beta in {0.5, 1}, so beta * x_max <= 12.
+    """
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        internal = [0.0] * n
+    else:
+        gap = st.floats(0.0, PROBE_X_MAX / 8, allow_subnormal=False)
+        internal = draw(st.lists(gap, min_size=n, max_size=n))
+    beta = draw(st.sampled_from([0.5, 1.0]))
+    dens = {v: ek.GammaDensity(draw(st.floats(0.5, 3.0)), beta) for v in range(1, n + 1)}
+    type_ids = st.integers(1, n)
+    binary = []
+    for v in range(1, n + 1):
+        for w in range(v, n + 1):
+            if v == w:  # exchangeable slots: a mixed output needs its mirror
+                a, b = draw(type_ids), draw(type_ids)
+                outputs = [(a, b, 1.0)] if a == b else [(a, b, 1.0), (b, a, 1.0)]
+            else:
+                pairs = st.tuples(type_ids, type_ids)
+                pairs = draw(st.lists(pairs, min_size=1, max_size=2, unique=True))
+                outputs = [(a, b, draw(st.floats(0.1, 3.0))) for a, b in pairs]
+            if draw(st.booleans()):
+                kernel = ek.UniformKernel(outputs)
+            else:
+                kernel = ek.CanonicalKernel(outputs, dens)
+            scale = draw(st.floats(0.1, 2.0))
+            if draw(st.booleans()):
+                rate = ek.ConstantRate(scale)
+            else:
+                rate = ek.SumDecayRate(scale, draw(st.floats(0.0, 1.0)))
+            binary.append(ek.BinaryChannel((v, w), rate, kernel))
+    return ek.ReactionNetwork(ek.TypeTable(np.array(internal)), binary)
+
+
+@given(net=plan_networks(), n_cells=st.sampled_from([48, 96]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_collision_operator_conserves_mass_on_random_networks(net, n_cells, seed):
+    # densities on [0, x_max / 3] and gaps of at most x_max / 8 keep every
+    # available energy below x_max, so nothing leaks past the grid
+    values = np.zeros((net.types.count, n_cells))
+    values[:, : n_cells // 3] = np.random.default_rng(seed).random((net.types.count, n_cells // 3))
+    g = ek.DensityGrid(PROBE_X_MAX, values)
+    r = ek.rhs_multitype(g, net)
+    scale = np.abs(r).sum() * g.h
+    assert abs(r.sum()) * g.h <= 1e-9 * scale
+    if not np.any(net.types.internal_energies):
+        # without gaps the deposits are exact in energy too
+        assert abs((g.centers * r).sum()) * g.h <= 1e-9 * PROBE_X_MAX * scale
+
+
 class TestIntegrate:
     def test_t_end_zero_returns_initial(self):
         g = exp_grid(n=100)
-        cfg = ek.SolverConfig(dt=0.1, t_end=0.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.1, t_end=0.0, scheme="rk4", network=ONE_TYPE)
         out = ek.integrate(g, cfg)
         assert len(out) == 1
         t, grid = out[0]
@@ -389,7 +445,7 @@ class TestIntegrate:
     def test_relaxation_toward_exponential(self):
         # short version of the long acceptance run
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
-        cfg = ek.SolverConfig(dt=0.02, t_end=10.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.02, t_end=10.0, scheme="rk4", network=ONE_TYPE)
         (_, out), = ek.integrate(g, cfg)
         err = np.max(np.abs(out.values[0] - np.exp(-out.centers)))
         assert err < 3e-2
@@ -397,32 +453,15 @@ class TestIntegrate:
     def test_energy_conserved_along_run(self):
         tt = ek.TypeTable(np.array([0.0]))
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
-        cfg = ek.SolverConfig(dt=0.02, t_end=5.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.02, t_end=5.0, scheme="rk4", network=ONE_TYPE)
         (_, out), = ek.integrate(g, cfg)
         assert ek.mean_energy(out, tt) == pytest.approx(ek.mean_energy(g, tt), rel=1e-3)
 
-    def test_renormalized_mass_exactly_constant(self):
-        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
-        cfg = ek.SolverConfig(dt=0.02, t_end=5.0, scheme="rk4", alpha=1.0, renormalize_mass=True)
-        (_, out), = ek.integrate(g, cfg)
-        assert ek.mass(out) == pytest.approx(ek.mass(g), abs=1e-13)
-
-    def test_renormalized_mass_under_dopri5_matches_rk4(self):
-        g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, 600)
-        cfg = ek.SolverConfig(t_end=5.0, alpha=1.0, renormalize_mass=True)
-        out = ek.integrate(g, cfg)
-        (_, end), = out
-        assert ek.mass(end) == pytest.approx(ek.mass(g), abs=1e-13)
-        # one more right-hand side per accepted step, for the rescaled state
-        attempts = out.steps_accepted + out.steps_rejected
-        assert out.steps_accepted * 7 < out.rhs_evals <= 1 + 6 * attempts + out.steps_accepted
-        (_, ref), = ek.integrate(g, dataclasses.replace(cfg, scheme="rk4", dt=0.01))
-        assert np.max(np.abs(end.values - ref.values)) < 1e-7
-
     def test_dopri5_and_rk4_agree_at_small_dt(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 300)
-        out_d = ek.integrate(g, ek.SolverConfig(t_end=1.0, alpha=1.0))
-        out_r = ek.integrate(g, ek.SolverConfig(dt=0.002, t_end=1.0, scheme="rk4", alpha=1.0))
+        out_d = ek.integrate(g, ek.SolverConfig(t_end=1.0, network=ONE_TYPE))
+        rk4 = ek.SolverConfig(dt=0.002, t_end=1.0, scheme="rk4", network=ONE_TYPE)
+        out_r = ek.integrate(g, rk4)
         assert np.max(np.abs(out_d[0][1].values - out_r[0][1].values)) < 1e-7
 
     def test_grid_refinement_convergence(self):
@@ -430,7 +469,7 @@ class TestIntegrate:
         sols = {}
         for n in (150, 300, 600):
             g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 15.0, n)
-            cfg = ek.SolverConfig(dt=0.02, t_end=2.0, scheme="rk4", alpha=1.0)
+            cfg = ek.SolverConfig(dt=0.02, t_end=2.0, scheme="rk4", network=ONE_TYPE)
             sols[n] = ek.integrate(g, cfg)[0][1].values[0]
         d1 = np.max(np.abs(sols[150] - sols[300].reshape(-1, 2).mean(axis=1)))
         d2 = np.max(np.abs(sols[300] - sols[600].reshape(-1, 2).mean(axis=1)))
@@ -456,7 +495,7 @@ class TestIntegrate:
 
     def test_blowup_reports_step(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
-        cfg = ek.SolverConfig(dt=50.0, t_end=200.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=50.0, t_end=200.0, scheme="rk4", network=ONE_TYPE)
         with pytest.raises(ek.SolverBlowupError, match="step") as err:
             ek.integrate(g, cfg)
         assert (err.value.step, err.value.time) == (1, 50.0)
@@ -472,7 +511,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(solver, "rhs_multitype", rhs)
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
-        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE)
         with pytest.raises(ek.SolverBlowupError, match="negative density") as err:
             ek.integrate(g, cfg)
         assert (err.value.step, err.value.time) == (1, 0.1)
@@ -480,7 +519,7 @@ class TestIntegrate:
     def test_snapshot_times(self):
         g = exp_grid(n=100, x_max=20.0)
         cfg = ek.SolverConfig(
-            dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0, snapshot_times=(0.0, 0.5, 1.0)
+            dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE, snapshot_times=(0.0, 0.5, 1.0)
         )
         out = ek.integrate(g, cfg)
         assert [round(t, 6) for t, _ in out] == [0.0, 0.5, 1.0]
@@ -488,13 +527,13 @@ class TestIntegrate:
     def test_one_type_mass_kept_over_long_run(self):
         # the quadratic loss keeps unit mass stable: only the tail past x_max leaks
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 20.0, 400)
-        cfg = ek.SolverConfig(dt=0.05, t_end=20.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=0.05, t_end=20.0, scheme="rk4", network=ONE_TYPE)
         (_, out), = ek.integrate(g, cfg)
         assert abs(ek.mass(out) - ek.mass(g)) < 1e-6 * ek.mass(g)
 
     def test_stage_blowup_is_a_solver_error(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
-        cfg = ek.SolverConfig(dt=2.0, t_end=4.0, scheme="rk4", alpha=1.0)
+        cfg = ek.SolverConfig(dt=2.0, t_end=4.0, scheme="rk4", network=ONE_TYPE)
         with pytest.raises(ek.SolverBlowupError, match="stage") as err:
             ek.integrate(g, cfg)
         assert err.value.step == 1 and err.value.time == 2.0
@@ -521,7 +560,9 @@ class TestIntegrate:
 
     def test_snapshots_at_multiples_of_dt_keep_the_steps(self):
         g = exp_grid(n=100, x_max=20.0)
-        cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0, snapshot_times=(0.3, 1.0))
+        cfg = ek.SolverConfig(
+            dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE, snapshot_times=(0.3, 1.0)
+        )
         (t1, _), (t2, end) = ek.integrate(g, cfg)
         assert (t1, t2) == (0.3, 1.0)
         (_, alone), = ek.integrate(g, dataclasses.replace(cfg, snapshot_times=None))
@@ -530,31 +571,38 @@ class TestIntegrate:
     def test_config_validation(self):
         g = exp_grid(n=100)
         with pytest.raises(ek.ValidationError):
-            ek.integrate(g, ek.SolverConfig(dt=0.0, t_end=1.0, scheme="rk4", alpha=1.0))
+            ek.integrate(g, ek.SolverConfig(dt=0.0, t_end=1.0, scheme="rk4", network=ONE_TYPE))
+        with pytest.raises(TypeError, match="network"):
+            ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
         with pytest.raises(ek.ValidationError):
-            # neither alpha nor network
-            ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4"))
-        with pytest.raises(ek.ValidationError):
-            ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, scheme="leapfrog"))
+            ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, network=ONE_TYPE, scheme="leapfrog"))
 
     def test_scheme_options_validated(self):
         g = exp_grid(n=100)
         for cfg, message in (
-            (ek.SolverConfig(t_end=1.0, alpha=1.0, scheme="rk4"), "needs dt"),
-            (ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0, scheme="rk4", rtol=1e-6), "rtol"),
-            (ek.SolverConfig(dt=0.1, t_end=1.0, alpha=1.0), "dt applies to scheme 'rk4' only"),
-            (ek.SolverConfig(t_end=1.0, alpha=1.0, rtol=0.0), "rtol"),
-            (ek.SolverConfig(t_end=1.0, alpha=1.0, rtol=1.5), "rtol"),
-            (ek.SolverConfig(t_end=1.0, alpha=1.0, scheme="euler"), "scheme"),
+            (ek.SolverConfig(t_end=1.0, network=ONE_TYPE, scheme="rk4"), "needs dt"),
+            (ek.SolverConfig(dt=0.1, t_end=1.0, network=ONE_TYPE, scheme="rk4", rtol=1e-6), "rtol"),
+            (
+                ek.SolverConfig(dt=0.1, t_end=1.0, network=ONE_TYPE),
+                "dt applies to scheme 'rk4' only",
+            ),
+            (ek.SolverConfig(t_end=1.0, network=ONE_TYPE, rtol=0.0), "rtol"),
+            (ek.SolverConfig(t_end=1.0, network=ONE_TYPE, rtol=1.5), "rtol"),
+            (ek.SolverConfig(t_end=1.0, network=ONE_TYPE, scheme="euler"), "scheme"),
         ):
             with pytest.raises(ek.ValidationError, match=message):
                 ek.integrate(g, cfg)
 
+    def test_unknown_scheme_fault_names_its_field(self):
+        with pytest.raises(ek.ValidationError) as err:
+            ek.SolverConfig(t_end=1.0, network=ONE_TYPE, scheme="euler").validate()
+        assert err.value.field == "scheme"
+
     def test_result_counts_steps_and_right_hand_sides(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 100)
-        out = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", alpha=1.0))
+        out = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE))
         assert (out.steps_accepted, out.steps_rejected, out.rhs_evals) == (10, 0, 40)
-        out = ek.integrate(g, ek.SolverConfig(t_end=1.0, alpha=1.0))
+        out = ek.integrate(g, ek.SolverConfig(t_end=1.0, network=ONE_TYPE))
         assert 0 < out.steps_accepted < 20
         attempts = out.steps_accepted + out.steps_rejected
         # FSAL: one right-hand side to start, at most six per attempted step
@@ -613,11 +661,12 @@ class TestDopri5:
 
         monkeypatch.setattr(solver, "rhs_multitype", spy)
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
-        out = ek.integrate(g, ek.SolverConfig(t_end=4.0, alpha=1.0))
+        out = ek.integrate(g, ek.SolverConfig(t_end=4.0, network=ONE_TYPE))
         assert out.steps_rejected >= 1
         assert len(seen) == out.rhs_evals and min(seen) >= 0.0
         (_, end), = out
-        (_, ref), = ek.integrate(g, ek.SolverConfig(dt=0.01, t_end=4.0, scheme="rk4", alpha=1.0))
+        rk4 = ek.SolverConfig(dt=0.01, t_end=4.0, scheme="rk4", network=ONE_TYPE)
+        (_, ref), = ek.integrate(g, rk4)
         assert np.max(np.abs(end.values - ref.values)) < 1e-7
 
     def test_error_control_meets_rtol_on_linear_decay(self, monkeypatch):
@@ -633,7 +682,7 @@ class TestDopri5:
         monkeypatch.setattr(solver, "rhs_multitype", rhs)
         g = ek.DensityGrid(10.0, np.ones((1, 4)))
         times = (0.25, 1.0, 3.0)
-        out = ek.integrate(g, ek.SolverConfig(t_end=3.0, alpha=1.0, snapshot_times=times))
+        out = ek.integrate(g, ek.SolverConfig(t_end=3.0, network=ONE_TYPE, snapshot_times=times))
         assert out.steps_rejected == 1
         for t, grid in out:
             assert np.max(np.abs(grid.values - np.exp(-t))) < 1e-7 * np.exp(-t)
@@ -644,6 +693,6 @@ class TestDopri5:
         monkeypatch.setattr(solver, "rhs_multitype", lambda u, network, plan: -np.ones_like(u))
         g = ek.DensityGrid(10.0, np.ones((1, 50)))
         with pytest.raises(ek.SolverBlowupError, match="underflow") as err:
-            ek.integrate(g, ek.SolverConfig(t_end=2.0, alpha=1.0))
+            ek.integrate(g, ek.SolverConfig(t_end=2.0, network=ONE_TYPE))
         assert err.value.time == pytest.approx(1.0, abs=1e-12)
         assert err.value.step > 1
