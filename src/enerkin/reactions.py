@@ -206,33 +206,41 @@ class OutputPair:
             raise ValidationError(f"output weight must be positive, got {self.weight}")
 
 
-def canonical_split_pdf(rho_a: DensityFamily, rho_b: DensityFamily, total: float, x):
+def canonical_split_pdf(rho_a: DensityFamily, rho_b: DensityFamily, total, x):
     """Density at x of the first coordinate given that the pair sums to ``total``.
 
     This is the conditional law of two independent draws from (rho_a, rho_b)
     conditioned on their sum; the normalizer is the convolution of the two
-    densities evaluated at the sum.
+    densities evaluated at the sum.  ``total`` may be an array of sums
+    broadcast against x; a sum that carries no mass raises, naming the first.
     """
     x = np.asarray(x, dtype=float)
     z = _split_normalizer(rho_a, rho_b, total)
-    if z <= 0.0:
+    bad = np.flatnonzero(z <= 0.0)
+    if bad.size:
         raise KernelSupportError(
-            f"conditioning on total energy {total} carries no mass for this density pair"
+            f"conditioning on total energy {np.ravel(total)[bad[0]]} carries no mass for this "
+            "density pair"
         )
     vals = rho_a.pdf(x) * rho_b.pdf(total - x) / z
     return np.where((x >= 0) & (x <= total), vals, 0.0)
 
 
-def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total: float) -> float:
-    """Convolution of the two densities at ``total`` (closed form when gamma)."""
+def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total) -> np.ndarray:
+    """Convolution of the two densities at each ``total`` (closed form when gamma)."""
     ga, gb = rho_a.gamma_shape(), rho_b.gamma_shape()
     if ga is not None and gb is not None and ga[1] == gb[1]:
         from .densities import GammaDensity
 
-        return float(GammaDensity(ga[0] + gb[0], ga[1]).pdf(total))
+        return GammaDensity(ga[0] + gb[0], ga[1]).pdf(total)
     n = 4096
-    xs = (np.arange(n) + 0.5) * (total / n)
-    return float(np.sum(rho_a.pdf(xs) * rho_b.pdf(total - xs)) * (total / n))
+
+    def midpoint(t):
+        xs = (np.arange(n) + 0.5) * (t / n)
+        return float(np.sum(rho_a.pdf(xs) * rho_b.pdf(t - xs)) * (t / n))
+
+    # one total at a time, so that no (totals x 4096) array is built
+    return np.array([midpoint(t) for t in np.ravel(total)]).reshape(np.shape(total))
 
 
 def sample_canonical_split(
@@ -320,7 +328,9 @@ class ScatteringKernel:
 
     # -- energy split law per outgoing pair ---------------------------------
 
-    def split_pdf(self, out: OutputPair, e_avail: float, u):
+    def split_pdf(self, out: OutputPair, e_avail, u):
+        """Density of the first output's energy u at available energy ``e_avail``,
+        a float or an array of positive energies broadcast against u."""
         raise NotImplementedError
 
     def split_sample(self, out: OutputPair, e_avail: float, rng) -> float:
@@ -410,15 +420,48 @@ class ScatteringKernel:
 
     def check_normalization(self, v, t, v_other, t_other, types) -> float:
         """Tanh-sinh quadrature of the total outcome density; should equal outcome_mass."""
-        idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
-        total = 0.0
-        for k, wk, e in zip(idx, w, avail):
-            if e == 0.0:
-                total += wk  # split degenerates to a point mass at 0
-                continue
-            pdf = self.split_pdf(self.outputs[k], e, e * _QUAD_NODES)
-            total += wk * e * float(np.sum(pdf * _QUAD_WEIGHTS))
-        return total
+        totals, _ = self._quadrature_totals(
+            v, np.array([t], dtype=float), v_other, np.array([t_other], dtype=float), types
+        )
+        return float(totals[0])
+
+    def _quadrature_totals(self, v, t, v_other, t_other, types):
+        """``check_normalization`` at each entry of the 1-d energy arrays t, t_other.
+
+        Returns the totals and whether any output is feasible there.  Each
+        output's split density is evaluated once on a (rows x nodes) array, and
+        every total takes the same float operations, in the same order, as
+        ``feasible_outputs`` and a left-to-right sum over the feasible outputs.
+        """
+        kinetic = t + t_other
+        avail = [
+            available_kinetic_energy(kinetic, (v, v_other), (out.first, out.second), types)
+            for out in self.outputs
+        ]
+        feasible = np.stack([e >= 0.0 for e in avail], axis=1)
+        # the renormalizing sum depends on the feasible subset alone: take it per subset,
+        # as feasible_outputs does, since numpy does not sum weights left to right
+        weights = np.array([out.weight for out in self.outputs])
+        subsets, row_subset = np.unique(feasible, axis=0, return_inverse=True)
+        sums = np.array([weights[s].sum() if s.any() else 1.0 for s in subsets])
+        norm = sums[row_subset.reshape(-1)]
+        totals = np.zeros(kinetic.shape)
+        for out, weight, e in zip(self.outputs, weights, avail):
+            wk = weight / norm
+            term = np.where(e == 0.0, wk, 0.0)  # split degenerates to a point mass at 0
+            inside = e > 0.0
+            if inside.any():
+                e_in = e[inside]
+                try:
+                    pdf = self.split_pdf(out, e_in[:, None], e_in[:, None] * _QUAD_NODES)
+                except KernelSupportError:
+                    if kinetic.size > 1:  # raise the fault of the first pair in draw order
+                        for row in (slice(i, i + 1) for i in range(kinetic.size)):
+                            self._quadrature_totals(v, t[row], v_other, t_other[row], types)
+                    raise
+                term[inside] = wk[inside] * e_in * np.sum(pdf * _QUAD_WEIGHTS, axis=1)
+            totals += term
+        return totals, feasible.any(axis=1)
 
 
 class UniformKernel(ScatteringKernel):
@@ -428,9 +471,9 @@ class UniformKernel(ScatteringKernel):
 
     def split_pdf(self, out, e_avail, u):
         u = np.asarray(u, dtype=float)
-        if e_avail == 0.0:
-            return np.zeros_like(u)
-        return np.where((u >= 0) & (u <= e_avail), 1.0 / e_avail, 0.0)
+        e = np.asarray(e_avail, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where((u >= 0) & (u <= e) & (e > 0.0), 1.0 / e, 0.0)
 
     def split_sample(self, out, e_avail, rng):
         if e_avail == 0.0:
@@ -459,7 +502,7 @@ class CanonicalKernel(ScatteringKernel):
                     )
 
     def split_pdf(self, out, e_avail, u):
-        if e_avail == 0.0:
+        if np.ndim(e_avail) == 0 and e_avail == 0.0:
             return np.zeros(np.shape(u))
         return canonical_split_pdf(
             self.densities[out.first], self.densities[out.second], e_avail, u
@@ -493,7 +536,14 @@ class TableKernel(ScatteringKernel):
         self._mass = mass_fn
 
     def split_pdf(self, out, e_avail, u):
-        return self._pdf(out.first, out.second, e_avail, np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if np.ndim(e_avail) == 0:
+            return self._pdf(out.first, out.second, e_avail, u)
+        # split_pdf_fn takes one energy: one call per row of u
+        return np.array([
+            np.broadcast_to(self._pdf(out.first, out.second, e, row), row.shape)
+            for e, row in zip(np.ravel(e_avail), u)
+        ])
 
     def split_sample(self, out, e_avail, rng):
         return float(self._sample(out.first, out.second, e_avail, rng))
@@ -683,17 +733,23 @@ class ReactionNetwork:
         """Worst |quadrature of the outcome law - outcome mass| per binary channel.
 
         Each channel is checked at ``n_samples`` input pairs whose energies
-        are drawn i.i.d. exponential with mean ``scale``; keys are reactant pairs.
+        are drawn i.i.d. exponential with mean ``scale``, all in one array;
+        keys are reactant pairs.  The result equals that of drawing and
+        checking one pair at a time with ``check_normalization``.
         """
         errors = {}
         for ch in self.binary:
             v, w = ch.pair
-            worst = 0.0
-            for _ in range(n_samples):
-                t, tp = (float(x) for x in rng.exponential(scale, size=2))
-                total = ch.kernel.check_normalization(v, t, w, tp, self.types)
-                worst = max(worst, abs(total - ch.kernel.outcome_mass(v, t, w, tp, self.types)))
-            errors[ch.pair] = worst
+            kernel = ch.kernel
+            t, tp = rng.exponential(scale, size=(n_samples, 2)).T
+            totals, feasible = kernel._quadrature_totals(v, t, w, tp, self.types)
+            if kernel.sub_normalized:
+                pairs = zip(t.tolist(), tp.tolist())
+                masses = [kernel.outcome_mass(v, a, w, b, self.types) for a, b in pairs]
+            else:
+                masses = np.where(feasible, 1.0, 0.0)
+            # the largest error, ignoring NaN
+            errors[ch.pair] = float(np.fmax.reduce(np.abs(totals - masses), initial=0.0))
         return errors
 
     def validate_rate_symmetry(self, n_samples: int = 64, seed: int = 0, scale: float = 1.0):

@@ -47,7 +47,7 @@ from .reactions import (
     UniformKernel,
 )
 from .simulate import MixtureInitial, SimulatorConfig, TypeCountsInitial
-from .solver import DensityGrid, SolverConfig, check_rtol, integrate, rhs_one_type
+from .solver import DensityGrid, SolverConfig, integrate, rhs_one_type
 from .equilibrium import TypedDensity
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -119,10 +119,6 @@ def _instance(kind: type, what: str):
 
 _object = _instance(dict, "an object")
 _list = _instance(list, "a list")
-
-
-def _rtol(value) -> float:
-    return check_rtol(_number(value))
 
 
 def _array(ndim: int):
@@ -240,7 +236,7 @@ _SOLVE = {
     "grid": _Param(_object),
     "initial": _Param(_list),
     "dt": _Param(_positive, None),
-    "rtol": _Param(_rtol, None),
+    "rtol": _Param(_number, None),
     "t_end": _Param(),
     "scheme": _Param(_instance(str, "a string"), "dopri5"),
     "snapshot_times": _Param(_times, None),

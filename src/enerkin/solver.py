@@ -497,21 +497,14 @@ class SolverConfig:
         else:
             if self.dt is not None:
                 raise ValidationError("dt applies to scheme 'rk4' only", field="dt")
-            if self.rtol is not None:
-                check_rtol(self.rtol)
+            if self.rtol is not None and not (0 < self.rtol < 1):
+                raise ValidationError(f"rtol must lie in (0, 1), got {self.rtol}", field="rtol")
         for s in self.snapshot_times or ():
             if s < 0 or s > self.t_end + 1e-12:
                 raise ValidationError(
                     f"snapshot time {s} outside [0, {self.t_end}]", field="snapshot_times"
                 )
         check_plan_support(self.network)
-
-
-def check_rtol(rtol: float) -> float:
-    """``rtol`` itself if it lies in (0, 1), the range dopri5's step control takes."""
-    if not (0 < rtol < 1):
-        raise ValidationError(f"rtol must lie in (0, 1), got {rtol}")
-    return rtol
 
 
 class SolveResult(list):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import enerkin as ek
+from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS
 
 
 class TestRates:
@@ -408,3 +409,93 @@ def test_one_output_release_follows_the_type_table():
             assert out is None
         else:
             assert out[0] == out[2] == 2 and out[1] + out[3] == pytest.approx(e, rel=1e-15)
+
+
+def _per_pair_errors(network, n_samples, rng, scale=1.0):
+    """kernel_normalization_errors one input pair at a time: two scalar draws, the
+    quadrature summed output by output from ``feasible_outputs``, then the outcome mass."""
+    errors = {}
+    for ch in network.binary:
+        (v, w), k = ch.pair, ch.kernel
+        worst = 0.0
+        for _ in range(n_samples):
+            t, tp = (float(x) for x in rng.exponential(scale, size=2))
+            idx, weights, avail = k.feasible_outputs(v, t, w, tp, network.types)
+            total = 0.0
+            for i, wk, e in zip(idx, weights, avail):
+                if e == 0.0:
+                    total += wk  # the split is a point mass at 0
+                    continue
+                pdf = k.split_pdf(k.outputs[i], e, e * _QUAD_NODES)
+                total += wk * e * float(np.sum(pdf * _QUAD_WEIGHTS))
+            assert k.check_normalization(v, t, w, tp, network.types) == total
+            worst = max(worst, abs(total - k.outcome_mass(v, t, w, tp, network.types)))
+        errors[ch.pair] = worst
+    return errors
+
+
+def _uniform_gap_network():
+    # (1,1) -> (2,2) is infeasible below kinetic energy 1.4; the (1,2) channel has
+    # all nine ordered outputs, more weights than numpy sums left to right
+    tt = ek.TypeTable(np.array([0.0, 0.7, 1.5]))
+    rate = ek.ConstantRate(1.0)
+    nine = [(a, b, 0.3 + 0.2 * ((5 * a + 3 * b) % 7)) for a in (1, 2, 3) for b in (1, 2, 3)]
+    return ek.ReactionNetwork(tt, [
+        ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0), (2, 2, 3.0)])),
+        ek.BinaryChannel((1, 2), rate, ek.UniformKernel(nine)),
+        ek.BinaryChannel((3, 3), rate, ek.UniformKernel([(3, 3, 1.0), (1, 1, 0.5)])),
+    ])
+
+
+def _canonical_network(densities):
+    pair = (1, len(densities))
+    tt = ek.TypeTable(np.zeros(len(densities)))
+    kernel = ek.CanonicalKernel([(*pair, 1.0)], dict(enumerate(densities, start=1)))
+    return ek.ReactionNetwork(tt, [ek.BinaryChannel(pair, ek.ConstantRate(1.0), kernel)])
+
+
+def _table_network():
+    # sub-normalized: the split density integrates to 0.6, the mass varies per pair
+    kernel = ek.TableKernel(
+        [(1, 1, 1.0)],
+        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 0.6 / e, 0.0),
+        split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
+        mass_fn=lambda v, t, vp, tp: 0.25 + 0.5 * np.exp(-t - tp),
+    )
+    tt = ek.TypeTable(np.array([0.0]))
+    return ek.ReactionNetwork(tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), kernel)])
+
+
+ORACLE_NETWORKS = {
+    "uniform_gap": _uniform_gap_network,
+    # Gamma(1/2) splits as Beta(1/2, 1/2): the tanh-sinh rule meets its endpoint singularities
+    "gamma_half": lambda: _canonical_network([ek.GammaDensity(0.5, 1.0)]),
+    # no common gamma rate: the split normalizer is the midpoint quadrature
+    "uniform_exponential": lambda: _canonical_network(
+        [ek.UniformDensity(0.0, 3.0), ek.Exponential(1.0)]
+    ),
+    "table_mass_fn": _table_network,
+}
+
+
+class TestBatchedNormalizationCheck:
+    """kernel_normalization_errors takes each channel's draws as one array; its
+    worst errors equal those of the check made one input pair at a time."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("name", ["conftest_canonical", *ORACLE_NETWORKS])
+    def test_equals_per_pair_check(self, name, seed, request):
+        if name == "conftest_canonical":
+            net = request.getfixturevalue("two_type_canonical_network")
+        else:
+            net = ORACLE_NETWORKS[name]()
+        batched = net.kernel_normalization_errors(37, np.random.default_rng(seed))
+        assert batched == _per_pair_errors(net, 37, np.random.default_rng(seed))
+
+    def test_inputs_at_rest_take_the_point_mass(self):
+        # at energy scale 0 every kinetic energy is 0: a gap-free output splits no
+        # energy (a point mass at 0) while (3,3) -> (1,1) releases 3.0 to split
+        net = _uniform_gap_network()
+        batched = net.kernel_normalization_errors(37, np.random.default_rng(2), scale=0.0)
+        assert batched == _per_pair_errors(net, 37, np.random.default_rng(2), scale=0.0)
+        assert batched[(3, 3)] < 1e-12

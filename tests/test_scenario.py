@@ -146,8 +146,50 @@ class TestLoad:
     def test_canonical_kernel_without_support_rejected(self):
         # two Uniform[1, 2] draws never sum below 2: the split law does not exist there
         doc = self.canonical_doc({"family": "uniform", "lo": 1.0, "hi": 2.0})
-        with pytest.raises(ek.KernelSupportError):
+        with pytest.raises(ek.KernelSupportError) as err:
             scenario_from_dict(doc)
+        assert str(err.value) == self.first_support_fault([ek.UniformDensity(1.0, 2.0)])
+
+    def test_support_fault_names_the_first_pair_in_draw_order(self):
+        # the first output's pair has no mass above 6, the second's none below 2:
+        # the second fails at an earlier draw
+        doc = self.canonical_doc({"family": "uniform", "lo": 0.0, "hi": 3.0})
+        doc["types"]["internal_energies"] = [0.0, 0.0]
+        doc["initial"]["counts"] = [50, 50]
+        doc["initial"]["energies"] = [{"value": 1.0}, {"value": 1.0}]
+        kernel = doc["network"]["binary"][0]["kernel"]
+        kernel["outputs"].append({"pair": [2, 2], "weight": 1.0})
+        kernel["densities"]["2"] = {"family": "uniform", "lo": 1.0, "hi": 2.0}
+        with pytest.raises(ek.KernelSupportError) as err:
+            scenario_from_dict(doc)
+        densities = [ek.UniformDensity(0.0, 3.0), ek.UniformDensity(1.0, 2.0)]
+        assert str(err.value) == self.first_support_fault(densities)
+        assert str(err.value) != self.first_support_fault(densities[:1])
+
+    @staticmethod
+    def first_support_fault(densities) -> str:
+        """The fault of the load check's draws taken one pair at a time, each
+        same-type output split by its density in output order."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ek.KernelSupportError) as first:
+            for _ in range(1000):
+                total = sum(float(x) for x in rng.exponential(1.0, size=2))
+                for dens in densities:
+                    ek.canonical_split_pdf(dens, dens, total, 0.5 * total)
+        return str(first.value)
+
+    def test_load_checks_each_channel_as_one_array(self, monkeypatch):
+        calls = []
+        check = ek.ScatteringKernel.check_normalization
+
+        def spy(kernel, *args):
+            calls.append(kernel)
+            return check(kernel, *args)
+
+        monkeypatch.setattr(ek.ScatteringKernel, "check_normalization", spy)
+        sc = scenario.load_scenario(SCENARIO_DIR / "two_type_canonical.json")
+        assert len(sc.network.binary) == 3
+        assert calls == []
 
     @pytest.mark.parametrize(
         "change, message",

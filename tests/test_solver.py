@@ -598,6 +598,11 @@ class TestIntegrate:
             ek.SolverConfig(t_end=1.0, network=ONE_TYPE, scheme="euler").validate()
         assert err.value.field == "scheme"
 
+    def test_rtol_fault_names_its_field(self):
+        with pytest.raises(ek.ValidationError) as err:
+            ek.SolverConfig(t_end=1.0, network=ONE_TYPE, rtol=0.0).validate()
+        assert err.value.field == "rtol"
+
     def test_result_counts_steps_and_right_hand_sides(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 100)
         out = ek.integrate(g, ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE))
