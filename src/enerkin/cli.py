@@ -83,11 +83,12 @@ def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
     snaps = integrate(grid0, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, (t, grid) in enumerate(snaps):
-        rows = []
-        x = grid.centers
-        for v in range(1, grid.n_types + 1):
-            for c in range(grid.n_cells):
-                rows.append((v, float(x[c]), float(grid.values[v - 1, c])))
+        x = grid.centers.tolist()
+        rows = [
+            (v, xc, d)
+            for v, values in enumerate(grid.values.tolist(), start=1)
+            for xc, d in zip(x, values)
+        ]
         _write_csv(out_dir / f"grid_{k:03d}.csv", ["type_id", "x_center", "density"], rows)
     times_rows = [(k, float(t)) for k, (t, _) in enumerate(snaps)]
     _write_csv(out_dir / "times.csv", ["snapshot", "time"], times_rows)

@@ -86,33 +86,36 @@ class CollisionRateDensity:
     jump from the primed pair into (gamma, gamma1): the collision rate of
     the primed pair times the kernel density of the outcome, with the
     energy-conservation delta handled structurally (callers evaluate on the
-    conserving manifold; ``conserves`` tests membership).
+    conserving manifold; ``conserves`` tests membership).  A state is a
+    (type, energies) pair: the energies are 1-d arrays, one quadruple per
+    entry, and the four types are shared.
     """
 
     def __init__(self, network: ReactionNetwork):
         self.network = network
         self.types = network.types
 
-    def total_energy_of(self, gamma, gamma1) -> float:
+    def total_energy_of(self, gamma, gamma1):
         (v, x), (v1, x1) = gamma, gamma1
         ie = self.types.internal_energies
-        return float(x + x1 + ie[v - 1] + ie[v1 - 1])
+        return x + x1 + ie[v - 1] + ie[v1 - 1]
 
-    def conserves(self, gamma, gamma1, gamma_p, gamma1_p, tol: float = 1e-9) -> bool:
+    def conserves(self, gamma, gamma1, gamma_p, gamma1_p, tol: float = 1e-9):
         a = self.total_energy_of(gamma, gamma1)
         b = self.total_energy_of(gamma_p, gamma1_p)
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
-    def value(self, gamma, gamma1, gamma_p, gamma1_p) -> float:
-        (v, x), (v1, x1) = gamma, gamma1
-        (vp, xp), (v1p, x1p) = gamma_p, gamma1_p
-        rate = float(np.asarray(self.network.pair_rate(vp, xp, v1p, x1p)))
-        if rate == 0.0:
-            return 0.0
-        dens = float(
-            np.asarray(self.network.outcome_density(vp, xp, v1p, x1p, v, x, v1))
+    def value(self, gamma, gamma1, gamma_p, gamma1_p) -> np.ndarray:
+        (v, x), (v1, _), (vp, xp), (v1p, x1p) = gamma, gamma1, gamma_p, gamma1_p
+        rate = np.broadcast_to(
+            np.asarray(self.network.pair_rate(vp, xp, v1p, x1p), dtype=float), xp.shape
         )
-        return rate * dens
+        vals = np.zeros(xp.shape)
+        on = np.flatnonzero(rate)  # the kernel density is not evaluated where the rate is 0
+        if on.size:
+            dens = self.network.outcome_density(vp, xp[on], v1p, x1p[on], v, x[on], v1)
+            vals[on] = rate[on] * dens
+        return vals
 
 
 def _scrambled_halton(n: int, seed: int) -> np.ndarray:
@@ -198,77 +201,117 @@ class ResidualReport:
         return self.max_residual
 
 
+def _by_types(points):
+    """Group points, each a tuple of (type, energy) states, by their types.
+
+    Yields (indices, states): the indices of a group's points in order, and
+    its states as (type, array of the points' energies) pairs.
+    """
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault(tuple(state[0] for state in point), []).append(i)
+    for types, idx in groups.items():
+        energies = ([points[i][s][1] for i in idx] for s in range(len(types)))
+        yield idx, [(t, np.array(x, dtype=float)) for t, x in zip(types, energies)]
+
+
+def _report(residuals, points) -> ResidualReport:
+    """The worst residual, the first strict maximum in order, and its point;
+    a point whose residual is None counts as skipped."""
+    worst, worst_pt, used = 0.0, None, 0
+    for r, point in zip(residuals, points):
+        if r is None:
+            continue
+        used += 1
+        if r > worst:
+            worst, worst_pt = r, point
+    return ResidualReport(worst, used, len(points) - used, worst_pt)
+
+
 def detailed_balance_residual(
     w: CollisionRateDensity, f0: TypedDensity, quadruples, conservation_tol: float = 1e-9
 ) -> ResidualReport:
     """Worst |w(., .|.', .') f0' f0'' - w(.', .'|., .) f0 f0'| over the samples.
 
     Quadruples off the energy-conservation manifold are skipped and counted;
-    w vanishes there by construction.
+    w vanishes there by construction.  Quadruples that share their four types
+    are evaluated as one batch.
     """
-    worst, worst_pt, skipped, used = 0.0, None, 0, 0
-    for quad in quadruples:
-        g, g1, gp, g1p = quad
-        if not w.conserves(g, g1, gp, g1p, tol=conservation_tol):
-            skipped += 1
-            continue
-        used += 1
+    quads = list(quadruples)
+    residuals = [None] * len(quads)
+    for idx, states in _by_types(quads):
+        on = np.flatnonzero(w.conserves(*states, tol=conservation_tol))
+        g, g1, gp, g1p = ((t, x[on]) for t, x in states)
         fwd = w.value(g, g1, gp, g1p) * f0.pdf(*gp) * f0.pdf(*g1p)
         bwd = w.value(gp, g1p, g, g1) * f0.pdf(*g) * f0.pdf(*g1)
-        r = abs(fwd - bwd)
-        if r > worst:
-            worst, worst_pt = r, quad
-    return ResidualReport(worst, used, skipped, worst_pt)
+        for k, r in zip(on.tolist(), np.abs(fwd - bwd).tolist()):
+            residuals[idx[k]] = r
+    return _report(residuals, quads)
 
 
-def _le_integral(
-    w: CollisionRateDensity, f: TypedDensity, gamma, gamma1, n_quad: int
-) -> float:
-    """Outgoing-integrated balance at (gamma, gamma1): gain minus loss."""
+def _le_integral(w: CollisionRateDensity, f: TypedDensity, gamma, v1: int, x1s, n_quad: int):
+    """Outgoing-integrated balance at (gamma, (v1, x1)) for each x1 in the 1-d
+    array x1s: gain minus loss, one value per row.
+
+    The energy of gamma is a float or an array of one entry per row.  Each
+    outgoing type pair's terms are evaluated on (rows x n_quad) node arrays,
+    and every row takes the float operations of a one-point midpoint sum.
+    """
     net = w.network
     n_types = net.types.count
-    (v, x), (v1, x1) = gamma, gamma1
-    acc = 0.0
-    f_here = f.pdf(v, x) * f.pdf(v1, x1)
+    v, x = gamma
+    x1s = np.asarray(x1s, dtype=float)
+    x = np.broadcast_to(np.asarray(x, dtype=float), x1s.shape)
+    acc = np.zeros(x1s.shape)
+    f_here = f.pdf(v, x) * f.pdf(v1, x1s)
+    rate_here = np.broadcast_to(np.asarray(net.pair_rate(v, x, v1, x1s), dtype=float), x1s.shape)
+    nodes = np.arange(n_quad) + 0.5
     for vp in range(1, n_types + 1):
         for v1p in range(1, n_types + 1):
-            e = available_kinetic_energy(x + x1, (v, v1), (vp, v1p), net.types)
-            if e < 0:
+            e = available_kinetic_energy(x + x1s, (v, v1), (vp, v1p), net.types)
+            rows = np.flatnonzero(e > 0.0)
+            if not rows.size:
                 continue
-            h = e / n_quad if n_quad else 0.0
-            xs = (np.arange(n_quad) + 0.5) * h
-            ys = e - xs
+            e_in = e[rows]
+            h = e_in / n_quad
+            xs = nodes * h[:, None]
+            ys = e_in[:, None] - xs
             # gain: rate of the primed pair times the kernel density of (gamma, gamma1);
-            # the kernel factor depends on the primed energies only through their sum
+            # the kernel factor depends on the primed energies only through their sum.
+            # The terms rate * (f f) are formed in place, to keep fewer node arrays alive.
+            terms = f.pdf(vp, xs)
+            terms *= f.pdf(v1p, ys)
             rate_vec = np.asarray(net.pair_rate(vp, xs, v1p, ys), dtype=float)
-            if np.any(rate_vec > 0) and e > 0:
-                dens = float(
-                    np.asarray(net.outcome_density(vp, xs[0], v1p, ys[0], v, x, v1))
-                )
-                if dens:
-                    fvals = f.pdf(vp, xs) * f.pdf(v1p, ys)
-                    acc += float(np.sum(rate_vec * fvals)) * h * dens
+            terms *= rate_vec
+            k = np.flatnonzero(np.any(np.broadcast_to(rate_vec > 0, xs.shape), axis=1))
+            if k.size:
+                dens = net.outcome_density(vp, xs[k, 0], v1p, ys[k, 0], v, x[rows[k]], v1)
+                k, dens = k[dens != 0], dens[dens != 0]
+                acc[rows[k]] += np.sum(terms, axis=-1)[k] * h[k] * dens
+            del ys, rate_vec, terms  # free the gain's node arrays before the loss builds its own
             # loss: rate of (gamma, gamma1) times the kernel mass into the primed pair
-            rate_here = float(np.asarray(net.pair_rate(v, x, v1, x1)))
-            if rate_here > 0 and f_here > 0 and e > 0:
-                dens_vec = np.asarray(
-                    net.outcome_density(v, x, v1, x1, vp, xs, v1p), dtype=float
-                )
-                acc -= rate_here * f_here * float(np.sum(dens_vec)) * h
+            k = np.flatnonzero((rate_here[rows] > 0) & (f_here[rows] > 0))
+            if k.size:
+                r = rows[k]
+                u = xs if k.size == rows.size else xs[k]
+                dens_vec = net.outcome_density(v, x[r], v1, x1s[r], vp, u, v1p)
+                acc[r] -= rate_here[r] * f_here[r] * np.sum(dens_vec, axis=-1) * h[k]
     return acc
 
 
 def local_equilibrium_residual(
     w: CollisionRateDensity, f: TypedDensity, pairs, n_quad: int = 512
 ) -> ResidualReport:
-    """Worst integrated flux imbalance over the supplied (gamma, gamma1) pairs."""
-    worst, worst_pt, used = 0.0, None, 0
-    for gamma, gamma1 in pairs:
-        used += 1
-        r = abs(_le_integral(w, f, gamma, gamma1, n_quad))
-        if r > worst:
-            worst, worst_pt = r, (gamma, gamma1)
-    return ResidualReport(worst, used, 0, worst_pt)
+    """Worst integrated flux imbalance over the supplied (gamma, gamma1) pairs.
+
+    Pairs that share their two types are integrated as one batch.
+    """
+    pairs = list(pairs)
+    residuals = [None] * len(pairs)
+    for idx, (gamma, (v1, x1)) in _by_types(pairs):
+        for i, r in zip(idx, np.abs(_le_integral(w, f, gamma, v1, x1, n_quad)).tolist()):
+            residuals[i] = r
+    return _report(residuals, pairs)
 
 
 def fixed_point_residual(
@@ -282,24 +325,22 @@ def fixed_point_residual(
     """Worst collision-operator value at the supplied gamma points.
 
     Integrates the pairwise imbalance over the partner state; a pass at the
-    pair level implies a pass here at compatible tolerance.
+    pair level implies a pass here at compatible tolerance.  At each point,
+    the partner energies of each partner type are one batch.
     """
-    net = w.network
-    n_types = net.types.count
+    n_types = w.network.types.count
     if partner_cap is None:
         partner_cap = 40.0
     h1 = partner_cap / n_partner
     x1s = (np.arange(n_partner) + 0.5) * h1
-    worst, worst_pt = 0.0, None
+    residuals = []
     for gamma in gammas:
         acc = 0.0
         for v1 in range(1, n_types + 1):
-            for x1 in x1s:
-                acc += _le_integral(w, f, gamma, (v1, float(x1)), n_quad) * h1
-        r = abs(acc)
-        if r > worst:
-            worst, worst_pt = r, gamma
-    return ResidualReport(worst, len(gammas), 0, worst_pt)
+            for term in (_le_integral(w, f, gamma, v1, x1s, n_quad) * h1).tolist():
+                acc += term  # left to right, in partner order
+        residuals.append(abs(acc))
+    return _report(residuals, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +410,37 @@ def entropy_monotonicity_check(snapshots, f0, tol: float = 1e-6) -> EntropyCheck
 def additive_conservation_residual(
     f: TypedDensity, f0: TypedDensity, quadruples, w: CollisionRateDensity = None
 ) -> ResidualReport:
-    """Worst |delta log f - delta log f0| over quadruples in the jump support."""
-    worst, worst_pt, used, skipped = 0.0, None, 0, 0
-    for quad in quadruples:
-        g, g1, gp, g1p = quad
-        if w is not None and w.value(g, g1, gp, g1p) == 0.0 and w.value(gp, g1p, g, g1) == 0.0:
-            skipped += 1
-            continue
-        vals_f = [f.pdf(*g), f.pdf(*g1), f.pdf(*gp), f.pdf(*g1p)]
-        vals_f0 = [f0.pdf(*g), f0.pdf(*g1), f0.pdf(*gp), f0.pdf(*g1p)]
-        if any(v <= 0 for v in vals_f + vals_f0):
+    """Worst |delta log f - delta log f0| over quadruples in the jump support.
+
+    Rates and densities are evaluated per batch of quadruples that share
+    their four types; the logarithms are taken one quadruple at a time.
+    """
+    quads = list(quadruples)
+    dens = [None] * len(quads)  # the eight densities of each quadruple in the jump support
+    for idx, states in _by_types(quads):
+        on = np.ones(len(idx), dtype=bool)
+        if w is not None:  # outside the support when both directions have rate density 0
+            zero = np.flatnonzero(w.value(*states) == 0.0)
+            g, g1, gp, g1p = ((t, x[zero]) for t, x in states)
+            on[zero[w.value(gp, g1p, g, g1) == 0.0]] = False
+        on = np.flatnonzero(on)
+        cols = [d.pdf(t, x[on]).tolist() for d in (f, f0) for t, x in states]
+        for i, vals in zip(on.tolist(), zip(*cols)):
+            dens[idx[i]] = vals
+    residuals = []
+    for quad, vals in zip(quads, dens):
+        if vals is None:
+            residuals.append(None)
+        elif any(v <= 0 for v in vals):
             raise ValidationError(f"nonpositive density at sampled quadruple {quad}")
-        used += 1
-        d_f = math.log(vals_f[2]) + math.log(vals_f[3]) - math.log(vals_f[0]) - math.log(vals_f[1])
-        d_f0 = math.log(vals_f0[2]) + math.log(vals_f0[3]) - math.log(vals_f0[0]) - math.log(vals_f0[1])
-        r = abs(d_f - d_f0)
-        if r > worst:
-            worst, worst_pt = r, quad
-    return ResidualReport(worst, used, skipped, worst_pt)
+        else:
+            residuals.append(abs(_delta_log(*vals[:4]) - _delta_log(*vals[4:])))
+    return _report(residuals, quads)
+
+
+def _delta_log(a, a1, b, b1) -> float:
+    """log b + log b1 - log a - log a1, left to right."""
+    return math.log(b) + math.log(b1) - math.log(a) - math.log(a1)
 
 
 # ---------------------------------------------------------------------------

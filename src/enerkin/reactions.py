@@ -354,15 +354,31 @@ class ScatteringKernel:
         return idx, w, avail
 
     def outcome_density(self, v, t, v_other, t_other, v_out, u, v_out_other, types):
-        """Density of the triple (first output type, its energy, second type)."""
-        idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
-        for k, wk, e in zip(idx, w, avail):
-            out = self.outputs[k]
-            if (out.first, out.second) == (v_out, v_out_other):
-                u_arr = np.asarray(u, dtype=float)
-                vals = wk * self.split_pdf(out, e, u_arr)
-                return np.where((u_arr >= 0) & (u_arr <= e), vals, 0.0)
-        return np.zeros(np.shape(u)) if np.shape(u) else 0.0
+        """Density of the triple (first output type, its energy, second type).
+
+        The input energies are floats, or 1-d arrays with one row per entry;
+        u is then a float or an array whose leading axis runs over the rows.
+        A split of zero available energy is a point mass: it has no density.
+        """
+        kinetic = np.add(t, t_other)
+        rows = kinetic.reshape(-1)
+        u = np.asarray(u, dtype=float)
+        u = np.broadcast_to(u if kinetic.ndim else u[None], rows.shape + u.shape[kinetic.ndim:])
+        dens = np.zeros(u.shape)
+        pair = (v_out, v_out_other)
+        k = next((k for k, o in enumerate(self.outputs) if (o.first, o.second) == pair), None)
+        if k is not None:
+            avail, weights, _ = self._feasible_weights(v, rows, v_other, types)
+            inside = avail[k] > 0.0
+            if inside.any():
+                # the rows with energy to split; a slice when that is all, which copies nothing
+                inside = slice(None) if inside.all() else np.flatnonzero(inside)
+                e = avail[k][inside].reshape((-1,) + (1,) * (u.ndim - 1))
+                u_in = u[inside]
+                wk = weights[k][inside].reshape(e.shape)
+                vals = wk * self.split_pdf(self.outputs[k], e, u_in)
+                dens[inside] = np.where((u_in >= 0) & (u_in <= e), vals, 0.0)
+        return dens if kinetic.ndim else dens[0]
 
     def outcome_mass(self, v, t, v_other, t_other, types) -> float:
         """Total outgoing probability; 1 unless every outgoing pair is infeasible."""
@@ -425,6 +441,30 @@ class ScatteringKernel:
         )
         return float(totals[0])
 
+    def _feasible_weights(self, v, kinetic, v_other, types):
+        """Per output, its available energy and its renormalized weight at each
+        entry of the 1-d array ``kinetic``, and the (entries x outputs) feasibility.
+
+        Each weight takes the float operations of ``feasible_outputs``: the
+        renormalizing sum depends on the feasible subset alone, so it is taken
+        once per subset with the same call, since numpy does not sum weights
+        left to right.  An output's available energy is the kinetic energy
+        plus a constant, so the feasible subsets are nested and their sizes
+        tell them apart.  A weight is meaningful only where its output is feasible.
+        """
+        avail = [
+            available_kinetic_energy(kinetic, (v, v_other), (out.first, out.second), types)
+            for out in self.outputs
+        ]
+        feasible = np.stack([e >= 0.0 for e in avail], axis=1)
+        weights = np.array([out.weight for out in self.outputs])
+        sizes, first, row_subset = np.unique(
+            feasible.sum(axis=1), return_index=True, return_inverse=True
+        )
+        sums = np.array([weights[feasible[i]].sum() if n else 1.0 for n, i in zip(sizes, first)])
+        norm = sums[row_subset]
+        return avail, [weight / norm for weight in weights], feasible
+
     def _quadrature_totals(self, v, t, v_other, t_other, types):
         """``check_normalization`` at each entry of the 1-d energy arrays t, t_other.
 
@@ -434,20 +474,9 @@ class ScatteringKernel:
         ``feasible_outputs`` and a left-to-right sum over the feasible outputs.
         """
         kinetic = t + t_other
-        avail = [
-            available_kinetic_energy(kinetic, (v, v_other), (out.first, out.second), types)
-            for out in self.outputs
-        ]
-        feasible = np.stack([e >= 0.0 for e in avail], axis=1)
-        # the renormalizing sum depends on the feasible subset alone: take it per subset,
-        # as feasible_outputs does, since numpy does not sum weights left to right
-        weights = np.array([out.weight for out in self.outputs])
-        subsets, row_subset = np.unique(feasible, axis=0, return_inverse=True)
-        sums = np.array([weights[s].sum() if s.any() else 1.0 for s in subsets])
-        norm = sums[row_subset.reshape(-1)]
+        avail, weights, feasible = self._feasible_weights(v, kinetic, v_other, types)
         totals = np.zeros(kinetic.shape)
-        for out, weight, e in zip(self.outputs, weights, avail):
-            wk = weight / norm
+        for out, wk, e in zip(self.outputs, weights, avail):
             term = np.where(e == 0.0, wk, 0.0)  # split degenerates to a point mass at 0
             inside = e > 0.0
             if inside.any():
@@ -709,21 +738,22 @@ class ReactionNetwork:
         """Density that slot a becomes (v_out_a, u_a) and slot b becomes v_out_b.
 
         Slots are canonicalized internally so the value is invariant under
-        exchanging (a, b) jointly in inputs and outputs.
+        exchanging (a, b) jointly in inputs and outputs.  Energies and u_a are
+        shaped as in ``ScatteringKernel.outcome_density``.
         """
         ch = self.binary_channel(v_a, v_b)
+        u_a = np.asarray(u_a, dtype=float)
         if ch is None:
-            return np.zeros(np.shape(u_a)) if np.shape(u_a) else 0.0
+            rows = np.shape(np.add(t_a, t_b))
+            return np.zeros(rows + u_a.shape[len(rows):])
         if (v_a, v_b) == ch.pair:
             return ch.kernel.outcome_density(
                 v_a, t_a, v_b, t_b, v_out_a, u_a, v_out_b, self.types
             )
         # reversed slot order: the slot-a energy is the complement of the
         # kernel's first outgoing energy, a measure-preserving change of variable
-        u_a = np.asarray(u_a, dtype=float)
-        e = available_kinetic_energy(t_a + t_b, (v_a, v_b), (v_out_a, v_out_b), self.types)
-        if e < 0:
-            return np.zeros_like(u_a)
+        e = available_kinetic_energy(np.add(t_a, t_b), (v_a, v_b), (v_out_a, v_out_b), self.types)
+        e = np.reshape(e, np.shape(e) + (1,) * (u_a.ndim - np.ndim(e)))
         vals = ch.kernel.outcome_density(
             v_b, t_b, v_a, t_a, v_out_b, e - u_a, v_out_a, self.types
         )
@@ -735,7 +765,8 @@ class ReactionNetwork:
         Each channel is checked at ``n_samples`` input pairs whose energies
         are drawn i.i.d. exponential with mean ``scale``, all in one array;
         keys are reactant pairs.  The result equals that of drawing and
-        checking one pair at a time with ``check_normalization``.
+        checking one pair at a time with ``check_normalization``; a channel
+        whose quadrature is NaN anywhere reads NaN.
         """
         errors = {}
         for ch in self.binary:
@@ -748,8 +779,8 @@ class ReactionNetwork:
                 masses = [kernel.outcome_mass(v, a, w, b, self.types) for a, b in pairs]
             else:
                 masses = np.where(feasible, 1.0, 0.0)
-            # the largest error, ignoring NaN
-            errors[ch.pair] = float(np.fmax.reduce(np.abs(totals - masses), initial=0.0))
+            # the largest error; a NaN total makes it NaN
+            errors[ch.pair] = float(np.max(np.abs(totals - masses), initial=0.0))
         return errors
 
     def validate_rate_symmetry(self, n_samples: int = 64, seed: int = 0, scale: float = 1.0):

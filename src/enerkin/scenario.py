@@ -495,7 +495,7 @@ def _spot_check_kernels(network: ReactionNetwork) -> None:
     """Quadrature spot-check that each kernel's outcome law is normalized."""
     errors = network.kernel_normalization_errors(1000, default_rng(0))
     for pair, worst in errors.items():
-        if worst > 5e-3:
+        if not worst <= 5e-3:  # NaN fails too
             raise ValidationError(
                 f"network.binary {pair}: kernel outcome law integrates to "
                 f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes"
@@ -584,7 +584,7 @@ def _kernel_normalization(scenario: Scenario, a: dict):
     errors = scenario.network.kernel_normalization_errors(
         per_channel, default_rng(a["seed"]), a["energy_scale"]
     )
-    return max(errors.values(), default=0.0), per_channel * len(errors)
+    return float(np.max(list(errors.values()), initial=0.0)), per_channel * len(errors)
 
 
 def _admissible_pair(scenario: Scenario, a: dict):

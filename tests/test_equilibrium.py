@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -195,6 +197,213 @@ class TestAdditiveConservation:
         quads = [((1, 1.0), (1, 1.0), (1, 0.5), (1, 1.5))]
         with pytest.raises(ek.ValidationError):
             ek.additive_conservation_residual(f, f0, quads)
+
+
+# ---------------------------------------------------------------------------
+# The residual checks one point at a time, with the kernel density assembled from
+# ``feasible_outputs``: the oracle of the batched checks, which must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_kernel_density(kernel, v, t, v_other, t_other, v_out, u, v_out_other, types):
+    idx, w, avail = kernel.feasible_outputs(v, t, v_other, t_other, types)
+    for k, wk, e in zip(idx, w, avail):
+        out = kernel.outputs[k]
+        if (out.first, out.second) == (v_out, v_out_other):
+            u_arr = np.asarray(u, dtype=float)
+            vals = wk * kernel.split_pdf(out, e, u_arr)
+            return np.where((u_arr >= 0) & (u_arr <= e), vals, 0.0)
+    return np.zeros(np.shape(u)) if np.shape(u) else 0.0
+
+
+def reference_outcome_density(net, v_a, t_a, v_b, t_b, v_out_a, u_a, v_out_b):
+    ch = net.binary_channel(v_a, v_b)
+    if ch is None:
+        return np.zeros(np.shape(u_a)) if np.shape(u_a) else 0.0
+    if (v_a, v_b) == ch.pair:
+        return reference_kernel_density(ch.kernel, v_a, t_a, v_b, t_b, v_out_a, u_a, v_out_b, net.types)
+    u_a = np.asarray(u_a, dtype=float)
+    e = ek.available_kinetic_energy(t_a + t_b, (v_a, v_b), (v_out_a, v_out_b), net.types)
+    if e < 0:
+        return np.zeros_like(u_a)
+    vals = reference_kernel_density(ch.kernel, v_b, t_b, v_a, t_a, v_out_b, e - u_a, v_out_a, net.types)
+    return np.where((u_a >= 0) & (u_a <= e), vals, 0.0)
+
+
+def reference_value(net, gamma, gamma1, gamma_p, gamma1_p):
+    (v, x), (v1, x1) = gamma, gamma1
+    (vp, xp), (v1p, x1p) = gamma_p, gamma1_p
+    rate = float(np.asarray(net.pair_rate(vp, xp, v1p, x1p)))
+    if rate == 0.0:
+        return 0.0
+    return rate * float(np.asarray(reference_outcome_density(net, vp, xp, v1p, x1p, v, x, v1)))
+
+
+def reference_detailed_balance(net, f0, quads, tol=1e-9):
+    ie = net.types.internal_energies
+    worst, worst_pt, skipped, used = 0.0, None, 0, 0
+    for quad in quads:
+        (v, x), (v1, x1), (vp, xp), (v1p, x1p) = g, g1, gp, g1p = quad
+        a, b = float(x + x1 + ie[v - 1] + ie[v1 - 1]), float(xp + x1p + ie[vp - 1] + ie[v1p - 1])
+        if not abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
+            skipped += 1
+            continue
+        used += 1
+        fwd = reference_value(net, g, g1, gp, g1p) * f0.pdf(*gp) * f0.pdf(*g1p)
+        bwd = reference_value(net, gp, g1p, g, g1) * f0.pdf(*g) * f0.pdf(*g1)
+        r = abs(fwd - bwd)
+        if r > worst:
+            worst, worst_pt = r, quad
+    return ek.ResidualReport(worst, used, skipped, worst_pt)
+
+
+def reference_le_integral(net, f, gamma, gamma1, n_quad):
+    (v, x), (v1, x1) = gamma, gamma1
+    acc = 0.0
+    f_here = f.pdf(v, x) * f.pdf(v1, x1)
+    for vp in range(1, net.types.count + 1):
+        for v1p in range(1, net.types.count + 1):
+            e = ek.available_kinetic_energy(x + x1, (v, v1), (vp, v1p), net.types)
+            if e < 0:
+                continue
+            h = e / n_quad
+            xs = (np.arange(n_quad) + 0.5) * h
+            ys = e - xs
+            rate_vec = np.asarray(net.pair_rate(vp, xs, v1p, ys), dtype=float)
+            if np.any(rate_vec > 0) and e > 0:
+                dens = float(np.asarray(reference_outcome_density(net, vp, xs[0], v1p, ys[0], v, x, v1)))
+                if dens:
+                    fvals = f.pdf(vp, xs) * f.pdf(v1p, ys)
+                    acc += float(np.sum(rate_vec * fvals)) * h * dens
+            rate_here = float(np.asarray(net.pair_rate(v, x, v1, x1)))
+            if rate_here > 0 and f_here > 0 and e > 0:
+                dens_vec = np.asarray(reference_outcome_density(net, v, x, v1, x1, vp, xs, v1p))
+                acc -= rate_here * f_here * float(np.sum(dens_vec)) * h
+    return acc
+
+
+def reference_local_equilibrium(net, f, pairs, n_quad=512):
+    worst, worst_pt = 0.0, None
+    for gamma, gamma1 in pairs:
+        r = abs(reference_le_integral(net, f, gamma, gamma1, n_quad))
+        if r > worst:
+            worst, worst_pt = r, (gamma, gamma1)
+    return ek.ResidualReport(worst, len(pairs), 0, worst_pt)
+
+
+def reference_fixed_point(net, f, gammas, n_quad=256, partner_cap=40.0, n_partner=128):
+    h1 = partner_cap / n_partner
+    x1s = (np.arange(n_partner) + 0.5) * h1
+    worst, worst_pt = 0.0, None
+    for gamma in gammas:
+        acc = 0.0
+        for v1 in range(1, net.types.count + 1):
+            for x1 in x1s:
+                acc += reference_le_integral(net, f, gamma, (v1, float(x1)), n_quad) * h1
+        r = abs(acc)
+        if r > worst:
+            worst, worst_pt = r, gamma
+    return ek.ResidualReport(worst, len(gammas), 0, worst_pt)
+
+
+def reference_additive_conservation(net, f, f0, quads):
+    worst, worst_pt, used, skipped = 0.0, None, 0, 0
+    for quad in quads:
+        g, g1, gp, g1p = quad
+        if reference_value(net, g, g1, gp, g1p) == 0.0 and reference_value(net, gp, g1p, g, g1) == 0.0:
+            skipped += 1
+            continue
+        vals = [d.pdf(*s) for d in (f, f0) for s in quad]
+        used += 1
+        d_f, d_f0 = (
+            math.log(a[2]) + math.log(a[3]) - math.log(a[0]) - math.log(a[1]) for a in (vals[:4], vals[4:])
+        )
+        r = abs(d_f - d_f0)
+        if r > worst:
+            worst, worst_pt = r, quad
+    return ek.ResidualReport(worst, used, skipped, worst_pt)
+
+
+def _oracle_network(tt, rate, kernels):
+    return ek.ReactionNetwork(tt, [ek.BinaryChannel(p, rate, k) for p, k in kernels.items()])
+
+
+def _gap_network():
+    # (1,1) -> (2,2) needs kinetic energy 1.4, and (2,2) -> (2,2) is infeasible for no
+    # row while (2,2) -> (1,1) releases 1.4: rows are infeasible for some outputs only
+    return _oracle_network(ek.TypeTable(np.array([0.0, 0.7])), ek.ConstantRate(1.0), {
+        (1, 1): ek.UniformKernel([(1, 1, 1.0), (2, 2, 3.0)]),
+        (1, 2): ek.UniformKernel([(1, 2, 1.0), (2, 1, 2.0)]),
+        (2, 2): ek.UniformKernel([(2, 2, 1.0), (1, 1, 0.5)]),
+    })
+
+
+def _table_kernel():
+    # a triangular split law: density 2u/e^2 on [0, e]
+    return ek.TableKernel(
+        [(1, 1, 1.0)],
+        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 2.0 * u / e**2, 0.0),
+        split_sample_fn=lambda a, b, e, rng: e * np.sqrt(rng.uniform()),
+    )
+
+
+ONE_TYPE = ek.TypeTable(np.array([0.0]))
+EXP = ek.TypedDensity((ek.Exponential(1.0),))
+GAMMA_EXP = ek.TypedDensity((ek.GammaDensity(2.0, 1.0), ek.Exponential(1.0)), (0.5, 0.5))
+RESIDUAL_ORACLE_NETWORKS = {
+    "one_type_uniform": (uniform_net, EXP),
+    "two_type_canonical": (None, GAMMA_EXP),  # the conftest network
+    "two_type_gap": (_gap_network, ek.TypedDensity((ek.Exponential(1.0), ek.Exponential(1.5)), (0.6, 0.4))),
+    "sum_decay": (
+        lambda: _oracle_network(ONE_TYPE, ek.SumDecayRate(1.5, 0.3), {(1, 1): ek.UniformKernel([(1, 1, 1.0)])}),
+        ek.TypedDensity((ek.GammaDensity(2.0, 1.0),)),
+    ),
+    "table_kernel": (lambda: _oracle_network(ONE_TYPE, ek.ConstantRate(1.0), {(1, 1): _table_kernel()}), EXP),
+}
+
+
+def _fields(rep):
+    return (rep.max_residual, rep.n_evaluated, rep.n_skipped, rep.worst_point)
+
+
+class TestBatchedResidualsMatchOnePointAtATime:
+    """Each batched check reports what the one-point loop reports, exactly."""
+
+    @pytest.fixture(params=sorted(RESIDUAL_ORACLE_NETWORKS))
+    def case(self, request):
+        make, f = RESIDUAL_ORACLE_NETWORKS[request.param]
+        net = request.getfixturevalue("two_type_canonical_network") if make is None else make()
+        quads = ek.sample_conserving_quadruples(net, 120, seed=5)
+        return net, ek.CollisionRateDensity(net), f, quads
+
+    def test_detailed_balance(self, case):
+        net, w, f, quads = case
+        # a few off the conservation manifold, to be skipped
+        quads = quads + [(g, g1, (vp, xp + 0.5), g1p) for g, g1, (vp, xp), g1p in quads[:3]]
+        rep = ek.detailed_balance_residual(w, f, quads)
+        assert type(rep.max_residual) is float and rep.n_skipped == 3
+        assert _fields(rep) == _fields(reference_detailed_balance(net, f, quads))
+
+    def test_local_equilibrium(self, case):
+        net, w, f, quads = case
+        pairs = [(q[0], q[1]) for q in quads[:20] + quads[-6:]]
+        rep = ek.local_equilibrium_residual(w, f, pairs)
+        assert type(rep.max_residual) is float
+        assert _fields(rep) == _fields(reference_local_equilibrium(net, f, pairs))
+
+    def test_fixed_point(self, case):
+        net, w, f, quads = case
+        gammas = [q[0] for q in quads[:2] + quads[-2:]]  # the last are corners: x = 0 or x = e
+        rep = ek.fixed_point_residual(w, f, gammas)
+        assert type(rep.max_residual) is float
+        assert _fields(rep) == _fields(reference_fixed_point(net, f, gammas))
+
+    def test_additive_conservation(self, case):
+        net, w, _, quads = case
+        f, f0 = (ek.TypedDensity((ek.Exponential(beta),) * net.types.count) for beta in (2.0, 1.0))
+        rep = ek.additive_conservation_residual(f, f0, quads, w=w)
+        assert type(rep.max_residual) is float
+        assert _fields(rep) == _fields(reference_additive_conservation(net, f, f0, quads))
 
 
 class TestKernelsAndConvolutions:

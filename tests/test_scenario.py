@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import enerkin as ek
-from enerkin import scenario
+from enerkin import cli, scenario
 from enerkin.scenario import CHECKS, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,6 +190,24 @@ class TestLoad:
         sc = scenario.load_scenario(SCENARIO_DIR / "two_type_canonical.json")
         assert len(sc.network.binary) == 3
         assert calls == []
+
+    def test_nan_split_density_fails_the_normalization_checks(self):
+        # a split law the quadrature reads as NaN is not known to be normalized
+        kernel = ek.TableKernel(
+            [(1, 1, 1.0)],
+            split_pdf_fn=lambda a, b, e, u: np.full(np.shape(u), np.nan),
+            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
+        )
+        net = ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0])), [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), kernel)]
+        )
+        assert np.isnan(net.kernel_normalization_errors(100, np.random.default_rng(0))[(1, 1)])
+        with pytest.raises(ek.ValidationError, match=re.escape("network.binary (1, 1)")):
+            scenario._spot_check_kernels(net)
+        sc = dataclasses.replace(scenario_from_dict(minimal_doc()), network=net)
+        args = scenario.check_arguments(sc, {"name": "kernel_normalization", "samples": 100})
+        result = cli._run_check(sc, "kernel_normalization", args)
+        assert np.isnan(result["observed"]) and result["passed"] is False
 
     @pytest.mark.parametrize(
         "change, message",
