@@ -190,6 +190,18 @@ def sample_conserving_quadruples(
     return quads
 
 
+# Fixed settings of the residual checks: the relative energy-conservation tolerance of
+# a detailed-balance quadruple, the midpoint nodes per outgoing split of the local-
+# equilibrium and fixed-point integrals, the fixed point's partner energies (n_partner
+# cells on [0, partner_cap]), and the relative tolerance of a Kolmogorov cycle.
+_CONSERVATION_TOL = 1e-9
+_LE_NODES = 512
+_FP_NODES = 256
+_PARTNER_CAP = 40.0
+_N_PARTNER = 128
+_CYCLE_REL_TOL = 1e-10
+
+
 @dataclass
 class ResidualReport:
     max_residual: float
@@ -229,7 +241,7 @@ def _report(residuals, points) -> ResidualReport:
 
 
 def detailed_balance_residual(
-    w: CollisionRateDensity, f0: TypedDensity, quadruples, conservation_tol: float = 1e-9
+    w: CollisionRateDensity, f0: TypedDensity, quadruples
 ) -> ResidualReport:
     """Worst |w(., .|.', .') f0' f0'' - w(.', .'|., .) f0 f0'| over the samples.
 
@@ -240,7 +252,7 @@ def detailed_balance_residual(
     quads = list(quadruples)
     residuals = [None] * len(quads)
     for idx, states in _by_types(quads):
-        on = np.flatnonzero(w.conserves(*states, tol=conservation_tol))
+        on = np.flatnonzero(w.conserves(*states, tol=_CONSERVATION_TOL))
         g, g1, gp, g1p = ((t, x[on]) for t, x in states)
         fwd = w.value(g, g1, gp, g1p) * f0.pdf(*gp) * f0.pdf(*g1p)
         bwd = w.value(gp, g1p, g, g1) * f0.pdf(*g) * f0.pdf(*g1)
@@ -299,9 +311,7 @@ def _le_integral(w: CollisionRateDensity, f: TypedDensity, gamma, v1: int, x1s, 
     return acc
 
 
-def local_equilibrium_residual(
-    w: CollisionRateDensity, f: TypedDensity, pairs, n_quad: int = 512
-) -> ResidualReport:
+def local_equilibrium_residual(w: CollisionRateDensity, f: TypedDensity, pairs) -> ResidualReport:
     """Worst integrated flux imbalance over the supplied (gamma, gamma1) pairs.
 
     Pairs that share their two types are integrated as one batch.
@@ -309,19 +319,12 @@ def local_equilibrium_residual(
     pairs = list(pairs)
     residuals = [None] * len(pairs)
     for idx, (gamma, (v1, x1)) in _by_types(pairs):
-        for i, r in zip(idx, np.abs(_le_integral(w, f, gamma, v1, x1, n_quad)).tolist()):
+        for i, r in zip(idx, np.abs(_le_integral(w, f, gamma, v1, x1, _LE_NODES)).tolist()):
             residuals[i] = r
     return _report(residuals, pairs)
 
 
-def fixed_point_residual(
-    w: CollisionRateDensity,
-    f: TypedDensity,
-    gammas,
-    n_quad: int = 256,
-    partner_cap: float = None,
-    n_partner: int = 128,
-) -> ResidualReport:
+def fixed_point_residual(w: CollisionRateDensity, f: TypedDensity, gammas) -> ResidualReport:
     """Worst collision-operator value at the supplied gamma points.
 
     Integrates the pairwise imbalance over the partner state; a pass at the
@@ -329,15 +332,13 @@ def fixed_point_residual(
     the partner energies of each partner type are one batch.
     """
     n_types = w.network.types.count
-    if partner_cap is None:
-        partner_cap = 40.0
-    h1 = partner_cap / n_partner
-    x1s = (np.arange(n_partner) + 0.5) * h1
+    h1 = _PARTNER_CAP / _N_PARTNER
+    x1s = (np.arange(_N_PARTNER) + 0.5) * h1
     residuals = []
     for gamma in gammas:
         acc = 0.0
         for v1 in range(1, n_types + 1):
-            for term in (_le_integral(w, f, gamma, v1, x1s, n_quad) * h1).tolist():
+            for term in (_le_integral(w, f, gamma, v1, x1s, _FP_NODES) * h1).tolist():
                 acc += term  # left to right, in partner order
         residuals.append(abs(acc))
     return _report(residuals, gammas)
@@ -698,7 +699,6 @@ def kolmogorov_cycle_check(
     chain: DiscreteChainSpec,
     max_cycle_len: int = 6,
     max_cycles: int = 100_000,
-    rel_tol: float = 1e-10,
 ) -> CycleCheckResult:
     """Compare forward and backward rate products around every simple cycle.
 
@@ -737,7 +737,7 @@ def kolmogorov_cycle_check(
                     ratio = math.inf
                 else:
                     ratio = max(fwd, bwd) / min(fwd, bwd)
-                if abs(fwd - bwd) > rel_tol * max(fwd, bwd):
+                if abs(fwd - bwd) > _CYCLE_REL_TOL * max(fwd, bwd):
                     passed = False
                     if ratio > worst_ratio:
                         worst_ratio = ratio

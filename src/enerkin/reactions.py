@@ -292,12 +292,53 @@ def _tanh_sinh_rule(n: int = 81, t_max: float = 3.1):
 _QUAD_NODES, _QUAD_WEIGHTS = _tanh_sinh_rule()
 
 
-def _pick(weights: list, rng) -> int:
-    """Index drawn with probabilities ``weights``, as ``rng.choice(len(weights), p=weights)``
-    draws it: one ``random()`` against the cumulative weights divided by their total."""
-    cdf = list(accumulate(weights))
-    total = cdf[-1]
-    return bisect_right([c / total for c in cdf], rng.random())
+class _OutcomeTable:
+    """The feasible outputs of one kernel for one ordered input pair.
+
+    Output k is feasible at kinetic energy K when its available energy
+    K + releases[k] is >= 0, where releases[k] = I_in - I_out comes from
+    ``available_kinetic_energy``.  Rounding keeps that test monotone in the
+    release, so the feasible subsets are nested and each is known by its
+    size.  For every size s some kinetic energy gives, row s of ``weights``
+    holds each output's weight renormalized as w / w.sum() over the subset
+    (0 outside it), and ``subsets[s]`` the subset's output indices in output
+    order with the cumulative shares of their weights, against which one
+    ``random()`` picks an output as ``rng.choice(s, p=weights)`` does.
+    """
+
+    def __init__(self, outputs, v, v_other, types: TypeTable):
+        self.releases = [
+            float(available_kinetic_energy(0.0, (v, v_other), (o.first, o.second), types))
+            for o in outputs
+        ]
+        self._descending = sorted(self.releases, reverse=True)
+        self._release_row = np.array(self.releases)
+        n = len(outputs)
+        self.weights = np.zeros((n + 1, n))
+        self.subsets = {}
+        for size in range(n + 1):
+            if 0 < size < n and self._descending[size] == self._descending[size - 1]:
+                continue  # it would split tied releases: no kinetic energy leaves this subset
+            lowest = self._descending[size - 1] if size else math.inf
+            idx = [k for k, r in enumerate(self.releases) if r >= lowest]
+            w = np.asarray([outputs[k].weight for k in idx], dtype=float)
+            w = w / w.sum()
+            self.weights[size, idx] = w
+            cdf = list(accumulate(w.tolist()))
+            self.subsets[size] = (idx, [c / cdf[-1] for c in cdf])
+
+    def size(self, kinetic: float) -> int:
+        """Number of feasible outputs at the kinetic energy ``kinetic``."""
+        n = 0
+        for release in self._descending:
+            if not kinetic + release >= 0.0:
+                break
+            n += 1
+        return n
+
+    def sizes(self, kinetic: np.ndarray) -> np.ndarray:
+        """Number of feasible outputs at each entry of the 1-d array ``kinetic``."""
+        return np.count_nonzero(kinetic[:, None] + self._release_row >= 0.0, axis=1)
 
 
 class ScatteringKernel:
@@ -317,20 +358,20 @@ class ScatteringKernel:
             outs.append(o if isinstance(o, OutputPair) else OutputPair(*o))
         if not outs:
             raise ValidationError("a kernel needs at least one outgoing pair")
-        seen = set()
-        for o in outs:
+        self._index = {}  # output index by (first, second)
+        for k, o in enumerate(outs):
             key = (o.first, o.second)
-            if key in seen:
+            if key in self._index:
                 raise ValidationError(f"duplicate outgoing pair {key}")
-            seen.add(key)
+            self._index[key] = k
         self.outputs = tuple(outs)
-        self._release_types, self._releases = None, {}
+        self._table_types, self._tables = None, {}
 
     # -- energy split law per outgoing pair ---------------------------------
 
     def split_pdf(self, out: OutputPair, e_avail, u):
-        """Density of the first output's energy u at available energy ``e_avail``,
-        a float or an array of positive energies broadcast against u."""
+        """Density of the first output's energy u at available energies ``e_avail``:
+        an array of positive energies, one per row of u, broadcast against u."""
         raise NotImplementedError
 
     def split_sample(self, out: OutputPair, e_avail: float, rng) -> float:
@@ -338,20 +379,22 @@ class ScatteringKernel:
 
     # -- assembled outcome law ----------------------------------------------
 
+    def _outcome_table(self, v, v_other, types: TypeTable) -> _OutcomeTable:
+        """The outcome table of inputs (v, v_other), cached per type table."""
+        if self._table_types is not types:
+            self._table_types, self._tables = types, {}
+        table = self._tables.get((v, v_other))
+        if table is None:
+            table = self._tables[v, v_other] = _OutcomeTable(self.outputs, v, v_other, types)
+        return table
+
     def feasible_outputs(self, v, t, v_other, t_other, types: TypeTable):
         """(indices, renormalized weights, available energies) at these inputs."""
         kinetic = t + t_other
-        idx, weights, avail = [], [], []
-        for k, out in enumerate(self.outputs):
-            e = available_kinetic_energy(kinetic, (v, v_other), (out.first, out.second), types)
-            if e >= 0.0:
-                idx.append(k)
-                weights.append(out.weight)
-                avail.append(e)
-        w = np.asarray(weights, dtype=float)
-        if w.size:
-            w = w / w.sum()
-        return idx, w, avail
+        table = self._outcome_table(v, v_other, types)
+        size = table.size(kinetic)
+        idx, _ = table.subsets[size]
+        return list(idx), table.weights[size, idx], [kinetic + table.releases[k] for k in idx]
 
     def outcome_density(self, v, t, v_other, t_other, v_out, u, v_out_other, types):
         """Density of the triple (first output type, its energy, second type).
@@ -365,25 +408,24 @@ class ScatteringKernel:
         u = np.asarray(u, dtype=float)
         u = np.broadcast_to(u if kinetic.ndim else u[None], rows.shape + u.shape[kinetic.ndim:])
         dens = np.zeros(u.shape)
-        pair = (v_out, v_out_other)
-        k = next((k for k, o in enumerate(self.outputs) if (o.first, o.second) == pair), None)
+        k = self._index.get((v_out, v_out_other))
         if k is not None:
-            avail, weights, _ = self._feasible_weights(v, rows, v_other, types)
-            inside = avail[k] > 0.0
+            table = self._outcome_table(v, v_other, types)
+            avail = rows + table.releases[k]
+            inside = avail > 0.0
             if inside.any():
                 # the rows with energy to split; a slice when that is all, which copies nothing
                 inside = slice(None) if inside.all() else np.flatnonzero(inside)
-                e = avail[k][inside].reshape((-1,) + (1,) * (u.ndim - 1))
+                e = avail[inside].reshape((-1,) + (1,) * (u.ndim - 1))
                 u_in = u[inside]
-                wk = weights[k][inside].reshape(e.shape)
+                wk = table.weights[table.sizes(rows[inside]), k].reshape(e.shape)
                 vals = wk * self.split_pdf(self.outputs[k], e, u_in)
                 dens[inside] = np.where((u_in >= 0) & (u_in <= e), vals, 0.0)
         return dens if kinetic.ndim else dens[0]
 
     def outcome_mass(self, v, t, v_other, t_other, types) -> float:
         """Total outgoing probability; 1 unless every outgoing pair is infeasible."""
-        idx, _, _ = self.feasible_outputs(v, t, v_other, t_other, types)
-        return 1.0 if idx else 0.0
+        return 1.0 if self._outcome_table(v, v_other, types).size(t + t_other) else 0.0
 
     @property
     def sub_normalized(self) -> bool:
@@ -395,36 +437,22 @@ class ScatteringKernel:
 
         It fizzles when no outgoing pair is feasible, and otherwise with
         probability 1 - outcome_mass; only a sub-normalized kernel draws the
-        uniform that decides this.  A one-output kernel builds no weights and
-        draws no output.  A split outside [0, available energy] (a faulty
-        custom sampler) raises InfeasibleReactionError.
+        uniform that decides this.  A single feasible output is taken without
+        a draw.  A split outside [0, available energy] (a faulty custom
+        sampler) raises InfeasibleReactionError.
         """
-        if len(self.outputs) == 1:
-            out = self.outputs[0]
-            e = (t + t_other) + self._release(v, v_other, types)
-            if e < 0.0 or self._fizzles(v, t, v_other, t_other, types, rng):
-                return None
-        else:
-            idx, w, avail = self.feasible_outputs(v, t, v_other, t_other, types)
-            if not idx or self._fizzles(v, t, v_other, t_other, types, rng):
-                return None
-            pick = 0 if len(idx) == 1 else _pick(w.tolist(), rng)
-            out, e = self.outputs[idx[pick]], avail[pick]
+        table = self._outcome_table(v, v_other, types)
+        kinetic = t + t_other
+        size = table.size(kinetic)
+        if not size or self._fizzles(v, t, v_other, t_other, types, rng):
+            return None
+        idx, shares = table.subsets[size]
+        k = idx[0] if size == 1 else idx[bisect_right(shares, rng.random())]
+        out, e = self.outputs[k], kinetic + table.releases[k]
         u = self.split_sample(out, e, rng)
         if not 0.0 <= u <= e:
             raise InfeasibleReactionError(f"split {u} of output {out} outside [0, {e}]")
         return out.first, u, out.second, e - u
-
-    def _release(self, v, v_other, types: TypeTable) -> float:
-        """Energy the one output pair releases from inputs (v, v_other), cached per type table."""
-        if self._release_types is not types:
-            self._release_types, self._releases = types, {}
-        release = self._releases.get((v, v_other))
-        if release is None:
-            out = self.outputs[0]
-            release = float(available_kinetic_energy(0.0, (v, v_other), (out.first, out.second), types))
-            self._releases[v, v_other] = release
-        return release
 
     def _fizzles(self, v, t, v_other, t_other, types, rng) -> bool:
         if not self.sub_normalized:
@@ -441,30 +469,6 @@ class ScatteringKernel:
         )
         return float(totals[0])
 
-    def _feasible_weights(self, v, kinetic, v_other, types):
-        """Per output, its available energy and its renormalized weight at each
-        entry of the 1-d array ``kinetic``, and the (entries x outputs) feasibility.
-
-        Each weight takes the float operations of ``feasible_outputs``: the
-        renormalizing sum depends on the feasible subset alone, so it is taken
-        once per subset with the same call, since numpy does not sum weights
-        left to right.  An output's available energy is the kinetic energy
-        plus a constant, so the feasible subsets are nested and their sizes
-        tell them apart.  A weight is meaningful only where its output is feasible.
-        """
-        avail = [
-            available_kinetic_energy(kinetic, (v, v_other), (out.first, out.second), types)
-            for out in self.outputs
-        ]
-        feasible = np.stack([e >= 0.0 for e in avail], axis=1)
-        weights = np.array([out.weight for out in self.outputs])
-        sizes, first, row_subset = np.unique(
-            feasible.sum(axis=1), return_index=True, return_inverse=True
-        )
-        sums = np.array([weights[feasible[i]].sum() if n else 1.0 for n, i in zip(sizes, first)])
-        norm = sums[row_subset]
-        return avail, [weight / norm for weight in weights], feasible
-
     def _quadrature_totals(self, v, t, v_other, t_other, types):
         """``check_normalization`` at each entry of the 1-d energy arrays t, t_other.
 
@@ -474,9 +478,11 @@ class ScatteringKernel:
         ``feasible_outputs`` and a left-to-right sum over the feasible outputs.
         """
         kinetic = t + t_other
-        avail, weights, feasible = self._feasible_weights(v, kinetic, v_other, types)
+        table = self._outcome_table(v, v_other, types)
+        sizes = table.sizes(kinetic)
         totals = np.zeros(kinetic.shape)
-        for out, wk, e in zip(self.outputs, weights, avail):
+        for out, wk, release in zip(self.outputs, table.weights[sizes].T, table.releases):
+            e = kinetic + release
             term = np.where(e == 0.0, wk, 0.0)  # split degenerates to a point mass at 0
             inside = e > 0.0
             if inside.any():
@@ -490,7 +496,7 @@ class ScatteringKernel:
                     raise
                 term[inside] = wk[inside] * e_in * np.sum(pdf * _QUAD_WEIGHTS, axis=1)
             totals += term
-        return totals, feasible.any(axis=1)
+        return totals, sizes > 0
 
 
 class UniformKernel(ScatteringKernel):
@@ -531,8 +537,6 @@ class CanonicalKernel(ScatteringKernel):
                     )
 
     def split_pdf(self, out, e_avail, u):
-        if np.ndim(e_avail) == 0 and e_avail == 0.0:
-            return np.zeros(np.shape(u))
         return canonical_split_pdf(
             self.densities[out.first], self.densities[out.second], e_avail, u
         )
@@ -565,10 +569,8 @@ class TableKernel(ScatteringKernel):
         self._mass = mass_fn
 
     def split_pdf(self, out, e_avail, u):
-        u = np.asarray(u, dtype=float)
-        if np.ndim(e_avail) == 0:
-            return self._pdf(out.first, out.second, e_avail, u)
         # split_pdf_fn takes one energy: one call per row of u
+        u = np.asarray(u, dtype=float)
         return np.array([
             np.broadcast_to(self._pdf(out.first, out.second, e, row), row.shape)
             for e, row in zip(np.ravel(e_avail), u)
@@ -590,6 +592,9 @@ class TableKernel(ScatteringKernel):
 # ---------------------------------------------------------------------------
 # channels and network
 # ---------------------------------------------------------------------------
+
+
+_NO_UNARY = (0.0, {})  # the unary table entry of a type without conversions; never mutated
 
 
 def _as_float(rate) -> float:
@@ -675,12 +680,13 @@ class ReactionNetwork:
                 )
             seen.add((ch.source, ch.target))
             self._unary_by_source.setdefault(ch.source, []).append(ch)
-        # per source type: I_v, and each channel's gate offset I_v - I_w and rate
+        # per source type: I_v, and by target w each channel's gate offset I_v - I_w
+        # (the kinetic energy the conversion releases) and rate, in channel order
         self._unary_table = {
             v: (
                 available_kinetic_energy(0.0, (v,), (), types),
-                [(float(available_kinetic_energy(0.0, (v,), (ch.target,), types)), ch.rate)
-                 for ch in chans],
+                {ch.target: (float(available_kinetic_energy(0.0, (v,), (ch.target,), types)), ch.rate)
+                 for ch in chans},
             )
             for v, chans in self._unary_by_source.items()
         }
@@ -709,20 +715,17 @@ class ReactionNetwork:
         """Rate of each channel in ``unary_from(v)`` out of a particle (v, T).
 
         A channel's rate is a function of the full energy U = I_v + T and is
-        0 wherever the conversion would leave negative kinetic energy.  A
-        float T gives a list of floats, evaluated from the per-type table
-        built with the network; they equal the array results bit for bit.
+        0 wherever the conversion would leave negative kinetic energy.  Both
+        are evaluated from the per-type table built with the network; a float
+        T gives a list of floats, equal bit for bit to the array results.
         """
+        i_v, chans = self._unary_table.get(v, _NO_UNARY)
         if isinstance(t, float):
-            i_v, chans = self._unary_table.get(v, (0.0, ()))
-            return [_as_float(rate(t + i_v)) if t + gate >= 0.0 else 0.0 for gate, rate in chans]
+            return [
+                _as_float(rate(t + i_v)) if t + gate >= 0.0 else 0.0 for gate, rate in chans.values()
+            ]
         t = np.asarray(t, dtype=float)
-        u_full = available_kinetic_energy(t, (v,), (), self.types)
-        rates = []
-        for ch in self.unary_from(v):
-            gate = available_kinetic_energy(t, (v,), (ch.target,), self.types) >= 0.0
-            rates.append(np.where(gate, ch.rate(u_full), 0.0))
-        return rates
+        return [np.where(t + gate >= 0.0, rate(t + i_v), 0.0) for gate, rate in chans.values()]
 
     def unary_rate(self, v: int, t):
         """Total conversion rate out of a particle (v, T), feasibility-gated (a float for a float T)."""
@@ -743,16 +746,17 @@ class ReactionNetwork:
         """
         ch = self.binary_channel(v_a, v_b)
         u_a = np.asarray(u_a, dtype=float)
-        if ch is None:
-            rows = np.shape(np.add(t_a, t_b))
-            return np.zeros(rows + u_a.shape[len(rows):])
-        if (v_a, v_b) == ch.pair:
+        if ch is not None and (v_a, v_b) == ch.pair:
             return ch.kernel.outcome_density(
                 v_a, t_a, v_b, t_b, v_out_a, u_a, v_out_b, self.types
             )
         # reversed slot order: the slot-a energy is the complement of the
         # kernel's first outgoing energy, a measure-preserving change of variable
-        e = available_kinetic_energy(np.add(t_a, t_b), (v_a, v_b), (v_out_a, v_out_b), self.types)
+        k = None if ch is None else ch.kernel._index.get((v_out_b, v_out_a))
+        if k is None:
+            rows = np.shape(np.add(t_a, t_b))
+            return np.zeros(rows + u_a.shape[len(rows):])
+        e = np.add(t_a, t_b) + ch.kernel._outcome_table(v_b, v_a, self.types).releases[k]
         e = np.reshape(e, np.shape(e) + (1,) * (u_a.ndim - np.ndim(e)))
         vals = ch.kernel.outcome_density(
             v_b, t_b, v_a, t_a, v_out_b, e - u_a, v_out_a, self.types

@@ -15,13 +15,15 @@ selection structures.  Energy moves between types only through
 ``core.available_kinetic_energy``, evaluated once per type combination
 where the per-event path needs it.
 
-The per-event path runs on Python floats.  Unary rates of one particle
-come from the network's per-type table of I_v, gate offsets I_v - I_w and
-rate objects; a one-output kernel computes its available energy from a
-cached release and builds no weight array; a type change updates only the
-channel-tree leaves of channels involving the old or the new type.  Each
-gives the value the array path gives, bit for bit, and draws the same
-random numbers, so the output is unchanged.
+The per-event path runs on Python floats.  Unary rates of one particle,
+and the energy a conversion releases, come from the network's per-type
+table of I_v, gate offsets I_v - I_w and rate objects.  A collision reads
+its feasible outputs, their releases and renormalized weights from the
+kernel's outcome table for the reactant types, and draws an output only
+when several are feasible.  A type change updates only the channel-tree
+leaves of channels involving the old or the new type.  Each gives the
+value the array path gives, bit for bit, and draws the same random
+numbers, so the output is unchanged.
 
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
@@ -44,7 +46,6 @@ from .core import (
     ParticleSystem,
     SimulationError,
     ValidationError,
-    available_kinetic_energy,
 )
 from .densities import DensityFamily
 from .reactions import ConstantRate, ReactionNetwork
@@ -263,11 +264,6 @@ class _Engine:
         self.m = int(self.tids.size)
         self.tracking = track_rates
         self.rejected = 0
-        # kinetic energy each conversion v -> w releases, I_v - I_w
-        self.unary_release = {
-            (ch.source, ch.target): float(available_kinetic_energy(0.0, (ch.source,), (ch.target,), self.types))
-            for ch in network.unary
-        }
         if not track_rates:
             return
         self.channels = []
@@ -397,7 +393,8 @@ class _Engine:
         if isinstance(event, UnaryEvent):
             i = event.i
             v = int(self.tids[i])
-            t_new = float(self.kin[i]) + self.unary_release[v, event.target]
+            release, _ = self.net._unary_table[v][1][event.target]  # I_v - I_target
+            t_new = float(self.kin[i]) + release
             if t_new < 0.0:
                 raise InfeasibleReactionError(
                     f"type change {v}->{event.target} needs more kinetic energy than "

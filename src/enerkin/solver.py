@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .core import SolverBlowupError, TypeTable, ValidationError, available_kinetic_energy
+from .core import SolverBlowupError, TypeTable, ValidationError
 from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
 
 __all__ = [
@@ -156,16 +156,6 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _effective_weights(kernel, delta_i: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-s renormalized output weights; column o is w_o(s), zero when infeasible."""
-    raw = np.array([o.weight for o in kernel.outputs])
-    feas = sigma[:, None] + delta_i[None, :] >= 0.0
-    w = feas * raw[None, :]
-    norm = w.sum(axis=1)
-    safe = np.where(norm > 0, norm, 1.0)
-    return w / safe[:, None]
-
-
 def _plan_support_fault(ch: BinaryChannel) -> str | None:
     """Why ``CollisionPlan`` cannot represent channel ``ch``, or None when it can."""
     if not hasattr(ch.rate, "of_sum"):
@@ -209,12 +199,12 @@ def check_plan_support(network: ReactionNetwork) -> None:
 
 
 def _ordered_recipients(ch):
-    """Yield (recipient, partner) output roles for every ordered source expansion."""
+    """Yield (output index, recipient, partner) for every ordered source expansion."""
     v, w = ch.pair
-    for o in ch.kernel.outputs:
-        yield o, o.first, o.second
+    for k, o in enumerate(ch.kernel.outputs):
+        yield k, o.first, o.second
         if v != w:
-            yield o, o.second, o.first
+            yield k, o.second, o.first
 
 
 class _UniformGain:
@@ -293,8 +283,9 @@ class CollisionPlan:
     """The parts of the collision operator that do not depend on rho.
 
     Built once per (network, n_cells, x_max): the pair-sum grid, the rates
-    on it, the per-output energy offsets dI and effective weights, the loss
-    gates with their FFTs, and one deposit per (recipient, split law, dI):
+    on it, each output's weight per s cell and its energy offset dI (both
+    from the kernel's outcome table), the loss gates with their FFTs, and
+    one deposit per (recipient, split law, dI):
     cell indices and shares for uniform splits, recipient and lag pdf tables
     with the split normalizer for gamma-family canonical splits.  A network
     the plan cannot represent raises ValidationError (``check_plan_support``).
@@ -319,11 +310,10 @@ class CollisionPlan:
         for ch in network.binary:
             v, w = ch.pair[0] - 1, ch.pair[1] - 1
             alpha_s = np.asarray(ch.rate.of_sum(sigma), dtype=float)
-            outs = [(o.first, o.second) for o in ch.kernel.outputs]
-            delta_i = np.array([available_kinetic_energy(0.0, ch.pair, o, types) for o in outs])
-            w_eff = _effective_weights(ch.kernel, delta_i, sigma)
+            table = ch.kernel._outcome_table(*ch.pair, types)
+            sizes = table.sizes(sigma)
             # collisions remove the pair wherever at least one output is feasible
-            gate = alpha_s * (w_eff.sum(axis=1) > 0.0)
+            gate = alpha_s * (sizes > 0)
             flat = bool(np.all(gate == gate[0]))
             gate_hat = None if flat else rfft(gate, self._size)
             for a, b in ((v, w), (w, v)) if v != w else ((v, w),):
@@ -332,9 +322,8 @@ class CollisionPlan:
                 else:
                     self._loss[a].append((b, gate_hat))
             terms = []
-            for o, rcp, other in _ordered_recipients(ch):
-                col = ch.kernel.outputs.index(o)
-                d = float(delta_i[col])
+            for col, rcp, other in _ordered_recipients(ch):
+                d = table.releases[col]
                 if ch.kernel.kind == "uniform":
                     key = (rcp, d)
                 else:
@@ -347,7 +336,7 @@ class CollisionPlan:
                         dep = _CanonicalGain(key[1], key[2], sigma + d, d, h, n)
                     self._deposits.append((rcp - 1, dep))
                 # collision mass rate per s cell: alpha * C_m * h
-                terms.append((index[key], alpha_s * w_eff[:, col] * (h * h)))
+                terms.append((index[key], alpha_s * table.weights[sizes, col] * (h * h)))
             self._pairs.append((v, w, terms))
 
     def _check(self, values) -> np.ndarray:

@@ -243,6 +243,76 @@ def test_bundled_solve_outputs_are_pinned(tmp_path):
     assert digests == BUNDLED_SOLVE_SHA256
 
 
+def gap_doc():
+    """Two types across an internal-energy gap of 0.5 with two-output uniform kernels:
+    (1,1) -> (2,2) needs kinetic energy 1, (2,2) -> (1,1) releases it."""
+
+    def channel(a, b, outs):
+        return {
+            "reactants": [a, b],
+            "rate": {"form": "constant", "value": 1.0},
+            "kernel": {"kind": "uniform", "outputs": [{"pair": p, "weight": w} for p, w in outs]},
+        }
+
+    return {
+        "version": 1,
+        "types": {"internal_energies": [0.0, 0.5]},
+        "network": {
+            "binary": [
+                channel(1, 1, [([1, 1], 1.0), ([2, 2], 0.7)]),
+                channel(1, 2, [([1, 2], 1.0)]),
+                channel(2, 2, [([2, 2], 1.0), ([1, 1], 0.3)]),
+            ],
+            "unary": [],
+        },
+        "initial": {"mode": "counts", "counts": [200, 100], "energies": EXP_ENERGIES},
+        "run": {
+            "t_end": 10.0,
+            "snapshot_times": [5.0, 10.0],
+            "seed": 3,
+            "replicas": 1,
+            "histogram": {"x_max": 8.0, "bins": 16},
+        },
+        "solve": {
+            "grid": {"x_max": 20.0, "cells": 300},
+            "initial": [
+                {"density": {"family": "uniform", "lo": 0.0, "hi": 4.0}, "weight": 0.6},
+                {"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "weight": 0.4},
+            ],
+            "dt": 0.1,
+            "t_end": 1.0,
+            "scheme": "rk4",
+            "snapshot_times": [0.0, 0.5, 1.0],
+        },
+    }
+
+
+# SHA-256 of every CSV ``enerkin simulate`` and ``enerkin solve`` write for ``gap_doc``
+GAP_SHA256 = {
+    "simulate": {
+        "histograms.csv": "32e6f057680c0b2faafa48bfc12d0145555ed5539187d15e8609ac858e67eea7",
+        "snapshot_000.csv": "3853f1376abb887168d533577ec8c81a4bd9d001b339650f151b6acbe36e9eba",
+        "snapshot_001.csv": "3592f763ccda716147c0b30d52134d6b73dbb6aace6283e1ffdc9c839a838a48",
+    },
+    "solve": {
+        "grid_000.csv": "cc0c6ab052bec4d37642f3c7d9f53dedeffd98a454799a5841c89a1042101af1",
+        "grid_001.csv": "2684de47fce4eaedb9053882ef2aca0f0a2c93c67bbfb396e547fe0197663e53",
+        "grid_002.csv": "a07ef07a70a8a0d15dad5a9115e6b394eedf70bcb5557bbaba72e098a5ec4296",
+        "times.csv": "f48ddbd88cb778f785718df9b3e42647a7765f02d94798fd4f84aae743a3910f",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GAP_SHA256))
+def test_gap_scenario_outputs_are_pinned(command, tmp_path):
+    """Both commands keep their pinned digests on kernels with several outputs, where
+    the feasible outputs and their renormalized weights change with the kinetic energy."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(write_scenario(tmp_path, gap_doc())), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == GAP_SHA256[command]
+
+
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_seed_is_refused_by_solve_and_check(command, tmp_path):
     scenario = SCENARIO_DIR / "exponential_equilibrium.json"

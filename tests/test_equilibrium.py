@@ -209,10 +209,10 @@ def reference_kernel_density(kernel, v, t, v_other, t_other, v_out, u, v_out_oth
     idx, w, avail = kernel.feasible_outputs(v, t, v_other, t_other, types)
     for k, wk, e in zip(idx, w, avail):
         out = kernel.outputs[k]
-        if (out.first, out.second) == (v_out, v_out_other):
+        if (out.first, out.second) == (v_out, v_out_other) and e > 0.0:  # e = 0: a point mass
             u_arr = np.asarray(u, dtype=float)
-            vals = wk * kernel.split_pdf(out, e, u_arr)
-            return np.where((u_arr >= 0) & (u_arr <= e), vals, 0.0)
+            pdf = kernel.split_pdf(out, np.array([[e]]), u_arr.reshape(1, -1)).reshape(u_arr.shape)
+            return np.where((u_arr >= 0) & (u_arr <= e), wk * pdf, 0.0)
     return np.zeros(np.shape(u)) if np.shape(u) else 0.0
 
 

@@ -411,6 +411,62 @@ def test_one_output_release_follows_the_type_table():
             assert out[0] == out[2] == 2 and out[1] + out[3] == pytest.approx(e, rel=1e-15)
 
 
+def _brute_force_outcomes(kernel, v, kinetic, v_other, types):
+    """(indices, renormalized weights, available energies) of the feasible outputs, each
+    output's available energy taken from ``available_kinetic_energy`` on its own."""
+    avail = [
+        ek.available_kinetic_energy(kinetic, (v, v_other), (o.first, o.second), types)
+        for o in kernel.outputs
+    ]
+    idx = [k for k, e in enumerate(avail) if e >= 0.0]
+    w = np.array([kernel.outputs[k].weight for k in idx])
+    return idx, w / w.sum() if idx else w, [avail[k] for k in idx]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A type table, a uniform kernel with 1-9 outputs, an ordered input pair and kinetic
+    energies: random ones and ones exactly at, just below and just above a threshold."""
+    n_types = draw(st.integers(1, 4))
+    # few distinct levels, so that releases tie
+    levels = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.5]) | st.floats(0.0, 3.0)
+    types = ek.TypeTable(np.array(draw(st.lists(levels, min_size=n_types, max_size=n_types))))
+    pairs = [(a, b) for a in range(1, n_types + 1) for b in range(1, n_types + 1)]
+    outs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=9, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=len(outs), max_size=len(outs)))
+    kernel = ek.UniformKernel([(a, b, w) for (a, b), w in zip(outs, weights)])
+    v, v_other = draw(st.sampled_from(pairs))
+    kinetic = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=5))
+    for a, b in outs:
+        threshold = -ek.available_kinetic_energy(0.0, (v, v_other), (a, b), types)
+        if threshold >= 0.0:
+            kinetic += [threshold, np.nextafter(threshold, -1.0), np.nextafter(threshold, np.inf)]
+    return types, kernel, v, v_other, [float(x) for x in kinetic if x >= 0.0]
+
+
+@given(_kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_outcome_table_matches_brute_force(case):
+    types, kernel, v, v_other, kinetic = case
+    table = kernel._outcome_table(v, v_other, types)
+    sizes = table.sizes(np.array(kinetic)).tolist()
+    for x, size in zip(kinetic, sizes):
+        idx, w, avail = _brute_force_outcomes(kernel, v, x, v_other, types)
+        # the scalar lookup, split as (x, 0.0) and as (0.0, x)
+        for t, t_other in ((x, 0.0), (0.0, x)):
+            got_idx, got_w, got_avail = kernel.feasible_outputs(v, t, v_other, t_other, types)
+            assert got_idx == idx
+            assert got_w.tolist() == w.tolist()
+            assert got_avail == avail
+            assert kernel.outcome_mass(v, t, v_other, t_other, types) == (1.0 if idx else 0.0)
+        # the array lookup: one weight per output, 0 where it is infeasible
+        assert size == len(idx)
+        row = np.zeros(len(kernel.outputs))
+        row[idx] = w
+        assert table.weights[size].tolist() == row.tolist()
+        assert [x + table.releases[k] for k in idx] == avail
+
+
 def _per_pair_errors(network, n_samples, rng, scale=1.0):
     """kernel_normalization_errors one input pair at a time: two scalar draws, the
     quadrature summed output by output from ``feasible_outputs``, then the outcome mass."""
@@ -426,7 +482,7 @@ def _per_pair_errors(network, n_samples, rng, scale=1.0):
                 if e == 0.0:
                     total += wk  # the split is a point mass at 0
                     continue
-                pdf = k.split_pdf(k.outputs[i], e, e * _QUAD_NODES)
+                pdf = k.split_pdf(k.outputs[i], np.array([[e]]), e * _QUAD_NODES[None])[0]
                 total += wk * e * float(np.sum(pdf * _QUAD_WEIGHTS))
             assert k.check_normalization(v, t, w, tp, network.types) == total
             worst = max(worst, abs(total - k.outcome_mass(v, t, w, tp, network.types)))
