@@ -149,40 +149,43 @@ def sample_conserving_quadruples(
 
     Incoming energies come from a Halton sequence pushed through an
     exponential quantile with the given scale; outgoing states use each
-    channel's feasible outputs in rotation.  Deterministic in ``seed``.
+    channel's feasible outputs in rotation.  Each output's release comes
+    from the kernel's outcome table; it is the same in both slot orders.
+    Deterministic in ``seed``.
     """
     if not network.binary:
         raise ValidationError("network has no binary channels to sample")
-    types = network.types
     pts = _scrambled_halton(n, seed)
     sources = []
     for ch in network.binary:
         v, w = ch.pair
-        sources.append((v, w, ch))
+        releases = ch.kernel._outcome_table(v, w, network.types).releases
+        sources.append((v, w, ch, releases))
         if v != w:
-            sources.append((w, v, ch))
+            sources.append((w, v, ch, releases))
     quads = []
     for k in range(n):
         u1, u2, u3 = pts[k]
-        vp, v1p, ch = sources[k % len(sources)]
+        vp, v1p, ch, releases = sources[k % len(sources)]
         xp = -energy_scale * math.log1p(-min(u1, 1.0 - 1e-12))
         x1p = -energy_scale * math.log1p(-min(u2, 1.0 - 1e-12))
         outs = ch.kernel.outputs
         for shift in range(len(outs)):
-            o = outs[(k + shift) % len(outs)]
+            idx = (k + shift) % len(outs)
+            o = outs[idx]
             first, second = (o.first, o.second) if (vp, v1p) == ch.pair else (o.second, o.first)
-            e = available_kinetic_energy(xp + x1p, (vp, v1p), (first, second), types)
+            e = xp + x1p + releases[idx]
             if e < 0:
                 continue
             x = u3 * e
             quads.append(((first, x), (second, e - x), (vp, xp), (v1p, x1p)))
             break
     if include_corners:
-        for vp, v1p, ch in sources:
+        for vp, v1p, ch, releases in sources:
             for xp, x1p, u in ((0.0, energy_scale, 0.5), (energy_scale, energy_scale, 0.0), (energy_scale, energy_scale, 1.0)):
                 o = ch.kernel.outputs[0]
                 first, second = (o.first, o.second) if (vp, v1p) == ch.pair else (o.second, o.first)
-                e = available_kinetic_energy(xp + x1p, (vp, v1p), (first, second), types)
+                e = xp + x1p + releases[0]
                 if e < 0:
                     continue
                 x = u * e

@@ -366,6 +366,8 @@ class ScatteringKernel:
             self._index[key] = k
         self.outputs = tuple(outs)
         self._table_types, self._tables = None, {}
+        # True when ``outcome_mass`` may lie below 1 where an output is feasible
+        self.sub_normalized = type(self).outcome_mass is not ScatteringKernel.outcome_mass
 
     # -- energy split law per outgoing pair ---------------------------------
 
@@ -387,14 +389,6 @@ class ScatteringKernel:
         if table is None:
             table = self._tables[v, v_other] = _OutcomeTable(self.outputs, v, v_other, types)
         return table
-
-    def feasible_outputs(self, v, t, v_other, t_other, types: TypeTable):
-        """(indices, renormalized weights, available energies) at these inputs."""
-        kinetic = t + t_other
-        table = self._outcome_table(v, v_other, types)
-        size = table.size(kinetic)
-        idx, _ = table.subsets[size]
-        return list(idx), table.weights[size, idx], [kinetic + table.releases[k] for k in idx]
 
     def outcome_density(self, v, t, v_other, t_other, v_out, u, v_out_other, types):
         """Density of the triple (first output type, its energy, second type).
@@ -427,11 +421,6 @@ class ScatteringKernel:
         """Total outgoing probability; 1 unless every outgoing pair is infeasible."""
         return 1.0 if self._outcome_table(v, v_other, types).size(t + t_other) else 0.0
 
-    @property
-    def sub_normalized(self) -> bool:
-        """True when ``outcome_mass`` may lie below 1 where an output is feasible."""
-        return type(self).outcome_mass is not ScatteringKernel.outcome_mass
-
     def sample_outcome(self, v, t, v_other, t_other, types, rng):
         """Sample (v1, U, v1', U') or None when the collision fizzles.
 
@@ -444,7 +433,7 @@ class ScatteringKernel:
         table = self._outcome_table(v, v_other, types)
         kinetic = t + t_other
         size = table.size(kinetic)
-        if not size or self._fizzles(v, t, v_other, t_other, types, rng):
+        if not size or (self.sub_normalized and self._fizzles(v, t, v_other, t_other, types, rng)):
             return None
         idx, shares = table.subsets[size]
         k = idx[0] if size == 1 else idx[bisect_right(shares, rng.random())]
@@ -455,8 +444,6 @@ class ScatteringKernel:
         return out.first, u, out.second, e - u
 
     def _fizzles(self, v, t, v_other, t_other, types, rng) -> bool:
-        if not self.sub_normalized:
-            return False
         mass = self.outcome_mass(v, t, v_other, t_other, types)
         if not 0.0 <= mass <= 1.0:
             raise ValidationError(f"outcome mass {mass} outside [0, 1] at energies {t}, {t_other}")
@@ -474,8 +461,10 @@ class ScatteringKernel:
 
         Returns the totals and whether any output is feasible there.  Each
         output's split density is evaluated once on a (rows x nodes) array, and
-        every total takes the same float operations, in the same order, as
-        ``feasible_outputs`` and a left-to-right sum over the feasible outputs.
+        every total takes the same float operations, in the same order, as a
+        left-to-right sum over the feasible outputs of the outcome table: each
+        output's renormalized weight times the quadrature of its split at the
+        available energy kinetic + release.
         """
         kinetic = t + t_other
         table = self._outcome_table(v, v_other, types)
@@ -567,6 +556,8 @@ class TableKernel(ScatteringKernel):
         self._pdf = split_pdf_fn
         self._sample = split_sample_fn
         self._mass = mass_fn
+        # it overrides outcome_mass, but only a mass function makes it sub-normalized
+        self.sub_normalized = mass_fn is not None
 
     def split_pdf(self, out, e_avail, u):
         # split_pdf_fn takes one energy: one call per row of u
@@ -578,10 +569,6 @@ class TableKernel(ScatteringKernel):
 
     def split_sample(self, out, e_avail, rng):
         return float(self._sample(out.first, out.second, e_avail, rng))
-
-    @property
-    def sub_normalized(self) -> bool:
-        return self._mass is not None
 
     def outcome_mass(self, v, t, v_other, t_other, types):
         if self._mass is not None:
@@ -598,8 +585,9 @@ _NO_UNARY = (0.0, {})  # the unary table entry of a type without conversions; ne
 
 
 def _as_float(rate) -> float:
-    """A rate function's value at one energy (a float, or a 0-d or size-1 array)."""
-    return rate if type(rate) is float else np.asarray(rate, dtype=float).item()
+    """A rate function's value at one energy (a float, a numpy float, or a 0-d or
+    size-1 array) as a Python float."""
+    return float(rate) if isinstance(rate, float) else np.asarray(rate, dtype=float).item()
 
 
 @dataclass(frozen=True)
@@ -684,7 +672,7 @@ class ReactionNetwork:
         # (the kinetic energy the conversion releases) and rate, in channel order
         self._unary_table = {
             v: (
-                available_kinetic_energy(0.0, (v,), (), types),
+                float(available_kinetic_energy(0.0, (v,), (), types)),
                 {ch.target: (float(available_kinetic_energy(0.0, (v,), (ch.target,), types)), ch.rate)
                  for ch in chans},
             )
@@ -730,9 +718,12 @@ class ReactionNetwork:
     def unary_rate(self, v: int, t):
         """Total conversion rate out of a particle (v, T), feasibility-gated (a float for a float T)."""
         if isinstance(t, float):
+            # the channels of unary_rates, summed left to right as the array sum below
+            i_v, chans = self._unary_table.get(v, _NO_UNARY)
             total = 0.0
-            for rate in self.unary_rates(v, t):  # left to right, as the array sum below
-                total += rate
+            for gate, rate in chans.values():
+                if t + gate >= 0.0:
+                    total += _as_float(rate(t + i_v))
             return total
         t = np.asarray(t, dtype=float)
         return sum(self.unary_rates(v, t), np.zeros_like(t))

@@ -15,15 +15,23 @@ selection structures.  Energy moves between types only through
 ``core.available_kinetic_energy``, evaluated once per type combination
 where the per-event path needs it.
 
-The per-event path runs on Python floats.  Unary rates of one particle,
-and the energy a conversion releases, come from the network's per-type
-table of I_v, gate offsets I_v - I_w and rate objects.  A collision reads
-its feasible outputs, their releases and renormalized weights from the
-kernel's outcome table for the reactant types, and draws an output only
-when several are feasible.  A type change updates only the channel-tree
-leaves of channels involving the old or the new type.  Each gives the
-value the array path gives, bit for bit, and draws the same random
-numbers, so the output is unchanged.
+The per-event path runs on plain Python objects.  The engine keeps each
+particle's type and kinetic energy in Python lists, which become arrays
+only when a state is handed out (``to_system``), and passes events as
+tuples (_COLLISION, i, j) or (_CONVERSION, i, target);
+``CollisionEvent``/``UnaryEvent`` are built only at the public boundary,
+``sample_next_event`` and ``execute_event``.  At construction the engine
+tabulates, per ordered type pair, the channel kernel's ``sample_outcome``
+and, per type, the targets of its unary channels, so applying an event
+looks up no channel.  Unary rates of one particle, and the energy a
+conversion releases, come from the network's per-type table of I_v, gate
+offsets I_v - I_w and rate objects.  A collision reads its feasible
+outputs, their releases and renormalized weights from the kernel's
+outcome table for the reactant types, and draws an output only when
+several are feasible.  A type change updates only the channel-tree leaves
+of channels involving the old or the new type.  Each float path gives the
+value its array counterpart gives, bit for bit, and draws the same random
+numbers, so the output does not depend on the representation.
 
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
@@ -48,7 +56,7 @@ from .core import (
     ValidationError,
 )
 from .densities import DensityFamily
-from .reactions import ConstantRate, ReactionNetwork
+from .reactions import ConstantRate, ReactionNetwork, _as_float
 
 __all__ = [
     "CollisionEvent",
@@ -248,22 +256,36 @@ class _SumTree:
         return k - self.size
 
 
+_COLLISION, _CONVERSION = 0, 1  # the kind of an engine event tuple
+
+
 class _Engine:
-    """Mutable chain state; selection keeps a member list per type (swap-remove,
-    so a type change is O(1)), the channels' rate bounds and a sum tree of
-    unary rates.  With ``track_rates=False`` none is built and no rate is
-    evaluated: the engine then only applies events, as ``execute_event`` needs.
+    """Mutable chain state on Python lists: ``tids[i]`` and ``kin[i]`` are particle
+    i's type and kinetic energy, and an event is a tuple (_COLLISION, i, j) or
+    (_CONVERSION, i, target).  Selection keeps a member list per type
+    (swap-remove, so a type change is O(1)), the channels' rate bounds and a
+    sum tree of unary rates.  With ``track_rates=False`` none is built and no
+    rate is evaluated: the engine then only applies events, as
+    ``execute_event`` needs.
     """
 
     def __init__(self, system: ParticleSystem, network: ReactionNetwork, track_rates: bool = True):
         self.net = network
-        self.types = network.types
-        network.types.check_ids(system.type_ids)
-        self.tids = system.type_ids.copy()
-        self.kin = system.kinetic_energies.copy()
-        self.m = int(self.tids.size)
+        self.types = types = network.types
+        types.check_ids(system.type_ids)
+        self.tids = system.type_ids.tolist()
+        self.kin = system.kinetic_energies.tolist()
+        self.m = len(self.tids)
         self.tracking = track_rates
         self.rejected = 0
+        n = types.count + 1
+        # by ordered type pair (v <= w): the channel kernel's sample_outcome, or None
+        self.samplers = [[None] * n for _ in range(n)]
+        for ch in network.binary:
+            v, w = ch.pair
+            self.samplers[v][w] = ch.kernel.sample_outcome
+        # by type: the targets of its unary channels, in channel order (empty: none)
+        self.targets = [[ch.target for ch in network.unary_from(v)] for v in range(n)]
         if not track_rates:
             return
         self.channels = []
@@ -274,25 +296,25 @@ class _Engine:
                     "which thinning needs: use CallableRate(fn, name, bound=...)"
                 )
             self.channels.append((ch.pair, ch.rate.bound, isinstance(ch.rate, ConstantRate)))
-        self.members = [np.flatnonzero(self.tids == v).tolist() for v in range(self.types.count + 1)]
+        tids, kin = system.type_ids, system.kinetic_energies
+        self.members = [np.flatnonzero(tids == v).tolist() for v in range(n)]
         pos = np.zeros(self.m, dtype=np.int64)
         unary = np.zeros(self.m)
         for v, idx in enumerate(self.members):
             pos[idx] = np.arange(len(idx))
-            if idx and network.unary_from(v):
-                unary[idx] = network.unary_rate(v, self.kin[idx])
+            if idx and self.targets[v]:
+                unary[idx] = network.unary_rate(v, kin[idx])
         if not np.all(unary >= 0):
             raise ValidationError("negative rate from a unary rate function")
         self.pos = pos.tolist()
         self.unary_tree = _SumTree(unary)
         self.channel_tree = _SumTree(np.array([self._channel_rate(k) for k in range(len(self.channels))]))
         self.channels_of = [
-            [k for k, (pair, _, _) in enumerate(self.channels) if v in pair]
-            for v in range(self.types.count + 1)
+            [k for k, (pair, _, _) in enumerate(self.channels) if v in pair] for v in range(n)
         ]
 
     def to_system(self, time: float) -> ParticleSystem:
-        return ParticleSystem(self.tids.copy(), self.kin.copy(), time)
+        return ParticleSystem(self.tids, self.kin, time)
 
     def _channel_rate(self, k: int) -> float:
         """Majorant rate of channel k: bound_vw * (pairs of types v, w) / M."""
@@ -318,12 +340,12 @@ class _Engine:
             u = r_pick * lam
             if u >= lam_b and lam_u > 0.0:
                 i = self.unary_tree.find(u - lam_b)
-                v = int(self.tids[i])
-                chans, k = self.net.unary_from(v), 0
-                if len(chans) > 1:
-                    rates = _SumTree(np.array(self.net.unary_rates(v, float(self.kin[i]))))
+                v = self.tids[i]
+                targets, k = self.targets[v], 0
+                if len(targets) > 1:
+                    rates = _SumTree(np.array(self.net.unary_rates(v, self.kin[i])))
                     k = rates.find(r_i * rates.nodes[1])
-                return wait, UnaryEvent(i, chans[k].target)
+                return wait, (_CONVERSION, i, targets[k])
             event = self._propose_collision(u, r_i, r_j, r_accept)
             if event is not None:
                 return wait, event
@@ -332,27 +354,29 @@ class _Engine:
     def _propose_collision(self, u, r_i, r_j, r_accept):
         """A uniform pair of the channel holding u, or None when thinned away."""
         (v, w), bound, constant = self.channels[self.channel_tree.find(u)]
-        first, second = self.members[v], self.members[w]
+        first = self.members[v]
         a = int(r_i * len(first))
         if v == w:
             b = int(r_j * (len(first) - 1))
             j = first[b + (b >= a)]
         else:
+            second = self.members[w]
             j = second[int(r_j * len(second))]
         i = first[a]
         if constant:
-            return CollisionEvent(i, j)
-        t_i, t_j = float(self.kin[i]), float(self.kin[j])
-        rate = np.asarray(self.net.pair_rate(v, t_i, w, t_j), dtype=float).item()
+            return _COLLISION, i, j
+        t_i, t_j = self.kin[i], self.kin[j]
+        rate = _as_float(self.net.pair_rate(v, t_i, w, t_j))
         if not 0.0 <= rate <= bound:
             raise ValidationError(
                 f"{'negative rate' if rate < 0 else 'rate above the declared bound'} {rate} "
                 f"of collision channel {(v, w)} (bound {bound}) at energies {t_i}, {t_j}"
             )
-        return CollisionEvent(i, j) if r_accept * bound < rate else None
+        return (_COLLISION, i, j) if r_accept * bound < rate else None
 
-    def check(self, event) -> None:
-        """Reject an event the engine cannot apply to the current state.
+    def check(self, event) -> tuple:
+        """The engine tuple of a ``CollisionEvent`` or ``UnaryEvent``, after rejecting
+        one the engine cannot apply to the current state.
 
         Events drawn by ``next_event`` always pass; this guards events that
         come from outside the run loop.
@@ -366,67 +390,65 @@ class _Engine:
         for k in indices:
             if not (isinstance(k, (int, np.integer)) and 0 <= k < self.m):
                 raise ValidationError(f"particle index {k!r} outside 0..{self.m - 1}")
-        if isinstance(event, CollisionEvent) and event.i == event.j:
-            raise ValidationError(f"collision needs two distinct particles, got i=j={event.i}")
-        if isinstance(event, UnaryEvent):
-            v = int(self.tids[event.i])
-            if all(ch.target != event.target for ch in self.net.unary_from(v)):
-                raise ValidationError(f"no unary channel {v}->{event.target}")
-
-    def apply(self, event, rng: np.random.Generator) -> bool:
-        """Apply an event in place; False when the collision fizzles (no feasible output)."""
         if isinstance(event, CollisionEvent):
-            i, j = event.i, event.j
-            a, b = (i, j) if self.tids[i] <= self.tids[j] else (j, i)
-            va, vb = int(self.tids[a]), int(self.tids[b])
-            ch = self.net.binary_channel(va, vb)
-            if ch is None:
-                raise ValidationError(f"no binary channel for type pair ({va}, {vb})")
-            outcome = ch.kernel.sample_outcome(
-                va, float(self.kin[a]), vb, float(self.kin[b]), self.types, rng
-            )
-            if outcome is None:
-                return False
-            v_out_a, u_a, v_out_b, u_b = outcome
-            self._mutate((a, b), (v_out_a, v_out_b), (u_a, u_b))
-            return True
-        if isinstance(event, UnaryEvent):
-            i = event.i
-            v = int(self.tids[i])
-            release, _ = self.net._unary_table[v][1][event.target]  # I_v - I_target
-            t_new = float(self.kin[i]) + release
+            if event.i == event.j:
+                raise ValidationError(f"collision needs two distinct particles, got i=j={event.i}")
+            return _COLLISION, int(event.i), int(event.j)
+        v = self.tids[event.i]
+        if event.target not in self.targets[v]:
+            raise ValidationError(f"no unary channel {v}->{event.target}")
+        return _CONVERSION, int(event.i), event.target
+
+    def apply(self, event: tuple, rng: np.random.Generator) -> bool:
+        """Apply an event tuple in place; False when the collision fizzles (no feasible output)."""
+        kind, i, x = event
+        tids, kin = self.tids, self.kin
+        if kind == _CONVERSION:
+            v = tids[i]
+            release, _ = self.net._unary_table[v][1][x]  # I_v - I_x
+            t_new = kin[i] + release
             if t_new < 0.0:
                 raise InfeasibleReactionError(
-                    f"type change {v}->{event.target} needs more kinetic energy than "
-                    f"particle {i} has ({float(self.kin[i])})"
+                    f"type change {v}->{x} needs more kinetic energy than particle {i} has ({kin[i]})"
                 )
-            self._mutate((i,), (event.target,), (t_new,))
+            self._mutate(i, x, t_new)
             return True
-        raise ValidationError(f"unknown event {event!r}")
+        a, b = (i, x) if tids[i] <= tids[x] else (x, i)
+        va, vb = tids[a], tids[b]
+        sample_outcome = self.samplers[va][vb]
+        if sample_outcome is None:
+            raise ValidationError(f"no binary channel for type pair ({va}, {vb})")
+        outcome = sample_outcome(va, kin[a], vb, kin[b], self.types, rng)
+        if outcome is None:
+            return False
+        v_out_a, u_a, v_out_b, u_b = outcome
+        self._mutate(a, v_out_a, u_a)
+        self._mutate(b, v_out_b, u_b)
+        return True
 
-    def _mutate(self, indices, new_types, new_energies) -> None:
-        for i, v, t in zip(indices, new_types, new_energies):
-            old = int(self.tids[i])
-            self.tids[i] = v
-            self.kin[i] = t
-            if not self.tracking:
-                continue
-            if old != v:  # swap-remove i from its old type's members
-                src, k = self.members[old], self.pos[i]
-                last = src.pop()
-                if last != i:
-                    src[k] = last
-                    self.pos[last] = k
-                self.pos[i] = len(self.members[v])
-                self.members[v].append(i)
-                for k in self.channels_of[old] + self.channels_of[v]:
-                    self.channel_tree.update(k, self._channel_rate(k))
-            rate = 0.0
-            if self.net.unary_from(v):
-                rate = self.net.unary_rate(v, float(t))
-                if not rate >= 0.0:
-                    raise ValidationError(f"negative rate {rate} from a unary rate function")
-            self.unary_tree.update(i, rate)
+    def _mutate(self, i: int, v: int, t: float) -> None:
+        """Give particle i type v and kinetic energy t, and update selection."""
+        old = self.tids[i]
+        self.tids[i] = v
+        self.kin[i] = t
+        if not self.tracking:
+            return
+        if old != v:  # swap-remove i from its old type's members
+            src, k = self.members[old], self.pos[i]
+            last = src.pop()
+            if last != i:
+                src[k] = last
+                self.pos[last] = k
+            self.pos[i] = len(self.members[v])
+            self.members[v].append(i)
+            for k in self.channels_of[old] + self.channels_of[v]:
+                self.channel_tree.update(k, self._channel_rate(k))
+        rate = 0.0
+        if self.targets[v]:
+            rate = self.net.unary_rate(v, t)
+            if not rate >= 0.0:
+                raise ValidationError(f"negative rate {rate} from a unary rate function")
+        self.unary_tree.update(i, rate)
 
 
 def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
@@ -440,7 +462,11 @@ def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
     """
     if system.size < 1:
         raise ValidationError("need at least one particle")
-    return _Engine(system, network).next_event(rng)
+    wait, event = _Engine(system, network).next_event(rng)
+    if event is None:
+        return wait, None
+    kind, i, x = event
+    return wait, CollisionEvent(i, x) if kind == _COLLISION else UnaryEvent(i, x)
 
 
 def execute_event(system: ParticleSystem, event, network: ReactionNetwork, rng):
@@ -457,8 +483,7 @@ def execute_event(system: ParticleSystem, event, network: ReactionNetwork, rng):
     output) returns an unchanged copy with applied=False.
     """
     engine = _Engine(system, network, track_rates=False)
-    engine.check(event)
-    applied = engine.apply(event, rng)
+    applied = engine.apply(engine.check(event), rng)
     return engine.to_system(system.time), applied
 
 
@@ -546,19 +571,22 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
     pending = deque(sorted(float(s) for s in config.snapshot_times))
     snaps: list[Snapshot] = []
     attempted = applied = noops = 0
+    t_end = config.t_end
+    max_events = math.inf if config.max_events is None else config.max_events
 
     def flush(before: float) -> None:
         while pending and pending[0] < before:
             snaps.append(_make_snapshot(engine, pending.popleft(), attempted, edges))
 
-    while config.max_events is None or attempted < config.max_events:
+    while attempted < max_events:
         try:
-            wait, event = engine.next_event(rng, config.t_end - t)
+            wait, event = engine.next_event(rng, t_end - t)
         except KineticsError as exc:
             raise SimulationError(str(exc), time=t) from exc
-        flush(t + wait)
-        if event is None or t + wait > config.t_end:
-            t = config.t_end
+        if pending and pending[0] < t + wait:
+            flush(t + wait)
+        if event is None or t + wait > t_end:
+            t = t_end
             break
         t += wait
         attempted += 1
@@ -568,8 +596,8 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
             else:
                 noops += 1
         except KineticsError as exc:
-            idx = (event.i, event.j) if isinstance(event, CollisionEvent) else (event.i,)
-            raise SimulationError(str(exc), time=t, indices=idx) from exc
+            kind, i, x = event
+            raise SimulationError(str(exc), time=t, indices=(i, x) if kind == _COLLISION else (i,)) from exc
     else:
         # the event budget is spent: later snapshot times are unreachable and dropped
         flush(np.nextafter(t, np.inf))

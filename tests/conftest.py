@@ -12,6 +12,16 @@ def uniform_net(alpha=1.0):
     )
 
 
+def feasible_outputs(kernel, v, t, v_other, t_other, types):
+    """(indices, renormalized weights, available energies) of the feasible outputs at
+    these inputs, read from the kernel's outcome table as ``sample_outcome`` reads it."""
+    kinetic = t + t_other
+    table = kernel._outcome_table(v, v_other, types)
+    size = table.size(kinetic)
+    idx, _ = table.subsets[size]
+    return list(idx), table.weights[size, idx], [kinetic + table.releases[k] for k in idx]
+
+
 @pytest.fixture
 def one_type_table():
     return ek.TypeTable(np.array([0.0]))

@@ -8,7 +8,7 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
-from conftest import uniform_net
+from conftest import feasible_outputs, uniform_net
 
 
 @pytest.fixture
@@ -200,13 +200,14 @@ class TestAdditiveConservation:
 
 
 # ---------------------------------------------------------------------------
-# The residual checks one point at a time, with the kernel density assembled from
-# ``feasible_outputs``: the oracle of the batched checks, which must agree bit for bit.
+# The residual checks one point at a time, with the kernel density assembled from the
+# outcome table's feasible outputs: the oracle of the batched checks, which must agree
+# bit for bit.
 # ---------------------------------------------------------------------------
 
 
 def reference_kernel_density(kernel, v, t, v_other, t_other, v_out, u, v_out_other, types):
-    idx, w, avail = kernel.feasible_outputs(v, t, v_other, t_other, types)
+    idx, w, avail = feasible_outputs(kernel, v, t, v_other, t_other, types)
     for k, wk, e in zip(idx, w, avail):
         out = kernel.outputs[k]
         if (out.first, out.second) == (v_out, v_out_other) and e > 0.0:  # e = 0: a point mass

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import enerkin as ek
+from conftest import feasible_outputs
 from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS
 
 
@@ -149,9 +150,9 @@ class TestScatteringKernel:
         hi = k.check_normalization(1, 4.0, 1, 4.0, tt)
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
-        idx, w, _ = k.feasible_outputs(1, 0.5, 1, 0.5, tt)
+        idx, w, _ = feasible_outputs(k, 1, 0.5, 1, 0.5, tt)
         assert idx == [0] and w.tolist() == [1.0]
-        idx, w, _ = k.feasible_outputs(1, 4.0, 1, 4.0, tt)
+        idx, w, _ = feasible_outputs(k, 1, 4.0, 1, 4.0, tt)
         assert idx == [0, 1] and np.allclose(w, [0.25, 0.75])
 
     @pytest.mark.parametrize("weights", [(0.3, 1.7), (0.3, 1.7, 0.9)], ids=["two", "three"])
@@ -164,7 +165,7 @@ class TestScatteringKernel:
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         for t, tp in energies.tolist():
             got = k.sample_outcome(1, t, 1, tp, tt, rng)
-            idx, w, avail = k.feasible_outputs(1, t, 1, tp, tt)
+            idx, w, avail = feasible_outputs(k, 1, t, 1, tp, tt)
             assert len(idx) == len(weights)
             pick = int(ref.choice(len(idx), p=w))
             out, e = k.outputs[idx[pick]], avail[pick]
@@ -454,7 +455,7 @@ def test_outcome_table_matches_brute_force(case):
         idx, w, avail = _brute_force_outcomes(kernel, v, x, v_other, types)
         # the scalar lookup, split as (x, 0.0) and as (0.0, x)
         for t, t_other in ((x, 0.0), (0.0, x)):
-            got_idx, got_w, got_avail = kernel.feasible_outputs(v, t, v_other, t_other, types)
+            got_idx, got_w, got_avail = feasible_outputs(kernel, v, t, v_other, t_other, types)
             assert got_idx == idx
             assert got_w.tolist() == w.tolist()
             assert got_avail == avail
@@ -469,14 +470,14 @@ def test_outcome_table_matches_brute_force(case):
 
 def _per_pair_errors(network, n_samples, rng, scale=1.0):
     """kernel_normalization_errors one input pair at a time: two scalar draws, the
-    quadrature summed output by output from ``feasible_outputs``, then the outcome mass."""
+    quadrature summed output by output over the outcome table's feasible outputs, then the outcome mass."""
     errors = {}
     for ch in network.binary:
         (v, w), k = ch.pair, ch.kernel
         worst = 0.0
         for _ in range(n_samples):
             t, tp = (float(x) for x in rng.exponential(scale, size=2))
-            idx, weights, avail = k.feasible_outputs(v, t, w, tp, network.types)
+            idx, weights, avail = feasible_outputs(k, v, t, w, tp, network.types)
             total = 0.0
             for i, wk, e in zip(idx, weights, avail):
                 if e == 0.0:

@@ -434,7 +434,7 @@ class TestSelectionBookkeeping:
         # the member lists are a partition of the particles by current type
         for v in (1, 2):
             members = engine.members[v]
-            assert sorted(members) == np.flatnonzero(engine.tids == v).tolist()
+            assert sorted(members) == np.flatnonzero(np.asarray(engine.tids) == v).tolist()
             assert all(engine.pos[i] == k for k, i in enumerate(members))
         # the channel tree, updated leaf by leaf on type changes, is the tree a
         # fresh build from the current type counts gives
@@ -746,7 +746,7 @@ class TestAgainstDenseOracle:
         # from one fixed state: the mean wait is 1 / (total rate), thinned
         # proposals included, and each pair and each (particle, target)
         # conversion is drawn in proportion to its dense rate
-        from enerkin.simulate import _Engine
+        from enerkin.simulate import _COLLISION, _Engine
 
         net = _oracle_network(case)
         state = self.INIT
@@ -764,8 +764,8 @@ class TestAgainstDenseOracle:
         waits = np.empty(n)
         counts = dict.fromkeys(rates, 0)
         for k in range(n):
-            waits[k], ev = engine.next_event(rng)
-            key = ("pair", *sorted((ev.i, ev.j))) if isinstance(ev, ek.CollisionEvent) else ("unary", ev.i, ev.target)
+            waits[k], (kind, i, x) = engine.next_event(rng)
+            key = ("pair", *sorted((i, x))) if kind == _COLLISION else ("unary", i, x)
             counts[key] += 1
         assert abs(waits.mean() * total - 1.0) < 4.0 / np.sqrt(n)
         assert all(counts[k] == 0 for k, r in rates.items() if r == 0.0)

@@ -1,0 +1,208 @@
+"""Pinned SHA-256 digests of exact simulator trajectories.
+
+The CLI pins in ``test_cli.py`` run constant rates, the one-output uniform
+and gamma canonical kernels and one-channel conversions.  These pins cover
+the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
+and ``CallableRate`` rates, a type with two unary channels, ``TableKernel``
+with and without a mass function, a canonical pair with no common gamma
+rate (the tabulated split sampler), and the single-event functions
+``sample_next_event`` and ``execute_event``.
+
+A fixed configuration and seed give bit-identical trajectories, so a new
+digest means the engine draws or applies events differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import enerkin as ek
+
+
+def _hash_state(h, state):
+    h.update(np.ascontiguousarray(state.type_ids, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(state.kinetic_energies, dtype=np.float64).tobytes())
+    h.update(repr(float(state.time)).encode())
+
+
+def trajectory_digest(traj):
+    """SHA-256 over every snapshot (time, event count, type counts, histograms,
+    particle state), the final state and the event counters."""
+    h = hashlib.sha256()
+    for snap in traj.snapshots:
+        h.update(repr((float(snap.time), int(snap.event_count))).encode())
+        h.update(np.asarray(snap.type_counts, dtype=np.int64).tobytes())
+        for hist in snap.histograms:
+            h.update(np.asarray(hist, dtype=np.float64).tobytes())
+        _hash_state(h, snap.state)
+    _hash_state(h, traj.final_state)
+    h.update(repr((traj.events_applied, traj.noop_events, traj.rejected_proposals)).encode())
+    return h.hexdigest()
+
+
+def _uniform_outputs():
+    return {
+        (1, 1): [(1, 1, 1.0), (2, 2, 1.0)],
+        (1, 2): [(1, 2, 1.0), (2, 1, 1.0), (3, 1, 0.5), (1, 3, 0.5)],
+        (2, 3): [(2, 3, 1.0)],
+        (3, 3): [(3, 3, 1.0), (1, 1, 1.0)],
+    }
+
+
+def _three_types(binary_rate, unary_rate):
+    """Three types with internal energies 0, 0.5, 1; types 1 and 3 each have two
+    conversion channels, so a conversion out of them picks among its channels."""
+    tt = ek.TypeTable(np.array([0.0, 0.5, 1.0]))
+    scale = {(1, 1): 2.0, (1, 2): 0.5, (2, 3): 0.5, (3, 3): 3.0}
+    binary = [
+        ek.BinaryChannel(p, binary_rate(c), ek.UniformKernel(_uniform_outputs()[p]))
+        for p, c in scale.items()
+    ]
+    ie = tt.internal_energies
+    unary = [
+        ek.UnaryChannel(v, w, unary_rate(k, float(ie[w - 1])))
+        for k, (v, w) in enumerate([(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)])
+    ]
+    return ek.ReactionNetwork(tt, binary, unary)
+
+
+def sum_decay_network():
+    return _three_types(
+        lambda c: ek.SumDecayRate(c, 0.4), lambda k, _: ek.ConstantUnaryRate(0.1 + 0.1 * k)
+    )
+
+
+def power_gap_network():
+    return _three_types(
+        ek.ConstantRate, lambda k, gate: ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, gate)
+    )
+
+
+def callable_network():
+    def inverse_product(c):
+        return lambda t, tp: c / (1.0 + np.asarray(t, dtype=float) * np.asarray(tp, dtype=float))
+
+    return _three_types(
+        lambda c: ek.CallableRate(inverse_product(c), "inverse product", bound=c),
+        lambda k, _: ek.ConstantUnaryRate(0.2),
+    )
+
+
+def _table_kernel(outputs, mass_fn):
+    return ek.TableKernel(
+        outputs,
+        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
+        # a quadratic split law, so the table sampler is not the uniform kernel's
+        split_sample_fn=lambda a, b, e, rng: e * rng.random() ** 2,
+        mass_fn=mass_fn,
+    )
+
+
+def table_network(mass_fn=None):
+    """Two types across a gap of 0.3, table kernels with one and two outputs."""
+    tt = ek.TypeTable(np.array([0.0, 0.3]))
+    return ek.ReactionNetwork(
+        tt,
+        [
+            ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), _table_kernel([(1, 1, 1.0), (2, 2, 0.5)], mass_fn)),
+            ek.BinaryChannel((1, 2), ek.ConstantRate(0.5), _table_kernel([(1, 2, 1.0)], mass_fn)),
+            ek.BinaryChannel((2, 2), ek.ConstantRate(1.0), _table_kernel([(2, 2, 1.0), (1, 1, 0.5)], mass_fn)),
+        ],
+    )
+
+
+def mixed_canonical_network():
+    """Canonical kernels of Gamma(2, 1) and Exp(2): no common rate, so the split
+    is drawn from the tabulated inverse CDF."""
+    tt = ek.TypeTable(np.array([0.0, 0.0]))
+    dens = {1: ek.GammaDensity(2.0, 1.0), 2: ek.Exponential(2.0)}
+
+    def ch(pair, outs):
+        return ek.BinaryChannel(pair, ek.ConstantRate(1.0), ek.CanonicalKernel(outs, dens))
+
+    return ek.ReactionNetwork(
+        tt, [ch((1, 1), [(1, 1, 1.0)]), ch((1, 2), [(1, 2, 1.0)]), ch((2, 2), [(2, 2, 1.0)])]
+    )
+
+
+EXP = ek.Exponential(1.0)
+CASES = {
+    "sum_decay": (sum_decay_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
+    "power_gap": (power_gap_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
+    "callable": (callable_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
+    "table": (table_network, ek.TypeCountsInitial((30, 10), (EXP, EXP))),
+    "table_mass": (
+        lambda: table_network(lambda v, t, vp, tp: 1.0 / (1.0 + 0.5 * (t + tp))),
+        ek.TypeCountsInitial((30, 10), (EXP, EXP)),
+    ),
+    "mixed_canonical": (mixed_canonical_network, ek.TypeCountsInitial((12, 8), (EXP, EXP))),
+}
+
+TRAJECTORY_SHA256 = {
+    "sum_decay": "86088b08c7c14495992206abcefaccb7d90236b7968d5079c5247f60d39f712a",
+    "power_gap": "021e7c7c5f9dadab6220dd0472f8af77b074b9cac3c9fc86fafca084fcb72f2e",
+    "callable": "a3a80b953a50d23f955288c7edca5d9b878f50d6c9d62c537eff4d2cbe6e73d9",
+    "table": "27bb456886e823be6dc1d356c9f7d95a24d097ff244e2a142a107870094562a1",
+    "table_mass": "8c484fd75974b409fb7387315a136889291fafb51550070373461a0116eb93a4",
+    "mixed_canonical": "5998981754323e5a5459a56027ead9f990c718792811c08789ea063671b1f59a",
+}
+
+
+def _run(case):
+    make, initial = CASES[case]
+    cfg = ek.SimulatorConfig(
+        make(), initial, t_end=1e9, snapshot_times=(0.0, 1.0, 5.0, 20.0), max_events=1500, seed=11
+    )
+    return ek.run(cfg)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trajectory_is_pinned(case):
+    traj = _run(case)
+    assert traj.event_count == 1500
+    assert trajectory_digest(traj) == TRAJECTORY_SHA256[case]
+
+
+def test_sum_decay_pin_covers_thinning():
+    assert _run("sum_decay").rejected_proposals > 0
+
+
+def test_table_mass_pin_covers_fizzles():
+    assert _run("table_mass").noop_events > 0
+
+
+SINGLE_EVENT_SHA256 = {
+    "sum_decay": "1f15de3420c9ececf728cdff76284a664b2ffdffc57cf18dd386e909c87a63e6",
+    "power_gap": "c9d864442a3a5b2932c1e9ca6674b60aa583fd9927476def00ea4c08d48c4610",
+    "callable": "28406ec414098ffdd51c20541c896f450106e8f914895ca3d0f647cb0fb57359",
+    "table": "d7a961a5fa8f2ac2f8f68bce9cf2117c7ca9a4d22c0405d77f19bc6a1c20f46b",
+    "table_mass": "9886a7335d51eaddb79981eb9e7093774cd2893d2910e016d39089235d2f0baf",
+    "mixed_canonical": "f4ffc2dd57d2887e503a1159257f2ffbe0d152cc38aebf979080e3c1431607ef",
+}
+
+
+def single_event_digest(case):
+    """Draw events with ``sample_next_event`` and apply each with ``execute_event``,
+    chaining the states: SHA-256 over every wait, event, applied flag and state."""
+    h = hashlib.sha256()
+    make, initial = CASES[case]
+    net = make()
+    rng = np.random.default_rng(23)
+    counts = initial.counts
+    state = ek.ParticleSystem(
+        np.repeat(np.arange(1, len(counts) + 1), counts), rng.exponential(1.0, sum(counts))
+    )
+    for _ in range(60):
+        wait, event = ek.sample_next_event(state, net, rng)
+        h.update(repr((wait, event)).encode())
+        state, applied = ek.execute_event(state, event, net, rng)
+        state.time += wait
+        h.update(repr(applied).encode())
+        _hash_state(h, state)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_single_event_functions_are_pinned(case):
+    assert single_event_digest(case) == SINGLE_EVENT_SHA256[case]
