@@ -31,8 +31,9 @@ EXIT_FAULT = 2
 FAULT_FIELDS = ("field", "step", "time", "indices")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    """Write floats as repr(float(x)), other cells as str(x): one ``%s`` per cell,
+def _write_csv(path: Path, header: list, rows=(), text: str = "") -> None:
+    """Write the header, then ``text`` (lines already formatted by this rule), then
+    ``rows``: floats as repr(float(x)), other cells as str(x), one ``%s`` per cell,
     after converting float subclasses (numpy.float64), whose str may differ."""
     rows = [tuple(r) for r in rows]
     cells = [c for r in rows for c in r]
@@ -41,7 +42,30 @@ def _write_csv(path: Path, header: list, rows) -> None:
     lines = {w: ",".join(["%s"] * w) + "\n" for w in {len(r) for r in rows}}
     fmt = "".join([lines[len(r)] for r in rows])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + fmt % tuple(cells))
+        fh.write(",".join(header) + "\n" + text + fmt % tuple(cells))
+
+
+def _snapshot_texts(states):
+    """The ``type_id,kinetic_energy`` lines of each state of one trajectory, joined.
+
+    The first state formats every row.  A later one reformats only the rows
+    whose type id or float64 bit pattern changed since the state before (bits,
+    not values: 0.0 == -0.0), so an unchanged particle's line is formatted once
+    per series.  Values come from ``tolist()``: ``repr`` of a numpy float is not
+    the float's repr.
+    """
+    lines = prev_ids = prev_bits = None
+    for state in states:
+        ids, energies = state.type_ids, state.kinetic_energies
+        bits = energies.view(np.uint64)
+        if lines is None:
+            lines = [f"{v},{t!r}\n" for v, t in zip(ids.tolist(), energies.tolist())]
+        else:
+            changed = np.flatnonzero((ids != prev_ids) | (bits != prev_bits))
+            for i, v, t in zip(changed.tolist(), ids[changed].tolist(), energies[changed].tolist()):
+                lines[i] = f"{v},{t!r}\n"
+        prev_ids, prev_bits = ids, bits
+        yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +81,8 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, seed, replicas) -> int:
         base.mkdir(parents=True, exist_ok=True)
         # a run without snapshot times writes its final state as snapshot 0
         states = [snap.state for snap in traj.snapshots] or [traj.final_state]
-        for k, state in enumerate(states):
-            _write_csv(
-                base / f"snapshot_{k:03d}.csv",
-                ["type_id", "kinetic_energy"],
-                zip(state.type_ids.tolist(), state.kinetic_energies.tolist()),
-            )
+        for k, text in enumerate(_snapshot_texts(states)):
+            _write_csv(base / f"snapshot_{k:03d}.csv", ["type_id", "kinetic_energy"], text=text)
         edges = traj.histogram_edges.tolist()
         hist_rows = [
             (k, float(snap.time), v, edges[b], edges[b + 1], float(hist[b]))
@@ -82,14 +102,12 @@ def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
     grid0, cfg = scenario.solver_setup()
     snaps = integrate(grid0, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, (t, grid) in enumerate(snaps):
-        x = grid.centers.tolist()
-        rows = [
-            (v, xc, d)
-            for v, values in enumerate(grid.values.tolist(), start=1)
-            for xc, d in zip(x, values)
-        ]
-        _write_csv(out_dir / f"grid_{k:03d}.csv", ["type_id", "x_center", "density"], rows)
+    # every grid has grid0's cells: format each (type, cell) prefix once, densities per file
+    x = grid0.centers.tolist()
+    template = "".join(f"{v},{xc!r},%r\n" for v in range(1, grid0.n_types + 1) for xc in x)
+    for k, (_, grid) in enumerate(snaps):
+        text = template % tuple(grid.values.ravel().tolist())
+        _write_csv(out_dir / f"grid_{k:03d}.csv", ["type_id", "x_center", "density"], text=text)
     times_rows = [(k, float(t)) for k, (t, _) in enumerate(snaps)]
     _write_csv(out_dir / "times.csv", ["snapshot", "time"], times_rows)
     return EXIT_OK

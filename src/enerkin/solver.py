@@ -67,14 +67,14 @@ class DensityGrid:
     def __post_init__(self):
         if not (self.x_max > 0):
             raise ValidationError(f"x_max must be positive, got {self.x_max}")
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float)).copy()
+        # a copy, with any -0.0 as 0.0
+        vals = np.atleast_2d(np.asarray(self.values, dtype=float)) + 0.0
         if vals.ndim != 2 or vals.shape[1] < 2:
             raise ValidationError("grid values must be (V, n_cells) with n_cells >= 2")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("grid values must be finite")
-        if np.any(vals < -1e-12):
+        if np.any(vals < 0.0):
             raise ValidationError("grid values must be nonnegative")
-        np.maximum(vals, 0.0, out=vals)
         self.values = vals
 
     @property

@@ -7,7 +7,9 @@ wraps layer boundaries such as ``solver.rhs_one_type``, ``solver._gain_1d``,
 deleting any of them breaks only benchmark runs, so this installs both sets
 of hooks the way a benchmark child process does, and runs a traced
 simulation and a traced solve to check that the rate and right-hand-side
-spans the per-layer metrics count are hit.
+spans the per-layer metrics count are hit, and traced ``simulate`` and
+``solve`` commands to check that every CSV file goes through the wrapped
+``cli._write_csv``.
 """
 
 import json
@@ -106,6 +108,47 @@ print(json.dumps({
 """
 
 
+TRACED_CLI = """
+import json
+import sys
+import tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import enerkin
+import enerkin.cli as cli
+import tracing
+
+rec = tracing.Recorder(0)
+tracing.install(rec, enerkin)
+rate = {"form": "constant", "value": 1.0}
+uniform = {"kind": "uniform", "outputs": [{"pair": [1, 1], "weight": 1.0}]}
+exp1 = {"family": "exponential", "beta": 1.0}
+doc = {
+    "version": 1,
+    "types": {"internal_energies": [0.0]},
+    "network": {"binary": [{"reactants": [1, 1], "rate": rate, "kernel": uniform}]},
+    "initial": {"mode": "counts", "counts": [40], "energies": [{"density": exp1}]},
+    "run": {"t_end": 1.0, "snapshot_times": [0.0, 0.5, 1.0], "seed": 5, "replicas": 2,
+            "histogram": {"x_max": 6.0, "bins": 6}},
+    "solve": {"grid": {"x_max": 10.0, "cells": 50}, "initial": [{"density": exp1, "weight": 1.0}],
+              "scheme": "rk4", "dt": 0.1, "t_end": 0.5, "snapshot_times": [0.0, 0.25, 0.5]},
+}
+result = {}
+with tempfile.TemporaryDirectory() as tmp:
+    scenario = Path(tmp) / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for command in ("simulate", "solve"):
+        out = Path(tmp) / command
+        first = len(rec.spans)
+        assert cli.main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+        result[command] = {
+            "files": len(list(out.rglob("*.csv"))),
+            "spans": sum(row[tracing.NAME] == "cli.write_csv" for row in rec.spans[first:]),
+        }
+print(json.dumps(result))
+"""
+
+
 def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -153,3 +196,13 @@ def test_traced_solve_records_one_span_per_right_hand_side():
     assert out["scheme"] == "dopri5"
     assert out["rhs_evals"] > 0
     assert out["rhs_spans"] == out["rhs_calls"] == out["rhs_evals"]
+
+
+def test_traced_commands_record_one_write_span_per_csv_file():
+    # cli.bytes_written and the output layer read the wrapped cli._write_csv;
+    # a CSV written around it would drop out of both
+    proc = _run(TRACED_CLI)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    # simulate: 3 snapshots and histograms.csv per replica; solve: 3 grids and times.csv
+    assert out == {"simulate": {"files": 8, "spans": 8}, "solve": {"files": 4, "spans": 4}}

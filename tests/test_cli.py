@@ -313,6 +313,96 @@ def test_gap_scenario_outputs_are_pinned(command, tmp_path):
     assert digests == GAP_SHA256[command]
 
 
+def dense_doc():
+    """2 000 particles, 21 snapshots over about 300 events and two replicas, so that
+    most rows repeat from one snapshot to the next.  Types 1 and 2 have the same
+    internal energy, so a conversion changes a type at unchanged energy bits."""
+
+    def channel(a, b):
+        return {
+            "reactants": [a, b],
+            "rate": {"form": "constant", "value": 1.0},
+            "kernel": {"kind": "uniform", "outputs": [{"pair": [a, b], "weight": 1.0}]},
+        }
+
+    return {
+        "version": 1,
+        "types": {"internal_energies": [0.0, 0.0]},
+        "network": {
+            "binary": [channel(1, 1), channel(1, 2), channel(2, 2)],
+            "unary": [
+                {"source": 1, "target": 2, "rate": {"form": "constant", "value": 0.1}},
+                {"source": 2, "target": 1, "rate": {"form": "constant", "value": 0.1}},
+            ],
+        },
+        "initial": {
+            "mode": "counts",
+            "counts": [1200, 800],
+            "energies": [
+                {"density": {"family": "exponential", "beta": 1.0}},
+                {"density": {"family": "exponential", "beta": 2.0}},
+            ],
+        },
+        "run": {
+            "t_end": 0.3,
+            "snapshot_times": [0.015 * k for k in range(21)],
+            "seed": 17,
+            "replicas": 2,
+            "histogram": {"x_max": 6.0, "bins": 12},
+        },
+    }
+
+
+# SHA-256 over each replica directory of ``enerkin simulate`` on ``dense_doc``: every
+# file's name, a NUL byte and its bytes, in name order
+DENSE_SHA256 = {
+    "replica_00": "e86c86b35a1841a29516d50911a06a2a162fd6a74ca23f48bcbee1d195b061bc",
+    "replica_01": "f958c5195d7367f1130450abccd3f78f00cce0de102a0a2f0a2fe884e7e34ebe",
+}
+
+
+def test_dense_snapshot_series_is_pinned(tmp_path):
+    """Snapshot files that reuse the lines of unchanged particles keep the digests of
+    files that format every row."""
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(write_scenario(tmp_path, dense_doc())), "--out", str(out)]) == 0
+    digests = {}
+    for rep in sorted(out.iterdir()):
+        h = hashlib.sha256()
+        for p in sorted(rep.iterdir()):
+            h.update(p.name.encode() + b"\0" + p.read_bytes())
+        digests[rep.name] = h.hexdigest()
+    assert digests == DENSE_SHA256
+    # the series does exercise both kinds of row change
+    rows = [(out / "replica_00" / f"snapshot_{k:03d}.csv").read_text().splitlines() for k in range(21)]
+    changes = [(a, b) for prev, cur in zip(rows, rows[1:]) for a, b in zip(prev, cur) if a != b]
+    assert 0 < len(changes) < 0.05 * 20 * 2000
+    assert any(a.split(",")[1] == b.split(",")[1] for a, b in changes)
+
+
+def test_snapshot_files_match_one_repr_per_cell(tmp_path, monkeypatch):
+    """Crafted states: a first snapshot, then a flip of the sign of zero (equal values,
+    different bits), a type-only change and ordinary energy changes."""
+    states = [
+        ([1, 2, 1, 1, 2], [0.0, 1.5, 0.1, 2.0, 3.0]),
+        ([1, 1, 1, 1, 2], [-0.0, 1.5, 0.1 + 0.2, 2.0, 3.0]),
+        ([1, 1, 2, 1, 2], [0.0, 1.5, 0.1 + 0.2, 2.0, 5e-324]),
+        ([2, 1, 2, 1, 2], [0.0, 1e300, 0.1 + 0.2, 2.0, 5e-324]),
+    ]
+    systems = [ek.ParticleSystem(np.array(v), np.array(t)) for v, t in states]
+    edges = np.array([0.0, 1.0, 4.0])
+    snaps = [ek.Snapshot(k, k, np.zeros(2), [np.zeros(2), np.zeros(2)], s) for k, s in enumerate(systems)]
+    monkeypatch.setattr(cli, "run_ensemble", lambda cfg: [ek.Trajectory(snaps, systems[-1], edges, 0, 0)])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(write_scenario(tmp_path, small_doc())), "--out", str(out)]) == 0
+    for k, s in enumerate(systems):
+        want = "type_id,kinetic_energy\n" + "".join(
+            f"{v},{repr(float(t))}\n" for v, t in zip(s.type_ids, s.kinetic_energies)
+        )
+        assert (out / f"snapshot_{k:03d}.csv").read_bytes() == want.encode()
+    assert "1,-0.0\n" in (out / "snapshot_001.csv").read_text()
+
+
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_seed_is_refused_by_solve_and_check(command, tmp_path):
     scenario = SCENARIO_DIR / "exponential_equilibrium.json"

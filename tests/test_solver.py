@@ -135,6 +135,13 @@ class TestDensityGrid:
         with pytest.raises(ek.ValidationError):
             ek.DensityGrid(1.0, np.array([[0.5, -0.5]]))
 
+    def test_rejects_tiny_negative_and_keeps_zero_positive(self):
+        # nothing is clipped: a round-off negative is refused like any other
+        with pytest.raises(ek.ValidationError, match="nonnegative"):
+            ek.DensityGrid(1.0, np.array([[0.5, -1e-13]]))
+        g = ek.DensityGrid(1.0, np.array([[0.5, -0.0]]))
+        assert repr(g.values.tolist()) == "[[0.5, 0.0]]"
+
     def test_cell_average_projection_has_exact_mass(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 20.0, 400)
         assert ek.mass(g) == pytest.approx(1.0, abs=1e-14)
