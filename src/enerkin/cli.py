@@ -31,18 +31,23 @@ EXIT_FAULT = 2
 FAULT_FIELDS = ("field", "step", "time", "indices")
 
 
-def _write_csv(path: Path, header: list, rows=(), text: str = "") -> None:
-    """Write the header, then ``text`` (lines already formatted by this rule), then
-    ``rows``: floats as repr(float(x)), other cells as str(x), one ``%s`` per cell,
-    after converting float subclasses (numpy.float64), whose str may differ."""
+def _csv_text(rows) -> str:
+    """CSV lines of ``rows``: floats as repr(float(x)), other cells as str(x), one
+    ``%s`` per cell, after converting float subclasses (numpy.float64), whose str
+    may differ."""
     rows = [tuple(r) for r in rows]
     cells = [c for r in rows for c in r]
     if any(k is not float and issubclass(k, float) for k in set(map(type, cells))):
         cells = [repr(float(c)) if isinstance(c, float) else c for c in cells]
     lines = {w: ",".join(["%s"] * w) + "\n" for w in {len(r) for r in rows}}
     fmt = "".join([lines[len(r)] for r in rows])
+    return fmt % tuple(cells)
+
+
+def _write_csv(path: Path, header: list, text: str) -> None:
+    """Write the header line, then ``text``: lines formatted by the rule of ``_csv_text``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + text + fmt % tuple(cells))
+        fh.write(",".join(header) + "\n" + text)
 
 
 def _snapshot_texts(states):
@@ -82,7 +87,7 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, seed, replicas) -> int:
         # a run without snapshot times writes its final state as snapshot 0
         states = [snap.state for snap in traj.snapshots] or [traj.final_state]
         for k, text in enumerate(_snapshot_texts(states)):
-            _write_csv(base / f"snapshot_{k:03d}.csv", ["type_id", "kinetic_energy"], text=text)
+            _write_csv(base / f"snapshot_{k:03d}.csv", ["type_id", "kinetic_energy"], text)
         edges = traj.histogram_edges.tolist()
         hist_rows = [
             (k, float(snap.time), v, edges[b], edges[b + 1], float(hist[b]))
@@ -93,7 +98,7 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, seed, replicas) -> int:
         _write_csv(
             base / "histograms.csv",
             ["snapshot", "time", "type_id", "bin_left", "bin_right", "density"],
-            hist_rows,
+            _csv_text(hist_rows),
         )
     return EXIT_OK
 
@@ -107,9 +112,9 @@ def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
     template = "".join(f"{v},{xc!r},%r\n" for v in range(1, grid0.n_types + 1) for xc in x)
     for k, (_, grid) in enumerate(snaps):
         text = template % tuple(grid.values.ravel().tolist())
-        _write_csv(out_dir / f"grid_{k:03d}.csv", ["type_id", "x_center", "density"], text=text)
+        _write_csv(out_dir / f"grid_{k:03d}.csv", ["type_id", "x_center", "density"], text)
     times_rows = [(k, float(t)) for k, (t, _) in enumerate(snaps)]
-    _write_csv(out_dir / "times.csv", ["snapshot", "time"], times_rows)
+    _write_csv(out_dir / "times.csv", ["snapshot", "time"], _csv_text(times_rows))
     return EXIT_OK
 
 
@@ -125,7 +130,7 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
         rows = [
             (float(t), float(eq.relative_entropy(g, ref, g))) for t, g in snaps
         ]
-        _write_csv(out_dir / "entropy.csv", ["time", "entropy"], rows)
+        _write_csv(out_dir / "entropy.csv", ["time", "entropy"], _csv_text(rows))
         wrote_any = True
     if scenario.run is not None:
         cfg = scenario.simulator_config(seed=seed)
@@ -146,7 +151,7 @@ def _cmd_analyze(scenario: Scenario, out_dir: Path, seed) -> int:
                     continue
                 d = eq.ks_distance(pooled, scenario.reference.families[v - 1].cdf)
                 rows.append((float(time), v, pooled.size, float(d)))
-        _write_csv(out_dir / "ks.csv", ["time", "type_id", "n_samples", "ks_distance"], rows)
+        _write_csv(out_dir / "ks.csv", ["time", "type_id", "n_samples", "ks_distance"], _csv_text(rows))
         wrote_any = True
     if not wrote_any:
         raise ValidationError("analyze needs a 'run' or 'solve' section")

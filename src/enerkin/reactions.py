@@ -88,10 +88,7 @@ class SumDecayRate:
         self.bound = self.scale
 
     def __call__(self, t, t_other):
-        if isinstance(t, float) and isinstance(t_other, float):
-            # the engine's path: the array arithmetic below on one value, bit for bit
-            return self.scale * np.exp(-self.decay * (t + t_other))
-        return self.of_sum(np.asarray(t, dtype=float) + np.asarray(t_other, dtype=float))
+        return self.scale * np.exp(-self.decay * np.add(t, t_other, dtype=float))
 
     def of_sum(self, s):
         return self.scale * np.exp(-self.decay * np.asarray(s, dtype=float))

@@ -237,19 +237,6 @@ class _SumTree:
             size //= 2
         self.nodes = nodes.tolist()
 
-    @classmethod
-    def of_floats(cls, leaves: list) -> "_SumTree":
-        """The tree ``_SumTree(np.array(leaves))`` builds, node for node, from a short
-        list of Python floats: the same pairwise sums in a Python loop, without the
-        arrays that cost more than a conversion's pick among its few channels."""
-        tree = cls.__new__(cls)
-        tree.size = size = 1 << max(0, len(leaves) - 1).bit_length()
-        nodes = [0.0] * size + leaves + [0.0] * (size - len(leaves))
-        for k in range(size - 1, 0, -1):
-            nodes[k] = nodes[2 * k] + nodes[2 * k + 1]
-        tree.nodes = nodes
-        return tree
-
     def update(self, i: int, value: float) -> None:
         nodes, k = self.nodes, self.size + i
         if nodes[k] != value:
@@ -356,7 +343,7 @@ class _Engine:
                 v = self.tids[i]
                 targets, k = self.targets[v], 0
                 if len(targets) > 1:
-                    rates = _SumTree.of_floats(self.net.unary_rates(v, self.kin[i]))
+                    rates = _SumTree(np.array(self.net.unary_rates(v, self.kin[i])))
                     k = rates.find(r_i * rates.nodes[1])
                 return wait, (_CONVERSION, i, targets[k])
             event = self._propose_collision(u, r_i, r_j, r_accept)

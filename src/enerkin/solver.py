@@ -112,7 +112,10 @@ class DensityGrid:
         h = edges[1] - edges[0]
         vals = np.empty((len(families), n_cells))
         for k, (fam, w) in enumerate(zip(families, weights)):
-            cdf = fam.cdf(edges)
+            # a running maximum: a CDF that dips by round-off (a table whose sum
+            # ends a few ulp past 1, a gamma at saturation) gives empty cells,
+            # not negative ones
+            cdf = np.maximum.accumulate(fam.cdf(edges))
             vals[k] = w * np.diff(cdf) / h
         return cls(x_max, vals)
 

@@ -761,5 +761,5 @@ def test_csv_writer_matches_per_cell_rule(tmp_path):
     ragged = uniform[:50] + [(1,), (np.float64(0.5), 2, 3.0, np.int64(4))] + [[np.float64(2.0), 3]]
     for name, rows in (("uniform", uniform), ("ragged", ragged), ("python", [(1, 0.1), (2, 2.0)]), ("empty", [])):
         path = tmp_path / f"{name}.csv"
-        cli._write_csv(path, ["a", "b", "c"], iter(rows))
+        cli._write_csv(path, ["a", "b", "c"], cli._csv_text(iter(rows)))
         assert path.read_bytes() == per_cell(["a", "b", "c"], rows).encode()

@@ -454,18 +454,6 @@ class TestSelectionBookkeeping:
         for u in np.concatenate([np.linspace(0.0, tree.nodes[1], 101), [tree.nodes[1] * (1 + 1e-15)]]):
             assert leaves[tree.find(u)] > 0.0
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=9))
-    def test_float_list_tree_is_the_array_tree(self, leaves):
-        # a conversion picks its channel from the list-built tree: the same
-        # nodes, bit for bit, so the same leaf for every uniform
-        from enerkin.simulate import _SumTree
-
-        built = _SumTree.of_floats(list(leaves))
-        ref = _SumTree(np.array(leaves))
-        assert built.size == ref.size
-        assert np.array_equal(np.array(built.nodes).view(np.uint64), np.array(ref.nodes).view(np.uint64))
-
     def test_rate_above_bound_faults(self):
         tt = ek.TypeTable(np.array([0.0]))
         rate = ek.CallableRate(

@@ -142,6 +142,15 @@ class TestDensityGrid:
         g = ek.DensityGrid(1.0, np.array([[0.5, -0.0]]))
         assert repr(g.values.tolist()) == "[[0.5, 0.0]]"
 
+    def test_projection_of_a_table_summing_past_one_has_no_negative_cell(self):
+        # the table's cumulative sum ends above 1 while its cdf is 1 past x_max:
+        # the cell after the table's end is empty, not a round-off negative
+        fam = ek.Tabulated(2.0, np.full(10, 0.5 * (1 + 1e-10)))
+        assert fam._cum[-1] > 1.0
+        g = ek.DensityGrid.from_families([fam], 20.0, 10)
+        assert g.values[0, 0] == pytest.approx(0.5, rel=1e-9)
+        assert g.values[0, 1:].tolist() == [0.0] * 9
+
     def test_cell_average_projection_has_exact_mass(self):
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 20.0, 400)
         assert ek.mass(g) == pytest.approx(1.0, abs=1e-14)
