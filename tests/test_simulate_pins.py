@@ -5,8 +5,10 @@ and gamma canonical kernels and one-channel conversions.  These pins cover
 the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
 and ``CallableRate`` rates, a type with two unary channels, ``TableKernel``
 with and without a mass function, a canonical pair with no common gamma
-rate (the tabulated split sampler), and the single-event functions
-``sample_next_event`` and ``execute_event``.
+rate (the tabulated split sampler), a long series of snapshots at
+M = 2000 between which few particles change, and the single-event
+functions ``sample_next_event`` and ``execute_event``, also on an MT19937
+generator.
 
 A fixed configuration and seed give bit-identical trajectories, so a new
 digest means the engine draws or applies events differently.
@@ -182,13 +184,13 @@ SINGLE_EVENT_SHA256 = {
 }
 
 
-def single_event_digest(case):
+def single_event_digest(case, rng=None):
     """Draw events with ``sample_next_event`` and apply each with ``execute_event``,
     chaining the states: SHA-256 over every wait, event, applied flag and state."""
     h = hashlib.sha256()
     make, initial = CASES[case]
     net = make()
-    rng = np.random.default_rng(23)
+    rng = np.random.default_rng(23) if rng is None else rng
     counts = initial.counts
     state = ek.ParticleSystem(
         np.repeat(np.arange(1, len(counts) + 1), counts), rng.exponential(1.0, sum(counts))
@@ -206,3 +208,50 @@ def single_event_digest(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_single_event_functions_are_pinned(case):
     assert single_event_digest(case) == SINGLE_EVENT_SHA256[case]
+
+
+def test_single_event_functions_draw_from_the_callers_generator():
+    rng = np.random.Generator(np.random.MT19937(23))
+    digest = single_event_digest("sum_decay", rng)
+    assert digest == "4b7e3c87104ffc42a79be2ac928c9573a850ae3fbc9780402b723c7931e940c5"
+
+
+def _run_dense_snapshots():
+    """2000 particles with uniform kernels and conversions, 31 snapshots about 20
+    events apart (a few dozen particles change between two of them), then a
+    final state some 2400 events later."""
+    cfg = ek.SimulatorConfig(
+        sum_decay_network(),
+        ek.TypeCountsInitial((1000, 600, 400), (EXP, EXP, EXP)),
+        t_end=1e9,
+        snapshot_times=tuple(0.02 * k for k in range(31)),
+        max_events=3000,
+        seed=5,
+    )
+    return ek.run(cfg)
+
+
+def test_dense_snapshot_run_is_pinned():
+    traj = _run_dense_snapshots()
+    assert len(traj.snapshots) == 31 and traj.event_count == 3000
+    assert trajectory_digest(traj) == "ef5c3f3eb013eff48bb5bd3cc148fb730ba89ee5cf8314cfa995959f51fe4dbd"
+
+
+def test_every_exported_state_is_the_engine_state(monkeypatch):
+    from enerkin import simulate
+
+    export = simulate._Engine.to_system
+    times = []
+
+    def checked_export(engine, time):
+        state = export(engine, time)
+        expected = ek.ParticleSystem(engine.tids, engine.kin, time)
+        assert state.type_ids.tobytes() == expected.type_ids.tobytes()
+        assert state.kinetic_energies.tobytes() == expected.kinetic_energies.tobytes()
+        assert state.time == time
+        times.append(time)
+        return state
+
+    monkeypatch.setattr(simulate._Engine, "to_system", checked_export)
+    traj = _run_dense_snapshots()
+    assert len(times) == len(traj.snapshots) + 1  # every snapshot and the final state
