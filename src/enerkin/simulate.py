@@ -56,7 +56,7 @@ from .core import (
     ValidationError,
 )
 from .densities import DensityFamily
-from .reactions import ConstantRate, ReactionNetwork, _as_float
+from .reactions import ConstantRate, ReactionNetwork, UniformKernel, _as_float
 
 __all__ = [
     "CollisionEvent",
@@ -256,6 +256,48 @@ class _SumTree:
         return k - self.size
 
 
+_BLOCK_CAP = 4096  # doubles in the largest read-ahead block
+_PATCH_SHARE = 0.2  # to_system rebuilds its arrays when more particles than this share changed
+
+
+class _ReadAhead:
+    """The doubles of ``rng.random()``, served from blocks read ahead.
+
+    A block is one ``rng.random(k).tolist()`` call, which gives the next k
+    doubles of the stream that k calls of ``rng.random()`` give; k starts
+    at one proposal's 5 and doubles up to ``_BLOCK_CAP``.  The source
+    stands in for ``rng`` only where every draw is a ``random()`` and
+    nothing else draws from ``rng`` afterwards, since the unread tail of
+    the last block is dropped.
+    """
+
+    __slots__ = ("rng", "block", "pos", "size")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.block, self.pos, self.size = rng, [], 0, 5
+
+    def _refill(self) -> None:
+        """Follow the unread tail with the next block."""
+        self.block = self.block[self.pos :] + self.rng.random(self.size).tolist()
+        self.pos = 0
+        self.size = min(2 * self.size, _BLOCK_CAP)
+
+    def random(self) -> float:
+        if self.pos == len(self.block):
+            self._refill()
+        self.pos += 1
+        return self.block[self.pos - 1]
+
+    def proposal(self) -> list:
+        """The next five doubles, one proposal's uniforms."""
+        end = self.pos + 5
+        if end > len(self.block):
+            self._refill()
+            end = 5
+        start, self.pos = self.pos, end
+        return self.block[start:end]
+
+
 _COLLISION, _CONVERSION = 0, 1  # the kind of an engine event tuple
 
 
@@ -267,6 +309,10 @@ class _Engine:
     sum tree of unary rates.  With ``track_rates=False`` none is built and no
     rate is evaluated: the engine then only applies events, as
     ``execute_event`` needs.
+
+    ``to_system`` keeps the arrays of its last export and the indices that
+    events touched since; it patches only those, or rebuilds the arrays
+    when more than ``_PATCH_SHARE`` of the particles were touched.
     """
 
     def __init__(self, system: ParticleSystem, network: ReactionNetwork, track_rates: bool = True):
@@ -276,6 +322,8 @@ class _Engine:
         self.tids = system.type_ids.tolist()
         self.kin = system.kinetic_energies.tolist()
         self.m = len(self.tids)
+        self.exported = (system.type_ids.copy(), system.kinetic_energies.copy())
+        self.touched = set()
         self.tracking = track_rates
         self.rejected = 0
         n = types.count + 1
@@ -286,6 +334,8 @@ class _Engine:
             self.samplers[v][w] = ch.kernel.sample_outcome
         # by type: the targets of its unary channels, in channel order (empty: none)
         self.targets = [[ch.target for ch in network.unary_from(v)] for v in range(n)]
+        # every draw is one rng.random(), so ``run`` may read uniforms ahead
+        self.reads_ahead = all(type(ch.kernel) is UniformKernel for ch in network.binary)
         if not track_rates:
             return
         self.channels = []
@@ -309,12 +359,23 @@ class _Engine:
         self.pos = pos.tolist()
         self.unary_tree = _SumTree(unary)
         self.channel_tree = _SumTree(np.array([self._channel_rate(k) for k in range(len(self.channels))]))
-        self.channels_of = [
+        channels_of = [
             [k for k, (pair, _, _) in enumerate(self.channels) if v in pair] for v in range(n)
         ]
+        # by (old type, new type): the channels involving either, each once
+        self.channels_between = [[list(dict.fromkeys(a + b)) for b in channels_of] for a in channels_of]
 
     def to_system(self, time: float) -> ParticleSystem:
-        return ParticleSystem(self.tids, self.kin, time)
+        tids, kin = self.exported
+        touched = self.touched
+        if len(touched) > _PATCH_SHARE * self.m:
+            tids, kin = self.exported = np.array(self.tids, dtype=np.int64), np.array(self.kin)
+        elif touched:
+            idx = list(touched)
+            tids[idx] = [self.tids[i] for i in idx]
+            kin[idx] = [self.kin[i] for i in idx]
+        touched.clear()
+        return ParticleSystem(tids, kin, time)
 
     def _channel_rate(self, k: int) -> float:
         """Majorant rate of channel k: bound_vw * (pairs of types v, w) / M."""
@@ -322,18 +383,24 @@ class _Engine:
         n_v, n_w = len(self.members[v]), len(self.members[w])
         return bound * (n_v * (n_v - 1) // 2 if v == w else n_v * n_w) / self.m
 
-    def next_event(self, rng: np.random.Generator, horizon: float = np.inf):
+    def next_event(self, rng, horizon: float = np.inf):
         """(waiting time, event) of the next accepted event; thinned proposals add
         their waits and count in ``rejected``.  Returns (inf, None) when the total
-        rate vanishes and (wait, None) once the wait passes ``horizon``."""
+        rate vanishes and (wait, None) once the wait passes ``horizon``.
+
+        ``rng`` is a Generator or a ``_ReadAhead`` source."""
         lam_b, lam_u = self.channel_tree.nodes[1], self.unary_tree.nodes[1]
         lam = lam_b + lam_u
         if lam <= 0.0:
             return np.inf, None
+        read_ahead = type(rng) is _ReadAhead
         wait = 0.0
         while True:
-            # one call draws every uniform a proposal may need
-            r_wait, r_pick, r_i, r_j, r_accept = rng.random(5).tolist()
+            # one draw of every uniform a proposal may need
+            if read_ahead:
+                r_wait, r_pick, r_i, r_j, r_accept = rng.proposal()
+            else:
+                r_wait, r_pick, r_i, r_j, r_accept = rng.random(5).tolist()
             wait -= math.log1p(-r_wait) / lam
             if wait > horizon:
                 return wait, None
@@ -399,8 +466,10 @@ class _Engine:
             raise ValidationError(f"no unary channel {v}->{event.target}")
         return _CONVERSION, int(event.i), event.target
 
-    def apply(self, event: tuple, rng: np.random.Generator) -> bool:
-        """Apply an event tuple in place; False when the collision fizzles (no feasible output)."""
+    def apply(self, event: tuple, rng) -> bool:
+        """Apply an event tuple in place; False when the collision fizzles (no feasible output).
+
+        The kernel draws from ``rng``, a Generator or a ``_ReadAhead`` source."""
         kind, i, x = event
         tids, kin = self.tids, self.kin
         if kind == _CONVERSION:
@@ -431,6 +500,7 @@ class _Engine:
         old = self.tids[i]
         self.tids[i] = v
         self.kin[i] = t
+        self.touched.add(i)
         if not self.tracking:
             return
         if old != v:  # swap-remove i from its old type's members
@@ -441,14 +511,15 @@ class _Engine:
                 self.pos[last] = k
             self.pos[i] = len(self.members[v])
             self.members[v].append(i)
-            for k in self.channels_of[old] + self.channels_of[v]:
+            for k in self.channels_between[old][v]:
                 self.channel_tree.update(k, self._channel_rate(k))
-        rate = 0.0
         if self.targets[v]:
             rate = self.net.unary_rate(v, t)
             if not rate >= 0.0:
                 raise ValidationError(f"negative rate {rate} from a unary rate function")
-        self.unary_tree.update(i, rate)
+            self.unary_tree.update(i, rate)
+        elif self.targets[old]:  # otherwise the leaf is 0 already
+            self.unary_tree.update(i, 0.0)
 
 
 def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
@@ -569,6 +640,12 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
     if config.t_end < t:
         raise ValidationError(f"t_end {config.t_end} precedes the initial state time {t}")
     pending = deque(sorted(float(s) for s in config.snapshot_times))
+    if pending and pending[0] < t:
+        raise ValidationError(
+            f"snapshot time {pending[0]} precedes the initial state time {t}", field="snapshot_times"
+        )
+    # nothing draws from rng after the event loop, so read-ahead drops no used double
+    draws = _ReadAhead(rng) if engine.reads_ahead else rng
     snaps: list[Snapshot] = []
     attempted = applied = noops = 0
     t_end = config.t_end
@@ -580,7 +657,7 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
 
     while attempted < max_events:
         try:
-            wait, event = engine.next_event(rng, t_end - t)
+            wait, event = engine.next_event(draws, t_end - t)
         except KineticsError as exc:
             raise SimulationError(str(exc), time=t) from exc
         if pending and pending[0] < t + wait:
@@ -591,7 +668,7 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
         t += wait
         attempted += 1
         try:
-            if engine.apply(event, rng):
+            if engine.apply(event, draws):
                 applied += 1
             else:
                 noops += 1

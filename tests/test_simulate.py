@@ -128,6 +128,16 @@ class TestRun:
         assert traj.final_state.multiset_equal(init)
         assert traj.events_applied == 0
 
+    def test_snapshot_before_the_initial_time_faults(self):
+        # the state at t = 5 must not be reported under the label 1.0
+        init = ek.ParticleSystem(np.array([1, 1, 1]), np.array([0.1, 0.2, 0.3]), time=5.0)
+        cfg = ek.SimulatorConfig(uniform_net(), init, t_end=6.0, snapshot_times=(1.0, 5.5), seed=5)
+        with pytest.raises(ek.ValidationError, match=r"precedes the initial state time 5\.0") as err:
+            ek.run(cfg)
+        assert err.value.field == "snapshot_times"
+        cfg.snapshot_times = (5.0, 5.5)
+        assert [s.time for s in ek.run(cfg).snapshots] == [5.0, 5.5]
+
     def test_identical_seeds_bit_identical(self):
         net = uniform_net()
         cfg = ek.SimulatorConfig(
