@@ -1,13 +1,15 @@
 """Exact continuous-time simulation of the finite-particle chain.
 
 Each unordered pair (i, j) collides at rate alpha(T_i, T_j) / M and each
-particle converts at its feasibility-gated unary rate.  Selection costs do
-not grow with M.  Collisions are thinned over type pairs (Lewis & Shedler
-1979): channel (v, w) is proposed at bound_vw times its pair count over M,
-two distinct members are drawn uniformly, and the proposal is accepted with
-probability alpha / bound_vw (always, with no rate evaluated, for constant
-rates); a rejected proposal advances the clock but is no event.
-Conversions come from a binary sum tree of unary rates (Wong & Easton 1980).
+particle converts at its feasibility-gated unary rate.  Collisions are
+thinned over type pairs (Lewis & Shedler 1979): channel (v, w) is proposed
+at bound_vw times its pair count over M, two distinct members are drawn
+uniformly, and the proposal is accepted with probability alpha / bound_vw
+(always, with no rate evaluated, for constant rates); a rejected proposal
+advances the clock but is no event.  Conversions come from a binary sum
+tree of unary rates (Wong & Easton 1980).  Picking a collision costs O(1)
+in M; picking a conversion, and updating the unary rate of a particle an
+event changed, walk the sum tree in O(log M).
 
 One engine applies every event: ``run`` drives it, and ``execute_event``
 applies a single validated event through the same code without building
@@ -28,10 +30,23 @@ conversion releases, come from the network's per-type table of I_v, gate
 offsets I_v - I_w and rate objects.  A collision reads its feasible
 outputs, their releases and renormalized weights from the kernel's
 outcome table for the reactant types, and draws an output only when
-several are feasible.  A type change updates only the channel-tree leaves
-of channels involving the old or the new type.  Each float path gives the
-value its array counterpart gives, bit for bit, and draws the same random
-numbers, so the output does not depend on the representation.
+several are feasible.  A type change updates, once each, only the
+channel-tree leaves of channels involving the old or the new type.  Each
+float path gives the value its array counterpart gives, bit for bit, and
+draws the same random numbers, so the output does not depend on the
+representation.
+
+Every proposal takes five uniforms.  When every collision kernel is a
+``UniformKernel``, each draw of a run is one ``rng.random()`` double (the
+proposal's five, the kernel's output pick and split), so ``run`` reads them
+ahead in blocks of one ``rng.random(k).tolist()`` call each: the same
+doubles in the same order.  Other kernels may draw otherwise (a gamma
+split draws ``rng.beta``), so with them each proposal draws its five with
+one ``rng.random(5).tolist()`` and the kernel gets the Generator.
+``sample_next_event`` and ``execute_event`` always draw from the caller's
+Generator.  ``to_system`` rewrites in its arrays only the particles that
+events touched since its last export, so a snapshot costs O(changed
+particles) plus the copy a ``ParticleSystem`` makes.
 
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
@@ -257,19 +272,13 @@ class _SumTree:
 
 
 _BLOCK_CAP = 4096  # doubles in the largest read-ahead block
-_PATCH_SHARE = 0.2  # to_system rebuilds its arrays when more particles than this share changed
+_PATCH_SHARE = 0.2  # to_system rebuilds its arrays when more than this share of particles was touched
 
 
 class _ReadAhead:
-    """The doubles of ``rng.random()``, served from blocks read ahead.
-
-    A block is one ``rng.random(k).tolist()`` call, which gives the next k
-    doubles of the stream that k calls of ``rng.random()`` give; k starts
-    at one proposal's 5 and doubles up to ``_BLOCK_CAP``.  The source
-    stands in for ``rng`` only where every draw is a ``random()`` and
-    nothing else draws from ``rng`` afterwards, since the unread tail of
-    the last block is dropped.
-    """
+    """The doubles of ``rng.random()``, served from blocks read ahead: one
+    ``rng.random(k).tolist()`` call each, k doubling from one proposal's 5
+    up to ``_BLOCK_CAP``.  The unread tail of the last block is dropped."""
 
     __slots__ = ("rng", "block", "pos", "size")
 
