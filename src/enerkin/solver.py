@@ -10,9 +10,14 @@ cells below its available energy, as tail sums for the uniform split.
 
 A ``CollisionPlan`` caches everything that does not depend on rho for one
 network on one grid.  ``integrate`` builds it once per solve, and each right-
-hand side then costs O(V^2 n log n): V real FFTs of rho, one inverse
-transform per channel's pair convolution and per type's loss correlation,
-and one FFT correlation per canonical recipient.
+hand side then costs O(V^2 n log n) in a fixed number of numpy calls per
+kind of work, each over stacked rows: one real FFT of the V densities, one
+inverse FFT of every channel's pair spectrum and every varying loss gate's
+correlation, one pass for all uniform deposits (tail sums, gather, boundary
+shares), one FFT correlation pair for all canonical ones, and one sum per
+type for the constant loss gates.  At the few hundred cells of a coarse
+grid a numpy call costs more than its arithmetic, so the call count, not
+the row count, sets the cost there.
 
 Conservation: without internal-energy gaps the discrete generator conserves
 mass and energy exactly, up to the truncation at x_max, where both leak
@@ -211,43 +216,57 @@ def _ordered_recipients(ch):
 
 
 class _UniformGain:
-    """Deposit of the uniform split at available energies e_m = s_m + dI.
+    """Deposits of the uniform split at available energies e_m = s_m + dI,
+    one row per (recipient, dI).
 
     Each s cell spreads its outgoing mass q_m with density q_m / e_m over
     [0, e_m].  The fully covered cells make a tail sum over m; the partially
     covered boundary cell gets its overlap share, which keeps the deposit
     mass-exact even at threshold energies; zero available energy puts the
     whole mass at x = 0.  Cell indices and shares depend on the grid only.
+    They index the rows laid end to end, so the tail sums, the gather of
+    fully covered cells and the boundary shares of every row are one numpy
+    call each, and each row adds in the order a lone deposit would.
     """
 
-    def __init__(self, e: np.ndarray, h: float, n: int):
-        pos = e > 0.0
-        self.inv_e = np.where(pos, 1.0 / np.where(pos, e, 1.0), 0.0)
-        kfull = np.floor(e / h)
-        # e increases with m, so cell k is fully covered by every m from first[k] on
-        self.first = np.searchsorted(kfull, np.arange(n), side="right")
-        share = np.where(pos, np.clip(e - kfull * h, 0.0, h) * self.inv_e, 1.0) / h
-        bnd = (e >= 0.0) & (kfull < n) & (share > 0.0)
-        self.bnd_m = np.flatnonzero(bnd)
-        self.bnd_k = kfull[bnd].astype(int)
-        self.bnd_share = share[bnd]
-        self.n = n
+    def __init__(self, deltas: np.ndarray, sigma: np.ndarray, h: float, n: int):
+        """One row per energy offset dI in ``deltas``, on the pair-sum grid ``sigma``."""
+        es = sigma + deltas[:, None]
+        rows, m = es.shape
+        pos = es > 0.0
+        self.inv_e = np.where(pos, 1.0 / np.where(pos, es, 1.0), 0.0)
+        kfull = np.floor(es / h)
+        # e increases with m, so cell k is fully covered by every m from first[k] on;
+        # row r of the tail sums starts at r * (m + 1)
+        first = [np.searchsorted(kf, np.arange(n), side="right") for kf in kfull]
+        self.full = np.array(first) + (m + 1) * np.arange(rows)[:, None]
+        share = np.where(pos, np.clip(es - kfull * h, 0.0, h) * self.inv_e, 1.0) / h
+        row, col = np.nonzero((es >= 0.0) & (kfull < n) & (share > 0.0))
+        self.bnd_m = row * m + col
+        self.bnd_k = row * n + kfull[row, col].astype(int)
+        self.bnd_share = share[row, col]
 
-    def deposit(self, q: np.ndarray) -> np.ndarray:
-        tail = np.zeros(q.size + 1)
-        np.cumsum((q * self.inv_e)[::-1], out=tail[-2::-1])
-        out = tail[self.first]
-        out += np.bincount(self.bnd_k, q[self.bnd_m] * self.bnd_share, minlength=self.n)
-        return out
+    def deposit(self, q: np.ndarray, out: np.ndarray) -> None:
+        """Write the deposits of the outgoing masses ``q`` (rows, s cells) into ``out``."""
+        rows, m = q.shape
+        tail = np.zeros((rows, m + 1))
+        np.multiply(q, self.inv_e, out=tail[:, :m])
+        rev = tail[:, m - 1 :: -1]
+        np.add.accumulate(rev, axis=1, out=rev)  # sums from the last cell down
+        tail.take(self.full, out=out, mode="clip")  # every index is in range
+        shares = np.bincount(self.bnd_k, q.take(self.bnd_m) * self.bnd_share, minlength=out.size)
+        out += shares.reshape(out.shape)
 
 
 class _CanonicalGain:
-    """Deposit of the canonical split rho_r(x) rho_o(e - x) / Z(e) at e_m = s_m + dI.
+    """Deposits of the canonical split rho_r(x) rho_o(e - x) / Z(e) at
+    e_m = s_m + dI, one row per (recipient, split law, dI).
 
     On the grid e_m - x_k = (m - k + 1/2) h + dI, so the partner density is
     one lag vector G[m - k] and the deposit is an FFT correlation of G with
-    q / Z.  Z is the midpoint quadrature that deposits the split, summed
-    directly, which keeps each s cell's outgoing mass exact on the grid.
+    q / Z, one forward and one inverse transform for all rows.  Z is the
+    midpoint quadrature that deposits the split, summed directly, which
+    keeps each s cell's outgoing mass exact on the grid.
 
     Precision limit: for gamma laws of rate beta, Z(e) falls like
     e^(-beta e), so dividing by it amplifies the correlation's FFT round-off
@@ -257,29 +276,39 @@ class _CanonicalGain:
     2.6e2 at x_max = 40, and 1.3e3 at beta = 2, x_max = 20.
     """
 
-    def __init__(self, fam_r, fam_o, e: np.ndarray, delta: float, h: float, n: int):
-        self.pr = fam_r.pdf((np.arange(n) + 0.5) * h)
-        gap = (np.arange(-(n - 1), 2 * n - 1) + 0.5) * h + delta  # e_m - x_k at m - k
-        lag = np.where(gap >= 0.0, fam_o.pdf(np.maximum(gap, 0.0)), 0.0)
-        denom = h * np.convolve(self.pr, lag)[n - 1 : 3 * n - 2]
-        # splits narrower than half a cell cannot be resolved as a density;
-        # their whole mass goes to the first cell
-        self.n_tiny = int(np.count_nonzero(e < 0.5 * h))
-        ok = denom > 0.0
-        self.inv_denom = np.where(ok, 1.0 / np.where(ok, denom, 1.0), 0.0)
-        self.inv_denom[: self.n_tiny] = 0.0
-        self.size = _fast_len(lag.size)
-        self.lag_hat = rfft(lag, self.size)
+    def __init__(self, splits, sigma: np.ndarray, h: float, n: int):
+        """One row per (recipient law, partner law, dI) in ``splits``, on the
+        pair-sum grid ``sigma``."""
+        self.size = _fast_len(3 * n - 2)
         self.n = n
         self.h = h
+        x = (np.arange(n) + 0.5) * h
+        pr, inv_denom, lag_hat, self.tiny = [], [], [], []
+        for j, (fam_r, fam_o, delta) in enumerate(splits):
+            e = sigma + delta
+            pr.append(fam_r.pdf(x))
+            gap = (np.arange(-(n - 1), 2 * n - 1) + 0.5) * h + delta  # e_m - x_k at m - k
+            lag = np.where(gap >= 0.0, fam_o.pdf(np.maximum(gap, 0.0)), 0.0)
+            denom = h * np.convolve(pr[-1], lag)[n - 1 : 3 * n - 2]
+            # splits narrower than half a cell cannot be resolved as a density;
+            # their whole mass goes to the first cell
+            n_tiny = int(np.count_nonzero(e < 0.5 * h))
+            if n_tiny:
+                self.tiny.append((j, n_tiny))
+            ok = denom > 0.0
+            inv_denom.append(np.where(ok, 1.0 / np.where(ok, denom, 1.0), 0.0))
+            inv_denom[-1][:n_tiny] = 0.0
+            lag_hat.append(rfft(lag, self.size))
+        self.pr, self.inv_denom, self.lag_hat = np.array(pr), np.array(inv_denom), np.array(lag_hat)
 
-    def deposit(self, q: np.ndarray) -> np.ndarray:
+    def deposit(self, q: np.ndarray, out: np.ndarray) -> None:
+        """Write the deposits of the outgoing masses ``q`` (rows, s cells) into ``out``."""
         scale_hat = rfft(q * self.inv_denom, self.size)
         # corr[p] = sum_m scale_m G[m + p]; cell k takes lag p = n - 1 - k
-        corr = irfft(scale_hat.conj() * self.lag_hat, self.size)[self.n - 1 :: -1]
-        out = self.pr * np.maximum(corr, 0.0)  # FFT round-off can dip below zero
-        out[0] += q[: self.n_tiny].sum() / self.h
-        return out
+        corr = irfft(scale_hat.conj() * self.lag_hat, self.size)[:, self.n - 1 :: -1]
+        np.multiply(self.pr, np.maximum(corr, 0.0), out=out)  # FFT round-off can dip below zero
+        for j, n_tiny in self.tiny:
+            out[j, 0] += q[j, :n_tiny].sum() / self.h
 
 
 class CollisionPlan:
@@ -288,7 +317,7 @@ class CollisionPlan:
     Built once per (network, n_cells, x_max): the pair-sum grid, the rates
     on it, each output's weight per s cell and its energy offset dI (both
     from the kernel's outcome table), the loss gates with their FFTs, and
-    one deposit per (recipient, split law, dI):
+    one deposit row per (recipient, split law, dI):
     cell indices and shares for uniform splits, recipient and lag pdf tables
     with the split normalizer for gamma-family canonical splits.  A network
     the plan cannot represent raises ValidationError (``check_plan_support``).
@@ -299,18 +328,18 @@ class CollisionPlan:
         n = int(n_cells)
         self.network = network
         self.shape = (network.types.count, n)
-        self.h = h = float(x_max) / n
+        self.x_max = float(x_max)
+        self.h = h = self.x_max / n
         sigma = np.arange(1.0, 2.0 * n) * h  # pair-sum grid, s_m = (m+1) h
         types = network.types
         self._size = _fast_len(2 * n - 1)
-        # per type: (partner, gate) for gates constant on the s grid, whose
-        # correlation is a plain sum, and (partner, gate FFT) for the others
-        self._loss_flat = [[] for _ in range(network.types.count)]
-        self._loss = [[] for _ in range(network.types.count)]
-        self._pairs = []  # per channel: (v, w, [(deposit index, multiplier of rho_v * rho_w)])
-        self._deposits = []  # (recipient, deposit)
-        index = {}
-        for ch in network.binary:
+        # per type, (partner, gate) for gates constant on the s grid, whose
+        # correlation is a plain sum; (type, [(partner, gate FFT)]) for the others
+        self._loss_flat = [[] for _ in range(types.count)]
+        loss = [[] for _ in range(types.count)]
+        self._pairs = []  # per channel: (v, w)
+        terms = []  # (channel, deposit key, multiplier of rho_v * rho_w), in channel order
+        for i, ch in enumerate(network.binary):
             v, w = ch.pair[0] - 1, ch.pair[1] - 1
             alpha_s = np.asarray(ch.rate.of_sum(sigma), dtype=float)
             table = ch.kernel._outcome_table(*ch.pair, types)
@@ -323,24 +352,35 @@ class CollisionPlan:
                 if flat:
                     self._loss_flat[a].append((b, gate[0]))
                 else:
-                    self._loss[a].append((b, gate_hat))
-            terms = []
+                    loss[a].append((b, gate_hat))
             for col, rcp, other in _ordered_recipients(ch):
                 d = table.releases[col]
-                if ch.kernel.kind == "uniform":
-                    key = (rcp, d)
-                else:
-                    key = (rcp, ch.kernel.densities[rcp], ch.kernel.densities[other], d)
-                if key not in index:
-                    index[key] = len(self._deposits)
-                    if ch.kernel.kind == "uniform":
-                        dep = _UniformGain(sigma + d, h, n)
-                    else:
-                        dep = _CanonicalGain(key[1], key[2], sigma + d, d, h, n)
-                    self._deposits.append((rcp - 1, dep))
+                key = (ch.kernel.kind, rcp, d)
+                if ch.kernel.kind == "canonical":
+                    key += (ch.kernel.densities[rcp], ch.kernel.densities[other])
                 # collision mass rate per s cell: alpha * C_m * h
-                terms.append((index[key], alpha_s * table.weights[sizes, col] * (h * h)))
-            self._pairs.append((v, w, terms))
+                terms.append((i, key, alpha_s * table.weights[sizes, col] * (h * h)))
+            self._pairs.append((v, w))
+        self._loss = [(a, t) for a, t in enumerate(loss) if t]
+        # one deposit row per key, the uniform rows first, each kind one stacked pass
+        keys = list(dict.fromkeys(key for _, key, _ in terms))  # in the order first met
+        uniform = [key for key in keys if key[0] == "uniform"]
+        canonical = [key for key in keys if key[0] == "canonical"]
+        row = {key: r for r, key in enumerate(uniform + canonical)}
+        self._gains = []  # (deposit rows, stacked deposit)
+        if uniform:
+            deltas = np.array([d for _, _, d in uniform])
+            self._gains.append((slice(0, len(uniform)), _UniformGain(deltas, sigma, h, n)))
+        if canonical:
+            splits = [(fr, fo, d) for _, _, d, fr, fo in canonical]
+            self._gains.append((slice(len(uniform), None), _CanonicalGain(splits, sigma, h, n)))
+        # (channel, row, multiplier, whether it is the row's first term)
+        self._terms, seen = [], set()
+        for i, key, mult in terms:
+            self._terms.append((i, row[key], mult, key not in seen))
+            seen.add(key)
+        # each row adds into its recipient in the order the rows were first met
+        self._adds = [(key[1] - 1, row[key]) for key in keys]
 
     def _check(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -351,37 +391,57 @@ class CollisionPlan:
             )
         return values
 
-    def _gain(self, spectra: np.ndarray) -> np.ndarray:
-        n = self.shape[1]
-        q = [np.zeros(2 * n - 1) for _ in self._deposits]
-        for v, w, terms in self._pairs:
-            conv = irfft(spectra[v] * spectra[w], self._size)[: 2 * n - 1]
-            np.maximum(conv, 0.0, out=conv)  # FFT round-off can dip below zero
-            for g, mult in terms:
-                q[g] += mult * conv
+    def _transforms(self, values: np.ndarray, with_loss: bool) -> np.ndarray:
+        """One inverse FFT: a row per channel's pair spectrum S_v S_w, then,
+        ``with_loss``, a row per type's varying-gate correlation spectrum."""
+        spectra = rfft(values, self._size)
+        loss = self._loss if with_loss else []
+        prod = np.empty((len(self._pairs) + len(loss), spectra.shape[1]), dtype=spectra.dtype)
+        for i, (v, w) in enumerate(self._pairs):
+            np.multiply(spectra[v], spectra[w], out=prod[i])
+        for i, (_, terms) in enumerate(loss, len(self._pairs)):
+            prod[i] = sum(g * spectra[b].conj() for b, g in terms)
+        return irfft(prod, self._size)
+
+    def _gain(self, conv: np.ndarray) -> np.ndarray:
+        np.maximum(conv, 0.0, out=conv)  # FFT round-off can dip below zero
+        # a row's first term is written, not added to 0.0: that changes only the
+        # sign of a zero, and the sums into the zeroed ``out`` below drop that sign
+        q = np.empty((len(self._adds), conv.shape[1]))
+        for i, r, mult, first in self._terms:
+            if first:
+                np.multiply(mult, conv[i], out=q[r])
+            else:
+                q[r] += mult * conv[i]
+        dep = np.empty((len(self._adds), self.shape[1]))
+        for rows, gain in self._gains:
+            gain.deposit(q[rows], dep[rows])
         out = np.zeros(self.shape)
-        for (rcp, dep), qg in zip(self._deposits, q):
-            out[rcp] += dep.deposit(qg)
+        for rcp, row in self._adds:
+            out[rcp] += dep[row]
         return out
 
     def gain(self, values) -> np.ndarray:
         """Gain term alone: the deposits of every channel's outgoing pair mass."""
         values = self._check(values)
-        return self._gain(rfft(values, self._size, axis=1))
+        return self._gain(self._transforms(values, False)[:, : 2 * self.shape[1] - 1])
 
     def rhs(self, values) -> np.ndarray:
         """Collision gain minus loss for every (type, cell) of ``values``."""
         values = self._check(values)
-        spectra = rfft(values, self._size, axis=1)
-        out = self._gain(spectra)
-        n = self.shape[1]
-        for a, (flat, terms) in enumerate(zip(self._loss_flat, self._loss)):
-            # loss rate sum_j alpha(s_{k+j}) rho_b[j]
-            rate = sum(g * values[b].sum() for b, g in flat)
-            if terms:  # a correlation, read off the FFT product without wrap-around
-                corr = irfft(sum(g * spectra[b].conj() for b, g in terms), self._size)[:n]
-                rate = rate + np.maximum(corr, 0.0)
-            out[a] -= values[a] * rate * self.h
+        inv = self._transforms(values, True)
+        n, n_pairs = self.shape[1], len(self._pairs)
+        out = self._gain(inv[:n_pairs, : 2 * n - 1])
+        # loss rate sum_j alpha(s_{k+j}) rho_b[j]: a plain sum for constant gates,
+        # and a correlation, read off the FFT product without wrap-around, for the others
+        sums = values.sum(axis=1)
+        rate = [sum(g * sums[b] for b, g in flat) for flat in self._loss_flat]
+        rate = np.array(rate, dtype=float)
+        loss = values * rate[:, None]
+        for (a, _), corr in zip(self._loss, inv[n_pairs:, :n]):
+            np.multiply(values[a], rate[a] + np.maximum(corr, 0.0), out=loss[a])
+        loss *= self.h
+        out -= loss
         return out
 
 
@@ -401,13 +461,26 @@ def rhs_multitype(
     only, and energy drifts at O(h^2).
 
     Without ``plan`` a plan is built for this call.  With a plan built for
-    ``network`` and this grid, ``grid`` may also be the raw (V, n) values.
+    ``network`` and this grid, ``grid`` may also be the raw (V, n) values;
+    raw values without a plan, and a grid on another [0, x_max] than the
+    plan's, raise ValidationError.
     """
+    is_grid = isinstance(grid, DensityGrid)
     if plan is None:
+        if not is_grid:
+            raise ValidationError(
+                "raw grid values carry no x_max: pass a DensityGrid, or the collision "
+                "plan built for their grid as plan="
+            )
         plan = CollisionPlan(network, grid.n_cells, grid.x_max)
     elif plan.network is not network:
         raise ValidationError("the collision plan was built for another network")
-    return plan.rhs(grid.values if isinstance(grid, DensityGrid) else grid)
+    elif is_grid and grid.x_max != plan.x_max:
+        raise ValidationError(
+            f"the grid spans [0, {grid.x_max}] but the collision plan was built "
+            f"for [0, {plan.x_max}]"
+        )
+    return plan.rhs(grid.values if is_grid else grid)
 
 
 def _gain_1d(vals: np.ndarray, h: float) -> np.ndarray:

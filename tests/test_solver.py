@@ -366,6 +366,27 @@ class TestCollisionPlan:
         with pytest.raises(ek.ValidationError, match="another network"):
             ek.rhs_multitype(g.values, gap_network(), plan=plan)
 
+    def test_raw_values_need_a_plan(self, two_type_canonical_network):
+        g = ek.DensityGrid.from_families(
+            [ek.GammaDensity(2, 1), ek.UniformDensity(0, 2)], 12.0, 60, weights=[0.5, 0.5]
+        )
+        with pytest.raises(ek.ValidationError, match="raw grid values carry no x_max"):
+            ek.rhs_multitype(g.values, two_type_canonical_network)
+
+    def test_refuses_a_grid_on_another_x_max(self, two_type_canonical_network):
+        # same cell count, so only x_max tells the grids apart
+        g = ek.DensityGrid.from_families(
+            [ek.GammaDensity(2, 1), ek.UniformDensity(0, 2)], 12.0, 60, weights=[0.5, 0.5]
+        )
+        plan = ek.CollisionPlan(two_type_canonical_network, g.n_cells, 15.0)
+        with pytest.raises(ek.ValidationError, match=r"spans \[0, 12.0\].*\[0, 15.0\]"):
+            ek.rhs_multitype(g, two_type_canonical_network, plan=plan)
+        same = ek.CollisionPlan(two_type_canonical_network, g.n_cells, g.x_max)
+        assert np.array_equal(
+            ek.rhs_multitype(g, two_type_canonical_network, plan=same),
+            ek.rhs_multitype(g, two_type_canonical_network),
+        )
+
     def test_pdfs_evaluated_only_while_building_the_plan(
         self, two_type_canonical_network, monkeypatch
     ):
