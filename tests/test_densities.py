@@ -119,3 +119,54 @@ def test_spec_rejects_zero_shape():
 def test_spec_rejects_unknown_family():
     with pytest.raises(ek.ValidationError):
         ek.density_from_spec({"family": "cauchy", "loc": 0.0})
+
+
+class TestShiftedGammaIsAShiftedGamma:
+    """``ShiftedGamma(nu, beta, shift)`` is ``Shifted(GammaDensity(nu, beta), shift)``
+    bit for bit."""
+
+    PARAMS = [(2.0, 1.0, 1.0), (0.5, 2.5, 0.0), (1.0, 0.7, 2.25), (7.5, 3.0, 0.125)]
+
+    @staticmethod
+    def bits(a):
+        a = np.asarray(a)
+        return (a.dtype, a.shape, a.tobytes())
+
+    @pytest.mark.parametrize("nu, beta, shift", PARAMS)
+    def test_pdf_cdf_mean_support(self, nu, beta, shift):
+        fam = ek.ShiftedGamma(nu, beta, shift)
+        ref = ek.Shifted(ek.GammaDensity(nu, beta), shift)
+        xs = shift + np.array([-1.5, -1e-12, 0.0, 1e-12, 0.3, 1.0, 4.0, 40.0])
+        for x in (xs, shift, shift - 0.5, shift + 0.5, xs.reshape(2, 4)):
+            assert self.bits(fam.pdf(x)) == self.bits(ref.pdf(x))
+            assert self.bits(fam.cdf(x)) == self.bits(ref.cdf(x))
+        assert self.bits(fam.mean()) == self.bits(ref.mean())
+        assert fam.support() == ref.support()
+
+    @pytest.mark.parametrize("nu, beta, shift", PARAMS)
+    def test_sample_draws(self, nu, beta, shift):
+        fam = ek.ShiftedGamma(nu, beta, shift)
+        ref = ek.Shifted(ek.GammaDensity(nu, beta), shift)
+        for size in (None, 7, (2, 3)):
+            a = fam.sample(np.random.default_rng(11), size=size)
+            b = ref.sample(np.random.default_rng(11), size=size)
+            assert self.bits(a) == self.bits(b)
+
+    def test_parameters_equality_hash_and_gamma_shape(self):
+        fam = ek.ShiftedGamma(2.0, 1.5, 0.5)
+        assert (fam.nu, fam.beta, fam.shift) == (2.0, 1.5, 0.5)
+        assert fam == ek.ShiftedGamma(2, 1.5, 0.5)
+        assert hash(fam) == hash(ek.ShiftedGamma(2, 1.5, 0.5))
+        assert fam != ek.ShiftedGamma(2.0, 1.5, 0.25)
+        assert fam != ek.ShiftedGamma(3.0, 1.5, 0.5)
+        assert fam != ek.Shifted(ek.GammaDensity(2.0, 1.5), 0.5)
+        assert len({fam, ek.ShiftedGamma(2.0, 1.5, 0.5), ek.ShiftedGamma(2.0, 1.5)}) == 2
+        assert ek.ShiftedGamma(2.0, 1.5).shift == 0.0
+        assert ek.ShiftedGamma(2.0, 1.5).gamma_shape() == (2.0, 1.5)
+        assert fam.gamma_shape() is None
+        assert ek.Shifted(ek.GammaDensity(2.0, 1.5), 0.5).gamma_shape() is None
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, -0.5)])
+    def test_invalid_parameters_rejected(self, args):
+        with pytest.raises(ek.ValidationError):
+            ek.ShiftedGamma(*args)

@@ -750,3 +750,101 @@ class TestKsDistance:
             if ek.ks_distance(draws, ek.Exponential(1.0).cdf) < crit:
                 passes += 1
         assert passes >= 93
+
+
+# ---------------------------------------------------------------------------
+# the two pointwise-balance residuals against frozen copies of their first form
+# ---------------------------------------------------------------------------
+
+
+def _shifted_gamma_pdf(nu, beta, shift, us):
+    return ek.GammaDensity(nu, beta).pdf(np.asarray(us, dtype=float) - shift)
+
+
+def _oracle_unary_residual(pi, b, nu, internal, beta, n_check=64):
+    """The conversion model's residual as first written: every ordered pair."""
+    n = pi.size
+    worst = 0.0
+    for v in range(n):
+        for w in range(n):
+            if v == w or (b[v, w] == 0 and b[w, v] == 0):
+                continue
+            lo = max(internal[v], internal[w])
+            us = lo + np.linspace(0.05, 8.0, n_check) / beta
+            f_v = _shifted_gamma_pdf(nu[v], beta, internal[v], us)
+            f_w = _shifted_gamma_pdf(nu[w], beta, internal[w], us)
+            a_vw = np.power(us - internal[w], nu[w] - 1.0) * b[v, w]
+            a_wv = np.power(us - internal[v], nu[v] - 1.0) * b[w, v]
+            lhs = pi[v] * f_v * a_vw
+            rhs = pi[w] * f_w * a_wv
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+    return worst
+
+
+def _oracle_pair_residual(pi, nu, internal, beta, channels, n_check=64):
+    """The pair model's residual as first written: one term per channel."""
+    worst = 0.0
+    for ch in channels:
+        i_fwd = internal[ch.v - 1] + internal[ch.w - 1]
+        i_bwd = internal[ch.v_out - 1] + internal[ch.w_out - 1]
+        nu_fwd = nu[ch.v - 1] + nu[ch.w - 1]
+        nu_bwd = nu[ch.v_out - 1] + nu[ch.w_out - 1]
+        lo = max(i_fwd, i_bwd)
+        us = lo + np.linspace(0.05, 8.0, n_check) / beta
+        f_i = _shifted_gamma_pdf(nu_fwd, beta, i_fwd, us)
+        f_j = _shifted_gamma_pdf(nu_bwd, beta, i_bwd, us)
+        a_ij = np.power(us - i_bwd, nu_bwd - 1.0) * ch.b_forward
+        a_ji = np.power(us - i_fwd, nu_fwd - 1.0) * ch.b_backward
+        lhs = pi[ch.v - 1] * pi[ch.w - 1] * f_i * a_ij
+        rhs = pi[ch.v_out - 1] * pi[ch.w_out - 1] * f_j * a_ji
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+    return worst
+
+
+def _random_type_model(rng, n):
+    """Positive p, shapes, offsets and beta, and rates b made reversible for p,
+    with about a third of the type pairs left without rates."""
+    p = rng.uniform(0.05, 1.0, n)
+    b = np.where(rng.uniform(size=(n, n)) < 0.35, 0.0, rng.uniform(0.1, 3.0, (n, n)))
+    np.fill_diagonal(b, 0.0)
+    for v in range(n):
+        for w in range(v + 1, n):
+            b[w, v] = p[v] * b[v, w] / p[w]
+    nu = rng.choice([0.5, 1.0, 2.0, 3.5], n) * rng.uniform(0.5, 2.0, n)
+    internal = rng.choice([0.0, 0.0, 0.5, 1.25], n) * rng.uniform(0.0, 2.0, n)
+    return p, b, nu, internal, float(rng.uniform(0.3, 3.0))
+
+
+class TestBalanceResidualsMatchTheirFirstForm:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), n_check=st.sampled_from([1, 7, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_unary_residual_bits(self, seed, n, n_check):
+        rng = np.random.default_rng(seed)
+        p, b, nu, internal, beta = _random_type_model(rng, n)
+        pi = rng.uniform(0.01, 1.0, n)  # not the stationary weights
+        got = ek.shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)
+        assert got == _oracle_unary_residual(pi, b, nu, internal, beta, n_check)
+        assert got > 1e-6 or not b.any()
+        pi = ek.unary_energy_dependent_stationary(p, b, nu, internal, beta, n_check)
+        got = ek.shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)
+        assert got == _oracle_unary_residual(pi, b, nu, internal, beta, n_check) <= 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_check=st.sampled_from([1, 7, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_residual_bits(self, seed, n, n_check):
+        rng = np.random.default_rng(seed)
+        p, _, nu, internal, beta = _random_type_model(rng, n)
+        pi = rng.uniform(0.01, 1.0, n)  # not the stationary weights
+        channels = []
+        for _ in range(int(rng.integers(1, 5))):
+            v, w, v_out, w_out = (int(t) for t in rng.integers(1, n + 1, 4))
+            b_fwd = float(rng.uniform(0.1, 3.0))
+            b_bwd = float(rng.uniform(0.1, 3.0))
+            if rng.uniform() < 0.5:
+                # reversible for p; the residual still fails for pi and unequal shape sums
+                b_bwd = p[v - 1] * p[w - 1] * b_fwd / (p[v_out - 1] * p[w_out - 1])
+            channels.append(ek.PairReactionSpec(v, w, v_out, w_out, b_fwd, b_bwd))
+        got = ek.pair_reversibility_residual(pi, nu, internal, beta, channels, n_check)
+        assert got == _oracle_pair_residual(pi, nu, internal, beta, channels, n_check)
