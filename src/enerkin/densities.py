@@ -127,45 +127,6 @@ class GammaDensity(DensityFamily):
 
 
 @dataclass(frozen=True)
-class ShiftedGamma(DensityFamily):
-    """Gamma law in the excess over a fixed offset; zero below the offset."""
-
-    nu: float
-    beta: float
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if self.shift < 0:
-            raise ValidationError(f"shift must be >= 0, got {self.shift}")
-        GammaDensity(self.nu, self.beta)  # parameter validation
-
-    def _base(self) -> GammaDensity:
-        return GammaDensity(self.nu, self.beta)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._base().pdf(x - self.shift)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._base().cdf(x - self.shift)
-
-    def mean(self) -> float:
-        return self.shift + self.nu / self.beta
-
-    def sample(self, rng, size=None):
-        return self.shift + rng.gamma(self.nu, 1.0 / self.beta, size=size)
-
-    def support(self):
-        return (self.shift, math.inf)
-
-    def gamma_shape(self):
-        if self.shift == 0.0:
-            return (self.nu, self.beta)
-        return None
-
-
-@dataclass(frozen=True)
 class UniformDensity(DensityFamily):
     lo: float
     hi: float
@@ -218,6 +179,20 @@ class Shifted(DensityFamily):
     def support(self):
         lo, hi = self.base.support()
         return (lo + self.offset, hi + self.offset)
+
+    def gamma_shape(self):
+        return self.base.gamma_shape() if self.offset == 0.0 else None
+
+
+class ShiftedGamma(Shifted):
+    """Gamma law in the excess over a fixed offset; zero below the offset."""
+
+    def __init__(self, nu: float, beta: float, shift: float = 0.0):
+        super().__init__(GammaDensity(nu, beta), shift)
+
+    nu = property(lambda self: self.base.nu)
+    beta = property(lambda self: self.base.beta)
+    shift = property(lambda self: self.offset)
 
 
 class Tabulated(DensityFamily):

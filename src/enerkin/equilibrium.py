@@ -517,16 +517,61 @@ def two_type_unary_stationary(
     return (pi1, 1.0 - pi1)
 
 
-def _check_discrete_reversibility(p: np.ndarray, b: np.ndarray, what: str) -> None:
-    n = p.size
-    for v in range(n):
-        for w in range(v + 1, n):
-            lhs = p[v] * b[v, w]
-            rhs = p[w] * b[w, v]
-            if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
-                raise ValidationError(
-                    f"{what}: weights are not reversible for rates on pair ({v + 1}, {w + 1})"
-                )
+def _unary_links(w, b, nu, internal) -> list:
+    """One link (name, a, b) per unordered type pair with a nonzero rate.
+
+    A link joins two states a <-> b of a stationary type model; each state is
+    (weight w, shape nu, internal energy I, rate factor b out of it).
+    """
+    def state(v, u):
+        return (w[v], nu[v], internal[v], b[v, u])
+
+    pairs = [(v, u) for v, u in combinations(range(w.size), 2) if b[v, u] != 0 or b[u, v] != 0]
+    return [(f"pair ({v + 1}, {u + 1})", state(v, u), state(u, v)) for v, u in pairs]
+
+
+def _pair_link(w, nu, internal, ch) -> tuple:
+    """The link of a pair channel: weight w_v w_w, shape and offset summed over the pair."""
+    def state(v, u, rate):
+        return (w[v - 1] * w[u - 1], nu[v - 1] + nu[u - 1], internal[v - 1] + internal[u - 1], rate)
+
+    name = f"channel ({ch.v},{ch.w})->({ch.v_out},{ch.w_out})"
+    return (name, state(ch.v, ch.w, ch.b_forward), state(ch.v_out, ch.w_out, ch.b_backward))
+
+
+def _check_reversible(link, message: str) -> None:
+    """Raise ValidationError(message naming the link) unless w_a b_ab = w_b b_ba."""
+    name, (w_a, _, _, b_ab), (w_b, _, _, b_ba) = link
+    lhs, rhs = w_a * b_ab, w_b * b_ba
+    if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
+        raise ValidationError(message.format(name))
+
+
+def _balance_residual(links, beta: float, n_check: int) -> float:
+    """Worst relative violation, over links and energies U above both offsets, of
+
+        w_a f_a(U) b_ab (U - I_b)^(nu_b - 1) = w_b f_b(U) b_ba (U - I_a)^(nu_a - 1)
+
+    with f = ShiftedGamma(nu, beta, I); the identity is symmetric in a and b.
+    """
+    worst = 0.0
+    for _, (w_a, nu_a, i_a, b_ab), (w_b, nu_b, i_b, b_ba) in links:
+        us = max(i_a, i_b) + np.linspace(0.05, 8.0, n_check) / beta
+        lhs = w_a * ShiftedGamma(nu_a, beta, i_a).pdf(us) * (np.power(us - i_b, nu_b - 1.0) * b_ab)
+        rhs = w_b * ShiftedGamma(nu_b, beta, i_b).pdf(us) * (np.power(us - i_a, nu_a - 1.0) * b_ba)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+    return worst
+
+
+def _normalized_and_verified(log_pi, residual, failure: str) -> np.ndarray:
+    """exp(log_pi) normalized, once ``residual`` of it is at most 1e-10."""
+    pi = np.exp(log_pi - log_pi.max())
+    pi /= pi.sum()
+    worst = residual(pi)
+    if worst > 1e-10:
+        raise KineticsError(f"{failure}: residual {worst:.3e}")
+    return pi
 
 
 def unary_energy_dependent_stationary(
@@ -539,53 +584,28 @@ def unary_energy_dependent_stationary(
     p_v * exp(-beta I_v) * Gamma(nu_v) * beta^(-nu_v) and is verified to
     balance every conversion pair pointwise in U before being returned.
     """
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    internal = np.asarray(internal, dtype=float)
+    p, b, nu, internal = (np.asarray(a, dtype=float) for a in (p, b, nu, internal))
     n = p.size
     if b.shape != (n, n) or nu.size != n or internal.size != n:
         raise ValidationError("p, b, nu, internal must agree in size")
     if beta <= 0 or np.any(nu <= 0) or np.any(p <= 0) or np.any(b < 0):
         raise ValidationError("need beta > 0, nu > 0, p > 0 and b >= 0")
-    _check_discrete_reversibility(p, b, "unary model")
+    for link in _unary_links(p, b, nu, internal):
+        _check_reversible(link, "unary model: weights are not reversible for rates on {}")
     log_gamma = np.array([math.lgamma(x) for x in nu])
     log_pi = np.log(p) - beta * internal + log_gamma - nu * np.log(beta)
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
-    residual = shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)
-    if residual > 1e-10:
-        raise KineticsError(
-            f"stationary weights fail the pointwise balance identity: residual {residual:.3e}"
-        )
-    return pi
+    return _normalized_and_verified(
+        log_pi, lambda pi: shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check),
+        "stationary weights fail the pointwise balance identity",
+    )
 
 
 def shifted_gamma_reversibility_residual(
     pi, b, nu, internal, beta: float, n_check: int = 64
 ) -> float:
     """Worst relative pointwise-balance violation over pairs and energies."""
-    pi = np.asarray(pi, dtype=float)
-    b = np.asarray(b, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    internal = np.asarray(internal, dtype=float)
-    n = pi.size
-    worst = 0.0
-    for v in range(n):
-        for w in range(n):
-            if v == w or (b[v, w] == 0 and b[w, v] == 0):
-                continue
-            lo = max(internal[v], internal[w])
-            us = lo + np.linspace(0.05, 8.0, n_check) / beta
-            f_v = ShiftedGamma(nu[v], beta, internal[v]).pdf(us)
-            f_w = ShiftedGamma(nu[w], beta, internal[w]).pdf(us)
-            a_vw = np.power(us - internal[w], nu[w] - 1.0) * b[v, w]
-            a_wv = np.power(us - internal[v], nu[v] - 1.0) * b[w, v]
-            lhs = pi[v] * f_v * a_vw
-            rhs = pi[w] * f_w * a_wv
-            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
+    pi, b, nu, internal = (np.asarray(a, dtype=float) for a in (pi, b, nu, internal))
+    return _balance_residual(_unary_links(pi, b, nu, internal), beta, n_check)
 
 
 @dataclass(frozen=True)
@@ -608,58 +628,25 @@ def vector_particle_stationary(p, nu, internal, beta: float, channels, n_check: 
     proportional to p_v * exp(-beta I_v) * beta^(-nu_v) and is verified to
     balance every channel pointwise in the pair energy.
     """
-    p = np.asarray(p, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    internal = np.asarray(internal, dtype=float)
+    p, nu, internal = (np.asarray(a, dtype=float) for a in (p, nu, internal))
     if beta <= 0 or np.any(nu <= 0) or np.any(p <= 0):
         raise ValidationError("need beta > 0, nu > 0 and p > 0")
     for ch in channels:
-        lhs = nu[ch.v - 1] + nu[ch.w - 1]
-        rhs = nu[ch.v_out - 1] + nu[ch.w_out - 1]
+        name, (_, lhs, _, _), (_, rhs, _, _) = link = _pair_link(p, nu, internal, ch)
         if abs(lhs - rhs) > 1e-12 * max(lhs, rhs):
-            raise ValidationError(
-                f"channel ({ch.v},{ch.w})->({ch.v_out},{ch.w_out}) changes the "
-                f"summed shape parameter: {lhs} vs {rhs}"
-            )
-        fl = p[ch.v - 1] * p[ch.w - 1] * ch.b_forward
-        bl = p[ch.v_out - 1] * p[ch.w_out - 1] * ch.b_backward
-        if abs(fl - bl) > 1e-9 * max(abs(fl), abs(bl), 1e-300):
-            raise ValidationError(
-                f"pair chain not reversible on channel ({ch.v},{ch.w})->({ch.v_out},{ch.w_out})"
-            )
+            raise ValidationError(f"{name} changes the summed shape parameter: {lhs} vs {rhs}")
+        _check_reversible(link, "pair chain not reversible on {}")
     log_pi = np.log(p) - beta * internal - nu * np.log(beta)
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
-    residual = pair_reversibility_residual(pi, nu, internal, beta, channels, n_check)
-    if residual > 1e-10:
-        raise KineticsError(
-            f"factorized weights fail the pair balance identity: residual {residual:.3e}"
-        )
-    return pi
+    return _normalized_and_verified(
+        log_pi, lambda pi: pair_reversibility_residual(pi, nu, internal, beta, channels, n_check),
+        "factorized weights fail the pair balance identity",
+    )
 
 
 def pair_reversibility_residual(pi, nu, internal, beta, channels, n_check: int = 64) -> float:
     """Worst relative pair-balance violation over channels and pair energies."""
-    pi = np.asarray(pi, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    internal = np.asarray(internal, dtype=float)
-    worst = 0.0
-    for ch in channels:
-        i_fwd = internal[ch.v - 1] + internal[ch.w - 1]
-        i_bwd = internal[ch.v_out - 1] + internal[ch.w_out - 1]
-        nu_fwd = nu[ch.v - 1] + nu[ch.w - 1]
-        nu_bwd = nu[ch.v_out - 1] + nu[ch.w_out - 1]
-        lo = max(i_fwd, i_bwd)
-        us = lo + np.linspace(0.05, 8.0, n_check) / beta
-        f_i = ShiftedGamma(nu_fwd, beta, i_fwd).pdf(us)
-        f_j = ShiftedGamma(nu_bwd, beta, i_bwd).pdf(us)
-        a_ij = np.power(us - i_bwd, nu_bwd - 1.0) * ch.b_forward
-        a_ji = np.power(us - i_fwd, nu_fwd - 1.0) * ch.b_backward
-        lhs = pi[ch.v - 1] * pi[ch.w - 1] * f_i * a_ij
-        rhs = pi[ch.v_out - 1] * pi[ch.w_out - 1] * f_j * a_ji
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
+    pi, nu, internal = (np.asarray(a, dtype=float) for a in (pi, nu, internal))
+    return _balance_residual([_pair_link(pi, nu, internal, ch) for ch in channels], beta, n_check)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,12 @@ class TestShiftedGammaIsAShiftedGamma:
         assert fam.gamma_shape() is None
         assert ek.Shifted(ek.GammaDensity(2.0, 1.5), 0.5).gamma_shape() is None
 
+    def test_shifted_reads_its_base_gamma_shape_at_offset_zero(self):
+        assert ek.Shifted(ek.GammaDensity(2.0, 1.5), 0.0).gamma_shape() == (2.0, 1.5)
+        assert ek.Shifted(ek.Exponential(3.0), 0.0).gamma_shape() == (1.0, 3.0)
+        assert ek.Shifted(ek.UniformDensity(0.0, 1.0), 0.0).gamma_shape() is None
+        assert ek.Shifted(ek.Exponential(3.0), 0.5).gamma_shape() is None
+
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, -0.5)])
     def test_invalid_parameters_rejected(self, args):
         with pytest.raises(ek.ValidationError):

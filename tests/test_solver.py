@@ -387,6 +387,27 @@ class TestCollisionPlan:
             ek.rhs_multitype(g, two_type_canonical_network),
         )
 
+    def test_gamma_law_at_offset_zero_is_planned_as_the_gamma_law(self):
+        # Shifted(base, 0.0) reads its base's gamma shape, so the plan takes it and
+        # builds the same operator as from the base itself
+        g = ek.DensityGrid.from_families(
+            [ek.UniformDensity(0, 3), ek.Exponential(1.0)], 12.0, 96, weights=[0.6, 0.4]
+        )
+        plain = ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0, 0.0])),
+            [canonical_channel(ek.GammaDensity(2.0, 1.0), ek.Exponential(1.0))],
+        )
+        shifted = ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0, 0.0])),
+            [
+                canonical_channel(
+                    ek.Shifted(ek.GammaDensity(2.0, 1.0), 0.0),
+                    ek.Shifted(ek.Exponential(1.0), 0.0),
+                )
+            ],
+        )
+        assert np.array_equal(ek.rhs_multitype(g, shifted), ek.rhs_multitype(g, plain))
+
     def test_pdfs_evaluated_only_while_building_the_plan(
         self, two_type_canonical_network, monkeypatch
     ):
