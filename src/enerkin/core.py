@@ -55,7 +55,10 @@ class InfeasibleReactionError(KineticsError):
 
 
 class KernelSupportError(KineticsError):
-    """A kernel was conditioned on a total energy carrying no mass."""
+    """A kernel was conditioned on a total energy carrying no mass; ``field``,
+    when set, names the kernel at fault."""
+
+    field = None
 
 
 class SimulationError(KineticsError):

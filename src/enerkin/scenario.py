@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import equilibrium as eq
-from .core import KineticsError, ParticleSystem, TypeTable, ValidationError
+from .core import KernelSupportError, KineticsError, ParticleSystem, TypeTable, ValidationError
 from .densities import Exponential, density_from_spec
 from .reactions import (
     BinaryChannel,
@@ -384,21 +384,28 @@ def scenario_from_dict(doc: dict) -> Scenario:
     nspec = _read_params(top["network"] or {}, _NETWORK, "network")
     binary: list[BinaryChannel] = []
     raw_by_pair: dict[tuple, dict] = {}
+    kernel_fields: dict[tuple, str] = {}
     for k, ch in enumerate(nspec["binary"]):
         field = f"network.binary[{k}]"
         p = _read_params(ch, _BINARY, field)
         a, b = p["reactants"]
         pair = (min(a, b), max(a, b))
         if pair in raw_by_pair:
-            if raw_by_pair[pair] != p["rate"]:
+            if raw_by_pair[pair]["rate"] != p["rate"]:
                 raise ValidationError(
                     f"{field}: rate for reactants ({a},{b}) conflicts with the one "
                     f"given for ({pair[0]},{pair[1]}); the collision rate must be "
                     "symmetric in the reactant pair",
                     field=field,
                 )
+            _require(
+                raw_by_pair[pair]["kernel"] == p["kernel"], f"{field}.kernel",
+                f"kernel for reactants ({a},{b}) differs from the one given for "
+                f"({pair[0]},{pair[1]}); a reactant pair takes one kernel",
+            )
             continue
-        raw_by_pair[pair] = p["rate"]
+        raw_by_pair[pair] = p
+        kernel_fields[pair] = f"{field}.kernel"
         rate = _rate_from_spec(p["rate"], f"{field}.rate")
         kernel = _kernel_from_spec(p["kernel"], f"{field}.kernel")
         binary.append(BinaryChannel(pair=pair, rate=rate, kernel=kernel))
@@ -414,7 +421,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     with _naming("network"):
         network = ReactionNetwork(types, binary, unary)
     network.validate_rate_symmetry()
-    _spot_check_kernels(network)
+    _spot_check_kernels(network, kernel_fields)
 
     initial = None if top["initial"] is None else _initial_from_spec(top["initial"], types)
     run = None if top["run"] is None else _run_from_spec(top["run"], network, initial)
@@ -491,14 +498,28 @@ def _initial_from_spec(spec, types: TypeTable):
         return MixtureInitial(total=p["total"], probabilities=p["probabilities"], energies=energies)
 
 
-def _spot_check_kernels(network: ReactionNetwork) -> None:
-    """Quadrature spot-check that each kernel's outcome law is normalized."""
-    errors = network.kernel_normalization_errors(1000, default_rng(0))
+def _spot_check_kernels(network: ReactionNetwork, fields: dict = None) -> None:
+    """Quadrature spot-check that each kernel's outcome law is normalized.
+
+    Each channel is checked on its own, on the draws the whole network's check
+    would give it; a fault names ``fields[pair]``, the scenario field of the
+    channel's kernel, when given.
+    """
+    fields = fields or {}
+    rng = default_rng(0)
+    errors = {}
+    for ch in network.binary:
+        try:
+            errors |= ReactionNetwork(network.types, [ch]).kernel_normalization_errors(1000, rng)
+        except KernelSupportError as exc:
+            exc.field = fields.get(ch.pair)
+            raise
     for pair, worst in errors.items():
         if not worst <= 5e-3:  # NaN fails too
             raise ValidationError(
                 f"network.binary {pair}: kernel outcome law integrates to "
-                f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes"
+                f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes",
+                field=fields.get(pair),
             )
 
 

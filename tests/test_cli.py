@@ -511,6 +511,29 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "KernelSupportError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "density, error",
+        [
+            ({"family": "uniform", "lo": 2.0, "hi": 3.0}, "KernelSupportError"),
+            ({"family": "gamma", "nu": 0.05, "beta": 1.0}, "ValidationError"),
+        ],
+        ids=["no_support", "not_normalized"],
+    )
+    def test_load_time_kernel_fault_names_the_kernel(self, density, error, tmp_path, capsys):
+        doc = small_doc()
+        doc["network"]["binary"][0]["kernel"] = {
+            "kind": "canonical",
+            "outputs": [{"pair": [1, 1], "weight": 1.0}],
+            "densities": {"1": density},
+        }
+        sc = write_scenario(tmp_path, doc)
+        rc = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_FAULT
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert err["field"] == "network.binary[0].kernel"
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_maps_to_fault_exit(self, tmp_path, capsys):
         doc = small_doc()
         del doc["run"]

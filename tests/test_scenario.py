@@ -113,6 +113,20 @@ class TestLoad:
         sc = scenario_from_dict(doc)
         assert len(sc.network.binary) == 1
 
+    def test_reversed_reactants_with_another_kernel_refused(self):
+        # a second entry for the pair (1, 2), same rate but a uniform kernel
+        doc = json.loads((SCENARIO_DIR / "two_type_canonical.json").read_text())
+        doc["network"]["binary"].append(
+            {
+                "reactants": [2, 1],
+                "rate": {"form": "constant", "value": 1.0},
+                "kernel": {"kind": "uniform", "outputs": [{"pair": [1, 2], "weight": 1.0}]},
+            }
+        )
+        with pytest.raises(ek.ValidationError, match=r"\(2,1\).*one kernel") as err:
+            scenario_from_dict(doc)
+        assert err.value.field == "network.binary[3].kernel"
+
     def test_zero_shape_gamma_rejected(self):
         doc = minimal_doc()
         doc["initial"]["energies"] = [{"density": {"family": "gamma", "nu": 0.0, "beta": 1.0}}]
@@ -165,6 +179,39 @@ class TestLoad:
         densities = [ek.UniformDensity(0.0, 3.0), ek.UniformDensity(1.0, 2.0)]
         assert str(err.value) == self.first_support_fault(densities)
         assert str(err.value) != self.first_support_fault(densities[:1])
+
+    def test_load_time_kernel_faults_name_the_kernel(self):
+        doc = self.canonical_doc({"family": "uniform", "lo": 2.0, "hi": 3.0})
+        doc["network"]["binary"].insert(0, minimal_doc()["network"]["binary"][0])
+        doc["network"]["binary"][1]["reactants"] = [1, 2]
+        doc["network"]["binary"][1]["kernel"]["outputs"][0]["pair"] = [1, 2]
+        doc["network"]["binary"][1]["kernel"]["densities"]["2"] = {"family": "exponential", "beta": 1.0}
+        doc["types"]["internal_energies"] = [0.0, 0.0]
+        doc["initial"] = {"mode": "counts", "counts": [5, 5], "energies": [{"value": 1.0}] * 2}
+        with pytest.raises(ek.KernelSupportError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == "network.binary[1].kernel"
+        # Gamma(0.05) splits as Beta(0.05, 0.05), more singular than the quadrature resolves
+        doc = self.canonical_doc({"family": "gamma", "nu": 0.05, "beta": 1.0})
+        with pytest.raises(ek.ValidationError, match="integrates to 1 [+]/- ") as err:
+            scenario_from_dict(doc)
+        assert err.value.field == "network.binary[0].kernel"
+
+    def test_load_check_gives_each_channel_the_whole_network_draws(self, monkeypatch):
+        sc = scenario.load_scenario(SCENARIO_DIR / "two_type_canonical.json")
+        whole = sc.network.kernel_normalization_errors(1000, np.random.default_rng(0))
+        seen = {}
+        check = ek.ReactionNetwork.kernel_normalization_errors
+
+        def spy(network, *args):
+            errors = check(network, *args)
+            seen.update(errors)
+            return errors
+
+        monkeypatch.setattr(ek.ReactionNetwork, "kernel_normalization_errors", spy)
+        scenario._spot_check_kernels(sc.network)
+        assert list(seen) == list(whole) == [(1, 1), (1, 2), (2, 2)]
+        assert seen == whole
 
     @staticmethod
     def first_support_fault(densities) -> str:
