@@ -181,13 +181,23 @@ class TestLoad:
         assert str(err.value) != self.first_support_fault(densities[:1])
 
     def test_load_time_kernel_faults_name_the_kernel(self):
-        doc = self.canonical_doc({"family": "uniform", "lo": 2.0, "hi": 3.0})
-        doc["network"]["binary"].insert(0, minimal_doc()["network"]["binary"][0])
-        doc["network"]["binary"][1]["reactants"] = [1, 2]
-        doc["network"]["binary"][1]["kernel"]["outputs"][0]["pair"] = [1, 2]
-        doc["network"]["binary"][1]["kernel"]["densities"]["2"] = {"family": "exponential", "beta": 1.0}
+        # the second channel's split has no mass below 2: Uniform[2, 3] x Exp(1)
+        doc = minimal_doc()
         doc["types"]["internal_energies"] = [0.0, 0.0]
         doc["initial"] = {"mode": "counts", "counts": [5, 5], "energies": [{"value": 1.0}] * 2}
+        uniform = {"family": "uniform", "lo": 2.0, "hi": 3.0}
+        exponential = {"family": "exponential", "beta": 1.0}
+        doc["network"]["binary"].append(
+            {
+                "reactants": [1, 2],
+                "rate": {"form": "constant", "value": 1.0},
+                "kernel": {
+                    "kind": "canonical",
+                    "outputs": [{"pair": [1, 2], "weight": 1.0}],
+                    "densities": {"1": uniform, "2": exponential},
+                },
+            }
+        )
         with pytest.raises(ek.KernelSupportError) as err:
             scenario_from_dict(doc)
         assert err.value.field == "network.binary[1].kernel"
