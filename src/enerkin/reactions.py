@@ -88,6 +88,10 @@ class SumDecayRate:
         self.bound = self.scale
 
     def __call__(self, t, t_other):
+        if isinstance(t, float) and isinstance(t_other, float):
+            # the float64 sum and product numpy takes, without its array overhead;
+            # np.exp stays, since math.exp may differ from it in the last bit
+            return self.scale * np.exp(-self.decay * (t + t_other))
         return self.scale * np.exp(-self.decay * np.add(t, t_other, dtype=float))
 
     def of_sum(self, s):

@@ -27,14 +27,18 @@ tabulates, per ordered type pair, the channel kernel's ``sample_outcome``
 and, per type, the targets of its unary channels, so applying an event
 looks up no channel.  Unary rates of one particle, and the energy a
 conversion releases, come from the network's per-type table of I_v, gate
-offsets I_v - I_w and rate objects.  A collision reads its feasible
+offsets I_v - I_w and rate objects.  For a type whose unary channels all
+have a ``ConstantUnaryRate``, the engine keeps each channel's (gate
+offset, value) and adds up the values of the open channels as
+``ReactionNetwork.unary_rate`` does, so a constant conversion, like a
+constant collision, evaluates no rate.  A collision reads its feasible
 outputs, their releases and renormalized weights from the kernel's
 outcome table for the reactant types, and draws an output only when
-several are feasible.  A type change updates, once each, only the
-channel-tree leaves of channels involving the old or the new type.  Each
-float path gives the value its array counterpart gives, bit for bit, and
-draws the same random numbers, so the output does not depend on the
-representation.
+several are feasible.  A type change resets, once each, only the
+channel-tree leaves of channels involving the old or the new type, from
+(channel, v, w, bound) rows tabulated at construction.  Each float path
+gives the value its array counterpart gives, bit for bit, and draws the
+same random numbers, so the output does not depend on the representation.
 
 Every proposal takes five uniforms.  When every collision kernel is a
 ``UniformKernel``, each draw of a run is one ``rng.random()`` double (the
@@ -71,7 +75,7 @@ from .core import (
     ValidationError,
 )
 from .densities import DensityFamily
-from .reactions import ConstantRate, ReactionNetwork, UniformKernel, _as_float
+from .reactions import ConstantRate, ConstantUnaryRate, ReactionNetwork, UniformKernel, _as_float
 
 __all__ = [
     "CollisionEvent",
@@ -156,6 +160,13 @@ class MixtureInitial:
 InitialState = Union[ParticleSystem, TypeCountsInitial, MixtureInitial]
 
 
+def _check_integer(value, field: str, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{field} must be an integer, got {value!r}", field=field)
+    if value < low:
+        raise ValidationError(f"{field} must be >= {low}, got {value}", field=field)
+
+
 @dataclass
 class SimulatorConfig:
     network: ReactionNetwork
@@ -170,17 +181,15 @@ class SimulatorConfig:
     def validate(self) -> None:
         if self.t_end < 0:
             raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
-        if self.replicas < 1:
-            raise ValidationError(f"replicas must be >= 1, got {self.replicas}", field="replicas")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}", field="seed")
+        _check_integer(self.replicas, "replicas", 1)
+        _check_integer(self.seed, "seed", 0)
         times = tuple(float(s) for s in self.snapshot_times)
         if any(s < 0 or s > self.t_end for s in times):
             raise ValidationError(
                 f"snapshot times {times} must lie within [0, {self.t_end}]", field="snapshot_times"
             )
-        if self.max_events is not None and self.max_events < 0:
-            raise ValidationError("max_events must be >= 0", field="max_events")
+        if self.max_events is not None:
+            _check_integer(self.max_events, "max_events", 0)
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=float)
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -262,13 +271,14 @@ class _SumTree:
 
     def find(self, u: float) -> int:
         """Leaf whose cumulative interval holds u in [0, root); never a zero leaf."""
-        nodes, k = self.nodes, 1
-        while k < self.size:
+        nodes, k, size = self.nodes, 1, self.size
+        while k < size:
             k *= 2
-            if not (nodes[k] > 0.0 and (u < nodes[k] or nodes[k + 1] <= 0.0)):
-                u -= nodes[k]
+            left = nodes[k]
+            if not (left > 0.0 and (u < left or nodes[k + 1] <= 0.0)):
+                u -= left
                 k += 1
-        return k - self.size
+        return k - size
 
 
 _BLOCK_CAP = 4096  # doubles in the largest read-ahead block
@@ -355,24 +365,33 @@ class _Engine:
                     "which thinning needs: use CallableRate(fn, name, bound=...)"
                 )
             self.channels.append((ch.pair, ch.rate.bound, isinstance(ch.rate, ConstantRate)))
+        # by type, when every unary channel's rate is exactly a ConstantUnaryRate (a
+        # subclass may override __call__): each channel's (gate offset, value), in
+        # channel order; None otherwise
+        self.unary_consts = [None] * n
+        for v, (_, chans) in network._unary_table.items():
+            if all(type(rate) is ConstantUnaryRate for _, rate in chans.values()):
+                self.unary_consts[v] = [(gate, rate.value) for gate, rate in chans.values()]
         tids, kin = system.type_ids, system.kinetic_energies
-        self.members = [np.flatnonzero(tids == v).tolist() for v in range(n)]
+        index = [np.flatnonzero(tids == v) for v in range(n)]
+        self.members = [idx.tolist() for idx in index]
         pos = np.zeros(self.m, dtype=np.int64)
         unary = np.zeros(self.m)
-        for v, idx in enumerate(self.members):
-            pos[idx] = np.arange(len(idx))
-            if idx and self.targets[v]:
+        for v, idx in enumerate(index):
+            pos[idx] = np.arange(idx.size)
+            if idx.size and self.targets[v]:
                 unary[idx] = network.unary_rate(v, kin[idx])
         if not np.all(unary >= 0):
             raise ValidationError("negative rate from a unary rate function")
         self.pos = pos.tolist()
         self.unary_tree = _SumTree(unary)
-        self.channel_tree = _SumTree(np.array([self._channel_rate(k) for k in range(len(self.channels))]))
-        channels_of = [
-            [k for k, (pair, _, _) in enumerate(self.channels) if v in pair] for v in range(n)
+        rows = [(k, v, w, bound) for k, ((v, w), bound, _) in enumerate(self.channels)]
+        self.channel_tree = _SumTree(np.zeros(len(rows)))
+        self._refresh_majorants(rows)
+        # by (old type, new type): the rows of the channels involving either
+        self.rows_between = [
+            [[r for r in rows if a in r[1:3] or b in r[1:3]] for b in range(n)] for a in range(n)
         ]
-        # by (old type, new type): the channels involving either, each once
-        self.channels_between = [[list(dict.fromkeys(a + b)) for b in channels_of] for a in channels_of]
 
     def to_system(self, time: float) -> ParticleSystem:
         tids, kin = self.exported
@@ -386,11 +405,13 @@ class _Engine:
         touched.clear()
         return ParticleSystem(tids, kin, time)
 
-    def _channel_rate(self, k: int) -> float:
-        """Majorant rate of channel k: bound_vw * (pairs of types v, w) / M."""
-        (v, w), bound, _ = self.channels[k]
-        n_v, n_w = len(self.members[v]), len(self.members[w])
-        return bound * (n_v * (n_v - 1) // 2 if v == w else n_v * n_w) / self.m
+    def _refresh_majorants(self, rows) -> None:
+        """Set the channel-tree leaf of each (channel, v, w, bound) row to the channel's
+        majorant rate: bound_vw * (pairs of types v, w) / M."""
+        members, m, update = self.members, self.m, self.channel_tree.update
+        for k, v, w, bound in rows:
+            n_v = len(members[v])
+            update(k, bound * (n_v * (n_v - 1) // 2 if v == w else n_v * len(members[w])) / m)
 
     def next_event(self, rng, horizon: float = np.inf):
         """(waiting time, event) of the next accepted event; thinned proposals add
@@ -419,8 +440,13 @@ class _Engine:
                 v = self.tids[i]
                 targets, k = self.targets[v], 0
                 if len(targets) > 1:
-                    rates = _SumTree(np.array(self.net.unary_rates(v, self.kin[i])))
-                    k = rates.find(r_i * rates.nodes[1])
+                    t, consts = self.kin[i], self.unary_consts[v]
+                    if consts is None:
+                        rates = self.net.unary_rates(v, t)
+                    else:  # the values unary_rates gives, bit for bit
+                        rates = [value if t + gate >= 0.0 else 0.0 for gate, value in consts]
+                    tree = _SumTree(np.array(rates))
+                    k = tree.find(r_i * tree.nodes[1])
                 return wait, (_CONVERSION, i, targets[k])
             event = self._propose_collision(u, r_i, r_j, r_accept)
             if event is not None:
@@ -520,9 +546,16 @@ class _Engine:
                 self.pos[last] = k
             self.pos[i] = len(self.members[v])
             self.members[v].append(i)
-            for k in self.channels_between[old][v]:
-                self.channel_tree.update(k, self._channel_rate(k))
-        if self.targets[v]:
+            self._refresh_majorants(self.rows_between[old][v])
+        consts = self.unary_consts[v]
+        if consts is not None:
+            # summed left to right over the gated channels, as unary_rate sums them
+            rate = 0.0
+            for gate, value in consts:
+                if t + gate >= 0.0:
+                    rate += value
+            self.unary_tree.update(i, rate)
+        elif self.targets[v]:
             rate = self.net.unary_rate(v, t)
             if not rate >= 0.0:
                 raise ValidationError(f"negative rate {rate} from a unary rate function")

@@ -360,6 +360,8 @@ class TestScalarRates:
         rng = np.random.default_rng(4)
         ts, tps = rng.exponential(1.0, 40), rng.exponential(2.0, 40)
         ts[:2], tps[:2] = 0.0, [0.0, 3.0]
+        # subnormal energies, and a sum at which exp(-0.45 * sum) underflows to 0
+        ts, tps = np.append(ts, [5e-324, 1.0, 2000.0]), np.append(tps, [0.5, 5e-324, 1500.0])
         for v, w in ((1, 2), (2, 1)):
             arrays = _bits(net.pair_rate(v, ts, w, tps))
             floats = [_bits(net.pair_rate(v, float(t), w, float(tp)))[0] for t, tp in zip(ts, tps)]

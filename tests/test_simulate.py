@@ -421,15 +421,60 @@ class TestSelectionBookkeeping:
             unary=[ek.UnaryChannel(2, 1, ek.PowerGapRate(0.5, 1.0, 0.0))],
         )
 
-    def test_sum_tree_matches_fresh_unary_rates(self):
+    @staticmethod
+    def _chain_network():
+        # the particle_chain shape: constant collisions and constant conversions
+        # both ways across a gap of 1
+        tt = ek.TypeTable(np.array([0.0, 1.0]))
+        rate = ek.ConstantRate(1.0)
+        return ek.ReactionNetwork(
+            tt,
+            binary=[
+                ek.BinaryChannel((v, w), rate, ek.UniformKernel([(v, w, 1.0)]))
+                for v, w in ((1, 1), (1, 2), (2, 2))
+            ],
+            unary=[
+                ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(1.0)),
+                ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(1.0)),
+            ],
+        )
+
+    @staticmethod
+    def _two_gate_network():
+        # type 1 converts at constant rates into type 2 above T = 0.4 and into
+        # type 3 above T = 1.0; collisions also change types
+        tt = ek.TypeTable(np.array([0.0, 0.4, 1.0]))
+        rate = ek.ConstantRate(1.0)
+        return ek.ReactionNetwork(
+            tt,
+            binary=[
+                ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(1, 1, 1.0), (2, 2, 1.0)])),
+                ek.BinaryChannel((1, 3), rate, ek.UniformKernel([(1, 3, 1.0)])),
+                ek.BinaryChannel((2, 2), rate, ek.UniformKernel([(2, 2, 1.0), (1, 1, 1.0)])),
+            ],
+            unary=[
+                ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(0.5)),
+                ek.UnaryChannel(1, 3, ek.ConstantUnaryRate(0.8)),
+                ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(1.0)),
+                ek.UnaryChannel(3, 1, ek.ConstantUnaryRate(1.0)),
+            ],
+        )
+
+    @pytest.mark.parametrize("name", ["power_gap", "chain", "two_gates"])
+    def test_sum_tree_matches_fresh_unary_rates(self, name):
         # every event updates leaves along their paths; after 2000 events the
         # tree must hold exactly the fresh rates and their pairwise sums
         from enerkin.simulate import _Engine, _SumTree
 
-        net = self._network()
+        net = {
+            "power_gap": self._network, "chain": self._chain_network, "two_gates": self._two_gate_network
+        }[name]()
+        n_types = net.types.count
         rng = np.random.default_rng(3)
-        sys0 = ek.ParticleSystem(rng.integers(1, 3, 60), rng.exponential(1.0, 60))
+        sys0 = ek.ParticleSystem(rng.integers(1, n_types + 1, 60), rng.exponential(1.0, 60))
         engine = _Engine(sys0, net)
+        # constant conversions are read from the engine's table, not evaluated
+        assert all(c is not None for c in engine.unary_consts[1:]) == (name != "power_gap")
         for _ in range(2000):
             _, event = engine.next_event(rng)
             engine.apply(event, rng)
@@ -442,13 +487,13 @@ class TestSelectionBookkeeping:
         assert tree.nodes[1] == pytest.approx(fresh.sum(), rel=1e-14)  # the root
         assert tree.nodes == _SumTree(fresh).nodes
         # the member lists are a partition of the particles by current type
-        for v in (1, 2):
+        for v in range(1, n_types + 1):
             members = engine.members[v]
             assert sorted(members) == np.flatnonzero(np.asarray(engine.tids) == v).tolist()
             assert all(engine.pos[i] == k for k, i in enumerate(members))
         # the channel tree, updated leaf by leaf on type changes, is the tree a
         # fresh build from the current type counts gives
-        n = np.bincount(engine.tids, minlength=3)
+        n = np.bincount(engine.tids, minlength=n_types + 1)
         majorants = np.array([
             ch.rate.bound * (n[v] * (n[v] - 1) // 2 if v == w else n[v] * n[w]) / engine.m
             for ch in net.binary
@@ -562,6 +607,23 @@ class TestInitialConditions:
         with pytest.raises(ek.ValidationError) as exc:
             make()
         assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replicas", 2.5), ("replicas", True),
+            ("seed", 1.5), ("seed", True),
+            ("max_events", 1.5), ("max_events", True),
+        ],
+    )
+    def test_non_integer_counts_fault_name_their_field(self, field, value):
+        cfg = ek.SimulatorConfig(
+            uniform_net(), ek.TypeCountsInitial((5,), (1.0,)), t_end=1.0, **{field: value}
+        )
+        for call in (cfg.validate, lambda: ek.run(cfg), lambda: ek.run_ensemble(cfg)):
+            with pytest.raises(ek.ValidationError) as exc:
+                call()
+            assert exc.value.field == field
 
     def test_unordered_histogram_edges_fault_names_their_field(self):
         cfg = ek.SimulatorConfig(
