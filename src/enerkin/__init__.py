@@ -88,11 +88,10 @@ from .equilibrium import (
     local_equilibrium_residual,
     measure_transform,
     pair_reversibility_residual,
+    product_form_measure,
+    product_form_residual,
     relative_entropy,
     sample_conserving_quadruples,
-    shifted_gamma_reversibility_residual,
-    two_type_unary_stationary,
-    unary_energy_dependent_stationary,
     vector_particle_stationary,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict

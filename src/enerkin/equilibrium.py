@@ -3,9 +3,12 @@
 Everything here evaluates a closed-form identity or a balance condition at
 finitely many points and reports the worst residual: detailed balance,
 local-equilibrium and fixed-point conditions, relative entropy and its
-monotonicity along solver runs, stationary type probabilities of the unary
-models, cycle-reversibility of finite chains, and the goodness-of-fit
-plumbing used by the statistical acceptance runs.
+monotonicity along solver runs, cycle-reversibility of finite chains, and the
+goodness-of-fit plumbing used by the statistical acceptance runs.  The
+product-form invariant measure is derived from the network (a ``TableKernel``
+has none); the pair-reaction model stays a lemma on restated parameters, since
+a type-changing collision of summed shape other than 1 needs a rate in the
+pair's full energy, which no bounded binary rate form gives.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import KernelSupportError, KineticsError, ValidationError, available_kinetic_energy
-from .densities import DensityFamily, ShiftedGamma
-from .reactions import ReactionNetwork
-from .solver import DensityGrid
+from .densities import DensityFamily, GammaDensity, ShiftedGamma
+from .reactions import ConstantUnaryRate, PowerGapRate, ReactionNetwork
+from .solver import DensityGrid, _plan_support_fault
 
 __all__ = [
     "TypedDensity",
@@ -40,9 +43,8 @@ __all__ = [
     "convolution_density",
     "convolution_equality_check",
     "admissible_pair_check",
-    "two_type_unary_stationary",
-    "unary_energy_dependent_stationary",
-    "shifted_gamma_reversibility_residual",
+    "product_form_measure",
+    "product_form_residual",
     "vector_particle_stationary",
     "pair_reversibility_residual",
     "kolmogorov_cycle_check",
@@ -67,7 +69,7 @@ class TypedDensity:
             w = tuple(float(x) for x in self.weights)
         if len(w) != len(fams):
             raise ValidationError("need one weight per type")
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-8:
+        if not all(math.isfinite(x) and x >= 0 for x in w) or abs(sum(w) - 1.0) > 1e-8:
             raise ValidationError("type weights must be a probability vector")
         object.__setattr__(self, "weights", w)
 
@@ -496,38 +498,8 @@ def admissible_pair_check(
 
 
 # ---------------------------------------------------------------------------
-# stationary type probabilities of the unary models
+# the product-form measure of a network, and the pair-reaction lemma
 # ---------------------------------------------------------------------------
-
-
-def two_type_unary_stationary(
-    a12: float, a21: float, rho1: DensityFamily, delta_i: float
-) -> tuple[float, float]:
-    """Stationary type weights (pi1, pi2) of the single-particle two-type chain.
-
-    Balance: pi1 * Y1 * a12 = pi2 * a21 with Y1 the mass of rho1 above the
-    internal-energy gap.
-    """
-    if a12 < 0 or a21 < 0:
-        raise ValidationError("rates must be >= 0")
-    if a12 == 0 and a21 == 0:
-        raise ValidationError("both rates zero: the chain is reducible")
-    y1 = 1.0 - float(rho1.cdf(delta_i))
-    pi1 = a21 / (a21 + y1 * a12)
-    return (pi1, 1.0 - pi1)
-
-
-def _unary_links(w, b, nu, internal) -> list:
-    """One link (name, a, b) per unordered type pair with a nonzero rate.
-
-    A link joins two states a <-> b of a stationary type model; each state is
-    (weight w, shape nu, internal energy I, rate factor b out of it).
-    """
-    def state(v, u):
-        return (w[v], nu[v], internal[v], b[v, u])
-
-    pairs = [(v, u) for v, u in combinations(range(w.size), 2) if b[v, u] != 0 or b[u, v] != 0]
-    return [(f"pair ({v + 1}, {u + 1})", state(v, u), state(u, v)) for v, u in pairs]
 
 
 def _pair_link(w, nu, internal, ch) -> tuple:
@@ -574,38 +546,95 @@ def _normalized_and_verified(log_pi, residual, failure: str) -> np.ndarray:
     return pi
 
 
-def unary_energy_dependent_stationary(
-    p, b, nu, internal, beta: float, n_check: int = 64
-) -> np.ndarray:
-    """Stationary type probabilities of the energy-dependent conversion model.
+def _product_form(network: ReactionNetwork):
+    """(nu, c, pairs): each type's gamma shape and weight factor, and one
+    (name, v, w, b_vw, b_wv) per pair of types v < w (0-based) joined by
+    conversions; ValidationError names the channel or type that breaks the form."""
+    shapes = {}  # type id -> (nu, the channel that fixed it)
 
-    Rates are b_vw * (U - I_w)^(nu_w - 1) above threshold; full-energy laws
-    are the shifted gamma densities.  The returned vector is proportional to
-    p_v * exp(-beta I_v) * Gamma(nu_v) * beta^(-nu_v) and is verified to
-    balance every conversion pair pointwise in U before being returned.
-    """
-    p, b, nu, internal = (np.asarray(a, dtype=float) for a in (p, b, nu, internal))
-    n = p.size
-    if b.shape != (n, n) or nu.size != n or internal.size != n:
-        raise ValidationError("p, b, nu, internal must agree in size")
-    if beta <= 0 or np.any(nu <= 0) or np.any(p <= 0) or np.any(b < 0):
-        raise ValidationError("need beta > 0, nu > 0, p > 0 and b >= 0")
-    for link in _unary_links(p, b, nu, internal):
-        _check_reversible(link, "unary model: weights are not reversible for rates on {}")
+    def fix(tid, nu, where):
+        first, by = shapes.setdefault(tid, (nu, where))
+        if not math.isclose(first, nu, rel_tol=1e-12):  # nu from an exponent nu - 1 may round
+            raise ValidationError(f"{where}: gives type {tid} shape {nu}, but {by} gives it {first}")
+
+    for ch in network.binary:
+        where = f"reactant pair {ch.pair}"
+        fault = _plan_support_fault(ch)
+        if fault is not None:
+            raise ValidationError(f"{where}: {fault}")
+        uniform = ch.kernel.kind == "uniform"
+        for o in ch.kernel.outputs:
+            if sorted((o.first, o.second)) != list(ch.pair):
+                raise ValidationError(f"{where}: output ({o.first}, {o.second}) changes types")
+            for tid in (o.first, o.second):
+                fix(tid, 1.0 if uniform else ch.kernel.densities[tid].gamma_shape()[0], where)
+    internal = network.types.internal_energies
+    b = {}
+    for ch in network.unary:
+        where, rate, i_w = f"unary channel {ch.source}->{ch.target}", ch.rate, internal[ch.target - 1]
+        if isinstance(rate, ConstantUnaryRate):
+            shape, b[ch.source, ch.target] = 1.0, rate.value
+        elif isinstance(rate, PowerGapRate) and rate.threshold == i_w and rate.exponent > -1.0:
+            shape, b[ch.source, ch.target] = rate.exponent + 1.0, rate.b
+        else:
+            raise ValidationError(f"{where}: rate {rate!r} is not constant, nor power_gap with "
+                                  f"threshold I_target = {i_w} and exponent above -1")
+        fix(ch.target, shape, where)
+    for (v, w), b_vw in b.items():
+        if b_vw > 0 and not b.get((w, v), 0.0) > 0:
+            raise ValidationError(f"unary channel {v}->{w}: has no reverse channel {w}->{v}")
+    n = network.types.count
+    missing = set(range(1, n + 1)) - set(shapes)
+    if missing:
+        raise ValidationError(f"type {min(missing)}: no channel fixes its kinetic law")
+    nu = [shapes[tid][0] for tid in range(1, n + 1)]
+    pairs = [
+        (f"conversions {v}->{w} and {w}->{v}", v - 1, w - 1, b_vw, b[w, v])
+        for (v, w), b_vw in sorted(b.items()) if v < w and b_vw > 0
+    ]
+    c = [None] * n
+    while None in c:
+        c[c.index(None)] = 1.0  # the lowest type of a class, then c_w = c_v b_vw / b_wv
+        for _ in range(n):
+            for _, v, w, b_vw, b_wv in pairs:
+                if c[w] is None and c[v] is not None:
+                    c[w] = c[v] * b_vw / b_wv
+                elif c[v] is None and c[w] is not None:
+                    c[v] = c[w] * b_wv / b_vw
+    for name, v, w, b_vw, b_wv in pairs:
+        if not math.isclose(c[v] * b_vw, c[w] * b_wv, rel_tol=1e-9):
+            raise ValidationError(f"{name}: break c_v b_vw = c_w b_wv around a cycle of conversions")
+    return nu, c, pairs
+
+
+def product_form_measure(network: ReactionNetwork, beta: float, n_check: int = 64) -> TypedDensity:
+    """The product-form invariant measure of ``network``: kinetic laws Gamma(nu_v, beta)
+    and type weights proportional to c_v exp(-beta I_v) Gamma(nu_v) beta^(-nu_v), with
+    nu_v fixed by the kernels and conversion rates, and c_v b_vw = c_w b_wv over the
+    conversions, c = 1 at the lowest type of each class they join (README: the rules).
+    A network without one raises ValidationError naming the channel or type; the
+    weights are verified to balance pointwise before they are returned."""
+    nu, c, pairs = _product_form(network)
+    laws = tuple(GammaDensity(x, beta) for x in nu)  # refuses a beta that is not positive
     log_gamma = np.array([math.lgamma(x) for x in nu])
-    log_pi = np.log(p) - beta * internal + log_gamma - nu * np.log(beta)
-    return _normalized_and_verified(
-        log_pi, lambda pi: shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check),
-        "stationary weights fail the pointwise balance identity",
+    log_pi = np.log(c) - beta * network.types.internal_energies + log_gamma - np.multiply(nu, np.log(beta))
+    pi = _normalized_and_verified(
+        log_pi, lambda pi: product_form_residual(network, pi, beta, n_check),
+        "the derived weights fail the pointwise balance identity",
     )
+    return TypedDensity(laws, tuple(pi))
 
 
-def shifted_gamma_reversibility_residual(
-    pi, b, nu, internal, beta: float, n_check: int = 64
-) -> float:
-    """Worst relative pointwise-balance violation over pairs and energies."""
-    pi, b, nu, internal = (np.asarray(a, dtype=float) for a in (pi, b, nu, internal))
-    return _balance_residual(_unary_links(pi, b, nu, internal), beta, n_check)
+def product_form_residual(network: ReactionNetwork, weights, beta: float, n_check: int = 64) -> float:
+    """Worst relative pointwise-balance violation of type ``weights`` with the
+    network's kinetic laws Gamma(nu_v, beta), over its conversion pairs."""
+    nu, _, pairs = _product_form(network)
+    ie = network.types.internal_energies
+    links = [
+        (name, (weights[v], nu[v], ie[v], b_vw), (weights[w], nu[w], ie[w], b_wv))
+        for name, v, w, b_vw, b_wv in pairs
+    ]
+    return _balance_residual(links, beta, n_check)
 
 
 @dataclass(frozen=True)

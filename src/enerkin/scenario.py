@@ -121,14 +121,11 @@ _object = _instance(dict, "an object")
 _list = _instance(list, "a list")
 
 
-def _array(ndim: int):
-    def convert(value) -> np.ndarray:
-        out = np.asarray(value, dtype=float)
-        if out.ndim != ndim:
-            raise ValueError(f"expected {ndim}-dimensional numbers, got {value!r}")
-        return out
-
-    return convert
+def _vector(value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return out
 
 
 def _density_pair(value) -> list:
@@ -136,10 +133,6 @@ def _density_pair(value) -> list:
     if len(out) != 2:
         raise ValueError(f"expected two densities, got {len(out)}")
     return out
-
-
-def _pair_reactions(value) -> list:
-    return [eq.PairReactionSpec(**_object(c)) for c in _list(value)]
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,7 @@ _TOP = {
     "analysis": _Param(_object, None),
     "checks": _Param(_list, None),
 }
-_TYPES = {"internal_energies": _Param(_array(1)), "labels": _Param(_labels, None)}
+_TYPES = {"internal_energies": _Param(_vector), "labels": _Param(_labels, None)}
 _NETWORK = {"binary": _Param(_list, ()), "unary": _Param(_list, ())}
 _BINARY = {"reactants": _Param(_type_pair), "rate": _Param(_object), "kernel": _Param(_object)}
 _UNARY = {"source": _Param(_integer), "target": _Param(_integer), "rate": _Param(_object)}
@@ -532,15 +525,16 @@ def _spot_check_kernels(network: ReactionNetwork, fields: dict = None) -> None:
 class _Check:
     """A residual check: ``run(scenario, args)`` returns the observed residual
     and the number of samples it used; ``params`` declares every key of its
-    ``checks[]`` entry but ``name``."""
+    ``checks[]`` entry but ``name``; ``prepare(scenario, args)``, if any, runs
+    at load and returns the arguments ``run`` takes."""
 
     run: Callable
     params: dict
-    needs_solve: bool = False
+    prepare: Callable | None = None
 
 
-def _check(run, needs_solve: bool = False, **params) -> _Check:
-    return _Check(run, {"tolerance": _Param(_number, 1e-8), **params}, needs_solve)
+def _check(run, prepare=None, **params) -> _Check:
+    return _Check(run, {"tolerance": _Param(_number, 1e-8), **params}, prepare)
 
 
 def check_arguments(scenario: Scenario, params: dict, field: str = "check") -> dict:
@@ -553,13 +547,12 @@ def check_arguments(scenario: Scenario, params: dict, field: str = "check") -> d
         f"unknown check name {name!r}; known names: {', '.join(CHECKS)}",
     )
     check = CHECKS[name]
-    _require(
-        not check.needs_solve or scenario.solve is not None,
-        f"{field}.name",
-        f"{name} needs a 'solve' section",
-    )
     rest = {k: v for k, v in params.items() if k != "name"}
-    return _read_params(rest, check.params, field, scenario)
+    args = _read_params(rest, check.params, field, scenario)
+    if check.prepare is not None:
+        with _naming(field):
+            args = check.prepare(scenario, args)
+    return args
 
 
 def _quadruples(scenario: Scenario, a: dict):
@@ -613,22 +606,9 @@ def _admissible_pair(scenario: Scenario, a: dict):
     return eq.admissible_pair_check(a["rho1"], a["rho2"], a["gap"], xs), xs.size
 
 
-def _two_type_balance(scenario: Scenario, a: dict):
-    pi1, pi2 = eq.two_type_unary_stationary(a["a12"], a["a21"], a["rho1"], a["gap"])
-    y1 = 1.0 - float(a["rho1"].cdf(a["gap"]))
-    return abs(pi1 * y1 * a["a12"] - pi2 * a["a21"]), 1
-
-
-def _conversion_reversibility(scenario: Scenario, a: dict):
-    model = (a["b"], a["nu"], a["internal"], a["beta"])
-    pi = eq.unary_energy_dependent_stationary(a["p"], *model)
-    return eq.shifted_gamma_reversibility_residual(pi, *model), a["p"].size
-
-
-def _pair_reaction_reversibility(scenario: Scenario, a: dict):
-    model = (a["nu"], a["internal"], a["beta"], a["channels"])
-    pi = eq.vector_particle_stationary(a["p"], *model)
-    return eq.pair_reversibility_residual(pi, *model), len(a["channels"])
+def _product_form_balance(scenario: Scenario, a: dict):
+    residual = eq.product_form_residual(scenario.network, a["measure"].weights, a["beta"])
+    return residual, len(scenario.network.unary)
 
 
 def _kolmogorov(scenario: Scenario, a: dict):
@@ -647,6 +627,12 @@ def _convolution_equality(scenario: Scenario, a: dict):
     return eq.convolution_equality_check(*a["pair_a"], *a["pair_b"], xs), xs.size
 
 
+def _with_solve(scenario: Scenario, a: dict) -> dict:
+    if scenario.solve is None:
+        raise ValidationError("entropy_monotonicity needs a 'solve' section", field="name")
+    return a
+
+
 def _entropy_monotonicity(scenario: Scenario, a: dict):
     snaps = integrate(*scenario.solver_setup())
     res = eq.entropy_monotonicity_check(snaps, a["equilibrium"], tol=a["tolerance"])
@@ -656,7 +642,6 @@ def _entropy_monotonicity(scenario: Scenario, a: dict):
 _REFERENCE = _Reference()
 _QUADRATURE = {"samples": _Param(_integer, 1000), "energy_scale": _Param(_number, 1.0)}
 _DENSITY = _Param(density_from_spec)
-_VECTOR = _Param(_array(1))
 
 # Every check name, its runner and its parameters; the README lists the same.
 CHECKS = {
@@ -682,24 +667,10 @@ CHECKS = {
         x_max=_Param(_number, 10.0),
         points=_Param(_integer, 200),
     ),
-    "two_type_balance": _check(
-        _two_type_balance, rho1=_DENSITY, gap=_Param(), a12=_Param(), a21=_Param()
-    ),
-    "conversion_reversibility": _check(
-        _conversion_reversibility,
-        p=_VECTOR,
-        b=_Param(_array(2)),
-        nu=_VECTOR,
-        internal=_VECTOR,
-        beta=_Param(),
-    ),
-    "pair_reaction_reversibility": _check(
-        _pair_reaction_reversibility,
-        p=_VECTOR,
-        nu=_VECTOR,
-        internal=_VECTOR,
-        beta=_Param(),
-        channels=_Param(_pair_reactions),
+    "product_form_balance": _check(
+        _product_form_balance,
+        prepare=lambda sc, a: {**a, "measure": eq.product_form_measure(sc.network, a["beta"])},
+        beta=_Param(_positive, 1.0),
     ),
     "kolmogorov": _check(
         _kolmogorov, rates=_Param(eq.DiscreteChainSpec), max_cycle_len=_Param(_integer, 6)
@@ -719,7 +690,7 @@ CHECKS = {
         points=_Param(_integer, 100),
     ),
     "entropy_monotonicity": _check(
-        _entropy_monotonicity, needs_solve=True, equilibrium=_REFERENCE
+        _entropy_monotonicity, prepare=_with_solve, equilibrium=_REFERENCE
     ),
 }
 

@@ -165,15 +165,15 @@ def _fast_len(n: int) -> int:
 
 
 def _plan_support_fault(ch: BinaryChannel) -> str | None:
-    """Why ``CollisionPlan`` cannot represent channel ``ch``, or None when it can."""
+    """Why ``CollisionPlan``, and so ``product_form_measure``, cannot take ``ch``, or None."""
     if not hasattr(ch.rate, "of_sum"):
         return f"rate {ch.rate!r} is not a function of the energy sum (it has no of_sum)"
     if ch.kernel.kind == "uniform":
         return None
     if ch.kernel.kind != "canonical":
         return (
-            f"kernel kind {ch.kernel.kind!r} is simulator-only; the collision equation "
-            "takes 'uniform' and 'canonical' kernels"
+            f"kernel kind {ch.kernel.kind!r} is simulator-only; only 'uniform' and "
+            "'canonical' kernels declare their split densities"
         )
     betas = set()
     for tid, fam in ch.kernel.densities.items():

@@ -205,7 +205,7 @@ def test_criterion_08_canonical_kernel_invariance():
 
 
 def test_criterion_09_unary_stationary_laws():
-    # (a) two-type balance matched by simulated occupancy
+    # (a) the network's product-form weights matched by simulated occupancy
     tt = ek.TypeTable(np.array([0.0, 1.0]))
     net = ek.ReactionNetwork(
         tt,
@@ -214,7 +214,8 @@ def test_criterion_09_unary_stationary_laws():
             ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(1.0)),
         ],
     )
-    pi1, pi2 = ek.two_type_unary_stationary(1.0, 1.0, ek.Exponential(1.0), 1.0)
+    measure = ek.product_form_measure(net, 1.0, n_check=1000)
+    pi1, pi2 = measure.weights
     m = 2000
     cfg = ek.SimulatorConfig(
         network=net,
@@ -226,12 +227,8 @@ def test_criterion_09_unary_stationary_laws():
     frac1 = traj.final_state.type_counts(2)[0] / m
     sigma = np.sqrt(pi1 * pi2 / m)
     z = abs(frac1 - pi1) / sigma
-    # (b) energy-dependent stationary law balances pointwise (1000 energies)
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pi = ek.unary_energy_dependent_stationary([0.5, 0.5], b, [1.0, 1.0], [0.0, 1.0], 1.0)
-    res_b = ek.shifted_gamma_reversibility_residual(
-        pi, b, np.array([1.0, 1.0]), np.array([0.0, 1.0]), 1.0, n_check=1000
-    )
+    # (b) the network's product-form measure balances pointwise (1000 energies)
+    res_b = ek.product_form_residual(net, measure.weights, 1.0, n_check=1000)
     # (c) factorized pair-reaction law balances pointwise (1000 energies)
     chans = [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)]
     pi_vec = ek.vector_particle_stationary([0.5, 0.5], [1.5, 1.5], [0.0, 1.0], 1.0, chans)

@@ -55,9 +55,9 @@ def small_doc_checking(*checks, **sections):
     return doc
 
 
-def unary_doc_with_first_check(**changes):
+def unary_doc_with_check(index, **changes):
     doc = json.loads((SCENARIO_DIR / "unary_two_type.json").read_text())
-    check = doc["checks"][0]  # two_type_balance
+    check = doc["checks"][index]  # 0: product_form_balance, 1: admissible_pair
     check.update(changes)
     for key in [k for k, v in changes.items() if v is None]:
         del check[key]
@@ -91,8 +91,14 @@ MALFORMED_CHECKS = {
         lambda: small_doc_checking(UNIFORM_TO_EXP, {"name": "no_such_check"}),
         "checks[1].name",
     ),
-    "missing_required": (lambda: unary_doc_with_first_check(a21=None), "checks[0].a21"),
-    "misspelled_key": (lambda: unary_doc_with_first_check(tolerence=1e-30), "checks[0].tolerence"),
+    "missing_required": (lambda: unary_doc_with_check(1, gap=None), "checks[1].gap"),
+    "misspelled_key": (lambda: unary_doc_with_check(0, tolerence=1e-30), "checks[0].tolerence"),
+    "no_product_form": (  # a one-way conversion
+        lambda: unary_doc_with(
+            network={"unary": [{"source": 1, "target": 2, "rate": {"form": "constant", "value": 1.0}}]}
+        ),
+        "checks[0]",
+    ),
     "unconvertible_value": (
         lambda: small_doc_checking(
             {"name": "kolmogorov", "rates": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "max_cycle_len": "four"}
@@ -631,6 +637,7 @@ MALFORMED_SECTIONS = {
     "run_seed_negative": (_set(("run", "seed"), -1), "run.seed"),
     "histogram_bins": (_set(("run", "histogram", "bins"), -5), "run.histogram.bins"),
     "reference_weights": (_set(("analysis", "reference", "weights"), ["a"]), "analysis.reference.weights"),
+    "reference_weights_nan": (_set(("analysis", "reference", "weights"), [float("nan")]), "analysis.reference"),
 }
 
 
@@ -654,7 +661,7 @@ def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
 BUNDLED_CHECK_SHA256 = {
     "exponential_equilibrium": "4ac135eb9faec20a91b4b942c030e2fe8205441a85975db7379fdf90498b19c5",
     "two_type_canonical": "fb282abe35e75aeb24aad8f3c1b80ded2a3e625946fd8da441d01f629335a6cf",
-    "unary_two_type": "3cde3c223091f7606e0a0e903f54e5b2f92fb07c0bb1e2d59c45c35abd71292c",
+    "unary_two_type": "2495c34954d60fa7064350a82f0e81bb552776b26e81896e9df07095df095c6a",
 }
 
 
@@ -712,6 +719,7 @@ class TestCheckCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(field + ": ")
+        assert err["field"] == field
         assert not (out / "report.json").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from scipy.special import gammaln
 
 import enerkin as ek
 from conftest import feasible_outputs, uniform_net
+from test_simulate import _oracle_network as simulate_oracle_network
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -495,25 +499,58 @@ class TestAdmissiblePairs:
                 assert r < 1e-12
 
 
+# frozen oracles: the formulas of the restated stationary-weight functions the
+# network-derived measure replaced
+
+
+def _oracle_two_type_stationary(a12, a21, rho1, delta_i):
+    """pi1 Y1 a12 = pi2 a21, with Y1 the mass of rho1 above the internal-energy gap."""
+    y1 = 1.0 - float(rho1.cdf(delta_i))
+    pi1 = a21 / (a21 + y1 * a12)
+    return (pi1, 1.0 - pi1)
+
+
+def _oracle_unary_stationary(p, nu, internal, beta):
+    """p_v exp(-beta I_v) Gamma(nu_v) beta^(-nu_v), normalized."""
+    p, nu, internal = (np.asarray(a, dtype=float) for a in (p, nu, internal))
+    log_pi = np.log(p) - beta * internal + np.array([math.lgamma(x) for x in nu]) - nu * np.log(beta)
+    pi = np.exp(log_pi - log_pi.max())
+    return pi / pi.sum()
+
+
+def _conversion_network(b, nu, internal, kernels=False):
+    """Types with internal energies ``internal`` and, for each nonzero b[v, w], a
+    conversion v -> w at rate b[v, w] (U - I_w)^(nu_w - 1) above I_w; with
+    ``kernels``, each type also collides with its own type through a canonical
+    Gamma(nu_v, 1) kernel, which fixes its shape even without conversions."""
+    internal = np.asarray(internal, dtype=float)
+    n = internal.size
+    unary = [
+        ek.UnaryChannel(v + 1, w + 1, ek.PowerGapRate(b[v][w], nu[w] - 1.0, internal[w]))
+        for v in range(n) for w in range(n) if v != w and b[v][w] != 0
+    ]
+    binary = [
+        ek.BinaryChannel(
+            (v, v), ek.ConstantRate(1.0),
+            ek.CanonicalKernel([(v, v, 1.0)], {v: ek.GammaDensity(nu[v - 1], 1.0)}),
+        )
+        for v in range(1, n + 1)
+    ] if kernels else []
+    return ek.ReactionNetwork(ek.TypeTable(internal), binary, unary)
+
+
 class TestUnaryStationary:
     def test_symmetric_full_tail(self):
-        pi = ek.two_type_unary_stationary(1.0, 1.0, ek.Exponential(1.0), 0.0)
+        net = _conversion_network([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], [0.0, 0.0])
+        pi = ek.product_form_measure(net, 1.0).weights
         assert pi == (pytest.approx(0.5), pytest.approx(0.5))
-
-    def test_half_tail(self):
-        # Y1 = 1/2 forces pi1 * (1/2) = pi2: pi = (2/3, 1/3)
-        rho = ek.UniformDensity(0.0, 2.0)
-        pi = ek.two_type_unary_stationary(1.0, 1.0, rho, 1.0)
-        assert pi == (pytest.approx(2.0 / 3.0), pytest.approx(1.0 / 3.0))
-
-    def test_both_rates_zero_fault(self):
-        with pytest.raises(ek.ValidationError):
-            ek.two_type_unary_stationary(0.0, 0.0, ek.Exponential(1.0), 1.0)
+        assert pi == _oracle_two_type_stationary(1.0, 1.0, ek.Exponential(1.0), 0.0)
 
     def test_occupancy_matches_simulation(self, unary_two_type_network):
         # the M-particle chain with unary channels factorizes over particles,
         # so one run with many particles samples the one-particle chain
-        pi1, pi2 = ek.two_type_unary_stationary(1.0, 1.0, ek.Exponential(1.0), 1.0)
+        pi1, pi2 = ek.product_form_measure(unary_two_type_network, 1.0).weights
+        assert (pi1, pi2) == _oracle_two_type_stationary(1.0, 1.0, ek.Exponential(1.0), 1.0)
         m = 2000
         cfg = ek.SimulatorConfig(
             unary_two_type_network,
@@ -528,17 +565,18 @@ class TestUnaryStationary:
 
 
 class TestEnergyDependentStationary:
-    def test_worked_two_type_instance(self):
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pi = ek.unary_energy_dependent_stationary([0.5, 0.5], b, [1.0, 1.0], [0.0, 1.0], 1.0)
+    def test_worked_two_type_instance(self, unary_two_type_network):
+        pi = np.array(ek.product_form_measure(unary_two_type_network, 1.0).weights)
         expected = np.array([1.0, np.exp(-1.0)])
         expected /= expected.sum()
         assert np.allclose(pi, expected, atol=1e-12)
         assert pi[0] == pytest.approx(0.7310585786300049)
+        oracle = _oracle_unary_stationary([0.5, 0.5], [1.0, 1.0], [0.0, 1.0], 1.0)
+        assert np.max(np.abs(pi - oracle)) <= 1e-15
 
     def test_collapses_to_p_when_parameters_equal(self):
-        b = np.array([[0.0, 0.7], [0.3, 0.0]])
-        pi = ek.unary_energy_dependent_stationary([0.3, 0.7], b, [2.0, 2.0], [1.0, 1.0], 2.0)
+        net = _conversion_network([[0.0, 0.7], [0.3, 0.0]], [2.0, 2.0], [1.0, 1.0])
+        pi = ek.product_form_measure(net, 2.0).weights
         assert np.allclose(pi, [0.3, 0.7], atol=1e-12)
 
     def test_pointwise_balance_residual_small(self):
@@ -548,11 +586,12 @@ class TestEnergyDependentStationary:
         for v in range(3):
             for w in range(v + 1, 3):
                 b[w, v] = p[v] * b[v, w] / p[w]
-        pi = ek.unary_energy_dependent_stationary(p, b, [1.0, 2.0, 1.5], [0.0, 0.5, 2.0], 1.3)
-        res = ek.shifted_gamma_reversibility_residual(
-            pi, b, np.array([1.0, 2.0, 1.5]), np.array([0.0, 0.5, 2.0]), 1.3
-        )
-        assert res < 1e-10
+        nu, internal = [1.0, 2.0, 1.5], [0.0, 0.5, 2.0]
+        net = _conversion_network(b, nu, internal)
+        measure = ek.product_form_measure(net, 1.3)
+        assert ek.product_form_residual(net, measure.weights, 1.3) < 1e-10
+        oracle = _oracle_unary_stationary(p, nu, internal, 1.3)
+        assert np.max(np.abs(np.array(measure.weights) - oracle)) <= 1e-15
 
     def test_matches_scipy_log_gamma(self):
         # shapes over [0.05, 150]; bound relative to the largest log Γ, as for the gamma pdf
@@ -563,25 +602,24 @@ class TestEnergyDependentStationary:
         grid = np.geomspace(0.05, 150.0, 13)
         for k in range(grid.size):
             nu = grid[[k, (k + 5) % 13, (k + 9) % 13]]
-            pi = ek.unary_energy_dependent_stationary(p, b, nu, internal, beta)
+            pi = np.array(ek.product_form_measure(_conversion_network(b, nu, internal), beta).weights)
             log_pi = np.log(p) - beta * internal + gammaln(nu) - nu * np.log(beta)
             ref = np.exp(log_pi - log_pi.max())
             ref /= ref.sum()
             assert np.max(np.abs(pi / ref - 1.0)) <= 1e-14 * max(1.0, np.abs(gammaln(nu)).max())
 
     def test_irreversible_input_faults(self):
-        b = np.array([[0.0, 1.0], [3.0, 0.0]])
-        with pytest.raises(ek.ValidationError, match=r"pair \(1, 2\)"):
-            ek.unary_energy_dependent_stationary([0.5, 0.5], b, [1.0, 1.0], [0.0, 1.0], 1.0)
+        # c_2 = c_1 and c_3 = c_1 / 2 from the conversions out of type 1, so 2 <-> 3 breaks
+        b = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+        net = _conversion_network(b, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
+        with pytest.raises(ek.ValidationError, match=r"conversions 2->3 and 3->2"):
+            ek.product_form_measure(net, 1.0)
 
     def test_occupancy_matches_simulation_with_gap_power_rates(self):
         # the conversion-rate exponent and the gamma shape are tied: shape
         # nu implies rate (U - I_target)^(nu - 1); types then occupy the
         # closed-form stationary weights
         internal = np.array([0.0, 1.0])
-        nu = np.array([2.0, 2.0])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pi = ek.unary_energy_dependent_stationary([0.5, 0.5], b, nu, internal, 1.0)
         tt = ek.TypeTable(internal)
         net = ek.ReactionNetwork(
             tt,
@@ -590,6 +628,7 @@ class TestEnergyDependentStationary:
                 ek.UnaryChannel(2, 1, ek.PowerGapRate(1.0, 1.0, internal[0])),
             ],
         )
+        pi = ek.product_form_measure(net, 1.0).weights
         m = 1500
         cfg = ek.SimulatorConfig(
             net,
@@ -608,6 +647,141 @@ class TestEnergyDependentStationary:
         # kinetic marginals should still look gamma within each type
         kin1 = traj.final_state.kinetic_energies[traj.final_state.type_ids == 1]
         assert ek.ks_distance(kin1, ek.GammaDensity(2.0, 1.0).cdf) < 1.36 / np.sqrt(kin1.size) * 1.5
+
+
+def _uniform_channel(pair, outputs=None, rate=None):
+    outputs = outputs or [(*pair, 1.0)]
+    return ek.BinaryChannel(pair, rate or ek.ConstantRate(1.0), ek.UniformKernel(outputs))
+
+
+def _two_isomers(forward, backward=None, binary=()):
+    """Types at I = (0, 1) with the conversion 1 -> 2 at ``forward`` and, unless
+    None, 2 -> 1 at ``backward``."""
+    unary = [ek.UnaryChannel(1, 2, forward)]
+    if backward is not None:
+        unary.append(ek.UnaryChannel(2, 1, backward))
+    return ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 1.0])), list(binary), unary)
+
+
+# networks without a product form, and what the refusal must name
+NO_PRODUCT_FORM = {
+    "callable_unary_rate": (
+        lambda: _two_isomers(ek.CallableUnaryRate(lambda u: 1.0 + 0.0 * u), ek.ConstantUnaryRate(1.0)),
+        r"unary channel 1->2: rate CallableUnaryRate",
+    ),
+    "power_gap_threshold": (
+        lambda: _two_isomers(ek.PowerGapRate(1.0, 0.0, 0.5), ek.ConstantUnaryRate(1.0)),
+        r"unary channel 1->2: rate PowerGapRate\(1.0, 0.0, 0.5\) is not .*threshold I_target = 1.0",
+    ),
+    "two_shapes": (
+        lambda: _two_isomers(
+            ek.ConstantUnaryRate(1.0), ek.PowerGapRate(1.0, 1.0, 0.0), [_uniform_channel((1, 1))]
+        ),
+        r"unary channel 2->1: gives type 1 shape 2.0, but reactant pair \(1, 1\) gives it 1.0",
+    ),
+    "mixed_beta_canonical": (
+        lambda: ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [ek.BinaryChannel(
+            (1, 2), ek.ConstantRate(1.0),
+            ek.CanonicalKernel([(1, 2, 1.0)], {1: ek.GammaDensity(2.0, 2.0), 2: ek.Exponential(1.0)}),
+        )]),
+        r"reactant pair \(1, 2\): canonical densities need one common beta",
+    ),
+    "table_kernel": (
+        lambda: ek.ReactionNetwork(ONE_TYPE, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), _table_kernel())]),
+        r"reactant pair \(1, 1\): kernel kind 'table' is simulator-only",
+    ),
+    "callable_collision_rate": (
+        lambda: ek.ReactionNetwork(ONE_TYPE, [_uniform_channel((1, 1), rate=ek.CallableRate(lambda t, tp: 1.0))]),
+        r"reactant pair \(1, 1\): rate CallableRate\(custom\) is not a function of the energy sum",
+    ),
+    "one_way_conversion": (
+        lambda: _two_isomers(ek.ConstantUnaryRate(1.0)),
+        r"unary channel 1->2: has no reverse channel 2->1",
+    ),
+    "unbalanced_cycle": (
+        lambda: _conversion_network(
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]
+        ),
+        r"conversions 2->3 and 3->2: break c_v b_vw = c_w b_wv",
+    ),
+    "type_changing_collision": (
+        lambda: ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0, 0.0])), [_uniform_channel((1, 1), [(2, 2, 1.0)])]
+        ),
+        r"reactant pair \(1, 1\): output \(2, 2\) changes types",
+    ),
+    "simulate_oracle_network": (
+        lambda: simulate_oracle_network("constant"),
+        r"reactant pair \(1, 1\): output \(2, 2\) changes types",
+    ),
+    "type_without_channel": (
+        lambda: ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [_uniform_channel((1, 1))]),
+        r"type 2: no channel fixes its kinetic law",
+    ),
+}
+
+BUNDLED_SCENARIOS = ["exponential_equilibrium", "two_type_canonical", "unary_two_type"]
+
+
+class TestProductFormMeasure:
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_equals_the_bundled_reference(self, name):
+        # the scenario files still restate the measure in analysis.reference
+        sc = ek.load_scenario(SCENARIO_DIR / f"{name}.json")
+        measure = ek.product_form_measure(sc.network, 1.0)
+        assert np.max(np.abs(np.subtract(measure.weights, sc.reference.weights))) <= 1e-15
+        xs = np.linspace(0.05, 20.0, 400)
+        for got, ref in zip(measure.families, sc.reference.families, strict=True):
+            want = ref.pdf(xs)
+            assert np.max(np.abs(got.pdf(xs) - want) / want) <= 1e-14
+        if name == "unary_two_type":
+            probs = sc.initial.probabilities
+            assert np.max(np.abs(np.subtract(measure.weights, probs))) <= 1e-15
+            assert measure.weights == (0.7310585786300049, 0.2689414213699951)
+
+    @pytest.mark.parametrize("case", sorted(NO_PRODUCT_FORM))
+    def test_refuses_a_network_without_one(self, case):
+        make, named = NO_PRODUCT_FORM[case]
+        with pytest.raises(ek.ValidationError, match=named):
+            ek.product_form_measure(make(), 1.0)
+
+    def test_classes_without_conversions_take_c_one(self):
+        # collisions keep each type, so each type keeps its count: c = 1 for both
+        net = ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0, 1.0])), [_uniform_channel((1, 1)), _uniform_channel((2, 2))]
+        )
+        pi = np.array(ek.product_form_measure(net, 2.0).weights)
+        assert np.max(np.abs(pi - _oracle_unary_stationary([1.0, 1.0], [1.0, 1.0], [0.0, 1.0], 2.0))) <= 1e-15
+
+    def test_shapes_come_from_kernels_and_conversions(self):
+        kernel = ek.CanonicalKernel([(1, 1, 1.0)], {1: ek.GammaDensity(3.0, 5.0)})
+        binary = [ek.BinaryChannel((1, 1), ek.SumDecayRate(1.0, 0.5), kernel)]
+        net = _two_isomers(ek.PowerGapRate(0.5, 0.5, 1.0), ek.PowerGapRate(2.0, 2.0, 0.0), binary)
+        measure = ek.product_form_measure(net, 0.8)
+        assert [f.gamma_shape() for f in measure.families] == [(3.0, 0.8), (1.5, 0.8)]
+        assert ek.product_form_residual(net, measure.weights, 0.8) <= 1e-10
+        # c_2 = c_1 b_12 / b_21
+        oracle = _oracle_unary_stationary([1.0, 0.25], [3.0, 1.5], [0.0, 1.0], 0.8)
+        assert np.max(np.abs(np.array(measure.weights) - oracle)) <= 1e-15
+
+    def test_residual_reads_the_weights(self, unary_two_type_network):
+        assert ek.product_form_residual(unary_two_type_network, (0.5, 0.5), 1.0) > 0.5
+        pi = ek.product_form_measure(unary_two_type_network, 2.0).weights
+        assert ek.product_form_residual(unary_two_type_network, pi, 2.0) <= 1e-10
+        assert ek.product_form_residual(unary_two_type_network, pi, 1.0) > 0.5
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_bad_beta(self, unary_two_type_network, beta):
+        with pytest.raises(ek.ValidationError, match="gamma rate must be positive"):
+            ek.product_form_measure(unary_two_type_network, beta)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_typed_density_refuses_non_finite_weights(weight):
+    with pytest.raises(ek.ValidationError, match="probability vector"):
+        ek.TypedDensity((ek.Exponential(1.0),), (weight,))
+    with pytest.raises(ek.ValidationError, match="probability vector"):
+        ek.TypedDensity((ek.Exponential(1.0), ek.Exponential(1.0)), (weight, 0.5))
 
 
 class TestVectorParticleStationary:
@@ -630,8 +804,8 @@ class TestVectorParticleStationary:
         internal = [0.0, 1.0]
         chans = [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)]
         pi = ek.vector_particle_stationary(p, nu, internal, 1.0, chans)
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        other = ek.unary_energy_dependent_stationary(p, b, nu, internal, 1.0)
+        net = _conversion_network([[0.0, 1.0], [1.0, 0.0]], nu, internal)
+        other = ek.product_form_measure(net, 1.0).weights
         assert np.allclose(pi, other, atol=1e-12)
         res = ek.pair_reversibility_residual(
             pi, np.asarray(nu), np.asarray(internal), 1.0, chans
@@ -823,12 +997,14 @@ class TestBalanceResidualsMatchTheirFirstForm:
     def test_unary_residual_bits(self, seed, n, n_check):
         rng = np.random.default_rng(seed)
         p, b, nu, internal, beta = _random_type_model(rng, n)
+        net = _conversion_network(b, nu, internal, kernels=True)
         pi = rng.uniform(0.01, 1.0, n)  # not the stationary weights
-        got = ek.shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)
+        pi /= pi.sum()
+        got = ek.product_form_residual(net, pi, beta, n_check)
         assert got == _oracle_unary_residual(pi, b, nu, internal, beta, n_check)
         assert got > 1e-6 or not b.any()
-        pi = ek.unary_energy_dependent_stationary(p, b, nu, internal, beta, n_check)
-        got = ek.shifted_gamma_reversibility_residual(pi, b, nu, internal, beta, n_check)
+        pi = np.array(ek.product_form_measure(net, beta, n_check).weights)
+        got = ek.product_form_residual(net, pi, beta, n_check)
         assert got == _oracle_unary_residual(pi, b, nu, internal, beta, n_check) <= 1e-10
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_check=st.sampled_from([1, 7, 64]))

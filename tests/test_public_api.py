@@ -33,11 +33,10 @@ PACKAGE_NAMES = [
     "entropy_monotonicity_check", "execute_event", "fixed_point_residual", "integrate",
     "kolmogorov_cycle_check", "ks_distance", "load_scenario", "local_equilibrium_residual",
     "mass", "mean_energy", "measure_transform", "pair_reversibility_residual",
-    "relative_entropy", "rhs_multitype", "rhs_one_type", "run", "run_ensemble",
-    "sample_canonical_split", "sample_conserving_quadruples", "sample_next_event",
-    "scenario_from_dict", "shifted_gamma_reversibility_residual", "total_energy",
-    "two_type_unary_stationary", "unary_energy_dependent_stationary",
-    "vector_particle_stationary",
+    "product_form_measure", "product_form_residual", "relative_entropy",
+    "rhs_multitype", "rhs_one_type", "run", "run_ensemble", "sample_canonical_split",
+    "sample_conserving_quadruples", "sample_next_event", "scenario_from_dict",
+    "total_energy", "vector_particle_stationary",
 ]
 
 # per module: its __all__ in order, each name with its signature (None when
@@ -137,9 +136,8 @@ EXPORTS = {
         "convolution_density": "(rho_v, rho_w, total)",
         "convolution_equality_check": "(rho_v, rho_w, rho_vp, rho_wp, grid)",
         "admissible_pair_check": "(rho1, rho2, delta_i, grid)",
-        "two_type_unary_stationary": "(a12, a21, rho1, delta_i)",
-        "unary_energy_dependent_stationary": "(p, b, nu, internal, beta, n_check=64)",
-        "shifted_gamma_reversibility_residual": "(pi, b, nu, internal, beta, n_check=64)",
+        "product_form_measure": "(network, beta, n_check=64)",
+        "product_form_residual": "(network, weights, beta, n_check=64)",
         "vector_particle_stationary": "(p, nu, internal, beta, channels, n_check=64)",
         "pair_reversibility_residual": "(pi, nu, internal, beta, channels, n_check=64)",
         "kolmogorov_cycle_check": "(chain, max_cycle_len=6, max_cycles=100000)",
