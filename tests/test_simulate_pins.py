@@ -5,7 +5,8 @@ and gamma canonical kernels and one-channel conversions.  These pins cover
 the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
 and ``CallableRate`` rates, a type with two unary channels, ``TableKernel``
 with and without a mass function, a canonical pair with no common gamma
-rate (the tabulated split sampler), a long series of snapshots at
+rate (the tabulated split sampler), alone and beside same-type Beta
+splits, a long series of snapshots at
 M = 2000 between which few particles change, and the single-event
 functions ``sample_next_event`` and ``execute_event``, also on an MT19937
 generator.
@@ -114,18 +115,17 @@ def table_network(mass_fn=None):
     )
 
 
-def mixed_canonical_network():
-    """Canonical kernels of Gamma(2, 1) and Exp(2): no common rate, so the split
-    is drawn from the tabulated inverse CDF."""
+def mixed_canonical_network(pairs=((1, 1), (1, 2), (2, 2))):
+    """Canonical kernels of Gamma(2, 1) and Exp(2) on the channels ``pairs``.  The
+    (1, 2) split has no common rate, so it is drawn from the tabulated inverse
+    CDF; the same-type splits are Beta draws."""
     tt = ek.TypeTable(np.array([0.0, 0.0]))
     dens = {1: ek.GammaDensity(2.0, 1.0), 2: ek.Exponential(2.0)}
 
-    def ch(pair, outs):
-        return ek.BinaryChannel(pair, ek.ConstantRate(1.0), ek.CanonicalKernel(outs, dens))
+    def ch(pair):
+        return ek.BinaryChannel(pair, ek.ConstantRate(1.0), ek.CanonicalKernel([(*pair, 1.0)], dens))
 
-    return ek.ReactionNetwork(
-        tt, [ch((1, 1), [(1, 1, 1.0)]), ch((1, 2), [(1, 2, 1.0)]), ch((2, 2), [(2, 2, 1.0)])]
-    )
+    return ek.ReactionNetwork(tt, [ch(pair) for pair in pairs])
 
 
 EXP = ek.Exponential(1.0)
@@ -139,6 +139,10 @@ CASES = {
         ek.TypeCountsInitial((30, 10), (EXP, EXP)),
     ),
     "mixed_canonical": (mixed_canonical_network, ek.TypeCountsInitial((12, 8), (EXP, EXP))),
+    # the (1, 2) channel alone: only the tabulated sampler draws, through uniform()
+    "mixed_cross": (
+        lambda: mixed_canonical_network(((1, 2),)), ek.TypeCountsInitial((12, 8), (EXP, EXP))
+    ),
 }
 
 TRAJECTORY_SHA256 = {
@@ -148,6 +152,7 @@ TRAJECTORY_SHA256 = {
     "table": "27bb456886e823be6dc1d356c9f7d95a24d097ff244e2a142a107870094562a1",
     "table_mass": "8c484fd75974b409fb7387315a136889291fafb51550070373461a0116eb93a4",
     "mixed_canonical": "5998981754323e5a5459a56027ead9f990c718792811c08789ea063671b1f59a",
+    "mixed_cross": "40ab644abe96d86e284b9ae30cdb21edb871311cf3ecf1556e2035aa051eba8e",
 }
 
 
@@ -181,6 +186,7 @@ SINGLE_EVENT_SHA256 = {
     "table": "d7a961a5fa8f2ac2f8f68bce9cf2117c7ca9a4d22c0405d77f19bc6a1c20f46b",
     "table_mass": "9886a7335d51eaddb79981eb9e7093774cd2893d2910e016d39089235d2f0baf",
     "mixed_canonical": "f4ffc2dd57d2887e503a1159257f2ffbe0d152cc38aebf979080e3c1431607ef",
+    "mixed_cross": "706491e512d03d98a20c4ddfb5555719e5c40ff624148e0b9ca379b116f2dfb2",
 }
 
 
