@@ -40,17 +40,20 @@ channel-tree leaves of channels involving the old or the new type, from
 gives the value its array counterpart gives, bit for bit, and draws the
 same random numbers, so the output does not depend on the representation.
 
-Every proposal takes five uniforms.  When every collision kernel is a
-``UniformKernel``, each draw of a run is one ``rng.random()`` double (the
-proposal's five, the kernel's output pick and split), so ``run`` reads them
-ahead in blocks of one ``rng.random(k).tolist()`` call each: the same
-doubles in the same order.  Other kernels may draw otherwise (a gamma
-split draws ``rng.beta``), so with them each proposal draws its five with
-one ``rng.random(5).tolist()`` and the kernel gets the Generator.
-``sample_next_event`` and ``execute_event`` always draw from the caller's
-Generator.  ``to_system`` rewrites in its arrays only the particles that
-events touched since its last export, so a snapshot costs O(changed
-particles) plus the copy a ``ParticleSystem`` makes.
+Every proposal takes five uniforms.  ``run`` reads its draws ahead in
+blocks: the proposal's five and every ``random()`` or ``uniform()`` of a
+kernel (an output pick, a uniform or tabulated split, a fizzle) are the
+doubles of one ``rng.random(k).tolist()`` call per block, the same doubles
+in the same order as one draw at a time; a common-rate gamma split's
+``beta(a, b)`` comes from a block of ``rng.beta(a, b, size=k)`` per shape
+pair, which interleaves differently with the uniforms than single draws
+would.  Any other draw of a kernel is the Generator's own, on the run's
+bit generator.
+``sample_next_event`` and ``execute_event`` draw from the caller's
+Generator, and only what they use.  ``to_system`` rewrites in its arrays
+only the particles that events touched since its last export, so a
+snapshot costs O(changed particles) plus the copy a ``ParticleSystem``
+makes.
 
 Reproducibility: replica r of a run with master seed s draws from
 ``numpy.random.SeedSequence(entropy=s, spawn_key=(r,))``; ``run`` is
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .core import (
     InfeasibleReactionError,
@@ -75,7 +78,7 @@ from .core import (
     ValidationError,
 )
 from .densities import DensityFamily
-from .reactions import ConstantRate, ConstantUnaryRate, ReactionNetwork, UniformKernel, _as_float
+from .reactions import ConstantRate, ConstantUnaryRate, ReactionNetwork, _as_float
 
 __all__ = [
     "CollisionEvent",
@@ -281,31 +284,63 @@ class _SumTree:
         return k - size
 
 
-_BLOCK_CAP = 4096  # doubles in the largest read-ahead block
+_FIRST_BLOCK, _BLOCK_CAP = 5, 4096  # draws in the first and the largest read-ahead block
 _PATCH_SHARE = 0.2  # to_system rebuilds its arrays when more than this share of particles was touched
 
 
-class _ReadAhead:
-    """The doubles of ``rng.random()``, served from blocks read ahead: one
-    ``rng.random(k).tolist()`` call each, k doubling from one proposal's 5
-    up to ``_BLOCK_CAP``.  The unread tail of the last block is dropped."""
+class _ReadAhead(Generator):
+    """A Generator over ``rng``'s bit generator whose scalar draws are read ahead
+    in blocks of k draws, k doubling from ``_FIRST_BLOCK`` (one proposal's
+    uniforms) up to ``cap``.
 
-    __slots__ = ("rng", "block", "pos", "size")
+    ``random()`` and ``uniform()`` serve the doubles of ``rng.random()`` from
+    blocks of one ``random(k).tolist()`` call each, in draw order, so they
+    return what ``rng`` would.  ``beta(a, b)`` serves ``rng.beta(a, b)`` from
+    blocks of one ``beta(a, b, size=k)`` call per shape pair.  Every other
+    method, and any call with a size, is the Generator's own.  The unread
+    tails of the last blocks are dropped.
+    """
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.block, self.pos, self.size = rng, [], 0, 5
+    __slots__ = ("block", "pos", "size", "cap", "betas")
+
+    def __init__(self, rng: Generator, cap: int = _BLOCK_CAP):
+        super().__init__(rng.bit_generator)
+        self.block, self.pos, self.size, self.cap = [], 0, _FIRST_BLOCK, cap
+        self.betas = {}  # by shape pair (a, b): [iterator over the unread block, next block size]
 
     def _refill(self) -> None:
         """Follow the unread tail with the next block."""
-        self.block = self.block[self.pos :] + self.rng.random(self.size).tolist()
+        self.block = self.block[self.pos :] + Generator.random(self, self.size).tolist()
         self.pos = 0
-        self.size = min(2 * self.size, _BLOCK_CAP)
+        self.size = min(2 * self.size, self.cap)
 
-    def random(self) -> float:
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size is not None or out is not None or dtype is not np.float64:
+            return Generator.random(self, size, dtype, out)
         if self.pos == len(self.block):
             self._refill()
         self.pos += 1
         return self.block[self.pos - 1]
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size is None and np.ndim(low) == np.ndim(high) == 0:
+            span = float(high) - float(low)
+            if math.isfinite(span):  # the Generator raises on the others
+                return float(low) + span * self.random()  # as the Generator computes it
+        return Generator.uniform(self, low, high, size)
+
+    def beta(self, a, b, size=None):
+        if size is not None:
+            return Generator.beta(self, a, b, size)
+        entry = self.betas.get((a, b))
+        if entry is None:
+            entry = self.betas[a, b] = [iter(()), _FIRST_BLOCK]
+        x = next(entry[0], None)
+        if x is None:
+            k = entry[1]
+            entry[0], entry[1] = iter(Generator.beta(self, a, b, k).tolist()), min(2 * k, self.cap)
+            x = next(entry[0])
+        return x
 
     def proposal(self) -> list:
         """The next five doubles, one proposal's uniforms."""
@@ -353,8 +388,6 @@ class _Engine:
             self.samplers[v][w] = ch.kernel.sample_outcome
         # by type: the targets of its unary channels, in channel order (empty: none)
         self.targets = [[ch.target for ch in network.unary_from(v)] for v in range(n)]
-        # every draw is one rng.random(), so ``run`` may read uniforms ahead
-        self.reads_ahead = all(type(ch.kernel) is UniformKernel for ch in network.binary)
         if not track_rates:
             return
         self.channels = []
@@ -418,19 +451,15 @@ class _Engine:
         their waits and count in ``rejected``.  Returns (inf, None) when the total
         rate vanishes and (wait, None) once the wait passes ``horizon``.
 
-        ``rng`` is a Generator or a ``_ReadAhead`` source."""
+        ``rng`` is a ``_ReadAhead`` source."""
         lam_b, lam_u = self.channel_tree.nodes[1], self.unary_tree.nodes[1]
         lam = lam_b + lam_u
         if lam <= 0.0:
             return np.inf, None
-        read_ahead = type(rng) is _ReadAhead
         wait = 0.0
         while True:
             # one draw of every uniform a proposal may need
-            if read_ahead:
-                r_wait, r_pick, r_i, r_j, r_accept = rng.proposal()
-            else:
-                r_wait, r_pick, r_i, r_j, r_accept = rng.random(5).tolist()
+            r_wait, r_pick, r_i, r_j, r_accept = rng.proposal()
             wait -= math.log1p(-r_wait) / lam
             if wait > horizon:
                 return wait, None
@@ -575,7 +604,8 @@ def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):
     """
     if system.size < 1:
         raise ValidationError("need at least one particle")
-    wait, event = _Engine(system, network).next_event(rng)
+    # blocks of one proposal: the caller's Generator gives only the doubles drawn
+    wait, event = _Engine(system, network).next_event(_ReadAhead(rng, cap=_FIRST_BLOCK))
     if event is None:
         return wait, None
     kind, i, x = event
@@ -680,14 +710,16 @@ def run(config: SimulatorConfig, _seed_seq=None) -> Trajectory:
     )
     t = float(system.time)
     if config.t_end < t:
-        raise ValidationError(f"t_end {config.t_end} precedes the initial state time {t}")
+        raise ValidationError(
+            f"t_end {config.t_end} precedes the initial state time {t}", field="t_end"
+        )
     pending = deque(sorted(float(s) for s in config.snapshot_times))
     if pending and pending[0] < t:
         raise ValidationError(
             f"snapshot time {pending[0]} precedes the initial state time {t}", field="snapshot_times"
         )
     # nothing draws from rng after the event loop, so read-ahead drops no used double
-    draws = _ReadAhead(rng) if engine.reads_ahead else rng
+    draws = _ReadAhead(rng)
     snaps: list[Snapshot] = []
     attempted = applied = noops = 0
     t_end = config.t_end

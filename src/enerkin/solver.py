@@ -31,10 +31,13 @@ splits across a gap of 0.3.
 ``integrate`` steps the equation with the adaptive embedded Dormand-Prince
 5(4) pair (``dopri5``, the default) or with fixed-step classical RK4
 (``rk4``).  Neither steps past a requested time, and neither clips nor
-rescales: a ``dopri5`` step whose stage or result is negative or
-non-finite is rejected and halved, and ``rk4`` raises SolverBlowupError on
-one.  A ``SolverConfig`` names the network to solve; the one-type equation
-is the network of one type with a constant rate and a uniform split.
+rescales.  ``dopri5`` feeds a stage with negative entries no deeper than
+1e-6 times its absolute tolerance to the right-hand side as it is and
+counts it; it rejects and halves a step with a deeper or non-finite stage
+or a negative result.  ``rk4`` raises SolverBlowupError on any negative or
+non-finite stage or result, so no scheme writes a negative density.  A
+``SolverConfig`` names the network to solve; the one-type equation is the
+network of one type with a constant rate and a uniform split.
 """
 
 from __future__ import annotations
@@ -525,6 +528,7 @@ _DP_A = (
 )
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _DEFAULT_RTOL = 1e-8
+_KAPPA = 1e-6  # dopri5 feeds a stage entry in [-_KAPPA * atol, 0) to the right-hand side
 
 
 @dataclass
@@ -574,13 +578,16 @@ class SolverConfig:
 
 class SolveResult(list):
     """The [(time, DensityGrid)] snapshots of a solve, with its step counts:
-    ``rhs_evals`` right-hand sides, ``steps_accepted`` and ``steps_rejected``."""
+    ``rhs_evals`` right-hand sides, ``steps_accepted`` and ``steps_rejected``,
+    and ``stages_admitted``, the ``dopri5`` stages fed to the right-hand side
+    with negative entries no deeper than 1e-6 atol."""
 
     def __init__(self):
         super().__init__()
         self.rhs_evals = 0
         self.steps_accepted = 0
         self.steps_rejected = 0
+        self.stages_admitted = 0
 
 
 def _admissible(u: np.ndarray) -> bool:
@@ -632,11 +639,17 @@ def _dopri5(u, targets, rtol, rhs, result):
     times the initial state's mean, must be at most 1; the next step is the
     last one times 0.9 err^(-1/5), kept in [0.2, 5] (and at most 1 after a
     rejection).  A step never passes the target: the one that would reach
-    past it, or within 1% of it, is set to land on it.  A step with a
-    negative or non-finite stage or result is rejected and halved; a step
-    too small to advance the time raises.
+    past it, or within 1% of it, is set to land on it.  A stage whose
+    negative entries all lie in [-_KAPPA * atol, 0) is fed to the
+    right-hand side as it is and counted in ``stages_admitted``: such dips
+    arise at the edge of an advancing tail and lie far inside the error
+    control's absolute tolerance (Shampine et al. 2005).  A step with a
+    deeper dip or a non-finite entry in a stage, or any negative entry in
+    its result, is rejected and halved; a step too small to advance the
+    time raises.
     """
     atol = max(rtol * float(u.mean()), np.finfo(float).tiny)
+    floor = -_KAPPA * atol  # the deepest stage entry admitted
     f = rhs(u)
     fmax = float(np.abs(f).max())
     h = 0.01 * float(u.max()) / fmax if fmax > 0 else np.inf
@@ -653,10 +666,13 @@ def _dopri5(u, targets, rtol, rhs, result):
             ks = [f]
             for row in _DP_A:
                 y = u + tau * sum(a * k for a, k in zip(row, ks) if a)
-                if not _admissible(y):
+                low = float(y.min())
+                lowest = floor if len(ks) < len(_DP_A) else 0.0  # the last row is the result
+                if not (low >= lowest and y.max() < np.inf):
                     break
+                result.stages_admitted += low < 0.0
                 ks.append(rhs(y))
-            if len(ks) <= len(_DP_A):  # a stage or the result went negative or non-finite
+            if len(ks) <= len(_DP_A):  # a stage dipped too deep, the result went negative, or inf
                 result.steps_rejected += 1
                 h, grow = 0.5 * tau, 1.0
                 continue
@@ -683,10 +699,12 @@ def integrate(grid0: DensityGrid, config: SolverConfig) -> SolveResult:
     steps; ``rk4`` takes fixed steps of ``dt``.  Either scheme lands exactly
     on every requested snapshot time and on t_end, so each snapshot holds
     the state at the time of its label.  The collision plan is built once.
-    Nothing is clipped or rescaled: ``dopri5`` rejects and halves a step
-    whose stage or result is negative or non-finite, ``rk4`` raises
-    SolverBlowupError, and so does ``dopri5`` when its step underflows.  The
-    returned SolveResult also counts right-hand sides and steps.
+    Nothing is clipped or rescaled: ``dopri5`` admits a stage whose negative
+    entries lie within 1e-6 atol and rejects and halves a step whose stage
+    dips deeper or whose result is negative or non-finite; ``rk4`` raises
+    SolverBlowupError on any negative or non-finite stage or result, and so
+    does ``dopri5`` when its step underflows.  The returned SolveResult also
+    counts right-hand sides, steps and admitted stages.
     """
     config.validate()
     plan = CollisionPlan(config.network, grid0.n_cells, grid0.x_max)

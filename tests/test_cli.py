@@ -201,7 +201,7 @@ BUNDLED_SIMULATE_SHA256 = {
     },
     "two_type_canonical": {
         "histograms.csv": "4fc8081955a9e026f510b4b322b8c0eded43924202beebe691ffeb1415f0e66b",
-        "snapshot_000.csv": "978bb2c1692486e50cc1d05c408865f4260bd664e0ef9e43cba4e2873d1612af",
+        "snapshot_000.csv": "fadde645225ed5d098ffb70f2f5b1fadae2389d34683dff4ec14a447b4fe4786",
     },
     "unary_two_type": {
         "histograms.csv": "10618192b4bb851b13b031dc9e663d09d6eaf803708d4ea0d208f550e52bceea",
@@ -228,13 +228,13 @@ def test_bundled_simulate_outputs_are_pinned(name, tmp_path):
 # SHA-256 of every CSV ``enerkin solve`` writes for the bundled scenario with a solve section
 BUNDLED_SOLVE_SHA256 = {
     "grid_000.csv": "0edd7a2f4dbd2400a3a74fbf2fa01e6ae1c32737b702660ce02b43fe65f3918b",
-    "grid_001.csv": "345cd7012088466db287e7c74c45c3be3d790640eceb217b614ec4e486a2a048",
-    "grid_002.csv": "626628cb5449f515f8dce27920f7819c3a0604345ef0de9293ff26b5b8d33bf8",
-    "grid_003.csv": "740088eececb5fca42b261edece87348b687353c82b6fd683e869fcb680456e6",
-    "grid_004.csv": "3881dc7815105e76fe69d64eb38165fa6fe4dd3188162010b10baf1a271fabdc",
-    "grid_005.csv": "9ab1f34868786f8553f422beb72699ef2c68056e22bbefdaf0f9007b19503ab9",
-    "grid_006.csv": "7909cd0277e0083b106a1551884e6078040b4829fe316fd24088885a2870fb58",
-    "grid_007.csv": "be0b1bbc54851b280bf3468c1fc49a0aa954fa2997a85116dd6bfd09006bc350",
+    "grid_001.csv": "7b0c965309cfa85f9855770bb55dba6ee76cd619dce5e9b452a02614198edb1f",
+    "grid_002.csv": "09a8a1cbfaec2a4aadc0377f58dfa17c1bbcca66a883cad55781ec8b6d3f785d",
+    "grid_003.csv": "ea226c5c31f476512951e7639646e18f06bc897ba05f5006faa29811cc0c0437",
+    "grid_004.csv": "335b99521c0c51364129a14bb121f5d93e5ac000fd3a3b747b96732b7a0fe5a7",
+    "grid_005.csv": "b2da05f3d55ed6876a4e090123c25d19c54aeabc37939e4d99079c9305e8223b",
+    "grid_006.csv": "116161c57b38be0687cf64f4aa47511c77e4278d3aa0526e2487226fb27d0981",
+    "grid_007.csv": "dee0b73c56d27275e15fd5b0c5d114beb2bd523bc17b7e9245ce2d5db14c5de6",
     "times.csv": "32c4abf3dac35baf5d87132a784230de2191ae6bd8e49cdf9b79c19f55180e81",
 }
 

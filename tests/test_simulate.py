@@ -138,6 +138,13 @@ class TestRun:
         cfg.snapshot_times = (5.0, 5.5)
         assert [s.time for s in ek.run(cfg).snapshots] == [5.0, 5.5]
 
+    def test_t_end_before_the_initial_time_names_its_field(self):
+        init = ek.ParticleSystem(np.array([1, 1, 1]), np.array([0.1, 0.2, 0.3]), time=5.0)
+        cfg = ek.SimulatorConfig(uniform_net(), init, t_end=4.0, seed=5)
+        with pytest.raises(ek.ValidationError, match=r"t_end 4\.0 precedes the initial state time 5\.0") as err:
+            ek.run(cfg)
+        assert err.value.field == "t_end"
+
     def test_identical_seeds_bit_identical(self):
         net = uniform_net()
         cfg = ek.SimulatorConfig(
@@ -464,7 +471,7 @@ class TestSelectionBookkeeping:
     def test_sum_tree_matches_fresh_unary_rates(self, name):
         # every event updates leaves along their paths; after 2000 events the
         # tree must hold exactly the fresh rates and their pairwise sums
-        from enerkin.simulate import _Engine, _SumTree
+        from enerkin.simulate import _FIRST_BLOCK, _Engine, _ReadAhead, _SumTree
 
         net = {
             "power_gap": self._network, "chain": self._chain_network, "two_gates": self._two_gate_network
@@ -475,8 +482,9 @@ class TestSelectionBookkeeping:
         engine = _Engine(sys0, net)
         # constant conversions are read from the engine's table, not evaluated
         assert all(c is not None for c in engine.unary_consts[1:]) == (name != "power_gap")
+        proposals = _ReadAhead(rng, cap=_FIRST_BLOCK)  # draws only the proposals' uniforms
         for _ in range(2000):
-            _, event = engine.next_event(rng)
+            _, event = engine.next_event(proposals)
             engine.apply(event, rng)
         tree = engine.unary_tree
         leaves = np.array(tree.nodes[tree.size : tree.size + engine.m])
@@ -701,6 +709,61 @@ class TestEnsemble:
         assert 2.0 < ratio < 8.0  # ideal 4, wide band for sampling noise
 
 
+class TestReadAhead:
+    SHAPES = ((2.0, 1.0), (1.0, 2.0), (2.0, 2.0), (0.5, 0.5))  # (0.5, 0.5): numpy's Johnk branch
+
+    def test_beta_blocks_follow_the_beta_law(self):
+        # the four shape pairs drawn in turn, a uniform between any two draws as
+        # in a run: 20 000 draws each span 14 blocks, the last four at the cap
+        from scipy.stats import beta, kstest
+
+        from enerkin.simulate import _BLOCK_CAP, _ReadAhead
+
+        src = _ReadAhead(np.random.default_rng(31))
+        n = 20_000
+        draws = {ab: [] for ab in self.SHAPES}
+        for _ in range(n):
+            for ab in self.SHAPES:
+                draws[ab].append(src.beta(*ab))
+                src.random()
+        for (a, b), x in draws.items():
+            assert src.betas[a, b][1] == _BLOCK_CAP
+            assert kstest(x, beta(a, b).cdf).pvalue > 1e-3, (a, b)
+
+    def test_serves_the_generators_draws(self):
+        # random() and uniform() are the Generator's doubles in order, a scalar
+        # beta(a, b) reads its block, and any other call goes to the Generator
+        from enerkin.simulate import _ReadAhead
+
+        src, ref = _ReadAhead(np.random.default_rng(4)), np.random.default_rng(4)
+        got = [src.random(), src.uniform(), src.uniform(-1.0, 3.0), src.uniform(high=2.0)]
+        want = [ref.random(), ref.uniform(), ref.uniform(-1.0, 3.0), ref.uniform(high=2.0)]
+        assert got == want
+        src, ref = _ReadAhead(np.random.default_rng(4)), np.random.default_rng(4)
+        assert [src.beta(2.0, 1.0) for _ in range(5)] == ref.beta(2.0, 1.0, size=5).tolist()
+        assert src.exponential(1.0) == ref.exponential(1.0)
+        assert src.random(3).tolist() == ref.random(3).tolist()
+
+    def test_one_seed_gives_one_canonical_trajectory(self, two_type_canonical_network):
+        cfg = ek.SimulatorConfig(
+            two_type_canonical_network,
+            ek.TypeCountsInitial((30, 30), (ek.GammaDensity(2.0, 1.0), ek.Exponential(1.0))),
+            t_end=1e9,
+            snapshot_times=(1.0, 10.0),
+            max_events=2000,
+            seed=2,
+        )
+        a, b = ek.run(cfg), ek.run(cfg)
+        assert a.event_count == 2000 and len(a.snapshots) == 2
+
+        def states(traj):
+            return [s.state for s in traj.snapshots] + [traj.final_state]
+
+        for x, y in zip(states(a), states(b)):
+            assert x.type_ids.tobytes() == y.type_ids.tobytes()
+            assert x.kinetic_energies.tobytes() == y.kinetic_energies.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dense direct-method oracle
 # ---------------------------------------------------------------------------
@@ -818,7 +881,7 @@ class TestAgainstDenseOracle:
         # from one fixed state: the mean wait is 1 / (total rate), thinned
         # proposals included, and each pair and each (particle, target)
         # conversion is drawn in proportion to its dense rate
-        from enerkin.simulate import _COLLISION, _Engine
+        from enerkin.simulate import _COLLISION, _FIRST_BLOCK, _Engine, _ReadAhead
 
         net = _oracle_network(case)
         state = self.INIT
@@ -831,7 +894,7 @@ class TestAgainstDenseOracle:
                 rates[("unary", i, ch.target)] = float(r)
         total = sum(rates.values())
         engine = _Engine(state, net)
-        rng = np.random.default_rng(77)
+        rng = _ReadAhead(np.random.default_rng(77), cap=_FIRST_BLOCK)
         n = 20_000
         waits = np.empty(n)
         counts = dict.fromkeys(rates, 0)

@@ -151,7 +151,7 @@ TRAJECTORY_SHA256 = {
     "callable": "a3a80b953a50d23f955288c7edca5d9b878f50d6c9d62c537eff4d2cbe6e73d9",
     "table": "27bb456886e823be6dc1d356c9f7d95a24d097ff244e2a142a107870094562a1",
     "table_mass": "8c484fd75974b409fb7387315a136889291fafb51550070373461a0116eb93a4",
-    "mixed_canonical": "5998981754323e5a5459a56027ead9f990c718792811c08789ea063671b1f59a",
+    "mixed_canonical": "8154d82df65f5acf67e1ade7bbac9001af16688da386282d7a74e4cc5425fcce",
     "mixed_cross": "40ab644abe96d86e284b9ae30cdb21edb871311cf3ecf1556e2035aa051eba8e",
 }
 

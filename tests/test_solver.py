@@ -711,23 +711,70 @@ class TestDopri5:
             assert abs(ek.mass(grid) - ek.mass(g0)) <= 1e-12 * ek.mass(g0)
             assert ek.mean_energy(grid, tt) == pytest.approx(ek.mean_energy(g0, tt), rel=1e-6)
 
-    def test_negative_stage_is_rejected_and_retried(self, monkeypatch):
-        # the first step's second stage derivative is pushed far below zero,
-        # so its third stage is negative; the step is halved and retried,
-        # and no right-hand side sees the negative stage
+    # A flat state with one empty cell and a zero right-hand side, except that
+    # call ``call`` of the right-hand side returns -delta in the empty cell.
+    # The first step lands on t_end = 1 (tau = 1), and a dopri5 stage or the
+    # result then holds the dip tau * a * delta, a its row's weight of that call.
+    FLAT = np.array([[0.0, 1.0, 1.0, 1.0]])
+    FLOOR = -solver._KAPPA * 1e-8 * 0.75  # -kappa * atol; atol = rtol * mean(FLAT)
+
+    def _dipped_solve(self, monkeypatch, call, delta):
+        seen = []
+
+        def rhs(u, network, plan):
+            seen.append(float(u.min()))
+            k = np.zeros_like(u)
+            if len(seen) == call:
+                k[0, 0] = -delta
+            return k
+
+        monkeypatch.setattr(solver, "rhs_multitype", rhs)
+        out = ek.integrate(ek.DensityGrid(10.0, self.FLAT), ek.SolverConfig(t_end=1.0, network=ONE_TYPE))
+        (_, end), = out
+        assert np.array_equal(end.values, self.FLAT)  # every stage weight of the result is 0 here
+        return out, seen
+
+    def test_shallow_stage_dip_is_admitted_counted_and_fed_to_the_rhs(self, monkeypatch):
+        # k2 = -delta gives the third stage a dip of 9/40 delta, half the floor;
+        # k2's weights in the later stages are negative, and 0 in the result
+        out, seen = self._dipped_solve(monkeypatch, call=2, delta=0.5 * -self.FLOOR / (9 / 40))
+        assert (out.steps_accepted, out.steps_rejected, out.stages_admitted) == (1, 0, 1)
+        assert seen[2] == pytest.approx(0.5 * self.FLOOR, rel=1e-12)  # the dip reached the rhs
+        assert min(seen) == seen[2] and len(seen) == out.rhs_evals == 7
+
+    def test_deep_stage_dip_is_rejected_and_retried(self, monkeypatch):
+        # the same dip at twice the floor: the step is halved before any right-
+        # hand side sees the stage, and the retried steps are clean
+        out, seen = self._dipped_solve(monkeypatch, call=2, delta=2.0 * -self.FLOOR / (9 / 40))
+        assert out.steps_rejected == 1 and out.stages_admitted == 0
+        assert out.steps_accepted == 2 and min(seen) == 0.0
+
+    def test_negative_result_is_rejected(self, monkeypatch):
+        # k3 = -delta dips stages 4 to 6 by at most 64448/6561 delta, within the
+        # floor, and the result by 500/1113 delta: the stages are admitted and
+        # the result is refused, so no snapshot holds a negative density
+        out, seen = self._dipped_solve(monkeypatch, call=3, delta=0.5 * -self.FLOOR / (64448 / 6561))
+        assert out.steps_rejected == 1 and out.stages_admitted == 3
+        assert min(seen) == pytest.approx(0.5 * self.FLOOR, rel=1e-12)
+
+    def test_real_solve_feeds_only_admitted_dips_to_the_rhs(self, monkeypatch):
+        # the one-type equation from a compact start: stages at the edge of the
+        # advancing tail dip a little below zero and are admitted, none deeper
         seen = []
         rhs = solver.rhs_multitype
 
         def spy(u, network, plan):
             seen.append(float(u.min()))
-            return rhs(u, network, plan=plan) - (1e6 if len(seen) == 2 else 0.0)
+            return rhs(u, network, plan=plan)
 
         monkeypatch.setattr(solver, "rhs_multitype", spy)
         g = ek.DensityGrid.from_families([ek.UniformDensity(0, 2)], 10.0, 200)
         out = ek.integrate(g, ek.SolverConfig(t_end=4.0, network=ONE_TYPE))
-        assert out.steps_rejected >= 1
-        assert len(seen) == out.rhs_evals and min(seen) >= 0.0
+        floor = -solver._KAPPA * 1e-8 * float(g.values.mean())
+        assert out.stages_admitted == sum(v < 0.0 for v in seen) > 0
+        assert min(seen) >= floor
         (_, end), = out
+        assert end.values.min() >= 0.0
         rk4 = ek.SolverConfig(dt=0.01, t_end=4.0, scheme="rk4", network=ONE_TYPE)
         (_, ref), = ek.integrate(g, rk4)
         assert np.max(np.abs(end.values - ref.values)) < 1e-7
