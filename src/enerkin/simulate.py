@@ -314,9 +314,10 @@ class _ReadAhead(Generator):
         self.pos = 0
         self.size = min(2 * self.size, self.cap)
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        if size is not None or out is not None or dtype is not np.float64:
-            return Generator.random(self, size, dtype, out)
+    def random(self, size=None, dtype=None, out=None):
+        # None checks only: looking up np.float64 on every scalar draw costs as much again
+        if size is not None or dtype is not None or out is not None:
+            return Generator.random(self, size, np.float64 if dtype is None else dtype, out)
         if self.pos == len(self.block):
             self._refill()
         self.pos += 1
