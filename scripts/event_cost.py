@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cost of one simulator event on the ``particle_chain`` benchmark networks.
+"""Cost of one simulator event on the ``particle_chain`` benchmark networks and
+on a two-type canonical network.
 
 The networks have two types at I = (0, 1), one-output ``UniformKernel``
 collisions within and between the types at a constant rate 1 or at
@@ -15,6 +16,13 @@ each the best of ``--repeat`` runs:
   per collision and per conversion, each event timed from the draw of its
   first proposal to the end of its application, so thinned collision
   proposals count towards the event that follows them.
+
+The same figures follow for the two-type canonical network of the bundled
+``two_type_canonical`` scenario: Gamma(2, 1) and Exp(1) energy laws, a
+one-output ``CanonicalKernel`` on each of the channels (1, 1), (1, 2) and
+(2, 2) at a constant rate 1, and no conversions, started from those laws
+with half the particles of each type.  Every split is a Beta draw, so its
+µs per collision is the cost of the canonical path.
 
 It also prints the Python and numpy versions.
 
@@ -51,6 +59,28 @@ def chain_network(rate):
 def initial_state(m):
     low = round(m / (1.0 + math.exp(-GAP)))  # Boltzmann share of the low type
     return ek.TypeCountsInitial((low, m - low), (ek.Exponential(1.0), ek.Exponential(1.0)))
+
+
+LAWS = (ek.GammaDensity(2.0, 1.0), ek.Exponential(1.0))
+
+
+def canonical_network():
+    def ch(a, b):
+        kernel = ek.CanonicalKernel([(a, b, 1.0)], dict(enumerate(LAWS, 1)))
+        return ek.BinaryChannel((a, b), ek.ConstantRate(1.0), kernel)
+
+    return ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [ch(1, 1), ch(1, 2), ch(2, 2)])
+
+
+def canonical_initial(m):
+    return ek.TypeCountsInitial((m // 2, m - m // 2), LAWS)
+
+
+def networks():
+    """(label, network, initial state of M particles) of every network measured."""
+    for name, rate in RATES:
+        yield name, chain_network(rate), initial_state
+    yield "canonical", canonical_network(), canonical_initial
 
 
 def run_us(net, initial, events, seed):
@@ -94,12 +124,11 @@ def main():
 
     print(f"Python {platform.python_version()}, numpy {np.__version__}")
     print(f"best of {args.repeat}; {args.events} events per run")
-    print(f"{'collision rate':<15} {'M':>7} {'run µs/event':>13} {'build ms':>9} "
+    print(f"{'network':<15} {'M':>7} {'run µs/event':>13} {'build ms':>9} "
           f"{'conversions':>12} {'µs/collision':>13} {'µs/conversion':>14}")
-    for name, rate in RATES:
-        net = chain_network(rate)
+    for name, net, initial_of in networks():
         for m in SIZES:
-            initial = initial_state(m)
+            initial = initial_of(m)
             system = ek.run(ek.SimulatorConfig(net, initial, t_end=0.0, seed=0)).final_state
             run = min(run_us(net, initial, args.events, seed) for seed in range(args.repeat))
             build = min(construction_ms(net, system) for _ in range(args.repeat))

@@ -6,10 +6,9 @@ the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
 and ``CallableRate`` rates, a type with two unary channels, ``TableKernel``
 with and without a mass function, a canonical pair with no common gamma
 rate (the tabulated split sampler), alone and beside same-type Beta
-splits, a long series of snapshots at
-M = 2000 between which few particles change, and the single-event
-functions ``sample_next_event`` and ``execute_event``, also on an MT19937
-generator.
+splits, a long series of snapshots at M = 2000 between which few particles
+change, and the single-event functions ``sample_next_event`` and
+``execute_event``, also on an MT19937 generator.
 
 A fixed configuration and seed give bit-identical trajectories, so a new
 digest means the engine draws or applies events differently.
