@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Cost of one simulator event on the ``particle_chain`` benchmark networks and
-on a two-type canonical network.
+"""Cost of one simulator event on the ``particle_chain`` benchmark networks, on
+a two-type canonical network and on a three-type network with several
+conversion channels per type.
 
 The networks have two types at I = (0, 1), one-output ``UniformKernel``
 collisions within and between the types at a constant rate 1 or at
@@ -23,6 +24,14 @@ one-output ``CanonicalKernel`` on each of the channels (1, 1), (1, 2) and
 (2, 2) at a constant rate 1, and no conversions, started from those laws
 with half the particles of each type.  Every split is a Beta draw, so its
 µs per collision is the cost of the canonical path.
+
+Last comes a three-type network whose conversions pick among channels:
+types at I = (0, 0.5, 1), ``UniformKernel`` collisions on the channels
+(1, 1), (1, 2), (2, 3) and (3, 3) at constant rates, and ``power_gap``
+conversions 1 -> 2, 1 -> 3, 2 -> 1, 3 -> 1 and 3 -> 2, so types 1 and 3
+each have two conversion channels whose rates depend on the energy.  It
+starts from Exp(1) energies with the types in shares 4 : 3 : 2.  Its µs
+per conversion is the cost of picking a channel.
 
 It also prints the Python and numpy versions.
 
@@ -76,11 +85,37 @@ def canonical_initial(m):
     return ek.TypeCountsInitial((m // 2, m - m // 2), LAWS)
 
 
+def power_gap_network():
+    tt = ek.TypeTable(np.array([0.0, 0.5, 1.0]))
+    outputs = {
+        (1, 1): [(1, 1, 1.0), (2, 2, 1.0)],
+        (1, 2): [(1, 2, 1.0), (2, 1, 1.0), (3, 1, 0.5), (1, 3, 0.5)],
+        (2, 3): [(2, 3, 1.0)],
+        (3, 3): [(3, 3, 1.0), (1, 1, 1.0)],
+    }
+    scale = {(1, 1): 2.0, (1, 2): 0.5, (2, 3): 0.5, (3, 3): 3.0}
+    binary = [
+        ek.BinaryChannel(p, ek.ConstantRate(c), ek.UniformKernel(outputs[p])) for p, c in scale.items()
+    ]
+    ie = tt.internal_energies
+    unary = [
+        ek.UnaryChannel(v, w, ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, float(ie[w - 1])))
+        for k, (v, w) in enumerate([(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)])
+    ]
+    return ek.ReactionNetwork(tt, binary, unary)
+
+
+def power_gap_initial(m):
+    counts = (4 * m // 9, 3 * m // 9, m - 4 * m // 9 - 3 * m // 9)
+    return ek.TypeCountsInitial(counts, (ek.Exponential(1.0),) * 3)
+
+
 def networks():
     """(label, network, initial state of M particles) of every network measured."""
     for name, rate in RATES:
         yield name, chain_network(rate), initial_state
     yield "canonical", canonical_network(), canonical_initial
+    yield "power_gap", power_gap_network(), power_gap_initial
 
 
 def run_us(net, initial, events, seed):

@@ -37,7 +37,6 @@ from .reactions import (
     ReactionNetwork,
     ScatteringKernel,
     SumDecayRate,
-    TableKernel,
     UnaryChannel,
     UniformKernel,
     canonical_split_pdf,

@@ -5,10 +5,11 @@ finitely many points and reports the worst residual: detailed balance,
 local-equilibrium and fixed-point conditions, relative entropy and its
 monotonicity along solver runs, cycle-reversibility of finite chains, and the
 goodness-of-fit plumbing used by the statistical acceptance runs.  The
-product-form invariant measure is derived from the network (a ``TableKernel``
-has none); the pair-reaction model stays a lemma on restated parameters, since
-a type-changing collision of summed shape other than 1 needs a rate in the
-pair's full energy, which no bounded binary rate form gives.
+product-form invariant measure is derived from the network (a kernel that is
+neither uniform nor canonical has none); the pair-reaction model stays a lemma
+on restated parameters, since a type-changing collision of summed shape other
+than 1 needs a rate in the pair's full energy, which no bounded binary rate
+form gives.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ __all__ = [
     "ScatteringKernel",
     "UniformKernel",
     "CanonicalKernel",
-    "TableKernel",
     "sample_canonical_split",
     "canonical_split_pdf",
     "BinaryChannel",
@@ -350,16 +349,14 @@ class ScatteringKernel:
 
     Outgoing pairs are ordered: the first entry replaces the first input
     slot.  At given input energies the weights are renormalized over the
-    feasible subset; when no outgoing pair is feasible the collision is a
-    no-op for the caller.
+    feasible subset, and each split law integrates to 1, so the collision is
+    a no-op for the caller only when no outgoing pair is feasible.
     """
 
     kind = "abstract"
 
     def __init__(self, outputs: Sequence[OutputPair | tuple]):
-        outs = []
-        for o in outputs:
-            outs.append(o if isinstance(o, OutputPair) else OutputPair(*o))
+        outs = [o if isinstance(o, OutputPair) else OutputPair(*o) for o in outputs]
         if not outs:
             raise ValidationError("a kernel needs at least one outgoing pair")
         self._index = {}  # output index by (first, second)
@@ -370,8 +367,6 @@ class ScatteringKernel:
             self._index[key] = k
         self.outputs = tuple(outs)
         self._table_types, self._tables = None, {}
-        # True when ``outcome_mass`` may lie below 1 where an output is feasible
-        self.sub_normalized = type(self).outcome_mass is not ScatteringKernel.outcome_mass
 
     # -- energy split law per outgoing pair ---------------------------------
 
@@ -421,23 +416,17 @@ class ScatteringKernel:
                 dens[inside] = np.where((u_in >= 0) & (u_in <= e), vals, 0.0)
         return dens if kinetic.ndim else dens[0]
 
-    def outcome_mass(self, v, t, v_other, t_other, types) -> float:
-        """Total outgoing probability; 1 unless every outgoing pair is infeasible."""
-        return 1.0 if self._outcome_table(v, v_other, types).size(t + t_other) else 0.0
-
     def sample_outcome(self, v, t, v_other, t_other, types, rng):
-        """Sample (v1, U, v1', U') or None when the collision fizzles.
+        """Sample (v1, U, v1', U'), or None when no outgoing pair is feasible.
 
-        It fizzles when no outgoing pair is feasible, and otherwise with
-        probability 1 - outcome_mass; only a sub-normalized kernel draws the
-        uniform that decides this.  A single feasible output is taken without
-        a draw.  A split outside [0, available energy] (a faulty custom
-        sampler) raises InfeasibleReactionError.
+        A single feasible output is taken without a draw.  A split outside
+        [0, available energy] (a faulty custom sampler) raises
+        InfeasibleReactionError.
         """
         table = self._outcome_table(v, v_other, types)
         kinetic = t + t_other
         size = table.size(kinetic)
-        if not size or (self.sub_normalized and self._fizzles(v, t, v_other, t_other, types, rng)):
+        if not size:
             return None
         idx, shares = table.subsets[size]
         k = idx[0] if size == 1 else idx[bisect_right(shares, rng.random())]
@@ -447,14 +436,8 @@ class ScatteringKernel:
             raise InfeasibleReactionError(f"split {u} of output {out} outside [0, {e}]")
         return out.first, u, out.second, e - u
 
-    def _fizzles(self, v, t, v_other, t_other, types, rng) -> bool:
-        mass = self.outcome_mass(v, t, v_other, t_other, types)
-        if not 0.0 <= mass <= 1.0:
-            raise ValidationError(f"outcome mass {mass} outside [0, 1] at energies {t}, {t_other}")
-        return rng.random() >= mass
-
     def check_normalization(self, v, t, v_other, t_other, types) -> float:
-        """Tanh-sinh quadrature of the total outcome density; should equal outcome_mass."""
+        """Tanh-sinh quadrature of the total outcome density: 1 if an output is feasible, else 0."""
         totals, _ = self._quadrature_totals(
             v, np.array([t], dtype=float), v_other, np.array([t_other], dtype=float), types
         )
@@ -538,46 +521,6 @@ class CanonicalKernel(ScatteringKernel):
         return sample_canonical_split(
             self.densities[out.first], self.densities[out.second], e_avail, rng
         )
-
-
-class TableKernel(ScatteringKernel):
-    """Custom split law supplied as (pdf, sampler) callables.
-
-    ``split_pdf_fn(first, second, e_avail, u)`` and
-    ``split_sample_fn(first, second, e_avail, rng)``; an optional
-    ``mass_fn(v, t, v_other, t_other)`` in [0, 1] makes the kernel
-    sub-normalized: a feasible collision fizzles, leaving both particles
-    unchanged, with probability 1 - mass_fn.  The simulator draws one more
-    uniform per collision to decide, and ``split_pdf_fn`` should integrate
-    to mass_fn.  Table kernels are simulator-only: the collision equation's
-    ``CollisionPlan`` refuses them.
-    """
-
-    kind = "table"
-
-    def __init__(self, outputs, split_pdf_fn, split_sample_fn, mass_fn=None):
-        super().__init__(outputs)
-        self._pdf = split_pdf_fn
-        self._sample = split_sample_fn
-        self._mass = mass_fn
-        # it overrides outcome_mass, but only a mass function makes it sub-normalized
-        self.sub_normalized = mass_fn is not None
-
-    def split_pdf(self, out, e_avail, u):
-        # split_pdf_fn takes one energy: one call per row of u
-        u = np.asarray(u, dtype=float)
-        return np.array([
-            np.broadcast_to(self._pdf(out.first, out.second, e, row), row.shape)
-            for e, row in zip(np.ravel(e_avail), u)
-        ])
-
-    def split_sample(self, out, e_avail, rng):
-        return float(self._sample(out.first, out.second, e_avail, rng))
-
-    def outcome_mass(self, v, t, v_other, t_other, types):
-        if self._mass is not None:
-            return float(self._mass(v, t, v_other, t_other))
-        return super().outcome_mass(v, t, v_other, t_other, types)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +702,8 @@ class ReactionNetwork:
         return np.where((u_a >= 0) & (u_a <= e), vals, 0.0)
 
     def kernel_normalization_errors(self, n_samples: int, rng, scale: float = 1.0) -> dict:
-        """Worst |quadrature of the outcome law - outcome mass| per binary channel.
+        """Worst |quadrature of the outcome law - its mass| per binary channel; the
+        mass is 1 where an outgoing pair is feasible and 0 where none is.
 
         Each channel is checked at ``n_samples`` input pairs whose energies
         are drawn i.i.d. exponential with mean ``scale``, all in one array;
@@ -770,16 +714,10 @@ class ReactionNetwork:
         errors = {}
         for ch in self.binary:
             v, w = ch.pair
-            kernel = ch.kernel
             t, tp = rng.exponential(scale, size=(n_samples, 2)).T
-            totals, feasible = kernel._quadrature_totals(v, t, w, tp, self.types)
-            if kernel.sub_normalized:
-                pairs = zip(t.tolist(), tp.tolist())
-                masses = [kernel.outcome_mass(v, a, w, b, self.types) for a, b in pairs]
-            else:
-                masses = np.where(feasible, 1.0, 0.0)
-            # the largest error; a NaN total makes it NaN
-            errors[ch.pair] = float(np.max(np.abs(totals - masses), initial=0.0))
+            totals, feasible = ch.kernel._quadrature_totals(v, t, w, tp, self.types)
+            # the largest error against a mass of 1 (True) or 0; a NaN total makes it NaN
+            errors[ch.pair] = float(np.max(np.abs(totals - feasible), initial=0.0))
         return errors
 
     def validate_rate_symmetry(self, n_samples: int = 64, seed: int = 0, scale: float = 1.0):

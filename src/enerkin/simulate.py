@@ -42,7 +42,7 @@ same random numbers, so the output does not depend on the representation.
 
 Every proposal takes five uniforms.  ``run`` reads its draws ahead in
 blocks: the proposal's five and every ``random()`` or ``uniform()`` of a
-kernel (an output pick, a uniform or tabulated split, a fizzle) are the
+kernel (an output pick, a uniform or tabulated split) are the
 doubles of one ``rng.random(k).tolist()`` call per block, the same doubles
 in the same order as one draw at a time; a common-rate gamma split's
 ``beta(a, b)`` comes from a block of ``rng.beta(a, b, size=k)`` per shape
@@ -63,8 +63,10 @@ replica 0.  Identical configurations therefore give bit-identical output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -284,6 +286,16 @@ class _SumTree:
         return k - size
 
 
+def _pick_channel(rates: list, r: float) -> int:
+    """The channel whose cumulative rate interval holds r * total, for r in [0, 1):
+    never a closed (zero-rate) channel, and the last open one when r * total
+    rounds up to a subnormal total.  For up to three channels it is the leaf a
+    ``_SumTree`` of the rates finds."""
+    cumulative = list(accumulate(rates))
+    k = bisect_right(cumulative, r * cumulative[-1])
+    return k if k < len(cumulative) else bisect_left(cumulative, cumulative[-1])
+
+
 _FIRST_BLOCK, _BLOCK_CAP = 5, 4096  # draws in the first and the largest read-ahead block
 _PATCH_SHARE = 0.2  # to_system rebuilds its arrays when more than this share of particles was touched
 
@@ -475,8 +487,7 @@ class _Engine:
                         rates = self.net.unary_rates(v, t)
                     else:  # the values unary_rates gives, bit for bit
                         rates = [value if t + gate >= 0.0 else 0.0 for gate, value in consts]
-                    tree = _SumTree(np.array(rates))
-                    k = tree.find(r_i * tree.nodes[1])
+                    k = _pick_channel(rates, r_i)
                 return wait, (_CONVERSION, i, targets[k])
             event = self._propose_collision(u, r_i, r_j, r_accept)
             if event is not None:

@@ -12,6 +12,30 @@ def uniform_net(alpha=1.0):
     )
 
 
+class SplitKernel(ek.ScatteringKernel):
+    """A split law given as callables ``split_pdf_fn(first, second, e_avail, u)`` and
+    ``split_sample_fn(first, second, e_avail, rng)``: a kernel that is neither
+    uniform nor canonical, which the collision plan and the product form refuse."""
+
+    kind = "custom"
+
+    def __init__(self, outputs, split_pdf_fn, split_sample_fn):
+        super().__init__(outputs)
+        self._pdf = split_pdf_fn
+        self._sample = split_sample_fn
+
+    def split_pdf(self, out, e_avail, u):
+        # split_pdf_fn takes one energy: one call per row of u
+        u = np.asarray(u, dtype=float)
+        return np.array([
+            np.broadcast_to(self._pdf(out.first, out.second, e, row), row.shape)
+            for e, row in zip(np.ravel(e_avail), u)
+        ])
+
+    def split_sample(self, out, e_avail, rng):
+        return float(self._sample(out.first, out.second, e_avail, rng))
+
+
 def feasible_outputs(kernel, v, t, v_other, t_other, types):
     """(indices, renormalized weights, available energies) of the feasible outputs at
     these inputs, read from the kernel's outcome table as ``sample_outcome`` reads it."""

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enerkin as ek
+from conftest import SplitKernel
 
 
 def make_system(pairs):
@@ -64,7 +65,7 @@ avail = ek.available_kinetic_energy
 
 def fixed_split_network(tt, pair, outputs, split, unary=()):
     """One binary channel whose kernel always gives the first output ``split(e)``."""
-    kernel = ek.TableKernel(
+    kernel = SplitKernel(
         outputs,
         split_pdf_fn=lambda a, b, e, u: np.zeros(np.shape(u)),
         split_sample_fn=lambda a, b, e, rng: split(e),

@@ -9,7 +9,7 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
-from conftest import feasible_outputs, uniform_net
+from conftest import SplitKernel, feasible_outputs, uniform_net
 from test_simulate import _oracle_network as simulate_oracle_network
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -345,7 +345,7 @@ def _gap_network():
 
 def _table_kernel():
     # a triangular split law: density 2u/e^2 on [0, e]
-    return ek.TableKernel(
+    return SplitKernel(
         [(1, 1, 1.0)],
         split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 2.0 * u / e**2, 0.0),
         split_sample_fn=lambda a, b, e, rng: e * np.sqrt(rng.uniform()),
@@ -688,7 +688,7 @@ NO_PRODUCT_FORM = {
     ),
     "table_kernel": (
         lambda: ek.ReactionNetwork(ONE_TYPE, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), _table_kernel())]),
-        r"reactant pair \(1, 1\): kernel kind 'table' is simulator-only",
+        r"reactant pair \(1, 1\): kernel kind 'custom' is simulator-only",
     ),
     "callable_collision_rate": (
         lambda: ek.ReactionNetwork(ONE_TYPE, [_uniform_channel((1, 1), rate=ek.CallableRate(lambda t, tp: 1.0))]),

@@ -24,7 +24,7 @@ PACKAGE_NAMES = [
     "OutputPair", "PairReactionSpec", "ParticleSystem", "PowerGapRate", "ReactionNetwork",
     "ResidualReport", "ScatteringKernel", "Scenario", "Shifted", "ShiftedGamma",
     "SimulationError", "SimulatorConfig", "Snapshot", "SolveResult", "SolverBlowupError",
-    "SolverConfig", "SumDecayRate", "TableKernel", "Tabulated", "Trajectory",
+    "SolverConfig", "SumDecayRate", "Tabulated", "Trajectory",
     "TypeCountsInitial", "TypeTable", "TypedDensity", "UnaryChannel", "UnaryEvent",
     "UniformDensity", "UniformKernel", "UnknownTypeError", "ValidationError",
     "additive_conservation_residual", "admissible_pair_check", "available_kinetic_energy",
@@ -76,7 +76,6 @@ EXPORTS = {
         "ScatteringKernel": "(outputs)",
         "UniformKernel": "(outputs)",
         "CanonicalKernel": "(outputs, densities)",
-        "TableKernel": "(outputs, split_pdf_fn, split_sample_fn, mass_fn=None)",
         "sample_canonical_split": "(rho_a, rho_b, total, rng)",
         "canonical_split_pdf": "(rho_a, rho_b, total, x)",
         "BinaryChannel": "(pair, rate, kernel)",

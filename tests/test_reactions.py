@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import enerkin as ek
-from conftest import feasible_outputs
+from conftest import SplitKernel, feasible_outputs
 from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS
 
 
@@ -178,7 +178,7 @@ class TestScatteringKernel:
         k = ek.UniformKernel([(2, 2, 1.0)])
         rng = np.random.default_rng(0)
         assert k.sample_outcome(1, 1.0, 1, 1.0, tt, rng) is None
-        assert k.outcome_mass(1, 1.0, 1, 1.0, tt) == 0.0
+        assert k._outcome_table(1, 1, tt).size(2.0) == 0
 
     def test_sampled_outcomes_conserve_energy(self):
         tt = ek.TypeTable(np.array([0.0, 0.5]))
@@ -210,15 +210,6 @@ class TestScatteringKernel:
         after = tt.internal_energies[v1 - 1] + u + tt.internal_energies[v1p - 1] + u2
         assert u >= 0.0 and u2 >= 0.0
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
-
-    def test_table_kernel_subnormalized_mass(self, one_type_table):
-        k = ek.TableKernel(
-            [(1, 1, 1.0)],
-            split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
-            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-            mass_fn=lambda v, t, vp, tp: 0.5,
-        )
-        assert k.outcome_mass(1, 1.0, 1, 1.0, one_type_table) == 0.5
 
 
 class TestReactionNetwork:
@@ -368,39 +359,6 @@ class TestScalarRates:
             assert floats == arrays
 
 
-class TestSubNormalizedKernel:
-    @staticmethod
-    def _kernel(outputs, mass):
-        return ek.TableKernel(
-            outputs,
-            split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
-            split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-            mass_fn=None if mass is None else (lambda v, t, vp, tp: mass),
-        )
-
-    def test_only_a_mass_function_makes_a_kernel_sub_normalized(self):
-        assert not ek.UniformKernel([(1, 1, 1.0)]).sub_normalized
-        assert not self._kernel([(1, 1, 1.0)], None).sub_normalized
-        assert self._kernel([(1, 1, 1.0)], 0.5).sub_normalized
-
-    @pytest.mark.parametrize("outputs", [[(1, 1, 1.0)], [(1, 1, 1.0), (2, 2, 1.0)]])
-    def test_fizzle_frequency_follows_the_mass(self, outputs):
-        tt = ek.TypeTable(np.array([0.0, 0.0]))
-        k = self._kernel(outputs, 0.25)
-        rng = np.random.default_rng(12)
-        n = 4000
-        fizzled = sum(k.sample_outcome(1, 1.0, 1, 2.0, tt, rng) is None for _ in range(n))
-        # bound fixed before the run: about 4.4 sigma of a binomial(4000, 1/4) fraction
-        assert abs(fizzled / n - 0.75) < 0.03
-
-    @pytest.mark.parametrize("mass", [-0.1, 1.5, float("nan")])
-    def test_mass_outside_unit_interval_faults(self, mass):
-        tt = ek.TypeTable(np.array([0.0]))
-        k = self._kernel([(1, 1, 1.0)], mass)
-        with pytest.raises(ek.ValidationError, match="outcome mass"):
-            k.sample_outcome(1, 1.0, 1, 1.0, tt, np.random.default_rng(0))
-
-
 def test_one_output_release_follows_the_type_table():
     # the cached release belongs to the type table it was computed with
     k = ek.UniformKernel([(2, 2, 1.0)])
@@ -461,7 +419,7 @@ def test_outcome_table_matches_brute_force(case):
             assert got_idx == idx
             assert got_w.tolist() == w.tolist()
             assert got_avail == avail
-            assert kernel.outcome_mass(v, t, v_other, t_other, types) == (1.0 if idx else 0.0)
+            assert (table.size(t + t_other) > 0) == bool(idx)
         # the array lookup: one weight per output, 0 where it is infeasible
         assert size == len(idx)
         row = np.zeros(len(kernel.outputs))
@@ -472,7 +430,8 @@ def test_outcome_table_matches_brute_force(case):
 
 def _per_pair_errors(network, n_samples, rng, scale=1.0):
     """kernel_normalization_errors one input pair at a time: two scalar draws, the
-    quadrature summed output by output over the outcome table's feasible outputs, then the outcome mass."""
+    quadrature summed output by output over the outcome table's feasible outputs, then
+    its error against 1 where an output is feasible and 0 where none is."""
     errors = {}
     for ch in network.binary:
         (v, w), k = ch.pair, ch.kernel
@@ -488,7 +447,8 @@ def _per_pair_errors(network, n_samples, rng, scale=1.0):
                 pdf = k.split_pdf(k.outputs[i], np.array([[e]]), e * _QUAD_NODES[None])[0]
                 total += wk * e * float(np.sum(pdf * _QUAD_WEIGHTS))
             assert k.check_normalization(v, t, w, tp, network.types) == total
-            worst = max(worst, abs(total - k.outcome_mass(v, t, w, tp, network.types)))
+            mass = 1.0 if k._outcome_table(v, w, network.types).size(t + tp) > 0 else 0.0
+            worst = max(worst, abs(total - mass))
         errors[ch.pair] = worst
     return errors
 
@@ -513,15 +473,15 @@ def _canonical_network(densities):
     return ek.ReactionNetwork(tt, [ek.BinaryChannel(pair, ek.ConstantRate(1.0), kernel)])
 
 
-def _table_network():
-    # sub-normalized: the split density integrates to 0.6, the mass varies per pair
-    kernel = ek.TableKernel(
-        [(1, 1, 1.0)],
-        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 0.6 / e, 0.0),
+def _short_split_network():
+    # the (1, 1) split density integrates to 0.6 and the (2, 2) one to 1; (2, 2) is
+    # infeasible below kinetic energy 1.4, so the total is 0.6 there and 0.9 above
+    kernel = SplitKernel(
+        [(1, 1, 1.0), (2, 2, 3.0)],
+        split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), (0.6 if a == 1 else 1.0) / e, 0.0),
         split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-        mass_fn=lambda v, t, vp, tp: 0.25 + 0.5 * np.exp(-t - tp),
     )
-    tt = ek.TypeTable(np.array([0.0]))
+    tt = ek.TypeTable(np.array([0.0, 0.7]))
     return ek.ReactionNetwork(tt, [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), kernel)])
 
 
@@ -533,7 +493,7 @@ ORACLE_NETWORKS = {
     "uniform_exponential": lambda: _canonical_network(
         [ek.UniformDensity(0.0, 3.0), ek.Exponential(1.0)]
     ),
-    "table_mass_fn": _table_network,
+    "short_split": _short_split_network,
 }
 
 

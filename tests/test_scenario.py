@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import enerkin as ek
+from conftest import SplitKernel
 from enerkin import cli, scenario
 from enerkin.scenario import CHECKS, scenario_from_dict
 
@@ -250,7 +251,7 @@ class TestLoad:
 
     def test_nan_split_density_fails_the_normalization_checks(self):
         # a split law the quadrature reads as NaN is not known to be normalized
-        kernel = ek.TableKernel(
+        kernel = SplitKernel(
             [(1, 1, 1.0)],
             split_pdf_fn=lambda a, b, e, u: np.full(np.shape(u), np.nan),
             split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),

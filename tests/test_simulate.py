@@ -376,33 +376,6 @@ class TestRun:
         with pytest.raises((ek.SimulationError, ek.ValidationError)):
             ek.run(cfg)
 
-    @pytest.mark.parametrize("outputs", [[(1, 1, 1.0)], [(1, 1, 1.0), (2, 2, 1.0)]], ids=["one", "two"])
-    def test_sub_normalized_kernel_fizzles(self, outputs):
-        # TableKernel(mass_fn=...) at mass 1/2: half the collisions are no-ops
-        def kernel(outs):
-            return ek.TableKernel(
-                outs,
-                split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
-                split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-                mass_fn=lambda v, t, vp, tp: 0.5,
-            )
-
-        tt = ek.TypeTable(np.array([0.0, 0.0]))
-        rate = ek.ConstantRate(1.0)
-        net = ek.ReactionNetwork(
-            tt,
-            [
-                ek.BinaryChannel((1, 1), rate, kernel(outputs)),
-                ek.BinaryChannel((1, 2), rate, kernel([(1, 2, 1.0)])),
-                ek.BinaryChannel((2, 2), rate, kernel([(2, 2, 1.0)])),
-            ],
-        )
-        initial = ek.TypeCountsInitial((100, 0), (ek.Exponential(1.0), 1.0))
-        traj = ek.run(ek.SimulatorConfig(net, initial, t_end=1e9, max_events=4000, seed=5))
-        assert traj.event_count == 4000
-        # bound fixed before the run: about 3.8 sigma of a binomial(4000, 1/2) fraction
-        assert abs(traj.noop_events / traj.event_count - 0.5) < 0.03
-
     def test_snapshot_time_validation(self):
         net = uniform_net()
         cfg = ek.SimulatorConfig(
@@ -516,6 +489,50 @@ class TestSelectionBookkeeping:
         tree = _SumTree(leaves)
         for u in np.concatenate([np.linspace(0.0, tree.nodes[1], 101), [tree.nodes[1] * (1 + 1e-15)]]):
             assert leaves[tree.find(u)] > 0.0
+
+    def test_channel_pick_is_the_sum_tree_leaf_and_never_a_closed_channel(self):
+        from enerkin.simulate import _pick_channel, _SumTree
+
+        tiny = 5e-324  # the least subnormal
+        below_one = float(np.nextafter(1.0, 0.0))
+        for rates in ([0.5, 0.0, 1.5], [0.0, 0.7, 0.3], [1.0, 2.0, 0.0], [0.25, 1.0], [tiny, tiny, 0.0]):
+            tree = _SumTree(np.array(rates))
+            for r in [*np.linspace(0.0, below_one, 1001).tolist(), below_one]:
+                k = _pick_channel(rates, r)
+                assert rates[k] > 0.0
+                assert k == tree.find(r * tree.nodes[1])
+        # r * total rounds up to the subnormal total: the last open channel, not an
+        # index past the end
+        assert below_one * (2 * tiny) == 2 * tiny
+        assert _pick_channel([tiny, tiny, 0.0], below_one) == 1
+
+    @pytest.mark.parametrize("form", ["constant", "callable"])
+    def test_conversion_picks_among_three_channels_one_closed(self, form):
+        # type 1 converts to 2 at rate 1 and to 4 at rate 3; its channel to type 3
+        # needs kinetic energy 50, which no particle has, so it is closed
+        from enerkin.simulate import _Engine, _ReadAhead
+
+        def rate(c):
+            return ek.ConstantUnaryRate(c) if form == "constant" else ek.CallableUnaryRate(lambda u: c)
+
+        pairs = [((1, 2), 1.0), ((1, 3), 5.0), ((1, 4), 3.0), ((2, 1), 1.0), ((4, 1), 1.0)]
+        net = ek.ReactionNetwork(
+            ek.TypeTable(np.array([0.0, 0.0, 50.0, 0.0])),
+            unary=[ek.UnaryChannel(v, w, rate(c)) for (v, w), c in pairs],
+        )
+        engine = _Engine(ek.ParticleSystem(np.ones(40, dtype=int), np.full(40, 1.0)), net)
+        assert (engine.unary_consts[1] is not None) == (form == "constant")
+        rng = _ReadAhead(np.random.default_rng(7))
+        picks = {2: 0, 3: 0, 4: 0}
+        for _ in range(4000):
+            _, event = engine.next_event(rng)
+            if engine.tids[event[1]] == 1:
+                picks[event[2]] += 1
+            engine.apply(event, rng)
+        n = picks[2] + picks[4]
+        assert picks[3] == 0 and n > 1000
+        # bound fixed before the run: 4 sigma of a binomial(n, 3/4) fraction
+        assert abs(picks[4] / n - 0.75) < 4 * np.sqrt(0.75 * 0.25 / n)
 
     def test_rate_above_bound_faults(self):
         tt = ek.TypeTable(np.array([0.0]))

@@ -3,10 +3,11 @@
 The CLI pins in ``test_cli.py`` run constant rates, the one-output uniform
 and gamma canonical kernels and one-channel conversions.  These pins cover
 the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
-and ``CallableRate`` rates, a type with two unary channels, ``TableKernel``
-with and without a mass function, a canonical pair with no common gamma
-rate (the tabulated split sampler), alone and beside same-type Beta
-splits, a long series of snapshots at M = 2000 between which few particles
+and ``CallableRate`` rates, a type with two unary channels, a split law
+given as callables (a quadratic sampler), collisions that are no-ops
+because no output is feasible, a canonical pair with no common gamma rate
+(the tabulated split sampler), alone and beside same-type Beta splits, a
+long series of snapshots at M = 2000 between which few particles
 change, and the single-event functions ``sample_next_event`` and
 ``execute_event``, also on an MT19937 generator.
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import enerkin as ek
+from conftest import SplitKernel
 
 
 def _hash_state(h, state):
@@ -91,25 +93,40 @@ def callable_network():
     )
 
 
-def _table_kernel(outputs, mass_fn):
-    return ek.TableKernel(
+def _table_kernel(outputs):
+    return SplitKernel(
         outputs,
         split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / e, 0.0),
-        # a quadratic split law, so the table sampler is not the uniform kernel's
+        # a quadratic split law, so the sampler is not the uniform kernel's
         split_sample_fn=lambda a, b, e, rng: e * rng.random() ** 2,
-        mass_fn=mass_fn,
     )
 
 
-def table_network(mass_fn=None):
-    """Two types across a gap of 0.3, table kernels with one and two outputs."""
+def table_network():
+    """Two types across a gap of 0.3, callable split laws with one and two outputs."""
     tt = ek.TypeTable(np.array([0.0, 0.3]))
     return ek.ReactionNetwork(
         tt,
         [
-            ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), _table_kernel([(1, 1, 1.0), (2, 2, 0.5)], mass_fn)),
-            ek.BinaryChannel((1, 2), ek.ConstantRate(0.5), _table_kernel([(1, 2, 1.0)], mass_fn)),
-            ek.BinaryChannel((2, 2), ek.ConstantRate(1.0), _table_kernel([(2, 2, 1.0), (1, 1, 0.5)], mass_fn)),
+            ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), _table_kernel([(1, 1, 1.0), (2, 2, 0.5)])),
+            ek.BinaryChannel((1, 2), ek.ConstantRate(0.5), _table_kernel([(1, 2, 1.0)])),
+            ek.BinaryChannel((2, 2), ek.ConstantRate(1.0), _table_kernel([(2, 2, 1.0), (1, 1, 0.5)])),
+        ],
+    )
+
+
+def gap_swap_network():
+    """Two types across a unit gap whose collisions swap the pair's types: (1, 1)
+    becomes (2, 2), which is infeasible below kinetic energy 2, so such
+    collisions can be no-ops."""
+    tt = ek.TypeTable(np.array([0.0, 1.0]))
+    rate = ek.ConstantRate(1.0)
+    return ek.ReactionNetwork(
+        tt,
+        [
+            ek.BinaryChannel((1, 1), rate, ek.UniformKernel([(2, 2, 1.0)])),
+            ek.BinaryChannel((1, 2), rate, ek.UniformKernel([(1, 2, 1.0)])),
+            ek.BinaryChannel((2, 2), rate, ek.UniformKernel([(1, 1, 1.0)])),
         ],
     )
 
@@ -133,10 +150,7 @@ CASES = {
     "power_gap": (power_gap_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
     "callable": (callable_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
     "table": (table_network, ek.TypeCountsInitial((30, 10), (EXP, EXP))),
-    "table_mass": (
-        lambda: table_network(lambda v, t, vp, tp: 1.0 / (1.0 + 0.5 * (t + tp))),
-        ek.TypeCountsInitial((30, 10), (EXP, EXP)),
-    ),
+    "gap_swap": (gap_swap_network, ek.TypeCountsInitial((30, 10), (EXP, EXP))),
     "mixed_canonical": (mixed_canonical_network, ek.TypeCountsInitial((12, 8), (EXP, EXP))),
     # the (1, 2) channel alone: only the tabulated sampler draws, through uniform()
     "mixed_cross": (
@@ -148,8 +162,8 @@ TRAJECTORY_SHA256 = {
     "sum_decay": "86088b08c7c14495992206abcefaccb7d90236b7968d5079c5247f60d39f712a",
     "power_gap": "021e7c7c5f9dadab6220dd0472f8af77b074b9cac3c9fc86fafca084fcb72f2e",
     "callable": "a3a80b953a50d23f955288c7edca5d9b878f50d6c9d62c537eff4d2cbe6e73d9",
+    "gap_swap": "5f5eb583d2a511f9b9dce6efa01645561e8968f7426f39f143fddaacc00a27c6",
     "table": "27bb456886e823be6dc1d356c9f7d95a24d097ff244e2a142a107870094562a1",
-    "table_mass": "8c484fd75974b409fb7387315a136889291fafb51550070373461a0116eb93a4",
     "mixed_canonical": "8154d82df65f5acf67e1ade7bbac9001af16688da386282d7a74e4cc5425fcce",
     "mixed_cross": "40ab644abe96d86e284b9ae30cdb21edb871311cf3ecf1556e2035aa051eba8e",
 }
@@ -174,16 +188,16 @@ def test_sum_decay_pin_covers_thinning():
     assert _run("sum_decay").rejected_proposals > 0
 
 
-def test_table_mass_pin_covers_fizzles():
-    assert _run("table_mass").noop_events > 0
+def test_gap_swap_pin_covers_noops():
+    assert _run("gap_swap").noop_events > 0
 
 
 SINGLE_EVENT_SHA256 = {
     "sum_decay": "1f15de3420c9ececf728cdff76284a664b2ffdffc57cf18dd386e909c87a63e6",
     "power_gap": "c9d864442a3a5b2932c1e9ca6674b60aa583fd9927476def00ea4c08d48c4610",
     "callable": "28406ec414098ffdd51c20541c896f450106e8f914895ca3d0f647cb0fb57359",
+    "gap_swap": "2a6bc5b9f96afdf5275c2eb7b75fcdf824bfbfd9913df28b624b489efb7a95d5",
     "table": "d7a961a5fa8f2ac2f8f68bce9cf2117c7ca9a4d22c0405d77f19bc6a1c20f46b",
-    "table_mass": "9886a7335d51eaddb79981eb9e7093774cd2893d2910e016d39089235d2f0baf",
     "mixed_canonical": "f4ffc2dd57d2887e503a1159257f2ffbe0d152cc38aebf979080e3c1431607ef",
     "mixed_cross": "706491e512d03d98a20c4ddfb5555719e5c40ff624148e0b9ca379b116f2dfb2",
 }

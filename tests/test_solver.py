@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate as spint
 
 import enerkin as ek
-from conftest import uniform_net
+from conftest import SplitKernel, uniform_net
 from enerkin import solver
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -65,13 +65,12 @@ def canonical_gap_network():
     )
 
 
-def table_kernel(mass=None):
-    """A uniform split given as callables; with ``mass``, sub-normalized at that mass."""
-    return ek.TableKernel(
+def table_kernel():
+    """A uniform split given as callables."""
+    return SplitKernel(
         [(1, 2, 1.0)],
         split_pdf_fn=lambda a, b, e, u: np.where((u >= 0) & (u <= e), 1.0 / max(e, 1e-300), 0.0),
         split_sample_fn=lambda a, b, e, rng: rng.uniform(0, e),
-        mass_fn=None if mass is None else (lambda v, t, vp, tp: mass),
     )
 
 
@@ -296,11 +295,7 @@ class TestRhsMultitype:
         [
             (
                 lambda: ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), table_kernel()),
-                "kernel kind 'table' is simulator-only",
-            ),
-            (
-                lambda: ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), table_kernel(mass=0.5)),
-                "kernel kind 'table' is simulator-only",
+                "kernel kind 'custom' is simulator-only",
             ),
             (
                 lambda: ek.BinaryChannel(
@@ -319,7 +314,7 @@ class TestRhsMultitype:
                 "type 1 is UniformDensity, not a gamma law",
             ),
         ],
-        ids=["table", "table_mass_fn", "non_sum_rate", "mixed_beta", "uniform_density"],
+        ids=["table", "non_sum_rate", "mixed_beta", "uniform_density"],
     )
     def test_refuses_what_the_plan_cannot_represent(self, channel, reason):
         # a representable (1, 1) channel next to the refused (1, 2) one
