@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -547,6 +547,23 @@ def _normalized_and_verified(log_pi, residual, failure: str) -> np.ndarray:
     return pi
 
 
+def _potentials(n: int, links) -> tuple[list, list]:
+    """(c, parent): c_v b_vw = c_w b_wv over a spanning forest of ``links`` (v, w, b_vw,
+    b_wv, 0-based), c = 1 at each class's lowest state, whose parent is None."""
+    c, parent = [None] * n, [None] * n
+    while None in c:
+        c[c.index(None)] = 1.0  # the lowest state of a class, then c_w = c_v b_vw / b_wv
+        grew = True
+        while grew:  # a sweep that sets nothing leaves every value as it is
+            grew = False
+            for v, w, b_vw, b_wv in links:
+                if c[w] is None and c[v] is not None:
+                    c[w], parent[w], grew = c[v] * b_vw / b_wv, v, True
+                elif c[v] is None and c[w] is not None:
+                    c[v], parent[v], grew = c[w] * b_wv / b_vw, w, True
+    return c, parent
+
+
 def _product_form(network: ReactionNetwork):
     """(nu, c, pairs): each type's gamma shape and weight factor, and one
     (name, v, w, b_vw, b_wv) per pair of types v < w (0-based) joined by
@@ -593,15 +610,7 @@ def _product_form(network: ReactionNetwork):
         (f"conversions {v}->{w} and {w}->{v}", v - 1, w - 1, b_vw, b[w, v])
         for (v, w), b_vw in sorted(b.items()) if v < w and b_vw > 0
     ]
-    c = [None] * n
-    while None in c:
-        c[c.index(None)] = 1.0  # the lowest type of a class, then c_w = c_v b_vw / b_wv
-        for _ in range(n):
-            for _, v, w, b_vw, b_wv in pairs:
-                if c[w] is None and c[v] is not None:
-                    c[w] = c[v] * b_vw / b_wv
-                elif c[v] is None and c[w] is not None:
-                    c[v] = c[w] * b_wv / b_vw
+    c, _ = _potentials(n, [link[1:] for link in pairs])
     for name, v, w, b_vw, b_wv in pairs:
         if not math.isclose(c[v] * b_vw, c[w] * b_wv, rel_tol=1e-9):
             raise ValidationError(f"{name}: break c_v b_vw = c_w b_wv around a cycle of conversions")
@@ -689,7 +698,6 @@ class DiscreteChainSpec:
     """A finite-state chain given by its off-diagonal rate matrix."""
 
     rates: np.ndarray
-    weights: np.ndarray = None
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -712,61 +720,45 @@ class CycleCheckResult:
     worst_cycle: tuple
     worst_ratio: float
     cycles_checked: int
-    truncated: bool = False
 
 
-def kolmogorov_cycle_check(
-    chain: DiscreteChainSpec,
-    max_cycle_len: int = 6,
-    max_cycles: int = 100_000,
-) -> CycleCheckResult:
-    """Compare forward and backward rate products around every simple cycle.
+def _basis_cycle(parent, i: int, j: int) -> tuple:
+    """The 1-based cycle that the pair i < j closes over the forest ``parent``, lowest
+    state first and second below the last; (i, j) alone if they lie in two classes."""
+    path_i, path_j = [i], [j]
+    while parent[path_i[-1]] is not None:
+        path_i.append(parent[path_i[-1]])
+    while path_j[-1] not in path_i and parent[path_j[-1]] is not None:
+        path_j.append(parent[path_j[-1]])
+    if path_j[-1] not in path_i:
+        return (i + 1, j + 1)
+    cycle = path_i[: path_i.index(path_j[-1])] + path_j[::-1]
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    return tuple(s + 1 for s in (cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]))
 
-    States in the reported worst cycle are 1-based.  Cycles with one zero
-    and one nonzero product fail with an infinite ratio; cycles with both
-    products zero are vacuous.  Enumeration stops at ``max_cycles``.
-    """
-    if max_cycle_len < 3:
-        raise ValidationError("cycles need length >= 3")
-    r = chain.rates
-    n = chain.n_states
-    checked = 0
-    worst_ratio = 1.0
-    worst_cycle = ()
-    passed = True
-    truncated = False
-    for k in range(3, min(max_cycle_len, n) + 1):
-        for subset in combinations(range(n), k):
-            first = subset[0]
-            for perm in permutations(subset[1:]):
-                if perm[0] > perm[-1]:
-                    continue  # fix orientation so each cycle appears once
-                if checked >= max_cycles:
-                    truncated = True
-                    break
-                cycle = (first,) + perm
-                checked += 1
-                fwd = 1.0
-                bwd = 1.0
-                for a, b in zip(cycle, cycle[1:] + (first,)):
-                    fwd *= r[a, b]
-                    bwd *= r[b, a]
-                if fwd == 0.0 and bwd == 0.0:
-                    continue
-                if fwd == 0.0 or bwd == 0.0:
-                    ratio = math.inf
-                else:
-                    ratio = max(fwd, bwd) / min(fwd, bwd)
-                if abs(fwd - bwd) > _CYCLE_REL_TOL * max(fwd, bwd):
-                    passed = False
-                    if ratio > worst_ratio:
-                        worst_ratio = ratio
-                        worst_cycle = tuple(s + 1 for s in cycle)
-            if truncated:
-                break
-        if truncated:
-            break
-    return CycleCheckResult(passed, worst_cycle, worst_ratio, checked, truncated)
+
+def kolmogorov_cycle_check(chain: DiscreteChainSpec) -> CycleCheckResult:
+    """Kolmogorov's criterion, exact at any size: potentials c_i r_ij = c_j r_ji over
+    the two-way rate pairs, as for the product-form weights, and one basis cycle per
+    pair off their spanning forest, of forward/backward ratio c_i r_ij / (c_j r_ji).
+    A one-way pair fails with ratio inf; ``cycles_checked`` counts the basis cycles."""
+    n, r = chain.n_states, chain.rates.tolist()
+    pairs = [(i, j, r[i][j], r[j][i]) for i, j in combinations(range(n), 2) if r[i][j] or r[j][i]]
+    links = [p for p in pairs if p[2] and p[3]]
+    c, parent = _potentials(n, links)
+    passed, worst_ratio, worst_cycle = True, 1.0, ()
+    for i, j, r_ij, r_ji in pairs:
+        fwd, bwd = c[i] * r_ij, c[j] * r_ji
+        if not (c[i] > 0.0 and c[j] > 0.0 and fwd + bwd < math.inf):  # NaN fails too
+            raise ValidationError(f"states {i + 1}, {j + 1}: rate ratios leave the double range")
+        if parent[i] == j or parent[j] == i or abs(fwd - bwd) <= _CYCLE_REL_TOL * max(fwd, bwd):
+            continue  # a forest edge, balanced by its potentials, or a balanced cycle
+        passed = False
+        ratio = max(fwd, bwd) / min(fwd, bwd) if min(fwd, bwd) > 0 else math.inf
+        if ratio > worst_ratio:
+            worst_ratio, worst_cycle = ratio, _basis_cycle(parent, i, j)
+    return CycleCheckResult(passed, worst_cycle, worst_ratio, len(links) - n + parent.count(None))
 
 
 # ---------------------------------------------------------------------------

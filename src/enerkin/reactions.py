@@ -166,11 +166,11 @@ class PowerGapRate:
         self.threshold = float(threshold)
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        gap = u - self.threshold
-        if self.exponent == 0.0:
-            return np.where(gap >= 0, self.b, 0.0)
-        above = gap > 0
+        scalar = isinstance(u, float)
+        gap = (u if scalar else np.asarray(u, dtype=float)) - self.threshold
+        above = gap >= 0 if self.exponent == 0.0 else gap > 0  # exponent 0: a plain gate
+        if scalar:  # np.power, as below: ** may differ from it in the last bit
+            return self.b * np.power(gap, self.exponent) if above else 0.0
         return np.where(above, self.b * np.power(np.where(above, gap, 1.0), self.exponent), 0.0)
 
     def __repr__(self):

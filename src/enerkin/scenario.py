@@ -47,7 +47,7 @@ from .reactions import (
     UniformKernel,
 )
 from .simulate import MixtureInitial, SimulatorConfig, TypeCountsInitial
-from .solver import DensityGrid, SolverConfig, integrate, rhs_one_type
+from .solver import DensityGrid, SolverConfig, check_plan_support, integrate, rhs_multitype
 from .equilibrium import TypedDensity
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -587,10 +587,16 @@ def _additive_conservation(scenario: Scenario, a: dict):
     return rep.max_residual, rep.n_evaluated
 
 
+def _with_plan_measure(scenario: Scenario, a: dict) -> dict:
+    check_plan_support(scenario.network)  # the collision equation has no unary channels
+    return {**a, "measure": eq.product_form_measure(scenario.network, a["beta"])}
+
+
 def _stationary_profile_residual(scenario: Scenario, a: dict):
     x_max = a["x_max"] if a["x_max"] is not None else 40.0 / a["beta"]
-    grid = DensityGrid.from_families([Exponential(a["beta"])], x_max, a["cells"])
-    return float(np.max(np.abs(rhs_one_type(grid, a["alpha"])))), a["cells"]
+    x = (np.arange(a["cells"]) + 0.5) * (x_max / a["cells"])  # the cell centres
+    grid = DensityGrid(x_max, [a["measure"].pdf(v, x) for v in range(1, scenario.types.count + 1)])
+    return float(np.max(np.abs(rhs_multitype(grid, scenario.network)))), a["cells"]
 
 
 def _kernel_normalization(scenario: Scenario, a: dict):
@@ -612,7 +618,7 @@ def _product_form_balance(scenario: Scenario, a: dict):
 
 
 def _kolmogorov(scenario: Scenario, a: dict):
-    res = eq.kolmogorov_cycle_check(a["rates"], a["max_cycle_len"])
+    res = eq.kolmogorov_cycle_check(a["rates"])
     return (0.0 if res.passed else res.worst_ratio - 1.0), res.cycles_checked
 
 
@@ -653,10 +659,10 @@ CHECKS = {
     ),
     "stationary_profile_residual": _check(
         _stationary_profile_residual,
-        beta=_Param(_number, 1.0),
-        cells=_Param(_integer, 4000),
-        x_max=_Param(_number, None),  # None: 40 / beta
-        alpha=_Param(_number, 1.0),
+        prepare=_with_plan_measure,
+        beta=_Param(_positive, 1.0),
+        cells=_Param(_count, 4000),
+        x_max=_Param(_positive, None),  # None: 40 / beta
     ),
     "kernel_normalization": _check(_kernel_normalization, seed=_Param(_integer, 0), **_QUADRATURE),
     "admissible_pair": _check(
@@ -672,9 +678,7 @@ CHECKS = {
         prepare=lambda sc, a: {**a, "measure": eq.product_form_measure(sc.network, a["beta"])},
         beta=_Param(_positive, 1.0),
     ),
-    "kolmogorov": _check(
-        _kolmogorov, rates=_Param(eq.DiscreteChainSpec), max_cycle_len=_Param(_integer, 6)
-    ),
+    "kolmogorov": _check(_kolmogorov, rates=_Param(eq.DiscreteChainSpec)),
     "measure_transform_ks": _check(
         _measure_transform_ks,
         rho=_DENSITY,

@@ -100,10 +100,17 @@ MALFORMED_CHECKS = {
         "checks[0]",
     ),
     "unconvertible_value": (
-        lambda: small_doc_checking(
-            {"name": "kolmogorov", "rates": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "max_cycle_len": "four"}
+        lambda: small_doc_checking(dict(UNIFORM_TO_EXP, samples="four")), "checks[0].samples"
+    ),
+    "stationary_profile_negative_x_max": (
+        lambda: small_doc_checking({"name": "stationary_profile_residual", "x_max": -5.0}),
+        "checks[0].x_max",
+    ),
+    "stationary_profile_without_plan": (  # the collision equation has no unary channels
+        lambda: unary_doc_with(
+            checks=[{"name": "product_form_balance"}, {"name": "stationary_profile_residual"}]
         ),
-        "checks[0].max_cycle_len",
+        "checks[1]",
     ),
     "unparsable_density": (
         lambda: small_doc_checking(dict(UNIFORM_TO_EXP, rho={"family": "lognormal"})),
@@ -659,7 +666,7 @@ def test_malformed_section_faults_at_load(case, tmp_path, capsys, monkeypatch):
 # SHA-256 of the report.json ``enerkin check`` writes for each bundled scenario;
 # new digests need a CHANGES.md entry that lists every changed field, before and after
 BUNDLED_CHECK_SHA256 = {
-    "exponential_equilibrium": "4ac135eb9faec20a91b4b942c030e2fe8205441a85975db7379fdf90498b19c5",
+    "exponential_equilibrium": "583d28798f5acf732e1ec51b71d5fa675233f6d25620d740b16227e6ed874e88",
     "two_type_canonical": "fb282abe35e75aeb24aad8f3c1b80ded2a3e625946fd8da441d01f629335a6cf",
     "unary_two_type": "2495c34954d60fa7064350a82f0e81bb552776b26e81896e9df07095df095c6a",
 }

@@ -813,6 +813,38 @@ class TestVectorParticleStationary:
         assert res < 1e-10
 
 
+def _ring(n: int, forward: float, backward: float) -> np.ndarray:
+    """The rates of an n-state ring: ``forward`` from k to k + 1 mod n, ``backward`` back."""
+    rates = np.zeros((n, n))
+    for k in range(n):
+        rates[k, (k + 1) % n], rates[(k + 1) % n, k] = forward, backward
+    return rates
+
+
+def _balanced_chain(n: int, seed: int) -> np.ndarray:
+    """Rates c_ij / p_i with c symmetric: in detailed balance with the measure p."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.5, 2.0, n)
+    c = rng.uniform(0.5, 2.0, (n, n))
+    rates = (c + c.T) / 2 / p[:, None]
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+# (rates, passed, worst cycle, worst ratio, basis cycles): pairs with both rates positive
+# minus the spanning forest's edges
+KOLMOGOROV_CASES = {
+    # one cycle, with forward/backward product 2^7
+    "ring_7": lambda: (_ring(7, 2.0, 1.0), False, (1, 2, 3, 4, 5, 6, 7), 128.0, 1),
+    "one_way_pair": lambda: ([[0.0, 1.0], [0.0, 0.0]], False, (1, 2), np.inf, 0),
+    # state 3 is entered from state 2 and never left
+    "one_way_state": lambda: (
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], False, (2, 3), np.inf, 0
+    ),
+    "balanced_40": lambda: (_balanced_chain(40, 3), True, (), 1.0, 40 * 39 // 2 - 39),
+}
+
+
 class TestKolmogorov:
     def test_symmetric_rates_pass(self):
         rng = np.random.default_rng(0)
@@ -839,19 +871,30 @@ class TestKolmogorov:
         assert res.worst_ratio == pytest.approx(2.0)
         assert res.worst_cycle == (1, 2, 3)
 
-    def test_cycle_cap(self):
-        rng = np.random.default_rng(2)
-        r = rng.uniform(0.5, 1.0, (9, 9))
-        np.fill_diagonal(r, 0.0)
-        res = ek.kolmogorov_cycle_check(ek.DiscreteChainSpec(r), max_cycle_len=6, max_cycles=50)
-        assert res.truncated
-        assert res.cycles_checked == 50
-
     def test_one_sided_zero_rate_fails(self):
         rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         res = ek.kolmogorov_cycle_check(ek.DiscreteChainSpec(rates))
         assert not res.passed
         assert res.worst_ratio == np.inf
+
+    @pytest.mark.parametrize("edge", [(0, 39), (30, 35)])
+    def test_potentials_past_the_double_range_fault(self, edge):
+        # a 40-state path with ratio 1e10 per step puts the last potentials past 1e308;
+        # the edge (0, 39) closes an unbalanced ring, (30, 35) a cycle of two inf products
+        rates = np.diag(np.full(39, 1e10), 1) + np.diag(np.ones(39), -1)
+        rates[edge] = rates[edge[::-1]] = 1.0
+        with pytest.raises(ek.ValidationError, match="double range"):
+            ek.kolmogorov_cycle_check(ek.DiscreteChainSpec(rates))
+
+    @pytest.mark.parametrize("case", sorted(KOLMOGOROV_CASES))
+    def test_cycle_basis_verdicts(self, case):
+        # each verdict holds whatever the cycle length: the test is exact on a cycle basis
+        rates, passed, cycle, ratio, basis = KOLMOGOROV_CASES[case]()
+        res = ek.kolmogorov_cycle_check(ek.DiscreteChainSpec(rates))
+        assert res.passed is passed
+        assert res.worst_cycle == cycle
+        assert res.worst_ratio == pytest.approx(ratio)
+        assert res.cycles_checked == basis
 
 
 class TestMeasureTransform:

@@ -49,3 +49,17 @@ def test_gamma_cdf_imports_gammainc_and_matches_it_bitwise():
         "print(json.dumps({'before': before, 'same': same}))\n"
     )
     assert out == {"before": False, "same": True}
+
+
+def test_bundled_one_type_check_leaves_scipy_special_unimported(tmp_path):
+    # every check of the one-type scenario evaluates pdfs and uniform or exponential
+    # CDFs, none of which needs the gamma CDF
+    loaded = _run(
+        "import contextlib, io, json, sys\n"
+        "from enerkin import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main(['check', '--scenario', {str(ROOT / 'scenarios' / 'exponential_equilibrium.json')!r},\n"
+        f"                   '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps({'rc': rc, 'scipy.special': 'scipy.special' in sys.modules}))\n"
+    )
+    assert loaded == {"rc": 0, "scipy.special": False}

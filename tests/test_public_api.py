@@ -120,8 +120,8 @@ EXPORTS = {
         "CollisionRateDensity": "(network)",
         "ResidualReport": "(max_residual, n_evaluated, n_skipped, worst_point=None)",
         "EntropyCheck": "(min_delta, passed, entropies)",
-        "CycleCheckResult": "(passed, worst_cycle, worst_ratio, cycles_checked, truncated=False)",
-        "DiscreteChainSpec": "(rates, weights=None)",
+        "CycleCheckResult": "(passed, worst_cycle, worst_ratio, cycles_checked)",
+        "DiscreteChainSpec": "(rates)",
         "PairReactionSpec": "(v, w, v_out, w_out, b_forward, b_backward)",
         "sample_conserving_quadruples": (
             "(network, n, seed=0, energy_scale=1.0, include_corners=True)"
@@ -139,7 +139,7 @@ EXPORTS = {
         "product_form_residual": "(network, weights, beta, n_check=64)",
         "vector_particle_stationary": "(p, nu, internal, beta, channels, n_check=64)",
         "pair_reversibility_residual": "(pi, nu, internal, beta, channels, n_check=64)",
-        "kolmogorov_cycle_check": "(chain, max_cycle_len=6, max_cycles=100000)",
+        "kolmogorov_cycle_check": "(chain)",
         "measure_transform": "(rho, beta, x)",
         "ks_distance": "(samples, cdf)",
     },

@@ -37,6 +37,8 @@ class TestRates:
         r = ek.PowerGapRate(3.0, 0.0, 1.0)
         assert r(0.5) == 0.0
         assert r(1.5) == 3.0
+        assert r(1.0) == 3.0  # open at the threshold itself
+        assert r(np.array([0.5, 1.0, 1.5])).tolist() == [0.0, 3.0, 3.0]
 
 
 class TestUniformSplit:
@@ -286,6 +288,7 @@ class TestScalarRates:
         "power_0": lambda thr: ek.PowerGapRate(0.7, 0.0, thr),
         "power_1": lambda thr: ek.PowerGapRate(0.7, 1.0, thr),
         "power_half": lambda thr: ek.PowerGapRate(0.7, 0.5, thr),
+        "power_negative": lambda thr: ek.PowerGapRate(0.7, -0.5, thr),
         "callable_0d": lambda thr: ek.CallableUnaryRate(lambda u: np.asarray(0.25 + np.sqrt(u))),
         "callable_size1": lambda thr: ek.CallableUnaryRate(lambda u: np.reshape(0.25 + np.sqrt(u), -1)),
     }

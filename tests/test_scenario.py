@@ -392,5 +392,20 @@ class TestCheckTable:
             "energy_scale": 1.0,
         }
         args = scenario.check_arguments(sc, {"name": "kolmogorov", "rates": [[0, 2], [1, 0]]})
+        assert set(args) == {"tolerance", "rates"}
         assert isinstance(args["rates"], ek.DiscreteChainSpec)
-        assert args["max_cycle_len"] == 6
+
+
+class TestStationaryProfileResidual:
+    def test_canonical_network_profile_is_stationary(self):
+        # the product-form measure of the two-type canonical network, Gamma(2, 1) and
+        # Exp(1) at weights 1/2, sampled at the cell centres of [0, 20]; the bound leaves
+        # the operator's discretization error at h = 0.005 and lies far below the
+        # round-off wall that the same profile meets at x_max = 40
+        sc = ek.load_scenario(SCENARIO_DIR / "two_type_canonical.json")
+        params = {"name": "stationary_profile_residual", "x_max": 20.0}
+        args = scenario.check_arguments(sc, params)
+        assert args["measure"].weights == (0.5, 0.5)
+        observed, samples = CHECKS["stationary_profile_residual"].run(sc, args)
+        assert samples == 4000
+        assert observed <= 1e-6
