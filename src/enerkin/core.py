@@ -13,7 +13,6 @@ Type ids are 1-based throughout the public surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -86,28 +85,63 @@ class SolverBlowupError(KineticsError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class TypeTable:
+class _Record:
+    """Base of the package's record classes: plain classes with a written-out
+    ``__init__`` whose ``_fields`` name their attributes in its order.
+
+    A record shows as ``Name(field=value, ...)`` and equals only a record of
+    its own class with equal fields.  A mutable record is unhashable.
+    """
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _FrozenRecord(_Record):
+    """A record that refuses attribute assignment and hashes by its fields; its
+    ``__init__`` sets them through ``vars(self)``."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class TypeTable(_FrozenRecord):
     """The V molecule types with their internal energies (ids 1..V)."""
 
-    internal_energies: np.ndarray
-    labels: tuple[str, ...] | None = None
+    _fields = ("internal_energies", "labels")
 
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.internal_energies, dtype=float)).copy()
+    def __init__(self, internal_energies: np.ndarray, labels: tuple[str, ...] | None = None):
+        arr = np.atleast_1d(np.asarray(internal_energies, dtype=float)).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("a type table needs at least one type")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValidationError("internal energies must be finite and >= 0")
         arr.setflags(write=False)
-        object.__setattr__(self, "internal_energies", arr)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
             if len(labels) != arr.size:
                 raise ValidationError(
                     f"{len(labels)} labels for {arr.size} types"
                 )
-            object.__setattr__(self, "labels", labels)
+        vars(self).update(internal_energies=arr, labels=labels)
 
     @property
     def count(self) -> int:
@@ -129,21 +163,18 @@ class TypeTable:
             )
 
 
-@dataclass
-class ParticleSystem:
+class ParticleSystem(_Record):
     """State of the M-particle chain: parallel type/energy arrays and a clock.
 
     Particles form an unordered multiset; indices exist for bookkeeping only
     and no observable output may depend on their order.
     """
 
-    type_ids: np.ndarray
-    kinetic_energies: np.ndarray
-    time: float = 0.0
+    _fields = ("type_ids", "kinetic_energies", "time")
 
-    def __post_init__(self):
-        tids = np.atleast_1d(np.asarray(self.type_ids, dtype=np.int64)).copy()
-        kin = np.atleast_1d(np.asarray(self.kinetic_energies, dtype=float)).copy()
+    def __init__(self, type_ids: np.ndarray, kinetic_energies: np.ndarray, time: float = 0.0):
+        tids = np.atleast_1d(np.asarray(type_ids, dtype=np.int64)).copy()
+        kin = np.atleast_1d(np.asarray(kinetic_energies, dtype=float)).copy()
         if tids.shape != kin.shape or tids.ndim != 1:
             raise ValidationError("type ids and energies must be matching 1-d arrays")
         if np.any(tids < 1):
@@ -152,6 +183,7 @@ class ParticleSystem:
             raise ValidationError("kinetic energies must be finite and >= 0")
         self.type_ids = tids
         self.kinetic_energies = kin
+        self.time = time
 
     @classmethod
     def from_particles(cls, particles: Iterable[tuple], time: float = 0.0):

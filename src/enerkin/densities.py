@@ -9,11 +9,10 @@ and the equilibrium checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _FrozenRecord
 
 __all__ = [
     "DensityFamily",
@@ -51,13 +50,13 @@ class DensityFamily:
         return None
 
 
-@dataclass(frozen=True)
-class Exponential(DensityFamily):
-    beta: float
+class Exponential(_FrozenRecord, DensityFamily):
+    _fields = ("beta",)
 
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError(f"exponential rate must be positive, got {self.beta}")
+    def __init__(self, beta: float):
+        vars(self)["beta"] = beta
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValidationError(f"exponential rate must be positive, got {beta}")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -80,16 +79,15 @@ class Exponential(DensityFamily):
         return (1.0, self.beta)
 
 
-@dataclass(frozen=True)
-class GammaDensity(DensityFamily):
-    nu: float
-    beta: float
+class GammaDensity(_FrozenRecord, DensityFamily):
+    _fields = ("nu", "beta")
 
-    def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValidationError(f"gamma shape must be positive, got {self.nu}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError(f"gamma rate must be positive, got {self.beta}")
+    def __init__(self, nu: float, beta: float):
+        vars(self).update(nu=nu, beta=beta)
+        if not (nu > 0 and math.isfinite(nu)):
+            raise ValidationError(f"gamma shape must be positive, got {nu}")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValidationError(f"gamma rate must be positive, got {beta}")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -126,14 +124,13 @@ class GammaDensity(DensityFamily):
         return (self.nu, self.beta)
 
 
-@dataclass(frozen=True)
-class UniformDensity(DensityFamily):
-    lo: float
-    hi: float
+class UniformDensity(_FrozenRecord, DensityFamily):
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not (0 <= self.lo < self.hi and math.isfinite(self.hi)):
-            raise ValidationError(f"need 0 <= lo < hi < inf, got [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        vars(self).update(lo=lo, hi=hi)
+        if not (0 <= lo < hi and math.isfinite(hi)):
+            raise ValidationError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -153,16 +150,15 @@ class UniformDensity(DensityFamily):
         return (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Shifted(DensityFamily):
+class Shifted(_FrozenRecord, DensityFamily):
     """A base density translated right by a nonnegative offset."""
 
-    base: DensityFamily
-    offset: float
+    _fields = ("base", "offset")
 
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValidationError(f"offset must be >= 0, got {self.offset}")
+    def __init__(self, base: DensityFamily, offset: float):
+        vars(self).update(base=base, offset=offset)
+        if offset < 0:
+            raise ValidationError(f"offset must be >= 0, got {offset}")
 
     def pdf(self, x):
         return self.base.pdf(np.asarray(x, dtype=float) - self.offset)

@@ -15,13 +15,19 @@ form gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .core import KernelSupportError, KineticsError, ValidationError, available_kinetic_energy
+from .core import (
+    KernelSupportError,
+    KineticsError,
+    ValidationError,
+    _FrozenRecord,
+    _Record,
+    available_kinetic_energy,
+)
 from .densities import DensityFamily, GammaDensity, ShiftedGamma
 from .reactions import ConstantUnaryRate, PowerGapRate, ReactionNetwork
 from .solver import DensityGrid, _plan_support_fault
@@ -54,25 +60,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypedDensity:
+class TypedDensity(_FrozenRecord):
     """A normalized measure on types x energies: weight_v * rho_v(x)."""
 
-    families: tuple
-    weights: tuple = None
+    _fields = ("families", "weights")
 
-    def __post_init__(self):
-        fams = tuple(self.families)
-        object.__setattr__(self, "families", fams)
-        if self.weights is None:
+    def __init__(self, families: tuple, weights: tuple = None):
+        fams = tuple(families)
+        if weights is None:
             w = tuple([1.0 / len(fams)] * len(fams)) if len(fams) > 1 else (1.0,)
         else:
-            w = tuple(float(x) for x in self.weights)
+            w = tuple(float(x) for x in weights)
         if len(w) != len(fams):
             raise ValidationError("need one weight per type")
         if not all(math.isfinite(x) and x >= 0 for x in w) or abs(sum(w) - 1.0) > 1e-8:
             raise ValidationError("type weights must be a probability vector")
-        object.__setattr__(self, "weights", w)
+        vars(self).update(families=fams, weights=w)
 
     @property
     def n_types(self) -> int:
@@ -208,12 +211,16 @@ _N_PARTNER = 128
 _CYCLE_REL_TOL = 1e-10
 
 
-@dataclass
-class ResidualReport:
-    max_residual: float
-    n_evaluated: int
-    n_skipped: int
-    worst_point: object = None
+class ResidualReport(_Record):
+    _fields = ("max_residual", "n_evaluated", "n_skipped", "worst_point")
+
+    def __init__(
+        self, max_residual: float, n_evaluated: int, n_skipped: int, worst_point: object = None
+    ):
+        self.max_residual = max_residual
+        self.n_evaluated = n_evaluated
+        self.n_skipped = n_skipped
+        self.worst_point = worst_point
 
     def __float__(self):
         return self.max_residual
@@ -397,11 +404,13 @@ def relative_entropy(f, f0, grid: DensityGrid) -> float:
     return float(terms.sum() * grid.h)
 
 
-@dataclass
-class EntropyCheck:
-    min_delta: float
-    passed: bool
-    entropies: list
+class EntropyCheck(_Record):
+    _fields = ("min_delta", "passed", "entropies")
+
+    def __init__(self, min_delta: float, passed: bool, entropies: list):
+        self.min_delta = min_delta
+        self.passed = passed
+        self.entropies = entropies
 
 
 def entropy_monotonicity_check(snapshots, f0, tol: float = 1e-6) -> EntropyCheck:
@@ -647,16 +656,17 @@ def product_form_residual(network: ReactionNetwork, weights, beta: float, n_chec
     return _balance_residual(links, beta, n_check)
 
 
-@dataclass(frozen=True)
-class PairReactionSpec:
+class PairReactionSpec(_FrozenRecord):
     """A binary type reaction (v, w) -> (v_out, w_out) with pair-chain rates."""
 
-    v: int
-    w: int
-    v_out: int
-    w_out: int
-    b_forward: float
-    b_backward: float
+    _fields = ("v", "w", "v_out", "w_out", "b_forward", "b_backward")
+
+    def __init__(
+        self, v: int, w: int, v_out: int, w_out: int, b_forward: float, b_backward: float
+    ):
+        vars(self).update(
+            v=v, w=w, v_out=v_out, w_out=w_out, b_forward=b_forward, b_backward=b_backward
+        )
 
 
 def vector_particle_stationary(p, nu, internal, beta: float, channels, n_check: int = 64):
@@ -693,14 +703,13 @@ def pair_reversibility_residual(pi, nu, internal, beta, channels, n_check: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiscreteChainSpec:
+class DiscreteChainSpec(_Record):
     """A finite-state chain given by its off-diagonal rate matrix."""
 
-    rates: np.ndarray
+    _fields = ("rates",)
 
-    def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
+    def __init__(self, rates: np.ndarray):
+        r = np.asarray(rates, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValidationError("rate matrix must be square")
         if np.any(np.diag(r) != 0):
@@ -714,12 +723,14 @@ class DiscreteChainSpec:
         return self.rates.shape[0]
 
 
-@dataclass
-class CycleCheckResult:
-    passed: bool
-    worst_cycle: tuple
-    worst_ratio: float
-    cycles_checked: int
+class CycleCheckResult(_Record):
+    _fields = ("passed", "worst_cycle", "worst_ratio", "cycles_checked")
+
+    def __init__(self, passed: bool, worst_cycle: tuple, worst_ratio: float, cycles_checked: int):
+        self.passed = passed
+        self.worst_cycle = worst_cycle
+        self.worst_ratio = worst_ratio
+        self.cycles_checked = cycles_checked
 
 
 def _basis_cycle(parent, i: int, j: int) -> tuple:

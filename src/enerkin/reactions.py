@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -23,6 +22,7 @@ from .core import (
     KernelSupportError,
     TypeTable,
     ValidationError,
+    _FrozenRecord,
     available_kinetic_energy,
 )
 from .densities import DensityFamily
@@ -194,19 +194,17 @@ class CallableUnaryRate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutputPair:
+class OutputPair(_FrozenRecord):
     """An outgoing type pair with its selection weight."""
 
-    first: int
-    second: int
-    weight: float = 1.0
+    _fields = ("first", "second", "weight")
 
-    def __post_init__(self):
-        if self.first < 1 or self.second < 1:
+    def __init__(self, first: int, second: int, weight: float = 1.0):
+        vars(self).update(first=first, second=second, weight=weight)
+        if first < 1 or second < 1:
             raise ValidationError("output type ids are 1-based")
-        if not (self.weight > 0 and math.isfinite(self.weight)):
-            raise ValidationError(f"output weight must be positive, got {self.weight}")
+        if not (weight > 0 and math.isfinite(weight)):
+            raise ValidationError(f"output weight must be positive, got {weight}")
 
 
 def canonical_split_pdf(rho_a: DensityFamily, rho_b: DensityFamily, total, x):
@@ -537,37 +535,33 @@ def _as_float(rate) -> float:
     return float(rate) if isinstance(rate, float) else np.asarray(rate, dtype=float).item()
 
 
-@dataclass(frozen=True)
-class BinaryChannel:
+class BinaryChannel(_FrozenRecord):
     """A collision channel for the unordered reactant pair ``pair`` (v <= w).
 
     The rate is evaluated with the slot of the lower type id first; the
     kernel's outgoing pairs use the same slot convention.
     """
 
-    pair: tuple[int, int]
-    rate: object
-    kernel: ScatteringKernel
+    _fields = ("pair", "rate", "kernel")
 
-    def __post_init__(self):
-        v, w = self.pair
+    def __init__(self, pair: tuple[int, int], rate: object, kernel: ScatteringKernel):
+        vars(self).update(pair=pair, rate=rate, kernel=kernel)
+        v, w = pair
         if v < 1 or w < 1:
             raise ValidationError("reactant type ids are 1-based")
         if v > w:
-            raise ValidationError(f"reactant pair {self.pair} must be ordered v <= w")
+            raise ValidationError(f"reactant pair {pair} must be ordered v <= w")
 
 
-@dataclass(frozen=True)
-class UnaryChannel:
-    source: int
-    target: int
-    rate: object
+class UnaryChannel(_FrozenRecord):
+    _fields = ("source", "target", "rate")
 
-    def __post_init__(self):
-        if self.source < 1 or self.target < 1:
+    def __init__(self, source: int, target: int, rate: object):
+        vars(self).update(source=source, target=target, rate=rate)
+        if source < 1 or target < 1:
             raise ValidationError("type ids are 1-based")
-        if self.source == self.target:
-            raise ValidationError(f"unary channel {self.source}->{self.target} is a self-loop")
+        if source == target:
+            raise ValidationError(f"unary channel {source}->{target} is a self-loop")
 
 
 class ReactionNetwork:

@@ -26,13 +26,20 @@ import copy
 import json
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import equilibrium as eq
-from .core import KernelSupportError, KineticsError, ParticleSystem, TypeTable, ValidationError
+from .core import (
+    KernelSupportError,
+    KineticsError,
+    ParticleSystem,
+    TypeTable,
+    ValidationError,
+    _FrozenRecord,
+    _Record,
+)
 from .densities import Exponential, density_from_spec
 from .reactions import (
     BinaryChannel,
@@ -135,16 +142,17 @@ def _density_pair(value) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _Param:
+class _Param(_FrozenRecord):
     """A declared key: the converter of its value, and its default, if any.
 
     A key that is absent or null takes the default; without one it is
     required.
     """
 
-    convert: Callable = _number
-    default: object = _REQUIRED
+    _fields = ("convert", "default")
+
+    def __init__(self, convert: Callable = _number, default: object = _REQUIRED):
+        vars(self).update(convert=convert, default=default)
 
     def read(self, spec: dict, key: str, field: str, scenario) -> object:
         if spec.get(key) is None:
@@ -321,8 +329,7 @@ def _energy_entry_from_spec(spec, field: str):
     return p["value"]
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record):
     """A loaded scenario: its sections converted and validated once.
 
     ``run`` holds the simulator's config values (histogram edges built) and
@@ -331,14 +338,27 @@ class Scenario:
     the document it was loaded from.
     """
 
-    types: TypeTable
-    network: ReactionNetwork
-    initial: object | None
-    run: dict | None
-    solve: dict | None
-    reference: TypedDensity | None
-    checks: list
-    source: dict
+    _fields = ("types", "network", "initial", "run", "solve", "reference", "checks", "source")
+
+    def __init__(
+        self,
+        types: TypeTable,
+        network: ReactionNetwork,
+        initial: object | None,
+        run: dict | None,
+        solve: dict | None,
+        reference: TypedDensity | None,
+        checks: list,
+        source: dict,
+    ):
+        self.types = types
+        self.network = network
+        self.initial = initial
+        self.run = run
+        self.solve = solve
+        self.reference = reference
+        self.checks = checks
+        self.source = source
 
     # -- assembled configs ----------------------------------------------------
 
@@ -521,16 +541,16 @@ def _spot_check_kernels(network: ReactionNetwork, fields: dict = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(_FrozenRecord):
     """A residual check: ``run(scenario, args)`` returns the observed residual
     and the number of samples it used; ``params`` declares every key of its
     ``checks[]`` entry but ``name``; ``prepare(scenario, args)``, if any, runs
     at load and returns the arguments ``run`` takes."""
 
-    run: Callable
-    params: dict
-    prepare: Callable | None = None
+    _fields = ("run", "params", "prepare")
+
+    def __init__(self, run: Callable, params: dict, prepare: Callable | None = None):
+        vars(self).update(run=run, params=params, prepare=prepare)
 
 
 def _check(run, prepare=None, **params) -> _Check:

@@ -65,7 +65,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Union
 
@@ -78,6 +77,8 @@ from .core import (
     ParticleSystem,
     SimulationError,
     ValidationError,
+    _FrozenRecord,
+    _Record,
 )
 from .densities import DensityFamily
 from .reactions import ConstantRate, ConstantUnaryRate, ReactionNetwork, _as_float
@@ -98,20 +99,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
+class CollisionEvent(_FrozenRecord):
     """A binary collision of particles i and j (slot order as selected)."""
 
-    i: int
-    j: int
+    _fields = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        vars(self).update(i=i, j=j)
 
 
-@dataclass(frozen=True)
-class UnaryEvent:
+class UnaryEvent(_FrozenRecord):
     """A type conversion of particle i into ``target``."""
 
-    i: int
-    target: int
+    _fields = ("i", "target")
+
+    def __init__(self, i: int, target: int):
+        vars(self).update(i=i, target=target)
 
 
 def _check_energies(energies, n_types: int) -> None:
@@ -124,42 +127,39 @@ def _check_energies(energies, n_types: int) -> None:
             raise ValidationError(f"fixed initial energy must be >= 0, got {e}", field="energies")
 
 
-@dataclass(frozen=True)
-class TypeCountsInitial:
+class TypeCountsInitial(_FrozenRecord):
     """n_v particles per type; energies i.i.d. from a density or at a fixed value."""
 
-    counts: tuple
-    energies: tuple  # per type: DensityFamily or a fixed float
+    _fields = ("counts", "energies")
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts) or sum(self.counts) < 1:
+    def __init__(self, counts: tuple, energies: tuple):  # energies: DensityFamily or float each
+        vars(self).update(counts=counts, energies=energies)
+        if any(c < 0 for c in counts) or sum(counts) < 1:
             raise ValidationError(
-                f"counts must be >= 0 with at least one particle, got {self.counts}",
+                f"counts must be >= 0 with at least one particle, got {counts}",
                 field="counts",
             )
-        _check_energies(self.energies, len(self.counts))
+        _check_energies(energies, len(counts))
 
 
-@dataclass(frozen=True)
-class MixtureInitial:
+class MixtureInitial(_FrozenRecord):
     """``total`` particles with i.i.d. types from ``probabilities`` and per-type energies."""
 
-    total: int
-    probabilities: tuple
-    energies: tuple
+    _fields = ("total", "probabilities", "energies")
 
-    def __post_init__(self):
-        if self.total < 1:
+    def __init__(self, total: int, probabilities: tuple, energies: tuple):
+        vars(self).update(total=total, probabilities=probabilities, energies=energies)
+        if total < 1:
             raise ValidationError(
-                f"mixture initial needs at least one particle, got {self.total}", field="total"
+                f"mixture initial needs at least one particle, got {total}", field="total"
             )
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.asarray(probabilities, dtype=float)
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValidationError(
-                f"mixture probabilities must be a distribution, got {self.probabilities}",
+                f"mixture probabilities must be a distribution, got {probabilities}",
                 field="probabilities",
             )
-        _check_energies(self.energies, p.size)
+        _check_energies(energies, p.size)
 
 
 InitialState = Union[ParticleSystem, TypeCountsInitial, MixtureInitial]
@@ -172,16 +172,31 @@ def _check_integer(value, field: str, low: int) -> None:
         raise ValidationError(f"{field} must be >= {low}, got {value}", field=field)
 
 
-@dataclass
-class SimulatorConfig:
-    network: ReactionNetwork
-    initial_state: InitialState
-    t_end: float
-    snapshot_times: tuple = ()
-    seed: int = 0
-    replicas: int = 1
-    max_events: int | None = None
-    histogram_edges: np.ndarray | None = None
+class SimulatorConfig(_Record):
+    _fields = (
+        "network", "initial_state", "t_end", "snapshot_times", "seed", "replicas", "max_events",
+        "histogram_edges",
+    )
+
+    def __init__(
+        self,
+        network: ReactionNetwork,
+        initial_state: InitialState,
+        t_end: float,
+        snapshot_times: tuple = (),
+        seed: int = 0,
+        replicas: int = 1,
+        max_events: int | None = None,
+        histogram_edges: np.ndarray | None = None,
+    ):
+        self.network = network
+        self.initial_state = initial_state
+        self.t_end = t_end
+        self.snapshot_times = snapshot_times
+        self.seed = seed
+        self.replicas = replicas
+        self.max_events = max_events
+        self.histogram_edges = histogram_edges
 
     def validate(self) -> None:
         if self.t_end < 0:
@@ -203,26 +218,48 @@ class SimulatorConfig:
                 )
 
 
-@dataclass
-class Snapshot:
+class Snapshot(_Record):
     """The chain at a requested time: events attempted so far, per-type counts
     and histograms, and a copy of the particle state."""
 
-    time: float
-    event_count: int
-    type_counts: np.ndarray
-    histograms: list
-    state: ParticleSystem
+    _fields = ("time", "event_count", "type_counts", "histograms", "state")
+
+    def __init__(
+        self,
+        time: float,
+        event_count: int,
+        type_counts: np.ndarray,
+        histograms: list,
+        state: ParticleSystem,
+    ):
+        self.time = time
+        self.event_count = event_count
+        self.type_counts = type_counts
+        self.histograms = histograms
+        self.state = state
 
 
-@dataclass
-class Trajectory:
-    snapshots: list
-    final_state: ParticleSystem
-    histogram_edges: np.ndarray
-    events_applied: int
-    noop_events: int
-    rejected_proposals: int = 0  # thinned collision proposals; not events
+class Trajectory(_Record):
+    _fields = (
+        "snapshots", "final_state", "histogram_edges", "events_applied", "noop_events",
+        "rejected_proposals",
+    )
+
+    def __init__(
+        self,
+        snapshots: list,
+        final_state: ParticleSystem,
+        histogram_edges: np.ndarray,
+        events_applied: int,
+        noop_events: int,
+        rejected_proposals: int = 0,  # thinned collision proposals; not events
+    ):
+        self.snapshots = snapshots
+        self.final_state = final_state
+        self.histogram_edges = histogram_edges
+        self.events_applied = events_applied
+        self.noop_events = noop_events
+        self.rejected_proposals = rejected_proposals
 
     @property
     def event_count(self) -> int:

@@ -42,12 +42,10 @@ network of one type with a constant rate and a uniform split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .core import SolverBlowupError, TypeTable, ValidationError
+from .core import SolverBlowupError, TypeTable, ValidationError, _Record
 from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
 
 __all__ = [
@@ -65,14 +63,18 @@ __all__ = [
 SCHEMES = ("dopri5", "rk4")
 
 
-@dataclass
-class DensityGrid:
+class DensityGrid(_Record):
     """Per-type cell-centered densities on a uniform energy grid."""
 
-    x_max: float
-    values: np.ndarray  # shape (V, n_cells)
+    _fields = ("x_max", "values")
+
+    def __init__(self, x_max: float, values: np.ndarray):  # values: shape (V, n_cells)
+        self.x_max = x_max
+        self.values = values
+        self.__post_init__()
 
     def __post_init__(self):
+        # its own method, which perfbench's tracer times as the span solver.DensityGrid
         if not (self.x_max > 0):
             raise ValidationError(f"x_max must be positive, got {self.x_max}")
         # a copy, with any -0.0 as 0.0
@@ -531,8 +533,7 @@ _DEFAULT_RTOL = 1e-8
 _KAPPA = 1e-6  # dopri5 feeds a stage entry in [-_KAPPA * atol, 0) to the right-hand side
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(_Record):
     """A solve of ``network`` to ``t_end`` with one scheme, snapshots at
     ``snapshot_times`` (None: ``t_end`` only), each in [0, t_end].
 
@@ -542,12 +543,23 @@ class SolverConfig:
     (``check_plan_support``).
     """
 
-    network: ReactionNetwork
-    t_end: float
-    dt: float | None = None
-    scheme: str = "dopri5"
-    rtol: float | None = None
-    snapshot_times: tuple | None = None
+    _fields = ("network", "t_end", "dt", "scheme", "rtol", "snapshot_times")
+
+    def __init__(
+        self,
+        network: ReactionNetwork,
+        t_end: float,
+        dt: float | None = None,
+        scheme: str = "dopri5",
+        rtol: float | None = None,
+        snapshot_times: tuple | None = None,
+    ):
+        self.network = network
+        self.t_end = t_end
+        self.dt = dt
+        self.scheme = scheme
+        self.rtol = rtol
+        self.snapshot_times = snapshot_times
 
     def validate(self) -> None:
         if self.t_end < 0:

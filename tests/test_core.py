@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 import enerkin as ek
 from conftest import SplitKernel
+from enerkin import scenario
+from enerkin.core import _Record
 
 
 def make_system(pairs):
@@ -168,7 +173,8 @@ class TestApplyCollision:
     def test_out_of_range_split_faults(self, one_type_table):
         sys0 = make_system([(1, 1.0), (1, 1.0)])
         net = fixed_split_network(one_type_table, (1, 1), [(1, 1, 1.0)], lambda e: 2.5)
-        with pytest.raises(ek.InfeasibleReactionError):
+        fault = "split 2.5 of output OutputPair(first=1, second=1, weight=1.0) outside [0, 2.0]"
+        with pytest.raises(ek.InfeasibleReactionError, match=re.escape(fault)):
             execute(sys0, ek.CollisionEvent(0, 1), net)
 
     def test_same_index_faults(self, one_type_network):
@@ -354,3 +360,53 @@ def test_multiset_equality_ignores_order():
     b = make_system([(2, 1.0), (1, 0.5)])
     assert a.multiset_equal(b)
     assert not a.multiset_equal(make_system([(1, 0.5), (2, 1.1)]))
+
+
+def _frozen_records():
+    gamma = ek.GammaDensity(2.0, 1.0)
+    uniform = ek.UniformKernel([(1, 1, 1.0)])
+    return [
+        ek.TypeTable(np.array([0.0, 1.0])),
+        ek.Exponential(1.0),
+        gamma,
+        ek.UniformDensity(0.0, 2.0),
+        ek.Shifted(gamma, 0.5),
+        ek.ShiftedGamma(2.0, 1.0, 0.5),
+        ek.OutputPair(1, 2),
+        ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), uniform),
+        ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(1.0)),
+        ek.CollisionEvent(0, 1),
+        ek.UnaryEvent(0, 2),
+        ek.TypeCountsInitial((2,), (1.0,)),
+        ek.MixtureInitial(2, (1.0,), (1.0,)),
+        ek.TypedDensity((gamma,)),
+        ek.PairReactionSpec(1, 2, 2, 1, 1.0, 1.0),
+        scenario._Param(),
+        scenario._Check(len, {}),
+    ]
+
+
+@pytest.mark.parametrize("record", _frozen_records(), ids=lambda r: type(r).__name__)
+def test_frozen_record_refuses_assignment(record):
+    for name in record._fields:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_record_fields_are_the_constructor_parameters():
+    # repr, == and hash read _fields, so each must list every parameter in order
+    records, todo = [], [_Record]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if "_fields" in vars(cls) and cls is not _Record:
+            records.append(cls)
+    assert len(records) == 27
+    for cls in records:
+        assert tuple(inspect.signature(cls).parameters) == cls._fields, cls.__name__

@@ -161,6 +161,20 @@ class TestShiftedGammaIsAShiftedGamma:
         assert fam != ek.ShiftedGamma(3.0, 1.5, 0.5)
         assert fam != ek.Shifted(ek.GammaDensity(2.0, 1.5), 0.5)
         assert len({fam, ek.ShiftedGamma(2.0, 1.5, 0.5), ek.ShiftedGamma(2.0, 1.5)}) == 2
+        assert repr(fam) == "ShiftedGamma(base=GammaDensity(nu=2.0, beta=1.5), offset=0.5)"
+        # every parametric family compares and hashes by value, within its own class
+        for make, args, other in [
+            (ek.Exponential, (1.5,), (2.0,)),
+            (ek.GammaDensity, (2.0, 1.5), (2.0, 1.0)),
+            (ek.UniformDensity, (0.0, 2.0), (0.5, 2.0)),
+            (ek.Shifted, (ek.GammaDensity(2.0, 1.5), 0.5), (ek.GammaDensity(2.0, 1.5), 0.25)),
+            (ek.ShiftedGamma, (2.0, 1.5, 0.5), (2.0, 1.5, 0.25)),
+        ]:
+            a, b, c = make(*args), make(*args), make(*other)
+            assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+            assert a != c and not a != b
+            assert repr(a) == repr(b) != repr(c)
+            assert repr(a).startswith(f"{make.__name__}(")
         assert ek.ShiftedGamma(2.0, 1.5).shift == 0.0
         assert ek.ShiftedGamma(2.0, 1.5).gamma_shape() == (2.0, 1.5)
         assert fam.gamma_shape() is None

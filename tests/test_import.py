@@ -63,3 +63,14 @@ def test_bundled_one_type_check_leaves_scipy_special_unimported(tmp_path):
         "print(json.dumps({'rc': rc, 'scipy.special': 'scipy.special' in sys.modules}))\n"
     )
     assert loaded == {"rc": 0, "scipy.special": False}
+
+
+def test_import_leaves_dataclasses_unimported():
+    # every record class is a plain class with a written-out __init__: no
+    # dataclass code is generated and compiled at import
+    loaded = _run(
+        "import json, sys\n"
+        "import enerkin, enerkin.cli, enerkin.equilibrium\n"
+        "print(json.dumps('dataclasses' in sys.modules))\n"
+    )
+    assert loaded is False

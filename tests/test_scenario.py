@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -262,7 +261,11 @@ class TestLoad:
         assert np.isnan(net.kernel_normalization_errors(100, np.random.default_rng(0))[(1, 1)])
         with pytest.raises(ek.ValidationError, match=re.escape("network.binary (1, 1)")):
             scenario._spot_check_kernels(net)
-        sc = dataclasses.replace(scenario_from_dict(minimal_doc()), network=net)
+        base = scenario_from_dict(minimal_doc())
+        sc = ek.Scenario(
+            base.types, net, base.initial, base.run, base.solve, base.reference, base.checks,
+            base.source,
+        )
         args = scenario.check_arguments(sc, {"name": "kernel_normalization", "samples": 100})
         result = cli._run_check(sc, "kernel_normalization", args)
         assert np.isnan(result["observed"]) and result["passed"] is False
@@ -375,7 +378,8 @@ class TestCheckTable:
             raise AssertionError("loading evaluated a check")
 
         for name, check in CHECKS.items():
-            monkeypatch.setitem(CHECKS, name, dataclasses.replace(check, run=evaluated))
+            stub = scenario._Check(evaluated, check.params, check.prepare)
+            monkeypatch.setitem(CHECKS, name, stub)
         monkeypatch.setattr(scenario, "integrate", evaluated)
         monkeypatch.setattr(ek.equilibrium, "sample_conserving_quadruples", evaluated)
         for name in BUNDLED:

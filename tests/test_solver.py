@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +402,29 @@ class TestCollisionPlan:
         )
         assert np.array_equal(ek.rhs_multitype(g, shifted), ek.rhs_multitype(g, plain))
 
+    def test_equal_laws_share_deposit_rows_across_channels(self):
+        # (1, 1) and (2, 2) each feed both recipients, so the rows of (1, G, G) and
+        # (2, E, E) are met twice; densities compare by value, so laws built anew per
+        # channel merge into the same rows as laws the channels share
+        outputs = {(1, 1): [(1, 1, 1.0), (2, 2, 1.0)], (1, 2): [(1, 2, 1.0)],
+                   (2, 2): [(2, 2, 1.0), (1, 1, 1.0)]}
+
+        def network(laws):
+            return ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [
+                ek.BinaryChannel(pair, ek.ConstantRate(1.0), ek.CanonicalKernel(outs, laws()))
+                for pair, outs in outputs.items()
+            ])
+
+        shared_laws = {1: ek.GammaDensity(2.0, 1.0), 2: ek.Exponential(1.0)}
+        shared = network(lambda: shared_laws)
+        apart = network(lambda: {1: ek.GammaDensity(2.0, 1.0), 2: ek.Exponential(1.0)})
+        g = ek.DensityGrid.from_families(
+            [ek.GammaDensity(2, 1), ek.UniformDensity(0, 2)], 12.0, 60, weights=[0.5, 0.5]
+        )
+        plans = [ek.CollisionPlan(net, g.n_cells, g.x_max) for net in (shared, apart)]
+        assert len(plans[0]._adds) == len(plans[1]._adds) == 4
+        assert np.array_equal(plans[1].rhs(g.values), plans[0].rhs(g.values))
+
     def test_pdfs_evaluated_only_while_building_the_plan(
         self, two_type_canonical_network, monkeypatch
     ):
@@ -618,7 +640,8 @@ class TestIntegrate:
         )
         (t1, _), (t2, end) = ek.integrate(g, cfg)
         assert (t1, t2) == (0.3, 1.0)
-        (_, alone), = ek.integrate(g, dataclasses.replace(cfg, snapshot_times=None))
+        alone_cfg = ek.SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", network=ONE_TYPE)
+        (_, alone), = ek.integrate(g, alone_cfg)
         assert np.array_equal(end.values, alone.values)
 
     def test_config_validation(self):
@@ -681,7 +704,8 @@ class TestDopri5:
         out = ek.integrate(two_gap_grid(), cfg)
         assert [t for t, _ in out] == list(times)
         # and each state is the one at its label
-        ref = ek.integrate(two_gap_grid(), dataclasses.replace(cfg, scheme="rk4", dt=0.01))
+        rk4 = ek.SolverConfig(t_end=3.0, network=net, snapshot_times=times, scheme="rk4", dt=0.01)
+        ref = ek.integrate(two_gap_grid(), rk4)
         assert [t for t, _ in ref] == list(times)
         for (_, a), (_, b) in zip(out, ref):
             assert np.max(np.abs(a.values - b.values)) < 1e-7
@@ -693,7 +717,10 @@ class TestDopri5:
         out = ek.integrate(grid0, cfg)
         assert [t for t, _ in out] == [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0]
         assert out.rhs_evals <= 500
-        ref = ek.integrate(grid0, dataclasses.replace(cfg, scheme="rk4", dt=0.01))
+        rk4 = ek.SolverConfig(
+            cfg.network, cfg.t_end, dt=0.01, scheme="rk4", snapshot_times=cfg.snapshot_times
+        )
+        ref = ek.integrate(grid0, rk4)
         assert max(np.max(np.abs(a.values - b.values)) for (_, a), (_, b) in zip(out, ref)) < 1e-7
 
     def test_mass_conserved_without_gap_or_leak(self, two_type_canonical_network):
