@@ -54,8 +54,8 @@ class InfeasibleReactionError(KineticsError):
 
 
 class KernelSupportError(KineticsError):
-    """A kernel was conditioned on a total energy carrying no mass; ``field``,
-    when set, names the kernel at fault."""
+    """A kernel's split law has no mass at an energy it may be conditioned on; ``field``,
+    when set, names the kernel at fault (``binary[k].kernel`` of a network)."""
 
     field = None
 

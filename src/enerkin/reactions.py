@@ -227,6 +227,13 @@ def canonical_split_pdf(rho_a: DensityFamily, rho_b: DensityFamily, total, x):
     return np.where((x >= 0) & (x <= total), vals, 0.0)
 
 
+def _split_support(rho_a: DensityFamily, rho_b: DensityFamily, e):
+    """(lo, hi) outside which rho_a(x) rho_b(e - x) vanishes, from the densities' supports
+    ([0, e] for two on [0, inf)); ``e`` may be an array."""
+    (lo_a, hi_a), (lo_b, hi_b) = rho_a.support(), rho_b.support()
+    return np.maximum(lo_a, e - hi_b), np.minimum(hi_a, e - lo_b)
+
+
 def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total) -> np.ndarray:
     """Convolution of the two densities at each ``total`` (closed form when gamma)."""
     ga, gb = rho_a.gamma_shape(), rho_b.gamma_shape()
@@ -237,8 +244,10 @@ def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total) -> np.n
     n = 4096
 
     def midpoint(t):
-        xs = (np.arange(n) + 0.5) * (t / n)
-        return float(np.sum(rho_a.pdf(xs) * rho_b.pdf(t - xs)) * (t / n))
+        lo, hi = _split_support(rho_a, rho_b, t)
+        h = max(hi - lo, 0.0) / n
+        xs = lo + (np.arange(n) + 0.5) * h
+        return float(np.sum(rho_a.pdf(xs) * rho_b.pdf(t - xs)) * h)
 
     # one total at a time, so that no (totals x 4096) array is built
     return np.array([midpoint(t) for t in np.ravel(total)]).reshape(np.shape(total))
@@ -250,7 +259,7 @@ def sample_canonical_split(
     """Draw the first outgoing kinetic energy under the canonical split at ``total``.
 
     Gamma-family pairs with a common rate use the exact beta representation;
-    other families fall back on a tabulated inverse CDF.
+    other families fall back on a tabulated inverse CDF over the split's support.
     """
     if total < 0:
         raise ValidationError(f"total kinetic energy must be >= 0, got {total}")
@@ -260,10 +269,11 @@ def sample_canonical_split(
     if ga is not None and gb is not None and ga[1] == gb[1]:
         return float(total * rng.beta(ga[0], gb[0]))
     n = 2048
-    h = total / n
-    xs = (np.arange(n) + 0.5) * h
+    lo, hi = _split_support(rho_a, rho_b, total)
+    h = (hi - lo) / n
+    xs = lo + (np.arange(n) + 0.5) * h
     w = rho_a.pdf(xs) * rho_b.pdf(total - xs)
-    mass = float(w.sum())
+    mass = float(w.sum()) if lo < hi else 0.0
     if mass <= 0.0:
         raise KernelSupportError(
             f"conditioning on total energy {total} carries no mass for this density pair"
@@ -273,7 +283,7 @@ def sample_canonical_split(
     k = int(np.searchsorted(cum, u, side="right") - 1)
     k = min(max(k, 0), n - 1)
     frac = (u - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
-    return float((k + frac) * h)
+    return float(lo + (k + frac) * h)
 
 
 def _tanh_sinh_rule(n: int = 81, t_max: float = 3.1):
@@ -376,6 +386,10 @@ class ScatteringKernel:
     def split_sample(self, out: OutputPair, e_avail: float, rng) -> float:
         raise NotImplementedError
 
+    def _split_support(self, out: OutputPair, e_avail: np.ndarray) -> tuple:
+        """(lo, hi), broadcast against ``e_avail``, outside which its split density vanishes."""
+        return 0.0, e_avail
+
     # -- assembled outcome law ----------------------------------------------
 
     def _outcome_table(self, v, v_other, types: TypeTable) -> _OutcomeTable:
@@ -448,8 +462,8 @@ class ScatteringKernel:
         output's split density is evaluated once on a (rows x nodes) array, and
         every total takes the same float operations, in the same order, as a
         left-to-right sum over the feasible outputs of the outcome table: each
-        output's renormalized weight times the quadrature of its split at the
-        available energy kinetic + release.
+        output's renormalized weight times the quadrature of its split over its
+        support at the available energy kinetic + release.
         """
         kinetic = t + t_other
         table = self._outcome_table(v, v_other, types)
@@ -460,15 +474,10 @@ class ScatteringKernel:
             term = np.where(e == 0.0, wk, 0.0)  # split degenerates to a point mass at 0
             inside = e > 0.0
             if inside.any():
-                e_in = e[inside]
-                try:
-                    pdf = self.split_pdf(out, e_in[:, None], e_in[:, None] * _QUAD_NODES)
-                except KernelSupportError:
-                    if kinetic.size > 1:  # raise the fault of the first pair in draw order
-                        for row in (slice(i, i + 1) for i in range(kinetic.size)):
-                            self._quadrature_totals(v, t[row], v_other, t_other[row], types)
-                    raise
-                term[inside] = wk[inside] * e_in * np.sum(pdf * _QUAD_WEIGHTS, axis=1)
+                e_in = e[inside][:, None]
+                lo, hi = self._split_support(out, e_in)
+                pdf = self.split_pdf(out, e_in, lo + (hi - lo) * _QUAD_NODES)
+                term[inside] = wk[inside] * (hi - lo)[:, 0] * np.sum(pdf * _QUAD_WEIGHTS, axis=1)
             totals += term
         return totals, sizes > 0
 
@@ -519,6 +528,26 @@ class CanonicalKernel(ScatteringKernel):
         return sample_canonical_split(
             self.densities[out.first], self.densities[out.second], e_avail, rng
         )
+
+    def _split_support(self, out, e_avail):
+        return _split_support(self.densities[out.first], self.densities[out.second], e_avail)
+
+    def _refuse_massless_splits(self, pair, types: TypeTable, field: str) -> None:
+        """Refuse an output whose split has no mass at some available energy above
+        max(release, 0), all of which the reactant ``pair`` meets: ``_split_support``
+        has width exactly for lo_a + lo_b < e < hi_a + hi_b."""
+        for out, release in zip(self.outputs, self._outcome_table(*pair, types).releases):
+            rho_a, rho_b = self.densities[out.first], self.densities[out.second]
+            (lo_a, hi_a), (lo_b, hi_b) = rho_a.support(), rho_b.support()
+            floor, start, end = max(release, 0.0), lo_a + lo_b, hi_a + hi_b
+            if start > floor or end < math.inf:
+                exc = KernelSupportError(
+                    f"reactant pair {pair}, output ({out.first}, {out.second}): the canonical split "
+                    f"of {rho_a!r} and {rho_b!r} has no mass at the available energies above "
+                    f"{floor} outside ({start}, {end})"
+                )
+                exc.field = field
+                raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +612,7 @@ class ReactionNetwork:
         self.binary = tuple(binary)
         self.unary = tuple(unary)
         self._by_pair: dict[tuple[int, int], BinaryChannel] = {}
-        for ch in self.binary:
+        for k, ch in enumerate(self.binary):
             v, w = ch.pair
             types.check_ids(np.array(ch.pair))
             if ch.pair in self._by_pair:
@@ -591,6 +620,8 @@ class ReactionNetwork:
             self._by_pair[ch.pair] = ch
             for out in ch.kernel.outputs:
                 types.check_ids(np.array([out.first, out.second]))
+            if isinstance(ch.kernel, CanonicalKernel):
+                ch.kernel._refuse_massless_splits(ch.pair, types, f"binary[{k}].kernel")
             if v == w:
                 weights = {(o.first, o.second): o.weight for o in ch.kernel.outputs}
                 for (a, b), wt in weights.items():

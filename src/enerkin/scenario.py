@@ -72,6 +72,8 @@ def _naming(field: str):
     """Report a failed conversion as a ValidationError that names ``field``."""
     try:
         yield
+    except KernelSupportError:
+        raise  # it keeps its class, and names the kernel at fault in its own ``field``
     except (KineticsError, TypeError, ValueError) as exc:
         sub = getattr(exc, "field", None)
         path = f"{field}.{sub}" if sub else field
@@ -397,7 +399,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     nspec = _read_params(top["network"] or {}, _NETWORK, "network")
     binary: list[BinaryChannel] = []
     raw_by_pair: dict[tuple, dict] = {}
-    kernel_fields: dict[tuple, str] = {}
+    kernel_fields: dict[str, str] = {}  # the network's name of each kernel -> its field here
     for k, ch in enumerate(nspec["binary"]):
         field = f"network.binary[{k}]"
         p = _read_params(ch, _BINARY, field)
@@ -418,7 +420,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
             continue
         raw_by_pair[pair] = p
-        kernel_fields[pair] = f"{field}.kernel"
+        kernel_fields[f"binary[{len(binary)}].kernel"] = f"{field}.kernel"
         rate = _rate_from_spec(p["rate"], f"{field}.rate")
         kernel = _kernel_from_spec(p["kernel"], f"{field}.kernel")
         binary.append(BinaryChannel(pair=pair, rate=rate, kernel=kernel))
@@ -432,9 +434,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         rate = _unary_rate_from_spec(p["rate"], f"{field}.rate", threshold)
         unary.append(UnaryChannel(source=p["source"], target=target, rate=rate))
     with _naming("network"):
-        network = ReactionNetwork(types, binary, unary)
-    network.validate_rate_symmetry()
-    _spot_check_kernels(network, kernel_fields)
+        try:
+            network = ReactionNetwork(types, binary, unary)
+        except KernelSupportError as exc:
+            exc.field = kernel_fields[exc.field]
+            raise
 
     initial = None if top["initial"] is None else _initial_from_spec(top["initial"], types)
     run = None if top["run"] is None else _run_from_spec(top["run"], network, initial)
@@ -509,31 +513,6 @@ def _initial_from_spec(spec, types: TypeTable):
         if mode == "counts":
             return TypeCountsInitial(counts=p["counts"], energies=energies)
         return MixtureInitial(total=p["total"], probabilities=p["probabilities"], energies=energies)
-
-
-def _spot_check_kernels(network: ReactionNetwork, fields: dict = None) -> None:
-    """Quadrature spot-check that each kernel's outcome law is normalized.
-
-    Each channel is checked on its own, on the draws the whole network's check
-    would give it; a fault names ``fields[pair]``, the scenario field of the
-    channel's kernel, when given.
-    """
-    fields = fields or {}
-    rng = default_rng(0)
-    errors = {}
-    for ch in network.binary:
-        try:
-            errors |= ReactionNetwork(network.types, [ch]).kernel_normalization_errors(1000, rng)
-        except KernelSupportError as exc:
-            exc.field = fields.get(ch.pair)
-            raise
-    for pair, worst in errors.items():
-        if not worst <= 5e-3:  # NaN fails too
-            raise ValidationError(
-                f"network.binary {pair}: kernel outcome law integrates to "
-                f"1 +/- {worst:.2e}; it must be normalized over feasible outcomes",
-                field=fields.get(pair),
-            )
 
 
 # ---------------------------------------------------------------------------

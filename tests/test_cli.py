@@ -525,14 +525,11 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "density, error",
-        [
-            ({"family": "uniform", "lo": 2.0, "hi": 3.0}, "KernelSupportError"),
-            ({"family": "gamma", "nu": 0.05, "beta": 1.0}, "ValidationError"),
-        ],
-        ids=["no_support", "not_normalized"],
+        "density",
+        [{"family": "uniform", "lo": 2.0, "hi": 3.0}, {"family": "uniform", "lo": 0.0, "hi": 10.0}],
+        ids=["no_support", "bounded_support"],  # no mass below 4; no mass above 20
     )
-    def test_load_time_kernel_fault_names_the_kernel(self, density, error, tmp_path, capsys):
+    def test_load_time_kernel_fault_names_the_kernel(self, density, tmp_path, capsys):
         doc = small_doc()
         doc["network"]["binary"][0]["kernel"] = {
             "kind": "canonical",
@@ -543,9 +540,39 @@ class TestSolveCommand:
         rc = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_FAULT
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == error
+        assert err["error"] == "KernelSupportError"
         assert err["field"] == "network.binary[0].kernel"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "pair, densities",
+        [
+            ((1, 1), {"1": {"family": "gamma", "nu": 0.05, "beta": 1.0}}),
+            (
+                (1, 2),
+                {"1": {"family": "uniform", "lo": 0.0, "hi": 3.0}, "2": {"family": "exponential", "beta": 1.0}},
+            ),
+        ],
+        ids=["small_gamma_shape", "uniform_exponential"],
+    )
+    def test_normalized_canonical_kernel_simulates(self, pair, densities, tmp_path):
+        # exactly normalized splits load and simulate; a run from energies above the
+        # uniform's hi conserves the total energy
+        doc = small_doc()
+        doc["types"]["internal_energies"] = [0.0, 0.0]
+        doc["network"]["binary"][0] = {
+            "reactants": list(pair),
+            "rate": {"form": "constant", "value": 1.0},
+            "kernel": {"kind": "canonical", "outputs": [{"pair": list(pair)}], "densities": densities},
+        }
+        doc["initial"]["particles"] = [[1, 0.5], [2, 11.0], [1, 4.0], [2, 2.5], [1, 7.0]]
+        doc["run"].update(t_end=5.0, snapshot_times=[5.0])
+        sc = write_scenario(tmp_path, doc)
+        assert cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "snapshot_000.csv").read_text().splitlines()[1:]
+        final = [float(r.split(",")[1]) for r in rows]
+        assert len(final) == 5
+        assert abs(sum(final) - 25.0) <= 1e-12 * 25.0
 
     def test_blowup_maps_to_fault_exit(self, tmp_path, capsys):
         doc = small_doc()

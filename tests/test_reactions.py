@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy import stats
 
 import enerkin as ek
 from conftest import SplitKernel, feasible_outputs
-from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS
+from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS, _split_normalizer
 
 
 class TestRates:
@@ -123,6 +125,45 @@ class TestCanonicalSplit:
             ek.sample_canonical_split(shifted, ek.Exponential(1.0), 1.0, rng)
         with pytest.raises(ek.KernelSupportError):
             ek.canonical_split_pdf(shifted, ek.Exponential(1.0), 1.0, 0.5)
+
+
+SUPPORT_DENSITIES = {
+    "exponential": ek.Exponential(1.0),
+    "gamma": ek.GammaDensity(2.5, 1.0),
+    "shifted_gamma_0": ek.ShiftedGamma(2.0, 1.0, shift=0.0),
+    "shifted_gamma_1": ek.ShiftedGamma(2.0, 1.0, shift=1.0),
+    "uniform_0_3": ek.UniformDensity(0.0, 3.0),
+    "uniform_1_4": ek.UniformDensity(1.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("release", [-1.0, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("a, b", list(itertools.combinations_with_replacement(SUPPORT_DENSITIES, 2)))
+def test_support_rule_refuses_exactly_the_splits_without_mass(a, b, release):
+    """A network refuses a canonical output exactly when its split normalizer is 0
+    somewhere on a grid of step 0.1 over the available energies (max(release, 0), 60]."""
+    rho_a, rho_b = SUPPORT_DENSITIES[a], SUPPORT_DENSITIES[b]
+    # (1, 2) -> (3, 4) releases I_1 - I_3
+    types = ek.TypeTable(np.array([max(release, 0.0), 0.0, max(-release, 0.0), 0.0]))
+    kernel = ek.CanonicalKernel([(3, 4, 1.0)], {3: rho_a, 4: rho_b})
+    floor = max(release, 0.0)
+    massless = bool(np.any(_split_normalizer(rho_a, rho_b, np.linspace(floor, 60.0, 601)[1:]) <= 0.0))
+    try:
+        ek.ReactionNetwork(types, [ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), kernel)])
+        refused = False
+    except ek.KernelSupportError as exc:
+        assert exc.field == "binary[0].kernel"
+        refused = True
+    assert refused == massless
+
+
+def test_check_integrates_a_split_with_a_jump_over_its_support():
+    # Uniform(0, 3) x Exp(1) jumps at x = 3: inside (0, e) for e > 3, at the end of the
+    # support [0, min(3, e)].  Over [0, e] the tanh-sinh rule read 0.811 at e = 8.
+    tt = ek.TypeTable(np.zeros(2))
+    kernel = ek.CanonicalKernel([(1, 2, 1.0)], {1: ek.UniformDensity(0.0, 3.0), 2: ek.Exponential(1.0)})
+    for e in np.linspace(1.0, 12.7, 118):
+        assert abs(kernel.check_normalization(1, float(e), 2, 0.0, tt) - 1.0) < 1e-7
 
 
 class TestScatteringKernel:
@@ -433,8 +474,9 @@ def test_outcome_table_matches_brute_force(case):
 
 def _per_pair_errors(network, n_samples, rng, scale=1.0):
     """kernel_normalization_errors one input pair at a time: two scalar draws, the
-    quadrature summed output by output over the outcome table's feasible outputs, then
-    its error against 1 where an output is feasible and 0 where none is."""
+    quadrature over each split's support (from the densities' supports for a canonical
+    kernel, [0, e] otherwise) summed output by output over the outcome table's feasible
+    outputs, then its error against 1 where an output is feasible and 0 where none is."""
     errors = {}
     for ch in network.binary:
         (v, w), k = ch.pair, ch.kernel
@@ -447,8 +489,15 @@ def _per_pair_errors(network, n_samples, rng, scale=1.0):
                 if e == 0.0:
                     total += wk  # the split is a point mass at 0
                     continue
-                pdf = k.split_pdf(k.outputs[i], np.array([[e]]), e * _QUAD_NODES[None])[0]
-                total += wk * e * float(np.sum(pdf * _QUAD_WEIGHTS))
+                lo, hi = 0.0, e
+                if isinstance(k, ek.CanonicalKernel):
+                    (lo_a, hi_a), (lo_b, hi_b) = (
+                        k.densities[t_id].support() for t_id in (k.outputs[i].first, k.outputs[i].second)
+                    )
+                    lo, hi = max(lo_a, e - hi_b), min(hi_a, e - lo_b)
+                nodes = lo + (hi - lo) * _QUAD_NODES[None]
+                pdf = k.split_pdf(k.outputs[i], np.array([[e]]), nodes)[0]
+                total += wk * (hi - lo) * float(np.sum(pdf * _QUAD_WEIGHTS))
             assert k.check_normalization(v, t, w, tp, network.types) == total
             mass = 1.0 if k._outcome_table(v, w, network.types).size(t + tp) > 0 else 0.0
             worst = max(worst, abs(total - mass))
