@@ -250,11 +250,12 @@ class _UniformGain:
         self.bnd_m = row * m + col
         self.bnd_k = row * n + kfull[row, col].astype(int)
         self.bnd_share = share[row, col]
+        self.tail = np.zeros((rows, m + 1))  # tail sums, reused; the last column stays 0
 
     def deposit(self, q: np.ndarray, out: np.ndarray) -> None:
         """Write the deposits of the outgoing masses ``q`` (rows, s cells) into ``out``."""
         rows, m = q.shape
-        tail = np.zeros((rows, m + 1))
+        tail = self.tail
         np.multiply(q, self.inv_e, out=tail[:, :m])
         rev = tail[:, m - 1 :: -1]
         np.add.accumulate(rev, axis=1, out=rev)  # sums from the last cell down
@@ -326,6 +327,8 @@ class CollisionPlan:
     cell indices and shares for uniform splits, recipient and lag pdf tables
     with the split normalizer for gamma-family canonical splits.  A network
     the plan cannot represent raises ValidationError (``check_plan_support``).
+    ``rhs`` and ``gain`` reuse the plan's work arrays, so a plan serves one
+    thread at a time.
     """
 
     def __init__(self, network: ReactionNetwork, n_cells: int, x_max: float):
@@ -386,6 +389,16 @@ class CollisionPlan:
             seen.add(key)
         # each row adds into its recipient in the order the rows were first met
         self._adds = [(key[1] - 1, row[key]) for key in keys]
+        self._work = {}  # see _array
+
+    def _array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The plan's work array ``name``, kept between right-hand sides: large
+        temporaries allocated anew would be returned to the kernel and faulted back
+        on every call, at a cost that depends on what the process freed before."""
+        arr = self._work.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._work[name] = np.empty(shape, dtype)
+        return arr
 
     def _check(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -399,26 +412,27 @@ class CollisionPlan:
     def _transforms(self, values: np.ndarray, with_loss: bool) -> np.ndarray:
         """One inverse FFT: a row per channel's pair spectrum S_v S_w, then,
         ``with_loss``, a row per type's varying-gate correlation spectrum."""
-        spectra = rfft(values, self._size)
+        spectra = self._array("spectra", (len(values), self._size // 2 + 1), complex)
+        rfft(values, self._size, out=spectra)
         loss = self._loss if with_loss else []
-        prod = np.empty((len(self._pairs) + len(loss), spectra.shape[1]), dtype=spectra.dtype)
+        prod = self._array("prod", (len(self._pairs) + len(loss), spectra.shape[1]), complex)
         for i, (v, w) in enumerate(self._pairs):
             np.multiply(spectra[v], spectra[w], out=prod[i])
         for i, (_, terms) in enumerate(loss, len(self._pairs)):
             prod[i] = sum(g * spectra[b].conj() for b, g in terms)
-        return irfft(prod, self._size)
+        return irfft(prod, self._size, out=self._array("inv", (len(prod), self._size)))
 
     def _gain(self, conv: np.ndarray) -> np.ndarray:
         np.maximum(conv, 0.0, out=conv)  # FFT round-off can dip below zero
         # a row's first term is written, not added to 0.0: that changes only the
         # sign of a zero, and the sums into the zeroed ``out`` below drop that sign
-        q = np.empty((len(self._adds), conv.shape[1]))
+        q = self._array("q", (len(self._adds), conv.shape[1]))
         for i, r, mult, first in self._terms:
             if first:
                 np.multiply(mult, conv[i], out=q[r])
             else:
                 q[r] += mult * conv[i]
-        dep = np.empty((len(self._adds), self.shape[1]))
+        dep = self._array("dep", (len(self._adds), self.shape[1]))
         for rows, gain in self._gains:
             gain.deposit(q[rows], dep[rows])
         out = np.zeros(self.shape)
