@@ -72,7 +72,6 @@ from .equilibrium import (
     CycleCheckResult,
     DiscreteChainSpec,
     EntropyCheck,
-    PairReactionSpec,
     ResidualReport,
     TypedDensity,
     additive_conservation_residual,
@@ -86,12 +85,10 @@ from .equilibrium import (
     ks_distance,
     local_equilibrium_residual,
     measure_transform,
-    pair_reversibility_residual,
     product_form_measure,
     product_form_residual,
     relative_entropy,
     sample_conserving_quadruples,
-    vector_particle_stationary,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 

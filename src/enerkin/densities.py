@@ -234,16 +234,6 @@ class Tabulated(DensityFamily):
         return (0.0, self.x_max)
 
 
-def quadrature_mass(density: DensityFamily, x_cap: float = None, n: int = 200_001) -> float:
-    """Midpoint-rule mass of a density, used as an independent normalization probe."""
-    lo, hi = density.support()
-    if x_cap is None:
-        x_cap = hi if math.isfinite(hi) else lo + 60.0 * max(1.0, density.mean() - lo)
-    xs = np.linspace(lo, x_cap, n)
-    mid = 0.5 * (xs[1:] + xs[:-1])
-    return float(np.sum(density.pdf(mid)) * (xs[1] - xs[0]))
-
-
 def density_from_spec(spec: dict) -> DensityFamily:
     """Build a density from its JSON description ({"family": ..., params})."""
     if not isinstance(spec, dict) or "family" not in spec:

@@ -5,16 +5,17 @@ finitely many points and reports the worst residual: detailed balance,
 local-equilibrium and fixed-point conditions, relative entropy and its
 monotonicity along solver runs, cycle-reversibility of finite chains, and the
 goodness-of-fit plumbing used by the statistical acceptance runs.  The
-product-form invariant measure is derived from the network (a kernel that is
-neither uniform nor canonical has none); the pair-reaction model stays a lemma
-on restated parameters, since a type-changing collision of summed shape other
-than 1 needs a rate in the pair's full energy, which no bounded binary rate
-form gives.
+product-form invariant measure is derived from the network: conversions and
+reversible pair reactions (collisions that change the pair's types) link the
+types' weights.  A network without one is refused by name: a kernel that is
+neither uniform nor canonical, say, or a pair reaction whose summed shapes
+differ from 1 across a release, which needs a rate in the pair's full energy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from .core import (
     available_kinetic_energy,
 )
 from .densities import DensityFamily, GammaDensity, ShiftedGamma
-from .reactions import ConstantUnaryRate, PowerGapRate, ReactionNetwork
+from .reactions import ConstantRate, ConstantUnaryRate, PowerGapRate, ReactionNetwork
 from .solver import DensityGrid, _plan_support_fault
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "EntropyCheck",
     "CycleCheckResult",
     "DiscreteChainSpec",
-    "PairReactionSpec",
     "sample_conserving_quadruples",
     "detailed_balance_residual",
     "local_equilibrium_residual",
@@ -52,8 +52,6 @@ __all__ = [
     "admissible_pair_check",
     "product_form_measure",
     "product_form_residual",
-    "vector_particle_stationary",
-    "pair_reversibility_residual",
     "kolmogorov_cycle_check",
     "measure_transform",
     "ks_distance",
@@ -508,25 +506,8 @@ def admissible_pair_check(
 
 
 # ---------------------------------------------------------------------------
-# the product-form measure of a network, and the pair-reaction lemma
+# the product-form measure of a network
 # ---------------------------------------------------------------------------
-
-
-def _pair_link(w, nu, internal, ch) -> tuple:
-    """The link of a pair channel: weight w_v w_w, shape and offset summed over the pair."""
-    def state(v, u, rate):
-        return (w[v - 1] * w[u - 1], nu[v - 1] + nu[u - 1], internal[v - 1] + internal[u - 1], rate)
-
-    name = f"channel ({ch.v},{ch.w})->({ch.v_out},{ch.w_out})"
-    return (name, state(ch.v, ch.w, ch.b_forward), state(ch.v_out, ch.w_out, ch.b_backward))
-
-
-def _check_reversible(link, message: str) -> None:
-    """Raise ValidationError(message naming the link) unless w_a b_ab = w_b b_ba."""
-    name, (w_a, _, _, b_ab), (w_b, _, _, b_ba) = link
-    lhs, rhs = w_a * b_ab, w_b * b_ba
-    if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
-        raise ValidationError(message.format(name))
 
 
 def _balance_residual(links, beta: float, n_check: int) -> float:
@@ -546,16 +527,6 @@ def _balance_residual(links, beta: float, n_check: int) -> float:
     return worst
 
 
-def _normalized_and_verified(log_pi, residual, failure: str) -> np.ndarray:
-    """exp(log_pi) normalized, once ``residual`` of it is at most 1e-10."""
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
-    worst = residual(pi)
-    if worst > 1e-10:
-        raise KineticsError(f"{failure}: residual {worst:.3e}")
-    return pi
-
-
 def _potentials(n: int, links) -> tuple[list, list]:
     """(c, parent): c_v b_vw = c_w b_wv over a spanning forest of ``links`` (v, w, b_vw,
     b_wv, 0-based), c = 1 at each class's lowest state, whose parent is None."""
@@ -573,10 +544,66 @@ def _potentials(n: int, links) -> tuple[list, list]:
     return c, parent
 
 
+def _pair_rate(network: ReactionNetwork, pair: tuple, other: tuple) -> float:
+    """sigma lambda of the collision of ``pair`` into the type pair ``other``: its constant
+    rate times the share of the feasible outputs' weight that falls on ``other``, both
+    orders summed, with sigma = 1/2 for a same-type pair.  ValidationError if there is no
+    such output or rate, or if the share steps at kinetic energies (>= 0) where it is feasible."""
+    ch = network.binary_channel(*pair)
+    outputs = () if ch is None else ch.kernel.outputs
+    on = [k for k, o in enumerate(outputs) if tuple(sorted((o.first, o.second))) == other]
+    if not on:
+        raise ValidationError(f"reactant pair {other}: output {pair} has no reverse, an output "
+                              f"{other} of reactant pair {pair}")
+    if not (isinstance(ch.rate, ConstantRate) and ch.rate.value > 0):
+        raise ValidationError(f"reactant pair {pair}: output {other} changes types, which needs a "
+                              f"positive constant rate, not {ch.rate!r}")
+    table = ch.kernel._outcome_table(*pair, network.types)
+    least = table.size(0.0)  # the number of outputs feasible at kinetic energy 0
+    shares = [
+        float(table.weights[size, on].sum())
+        for size in table.subsets if size >= least and table.weights[size, on[0]] > 0
+    ]
+    if not all(math.isclose(x, shares[-1], rel_tol=1e-12) for x in shares):
+        raise ValidationError(f"reactant pair {pair}: the share of output {other} steps from "
+                              f"{shares[0]} to {shares[-1]} as other outputs become feasible")
+    return (0.5 if pair[0] == pair[1] else 1.0) * ch.rate.value * shares[-1]
+
+
+def _pair_reaction(network: ReactionNetwork, nu: list, a: tuple, b: tuple) -> tuple:
+    """The row (name, (a, sigma_a lambda_a), (b, sigma_b lambda_b), (p, q, b_pq, b_qp)) of
+    the pair reaction a <-> b, types 0-based: its link p, q is what is left of
+    sigma_a Gamma(nu_v) Gamma(nu_w) lambda_a c_v c_w = sigma_b Gamma(nu_v') Gamma(nu_w')
+    lambda_b c_v' c_w' once the types both sides share cancel."""
+    where = f"reactant pair {a}: output {b}"
+    d = float(available_kinetic_energy(0.0, a, b, network.types))
+    nu_a, nu_b = (nu[p[0] - 1] + nu[p[1] - 1] for p in (a, b))
+    # the rates are constant, so the powers s^(nu_a - 1) and (s + d)^(nu_b - 1) must be equal
+    same = math.isclose(nu_a, nu_b, rel_tol=1e-12)
+    if not (same and (d == 0.0 or math.isclose(nu_a, 1.0, rel_tol=1e-12))):
+        raise ValidationError(
+            f"{where}: summed shapes {nu_a} and {nu_b} across a release of {d} need a rate in the "
+            "pair's full energy; a constant rate balances summed shapes 1, or equal ones at release 0"
+        )
+    left, right = Counter(a) - Counter(b), Counter(b) - Counter(a)
+    if len(left) != 1 or len(right) != 1:
+        raise ValidationError(f"{where}: joins the weights of types {sorted(set(a + b))}; a pair "
+                              "reaction has a product form here only between two types")
+    (p, k), = left.items()  # the type left on side a, once or twice
+    q, = right
+    rates = _pair_rate(network, a, b), _pair_rate(network, b, a)
+    b_pq = (rates[0] / rates[1]) ** (1.0 / k) * math.exp(math.lgamma(nu[p - 1]) - math.lgamma(nu[q - 1]))
+    sides = [(tuple(t - 1 for t in pair), rate) for pair, rate in zip((a, b), rates)]
+    return f"pair reaction {a} <-> {b}", *sides, (p - 1, q - 1, b_pq, 1.0)
+
+
 def _product_form(network: ReactionNetwork):
-    """(nu, c, pairs): each type's gamma shape and weight factor, and one
-    (name, v, w, b_vw, b_wv) per pair of types v < w (0-based) joined by
-    conversions; ValidationError names the channel or type that breaks the form."""
+    """(nu, c, rows): each type's gamma shape and weight factor, and one row (name,
+    (types, rate), (types, rate), link) per reversible reaction: its two sides' 0-based
+    reactant types with their rates, ((v,), b_vw) and ((w,), b_wv) for conversions
+    between v < w and each type pair with its sigma lambda for a pair reaction, and
+    its link (v, w, b_vw, b_wv) of c_v b_vw = c_w b_wv; ValidationError names the
+    channel or type that breaks the form."""
     shapes = {}  # type id -> (nu, the channel that fixed it)
 
     def fix(tid, nu, where):
@@ -584,6 +611,7 @@ def _product_form(network: ReactionNetwork):
         if not math.isclose(first, nu, rel_tol=1e-12):  # nu from an exponent nu - 1 may round
             raise ValidationError(f"{where}: gives type {tid} shape {nu}, but {by} gives it {first}")
 
+    reactions = set()  # (a, b), a < b, per pair of type pairs a collision turns one into the other
     for ch in network.binary:
         where = f"reactant pair {ch.pair}"
         fault = _plan_support_fault(ch)
@@ -591,10 +619,11 @@ def _product_form(network: ReactionNetwork):
             raise ValidationError(f"{where}: {fault}")
         uniform = ch.kernel.kind == "uniform"
         for o in ch.kernel.outputs:
-            if sorted((o.first, o.second)) != list(ch.pair):
-                raise ValidationError(f"{where}: output ({o.first}, {o.second}) changes types")
             for tid in (o.first, o.second):
                 fix(tid, 1.0 if uniform else ch.kernel.densities[tid].gamma_shape()[0], where)
+            other = tuple(sorted((o.first, o.second)))
+            if other != ch.pair:
+                reactions.add((min(ch.pair, other), max(ch.pair, other)))
     internal = network.types.internal_energies
     b = {}
     for ch in network.unary:
@@ -615,87 +644,54 @@ def _product_form(network: ReactionNetwork):
     if missing:
         raise ValidationError(f"type {min(missing)}: no channel fixes its kinetic law")
     nu = [shapes[tid][0] for tid in range(1, n + 1)]
-    pairs = [
-        (f"conversions {v}->{w} and {w}->{v}", v - 1, w - 1, b_vw, b[w, v])
+    rows = [
+        (f"conversions {v}->{w} and {w}->{v}", ((v - 1,), b_vw), ((w - 1,), b[w, v]),
+         (v - 1, w - 1, b_vw, b[w, v]))
         for (v, w), b_vw in sorted(b.items()) if v < w and b_vw > 0
     ]
-    c, _ = _potentials(n, [link[1:] for link in pairs])
-    for name, v, w, b_vw, b_wv in pairs:
+    rows += [_pair_reaction(network, nu, pair, other) for pair, other in sorted(reactions)]
+    c, _ = _potentials(n, [link for *_, link in rows])
+    cycle = "reactions" if reactions else "conversions"
+    for name, _, _, (v, w, b_vw, b_wv) in rows:
         if not math.isclose(c[v] * b_vw, c[w] * b_wv, rel_tol=1e-9):
-            raise ValidationError(f"{name}: break c_v b_vw = c_w b_wv around a cycle of conversions")
-    return nu, c, pairs
+            raise ValidationError(f"{name}: break c_v b_vw = c_w b_wv around a cycle of {cycle}")
+    return nu, c, rows
 
 
 def product_form_measure(network: ReactionNetwork, beta: float, n_check: int = 64) -> TypedDensity:
     """The product-form invariant measure of ``network``: kinetic laws Gamma(nu_v, beta)
     and type weights proportional to c_v exp(-beta I_v) Gamma(nu_v) beta^(-nu_v), with
-    nu_v fixed by the kernels and conversion rates, and c_v b_vw = c_w b_wv over the
-    conversions, c = 1 at the lowest type of each class they join (README: the rules).
+    nu_v fixed by the kernels and conversion rates, and c_v fixed by the conversions and
+    pair reactions, c = 1 at the lowest type of each class they join (README: the rules).
     A network without one raises ValidationError naming the channel or type; the
     weights are verified to balance pointwise before they are returned."""
-    nu, c, pairs = _product_form(network)
+    nu, c, _ = _product_form(network)
     laws = tuple(GammaDensity(x, beta) for x in nu)  # refuses a beta that is not positive
     log_gamma = np.array([math.lgamma(x) for x in nu])
     log_pi = np.log(c) - beta * network.types.internal_energies + log_gamma - np.multiply(nu, np.log(beta))
-    pi = _normalized_and_verified(
-        log_pi, lambda pi: product_form_residual(network, pi, beta, n_check),
-        "the derived weights fail the pointwise balance identity",
-    )
+    pi = np.exp(log_pi - log_pi.max())
+    pi /= pi.sum()
+    worst = product_form_residual(network, pi, beta, n_check)
+    if worst > 1e-10:
+        raise KineticsError(
+            f"the derived weights fail the pointwise balance identity: residual {worst:.3e}"
+        )
     return TypedDensity(laws, tuple(pi))
 
 
 def product_form_residual(network: ReactionNetwork, weights, beta: float, n_check: int = 64) -> float:
     """Worst relative pointwise-balance violation of type ``weights`` with the
-    network's kinetic laws Gamma(nu_v, beta), over its conversion pairs."""
-    nu, _, pairs = _product_form(network)
+    network's kinetic laws Gamma(nu_v, beta), over its conversion pairs and pair
+    reactions; a side of types T is the state (prod_T w_t, sum_T nu_t, sum_T I_t, rate)."""
+    nu, _, rows = _product_form(network)
     ie = network.types.internal_energies
-    links = [
-        (name, (weights[v], nu[v], ie[v], b_vw), (weights[w], nu[w], ie[w], b_wv))
-        for name, v, w, b_vw, b_wv in pairs
-    ]
-    return _balance_residual(links, beta, n_check)
 
-
-class PairReactionSpec(_FrozenRecord):
-    """A binary type reaction (v, w) -> (v_out, w_out) with pair-chain rates."""
-
-    _fields = ("v", "w", "v_out", "w_out", "b_forward", "b_backward")
-
-    def __init__(
-        self, v: int, w: int, v_out: int, w_out: int, b_forward: float, b_backward: float
-    ):
-        vars(self).update(
-            v=v, w=w, v_out=v_out, w_out=w_out, b_forward=b_forward, b_backward=b_backward
+    def state(types, rate):
+        return (
+            math.prod(weights[t] for t in types), sum(nu[t] for t in types), sum(ie[t] for t in types), rate
         )
 
-
-def vector_particle_stationary(p, nu, internal, beta: float, channels, n_check: int = 64):
-    """Stationary type probabilities of the factorized pair-reaction model.
-
-    Every channel must preserve the summed shape parameter, and the pair
-    chain with weights p_v p_w must be reversible; the result is
-    proportional to p_v * exp(-beta I_v) * beta^(-nu_v) and is verified to
-    balance every channel pointwise in the pair energy.
-    """
-    p, nu, internal = (np.asarray(a, dtype=float) for a in (p, nu, internal))
-    if beta <= 0 or np.any(nu <= 0) or np.any(p <= 0):
-        raise ValidationError("need beta > 0, nu > 0 and p > 0")
-    for ch in channels:
-        name, (_, lhs, _, _), (_, rhs, _, _) = link = _pair_link(p, nu, internal, ch)
-        if abs(lhs - rhs) > 1e-12 * max(lhs, rhs):
-            raise ValidationError(f"{name} changes the summed shape parameter: {lhs} vs {rhs}")
-        _check_reversible(link, "pair chain not reversible on {}")
-    log_pi = np.log(p) - beta * internal - nu * np.log(beta)
-    return _normalized_and_verified(
-        log_pi, lambda pi: pair_reversibility_residual(pi, nu, internal, beta, channels, n_check),
-        "factorized weights fail the pair balance identity",
-    )
-
-
-def pair_reversibility_residual(pi, nu, internal, beta, channels, n_check: int = 64) -> float:
-    """Worst relative pair-balance violation over channels and pair energies."""
-    pi, nu, internal = (np.asarray(a, dtype=float) for a in (pi, nu, internal))
-    return _balance_residual([_pair_link(pi, nu, internal, ch) for ch in channels], beta, n_check)
+    return _balance_residual([(name, state(*a), state(*b)) for name, a, b, _ in rows], beta, n_check)
 
 
 # ---------------------------------------------------------------------------

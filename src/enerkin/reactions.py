@@ -80,8 +80,8 @@ class SumDecayRate:
     """Bounded rate scale * exp(-decay * (T + T')), a function of the energy sum."""
 
     def __init__(self, scale: float, decay: float):
-        if not (scale >= 0 and decay >= 0):
-            raise ValidationError("scale and decay must be >= 0")
+        if not all(x >= 0 and math.isfinite(x) for x in (scale, decay)):
+            raise ValidationError(f"scale and decay must be finite and >= 0, got {scale} and {decay}")
         self.scale = float(scale)
         self.decay = float(decay)
         self.bound = self.scale
@@ -159,8 +159,9 @@ class PowerGapRate:
     """
 
     def __init__(self, b: float, exponent: float, threshold: float):
-        if not (b >= 0):
-            raise ValidationError(f"rate prefactor must be >= 0, got {b}")
+        if not (b >= 0 and all(map(math.isfinite, (b, exponent, threshold)))):
+            raise ValidationError(
+                f"need finite b >= 0, exponent and threshold, got {b}, {exponent}, {threshold}")
         self.b = float(b)
         self.exponent = float(exponent)
         self.threshold = float(threshold)

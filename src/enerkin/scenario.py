@@ -612,8 +612,9 @@ def _admissible_pair(scenario: Scenario, a: dict):
 
 
 def _product_form_balance(scenario: Scenario, a: dict):
-    residual = eq.product_form_residual(scenario.network, a["measure"].weights, a["beta"])
-    return residual, len(scenario.network.unary)
+    net = scenario.network  # the samples are its conversions and type-changing outputs
+    n = sum(list(ch.pair) != sorted((o.first, o.second)) for ch in net.binary for o in ch.kernel.outputs)
+    return eq.product_form_residual(net, a["measure"].weights, a["beta"]), len(net.unary) + n
 
 
 def _kolmogorov(scenario: Scenario, a: dict):

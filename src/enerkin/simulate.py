@@ -199,8 +199,8 @@ class SimulatorConfig(_Record):
         self.histogram_edges = histogram_edges
 
     def validate(self) -> None:
-        if self.t_end < 0:
-            raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
+        if not (self.t_end >= 0 and math.isfinite(self.t_end)):
+            raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}", field="t_end")
         _check_integer(self.replicas, "replicas", 1)
         _check_integer(self.seed, "seed", 0)
         times = tuple(float(s) for s in self.snapshot_times)

@@ -576,8 +576,8 @@ class SolverConfig(_Record):
         self.snapshot_times = snapshot_times
 
     def validate(self) -> None:
-        if self.t_end < 0:
-            raise ValidationError(f"t_end must be >= 0, got {self.t_end}", field="t_end")
+        if not (self.t_end >= 0 and np.isfinite(self.t_end)):
+            raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}", field="t_end")
         if self.scheme not in SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}", field="scheme"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ class SplitKernel(ek.ScatteringKernel):
         return float(self._sample(out.first, out.second, e_avail, rng))
 
 
+def quadrature_mass(density: ek.DensityFamily, x_cap: float = None, n: int = 200_001) -> float:
+    """Midpoint-rule mass of a density, an independent probe of its normalization."""
+    lo, hi = density.support()
+    if x_cap is None:
+        x_cap = hi if math.isfinite(hi) else lo + 60.0 * max(1.0, density.mean() - lo)
+    xs = np.linspace(lo, x_cap, n)
+    mid = 0.5 * (xs[1:] + xs[:-1])
+    return float(np.sum(density.pdf(mid)) * (xs[1] - xs[0]))
+
+
 def feasible_outputs(kernel, v, t, v_other, t_other, types):
     """(indices, renormalized weights, available energies) of the feasible outputs at
     these inputs, read from the kernel's outcome table as ``sample_outcome`` reads it."""
@@ -44,6 +56,38 @@ def feasible_outputs(kernel, v, t, v_other, t_other, types):
     size = table.size(kinetic)
     idx, _ = table.subsets[size]
     return list(idx), table.weights[size, idx], [kinetic + table.releases[k] for k in idx]
+
+
+# the two-type pair-reaction networks at unit rates: internal energies, kernel kind and
+# each reactant pair's outputs (first type, second type, weight)
+PAIR_NETWORKS = {
+    "A": ((0.0, 1.0), "canonical", {
+        (1, 1): [(1, 1, 1.0), (2, 2, 1.0)], (1, 2): [(1, 2, 1.0)], (2, 2): [(2, 2, 1.0), (1, 1, 1.0)],
+    }),
+    "B": ((0.0, 0.7), "canonical", {
+        (1, 1): [(1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], (1, 2): [(1, 2, 1.0), (1, 1, 1.0)],
+    }),
+    "C": ((0.0, 0.0), "uniform", {
+        (1, 1): [(1, 1, 1.0), (2, 2, 2.0)], (1, 2): [(1, 2, 1.0)], (2, 2): [(2, 2, 1.0), (1, 1, 1.0)],
+    }),
+}
+
+
+def pair_reaction_network(name, law=None, rate=None, outputs=None):
+    """Network ``name`` of PAIR_NETWORKS: canonical kernels take ``law`` (Gamma(1/2, 1) by
+    default) for both types, ``rate`` (unit by default) replaces the rate of reactant
+    pair (1, 1), and ``outputs`` maps reactant pairs to replacement output lists."""
+    internal, kind, chans = PAIR_NETWORKS[name]
+    law = law or ek.GammaDensity(0.5, 1.0)
+
+    def kernel(outs):
+        return ek.UniformKernel(outs) if kind == "uniform" else ek.CanonicalKernel(outs, {1: law, 2: law})
+
+    binary = [
+        ek.BinaryChannel(pair, rate if rate and pair == (1, 1) else ek.ConstantRate(1.0), kernel(outs))
+        for pair, outs in {**chans, **(outputs or {})}.items()
+    ]
+    return ek.ReactionNetwork(ek.TypeTable(np.array(internal)), binary)
 
 
 @pytest.fixture

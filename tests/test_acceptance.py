@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import enerkin as ek
-from conftest import uniform_net
+from conftest import pair_reaction_network, uniform_net
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -229,12 +229,11 @@ def test_criterion_09_unary_stationary_laws():
     z = abs(frac1 - pi1) / sigma
     # (b) the network's product-form measure balances pointwise (1000 energies)
     res_b = ek.product_form_residual(net, measure.weights, 1.0, n_check=1000)
-    # (c) factorized pair-reaction law balances pointwise (1000 energies)
-    chans = [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)]
-    pi_vec = ek.vector_particle_stationary([0.5, 0.5], [1.5, 1.5], [0.0, 1.0], 1.0, chans)
-    res_c = ek.pair_reversibility_residual(
-        pi_vec, np.array([1.5, 1.5]), np.array([0.0, 1.0]), 1.0, chans, n_check=1000
-    )
+    # (c) the product-form measure of a pair reaction, (1, 1) <-> (2, 2) across a unit
+    # gap with Gamma(1/2) laws, balances pointwise (1000 energies)
+    pair_net = pair_reaction_network("A")
+    pair_measure = ek.product_form_measure(pair_net, 1.0, n_check=1000)
+    res_c = ek.product_form_residual(pair_net, pair_measure.weights, 1.0, n_check=1000)
     ok = z <= 3.0 and res_b < 1e-10 and res_c < 1e-10
     report(
         "09 stationary type laws",

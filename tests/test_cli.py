@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +199,26 @@ class TestSimulateCommand:
             "time": 0.25,
             "indices": [3, 7],
         }
+
+
+    def test_infinite_rate_from_json_exits_2(self, tmp_path):
+        # JSON reads 1e999 as inf; a power_gap rate of prefactor inf once ran until killed.
+        # A subprocess with a timeout, so that a regression fails instead of hanging
+        doc = json.loads((SCENARIO_DIR / "unary_two_type.json").read_text())
+        doc["network"]["unary"][0]["rate"] = {"form": "power_gap", "b": 123.0, "exponent": 0.0}
+        del doc["checks"]  # the product_form_balance check, which reads the rate too
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps(doc).replace('"b": 123.0', '"b": 1e999'))
+        src = str(Path(ek.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "enerkin.cli", "simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == cli.EXIT_FAULT
+        err = json.loads(proc.stderr)
+        assert (err["error"], err["field"]) == ("ValidationError", "network.unary[0].rate")
+        assert not (tmp_path / "out").exists()
 
 
 # SHA-256 of every CSV ``enerkin simulate`` writes for the bundled scenarios

@@ -6,7 +6,7 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
-from enerkin.densities import quadrature_mass
+from conftest import quadrature_mass
 
 
 FAMILIES = [

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +13,12 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
-from conftest import SplitKernel, feasible_outputs, uniform_net
+from conftest import PAIR_NETWORKS, SplitKernel, feasible_outputs, pair_reaction_network, uniform_net
 from test_simulate import _oracle_network as simulate_oracle_network
+from test_simulate_pins import gap_swap_network
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 @pytest.fixture
@@ -663,6 +669,21 @@ def _two_isomers(forward, backward=None, binary=()):
     return ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 1.0])), list(binary), unary)
 
 
+def _pair_share_steps():
+    """Gamma(1/2) laws at I = (0, 1, 2), where (1, 1) also becomes (3, 3): the share of
+    (2, 2) in the (1, 1) collisions steps from 1/2 to 1/3 at kinetic energy 4."""
+    dens = {t: ek.GammaDensity(0.5, 1.0) for t in (1, 2, 3)}
+
+    def ch(pair, outs):
+        return ek.BinaryChannel(pair, ek.ConstantRate(1.0), ek.CanonicalKernel(outs, dens))
+
+    return ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 1.0, 2.0])), [
+        ch((1, 1), [(1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)]),
+        ch((2, 2), [(2, 2, 1.0), (1, 1, 1.0)]),
+        ch((3, 3), [(3, 3, 1.0), (1, 1, 1.0)]),
+    ])
+
+
 # networks without a product form, and what the refusal must name
 NO_PRODUCT_FORM = {
     "callable_unary_rate": (
@@ -708,11 +729,44 @@ NO_PRODUCT_FORM = {
         lambda: ek.ReactionNetwork(
             ek.TypeTable(np.array([0.0, 0.0])), [_uniform_channel((1, 1), [(2, 2, 1.0)])]
         ),
-        r"reactant pair \(1, 1\): output \(2, 2\) changes types",
+        r"type 1: no channel fixes its kinetic law",
     ),
     "simulate_oracle_network": (
         lambda: simulate_oracle_network("constant"),
-        r"reactant pair \(1, 1\): output \(2, 2\) changes types",
+        r"unary channel 3->2: has no reverse channel 2->3",
+    ),
+    "gap_swap_network": (
+        gap_swap_network,
+        r"reactant pair \(1, 1\): output \(2, 2\): summed shapes 2.0 and 2.0 across a release of -2.0",
+    ),
+    "pair_exponential_laws": (
+        lambda: pair_reaction_network("A", law=ek.Exponential(1.0)),
+        r"reactant pair \(1, 1\): output \(2, 2\): summed shapes 2.0 and 2.0 across a release of -2.0",
+    ),
+    "pair_without_reverse": (
+        lambda: pair_reaction_network("A", outputs={(2, 2): [(2, 2, 1.0)]}),
+        r"reactant pair \(1, 1\): output \(2, 2\) has no reverse, an output \(1, 1\) of reactant pair \(2, 2\)",
+    ),
+    "pair_sum_decay_rate": (
+        lambda: pair_reaction_network("A", rate=ek.SumDecayRate(1.0, 0.5)),
+        r"reactant pair \(1, 1\): output \(2, 2\) changes types, which needs a positive constant "
+        r"rate, not SumDecayRate",
+    ),
+    "pair_zero_rate": (
+        lambda: pair_reaction_network("A", rate=ek.ConstantRate(0.0)),
+        r"reactant pair \(1, 1\): output \(2, 2\) changes types, which needs a positive constant "
+        r"rate, not ConstantRate\(0.0\)",
+    ),
+    "pair_share_steps": (
+        lambda: _pair_share_steps(),
+        r"reactant pair \(1, 1\): the share of output \(2, 2\) steps from 0.5 to 0.333",
+    ),
+    "pair_four_types": (
+        lambda: ek.ReactionNetwork(ek.TypeTable(np.zeros(4)), [
+            _uniform_channel((1, 2), [(1, 2, 1.0), (3, 4, 1.0)]),
+            _uniform_channel((3, 4), [(3, 4, 1.0), (1, 2, 1.0)]),
+        ]),
+        r"reactant pair \(1, 2\): output \(3, 4\): joins the weights of types \[1, 2, 3, 4\]",
     ),
     "type_without_channel": (
         lambda: ek.ReactionNetwork(ek.TypeTable(np.array([0.0, 0.0])), [_uniform_channel((1, 1))]),
@@ -776,41 +830,105 @@ class TestProductFormMeasure:
             ek.product_form_measure(unary_two_type_network, beta)
 
 
+# pi_2 / pi_1 of each pair-reaction network's derived measure at beta = 1
+PAIR_RATIOS = {"A": math.exp(-1.0), "B": 2.0 / 3.0 * math.exp(-0.7), "C": math.sqrt(4.0 / 3.0)}
+
+
+def _rhs_l1(net, measure, n, x_max):
+    """L1 norm of ``CollisionPlan.rhs`` on ``measure`` sampled at the n cell centres."""
+    h = x_max / n
+    x = (np.arange(n) + 0.5) * h
+    values = np.array([measure.pdf(v, x) for v in range(1, measure.n_types + 1)])
+    return float(np.sum(np.abs(ek.CollisionPlan(net, n, x_max).rhs(values))) * h)
+
+
+class TestPairReactions:
+    @pytest.mark.parametrize("name", sorted(PAIR_NETWORKS))
+    def test_derives_the_weights(self, name):
+        net = pair_reaction_network(name)
+        measure = ek.product_form_measure(net, 1.0, n_check=1000)
+        pi1, pi2 = measure.weights
+        assert pi2 / pi1 == pytest.approx(PAIR_RATIOS[name], rel=1e-12)
+        nu = 1.0 if name == "C" else 0.5
+        assert [f.gamma_shape() for f in measure.families] == [(nu, 1.0), (nu, 1.0)]
+        assert ek.product_form_residual(net, measure.weights, 1.0, n_check=1000) <= 1e-10
+        assert ek.product_form_residual(net, (0.5, 0.5), 1.0, n_check=1000) > 0.1
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_solver_residual_falls_with_the_cell_size(self, name):
+        # measured 1.5x per halving of h (about h^0.55, slowed by the x^(-1/2) endpoint
+        # of Gamma(1/2)); weights that leave out a factor of the rule stay near 0.05-0.2
+        net = pair_reaction_network(name)
+        measure = ek.product_form_measure(net, 1.0)
+        l1 = [_rhs_l1(net, measure, n, 20.0) for n in (200, 400, 800, 1600)]
+        assert all(coarse >= 1.3 * fine for coarse, fine in zip(l1, l1[1:])), l1
+
+    def test_solver_residual_is_round_off_on_uniform_kernels(self):
+        net = pair_reaction_network("C")
+        measure = ek.product_form_measure(net, 1.0)
+        for n in (200, 400, 800, 1600):
+            assert _rhs_l1(net, measure, n, 30.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_chain_keeps_the_derived_type_fraction(self, name):
+        """The pooled type-2 fraction of 8 replicas of M = 2000 particles at t = 10 lies
+        within 4 binomial sd, sqrt(pi_1 pi_2 / (8 M)), of pi_2; a chain with the derived
+        stationary law fails with probability about 6e-5 under the normal approximation.
+        C starts with every particle of type 1 and A from the derived mixture; the seed
+        was fixed before the first run."""
+        m, replicas = 2000, 8
+        net = pair_reaction_network(name)
+        measure = ek.product_form_measure(net, 1.0)
+        if name == "C":
+            start = ek.TypeCountsInitial((m, 0), measure.families)
+        else:
+            start = ek.MixtureInitial(m, measure.weights, measure.families)
+        trajs = ek.run_ensemble(ek.SimulatorConfig(net, start, t_end=10.0, seed=31, replicas=replicas))
+        frac = sum(int(t.final_state.type_counts(2)[1]) for t in trajs) / (m * replicas)
+        pi1, pi2 = measure.weights
+        assert abs(frac - pi2) <= 4.0 * math.sqrt(pi1 * pi2 / (m * replicas))
+
+    def test_script_prints_the_three_networks(self):
+        # a smoke run of scripts/product_form_residual.py at two grid sizes (0.3 s)
+        src = str(Path(ek.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "product_form_residual.py"), "--cells", "100", "200"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        ratios = [line.split()[1:] for line in proc.stdout.splitlines() if "pi_2/pi_1" in line]
+        assert [float(derived) for derived, _ in ratios] == [
+            pytest.approx(PAIR_RATIOS[name], abs=1e-6) for name in "ABC"
+        ]
+        assert sum("L1 rhs, n = " in line for line in proc.stdout.splitlines()) == 6
+
+    @pytest.mark.parametrize("b21", [1.0, 2.0])
+    def test_conversions_and_pair_reactions_share_the_potentials(self, b21):
+        # A with conversions 1 <-> 2 at rates b (U - I_target)^(-1/2), which give shape 1/2:
+        # equal rates keep c_1 = c_2, and unequal ones break the cycle the two close
+        base = pair_reaction_network("A")
+        unary = [
+            ek.UnaryChannel(1, 2, ek.PowerGapRate(1.0, -0.5, 1.0)),
+            ek.UnaryChannel(2, 1, ek.PowerGapRate(b21, -0.5, 0.0)),
+        ]
+        net = ek.ReactionNetwork(base.types, base.binary, unary)
+        if b21 == 1.0:
+            pi1, pi2 = ek.product_form_measure(net, 1.0).weights
+            assert pi2 / pi1 == pytest.approx(math.exp(-1.0), rel=1e-12)
+        else:
+            with pytest.raises(ek.ValidationError, match=(
+                r"pair reaction \(1, 1\) <-> \(2, 2\): break c_v b_vw = c_w b_wv around a cycle of reactions"
+            )):
+                ek.product_form_measure(net, 1.0)
+
+
 @pytest.mark.parametrize("weight", [math.nan, math.inf])
 def test_typed_density_refuses_non_finite_weights(weight):
     with pytest.raises(ek.ValidationError, match="probability vector"):
         ek.TypedDensity((ek.Exponential(1.0),), (weight,))
     with pytest.raises(ek.ValidationError, match="probability vector"):
         ek.TypedDensity((ek.Exponential(1.0), ek.Exponential(1.0)), (weight, 0.5))
-
-
-class TestVectorParticleStationary:
-    def test_collapse_to_p(self):
-        chans = [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)]
-        pi = ek.vector_particle_stationary([0.5, 0.5], [1.0, 1.0], [0.0, 0.0], 2.0, chans)
-        assert np.allclose(pi, [0.5, 0.5])
-
-    def test_shape_sum_violation_faults(self):
-        with pytest.raises(ek.ValidationError, match="summed shape"):
-            ek.vector_particle_stationary(
-                [0.5, 0.5], [1.0, 2.0], [0.0, 1.0], 1.0,
-                [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)],
-            )
-
-    def test_worked_instance_matches_gamma_weighted_form(self):
-        # with a constant shape parameter the two stationary formulas agree
-        p = np.array([0.5, 0.5])
-        nu = [1.5, 1.5]
-        internal = [0.0, 1.0]
-        chans = [ek.PairReactionSpec(1, 1, 2, 2, 1.0, 1.0)]
-        pi = ek.vector_particle_stationary(p, nu, internal, 1.0, chans)
-        net = _conversion_network([[0.0, 1.0], [1.0, 0.0]], nu, internal)
-        other = ek.product_form_measure(net, 1.0).weights
-        assert np.allclose(pi, other, atol=1e-12)
-        res = ek.pair_reversibility_residual(
-            pi, np.asarray(nu), np.asarray(internal), 1.0, chans
-        )
-        assert res < 1e-10
 
 
 def _ring(n: int, forward: float, backward: float) -> np.ndarray:
@@ -1020,6 +1138,44 @@ def _oracle_pair_residual(pi, nu, internal, beta, channels, n_check=64):
     return worst
 
 
+_PairChannel = namedtuple("_PairChannel", "v w v_out w_out b_forward b_backward")
+
+
+def _random_pair_network(rng):
+    """A two-type network with one pair reaction a <-> b, drawn at random: canonical
+    Gamma(1/2) laws at random internal energies, or uniform kernels at equal ones, with
+    random constant rates, output weights and elastic outputs.  Returns the network,
+    the reaction as the first form's channel (its rates sigma * rate * share), nu and I."""
+    uniform = bool(rng.uniform() < 0.5)
+    internal = [0.0, 0.0] if uniform else [float(x) for x in rng.choice([0.0, 0.5, 1.25], 2) * rng.uniform(0.0, 2.0, 2)]
+    a, b = [((1, 1), (1, 2)), ((1, 1), (2, 2)), ((1, 2), (2, 2))][int(rng.integers(3))]
+    outputs = {p: [(*p, float(rng.uniform(0.1, 3.0)))] if rng.uniform() < 0.7 else [] for p in (a, b)}
+    for src, dst in ((a, b), (b, a)):
+        weight = float(rng.uniform(0.1, 3.0))
+        outputs[src].append((*dst, weight))
+        if src[0] == src[1] and dst[0] != dst[1]:  # both orders, for exchangeable input slots
+            outputs[src].append((dst[1], dst[0], weight))
+    rates = {p: float(rng.uniform(0.1, 3.0)) for p in (a, b)}
+
+    def kernel(outs):
+        law = ek.GammaDensity(0.5, float(rng.uniform(0.5, 2.0)))
+        return ek.UniformKernel(outs) if uniform else ek.CanonicalKernel(outs, {1: law, 2: law})
+
+    net = ek.ReactionNetwork(
+        ek.TypeTable(np.array(internal)),
+        [ek.BinaryChannel(p, ek.ConstantRate(rates[p]), kernel(outputs[p])) for p in (a, b)],
+    )
+
+    def sigma_lambda(src, dst):
+        w = np.array([o[2] for o in outputs[src]])
+        w = w / w.sum()
+        share = float(w[[sorted(o[:2]) == list(dst) for o in outputs[src]]].sum())
+        return (0.5 if src[0] == src[1] else 1.0) * rates[src] * share
+
+    channel = _PairChannel(*a, *b, sigma_lambda(a, b), sigma_lambda(b, a))
+    return net, channel, np.full(2, 1.0 if uniform else 0.5), np.array(internal)
+
+
 def _random_type_model(rng, n):
     """Positive p, shapes, offsets and beta, and rates b made reversible for p,
     with about a third of the type pairs left without rates."""
@@ -1050,20 +1206,15 @@ class TestBalanceResidualsMatchTheirFirstForm:
         got = ek.product_form_residual(net, pi, beta, n_check)
         assert got == _oracle_unary_residual(pi, b, nu, internal, beta, n_check) <= 1e-10
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_check=st.sampled_from([1, 7, 64]))
+    @given(seed=st.integers(0, 2**32 - 1), n_check=st.sampled_from([1, 7, 64]))
     @settings(max_examples=60, deadline=None)
-    def test_pair_residual_bits(self, seed, n, n_check):
+    def test_pair_residual_bits(self, seed, n_check):
         rng = np.random.default_rng(seed)
-        p, _, nu, internal, beta = _random_type_model(rng, n)
-        pi = rng.uniform(0.01, 1.0, n)  # not the stationary weights
-        channels = []
-        for _ in range(int(rng.integers(1, 5))):
-            v, w, v_out, w_out = (int(t) for t in rng.integers(1, n + 1, 4))
-            b_fwd = float(rng.uniform(0.1, 3.0))
-            b_bwd = float(rng.uniform(0.1, 3.0))
-            if rng.uniform() < 0.5:
-                # reversible for p; the residual still fails for pi and unequal shape sums
-                b_bwd = p[v - 1] * p[w - 1] * b_fwd / (p[v_out - 1] * p[w_out - 1])
-            channels.append(ek.PairReactionSpec(v, w, v_out, w_out, b_fwd, b_bwd))
-        got = ek.pair_reversibility_residual(pi, nu, internal, beta, channels, n_check)
-        assert got == _oracle_pair_residual(pi, nu, internal, beta, channels, n_check)
+        net, channel, nu, internal = _random_pair_network(rng)
+        beta = float(rng.uniform(0.3, 3.0))
+        pi = rng.uniform(0.01, 1.0, 2)  # not the stationary weights
+        got = ek.product_form_residual(net, pi, beta, n_check)
+        assert got == _oracle_pair_residual(pi, nu, internal, beta, [channel], n_check)
+        pi = np.array(ek.product_form_measure(net, beta, n_check).weights)
+        got = ek.product_form_residual(net, pi, beta, n_check)
+        assert got == _oracle_pair_residual(pi, nu, internal, beta, [channel], n_check) <= 1e-10

@@ -21,7 +21,7 @@ PACKAGE_NAMES = [
     "ConstantUnaryRate", "CycleCheckResult", "DensityFamily", "DensityGrid",
     "DiscreteChainSpec", "EntropyCheck", "Exponential", "GammaDensity",
     "InfeasibleReactionError", "KernelSupportError", "KineticsError", "MixtureInitial",
-    "OutputPair", "PairReactionSpec", "ParticleSystem", "PowerGapRate", "ReactionNetwork",
+    "OutputPair", "ParticleSystem", "PowerGapRate", "ReactionNetwork",
     "ResidualReport", "ScatteringKernel", "Scenario", "Shifted", "ShiftedGamma",
     "SimulationError", "SimulatorConfig", "Snapshot", "SolveResult", "SolverBlowupError",
     "SolverConfig", "SumDecayRate", "Tabulated", "Trajectory",
@@ -32,11 +32,11 @@ PACKAGE_NAMES = [
     "density_from_spec", "detailed_balance_residual", "empirical_histogram",
     "entropy_monotonicity_check", "execute_event", "fixed_point_residual", "integrate",
     "kolmogorov_cycle_check", "ks_distance", "load_scenario", "local_equilibrium_residual",
-    "mass", "mean_energy", "measure_transform", "pair_reversibility_residual",
+    "mass", "mean_energy", "measure_transform",
     "product_form_measure", "product_form_residual", "relative_entropy",
     "rhs_multitype", "rhs_one_type", "run", "run_ensemble", "sample_canonical_split",
     "sample_conserving_quadruples", "sample_next_event", "scenario_from_dict",
-    "total_energy", "vector_particle_stationary",
+    "total_energy",
 ]
 
 # per module: its __all__ in order, each name with its signature (None when
@@ -122,7 +122,6 @@ EXPORTS = {
         "EntropyCheck": "(min_delta, passed, entropies)",
         "CycleCheckResult": "(passed, worst_cycle, worst_ratio, cycles_checked)",
         "DiscreteChainSpec": "(rates)",
-        "PairReactionSpec": "(v, w, v_out, w_out, b_forward, b_backward)",
         "sample_conserving_quadruples": (
             "(network, n, seed=0, energy_scale=1.0, include_corners=True)"
         ),
@@ -137,8 +136,6 @@ EXPORTS = {
         "admissible_pair_check": "(rho1, rho2, delta_i, grid)",
         "product_form_measure": "(network, beta, n_check=64)",
         "product_form_residual": "(network, weights, beta, n_check=64)",
-        "vector_particle_stationary": "(p, nu, internal, beta, channels, n_check=64)",
-        "pair_reversibility_residual": "(pi, nu, internal, beta, channels, n_check=64)",
         "kolmogorov_cycle_check": "(chain)",
         "measure_transform": "(rho, beta, x)",
         "ks_distance": "(samples, cdf)",

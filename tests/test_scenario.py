@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -38,6 +39,30 @@ def minimal_doc():
     }
 
 
+# a number that a bundled scenario takes from JSON: (scenario, key path, its value from
+# the number, the field the refusal names)
+NON_FINITE = {
+    "power_gap_b": (
+        "unary_two_type", ("network", "unary", 0, "rate"),
+        lambda x: {"form": "power_gap", "b": x, "exponent": 0.0}, "network.unary[0].rate",
+    ),
+    "power_gap_exponent": (
+        "unary_two_type", ("network", "unary", 0, "rate"),
+        lambda x: {"form": "power_gap", "b": 1.0, "exponent": x}, "network.unary[0].rate",
+    ),
+    "sum_decay_scale": (
+        "exponential_equilibrium", ("network", "binary", 0, "rate"),
+        lambda x: {"form": "sum_decay", "scale": x, "decay": 0.0}, "network.binary[0].rate",
+    ),
+    "sum_decay_decay": (
+        "exponential_equilibrium", ("network", "binary", 0, "rate"),
+        lambda x: {"form": "sum_decay", "scale": 1.0, "decay": x}, "network.binary[0].rate",
+    ),
+    "run_t_end": ("exponential_equilibrium", ("run", "t_end"), lambda x: x, "run.t_end"),
+    "solve_t_end": ("exponential_equilibrium", ("solve", "t_end"), lambda x: x, "solve.t_end"),
+}
+
+
 class TestLoad:
     def test_minimal_one_type(self):
         sc = scenario_from_dict(minimal_doc())
@@ -47,7 +72,7 @@ class TestLoad:
         traj = ek.run(cfg)
         assert traj.final_state.size == 100
 
-    def test_rate_symmetry_spot_checked_once_per_load_and_per_run(self, monkeypatch):
+    def test_rate_symmetry_checked_per_run_not_per_load(self, monkeypatch):
         # the catalog's rate forms are symmetric by construction: a load checks nothing
         calls = []
         check = ek.ReactionNetwork.validate_rate_symmetry
@@ -265,7 +290,7 @@ class TestLoad:
         scenario.load_scenario(SCENARIO_DIR / name)
         assert calls == []
 
-    def test_load_checks_each_channel_as_one_array(self, monkeypatch):
+    def test_load_calls_no_check_normalization(self, monkeypatch):
         calls = []
         check = ek.ScatteringKernel.check_normalization
 
@@ -314,6 +339,22 @@ class TestLoad:
         doc["run"].update(change)
         with pytest.raises(ek.ValidationError, match=re.escape(message)):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_refused_naming_field(self, case, value):
+        # JSON reads 1e999 as inf: each of these ran the chain or the solver until killed,
+        # or misreported it as a blow-up
+        name, path, make, field = NON_FINITE[case]
+        doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = make(value)
+        with pytest.raises(ek.ValidationError, match=re.escape(field + ": ")) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == field
 
     def test_parse_error_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
