@@ -6,6 +6,11 @@ byte-identical files.  Faults are reported as one JSON object on stderr
 with a nonzero exit code: the exception's class and message, and its
 ``field``, ``step``, ``time`` and ``indices`` where it sets them.  ``check``
 exits 0 only when every requested check passes.
+
+A command loads the engine of each section its scenario declares, while the
+scenario is loaded, and nothing else (see ``scenario``): ``run_ensemble`` and
+``integrate`` here import theirs on call, which finds it loaded, so a
+solve-only scenario never compiles the simulator nor a run-only one the solver.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ import numpy as np
 from . import equilibrium as eq
 from .core import KineticsError, ValidationError
 from .scenario import CHECKS, Scenario, load_scenario
-from .simulate import run_ensemble
-from .solver import integrate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,6 +74,25 @@ def _snapshot_texts(states):
                 lines[i] = f"{v},{t!r}\n"
         prev_ids, prev_bits = ids, bits
         yield "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# engines
+# ---------------------------------------------------------------------------
+
+
+def run_ensemble(config):
+    """``simulate.run_ensemble``: the scenario's ``run`` section loaded its module."""
+    from . import simulate
+
+    return simulate.run_ensemble(config)
+
+
+def integrate(grid0, config):
+    """``solver.integrate``: the scenario's ``solve`` section loaded its module."""
+    from . import solver
+
+    return solver.integrate(grid0, config)
 
 
 # ---------------------------------------------------------------------------

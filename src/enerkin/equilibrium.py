@@ -31,7 +31,6 @@ from .core import (
 )
 from .densities import DensityFamily, GammaDensity, ShiftedGamma
 from .reactions import ConstantRate, ConstantUnaryRate, PowerGapRate, ReactionNetwork
-from .solver import DensityGrid, _plan_support_fault
 
 __all__ = [
     "TypedDensity",
@@ -361,6 +360,8 @@ def fixed_point_residual(w: CollisionRateDensity, f: TypedDensity, gammas) -> Re
 
 
 def _as_type_values(obj, grid: DensityGrid) -> np.ndarray:
+    from .solver import DensityGrid
+
     if isinstance(obj, DensityGrid):
         if obj.values.shape != grid.values.shape:
             raise ValidationError("grids must share the same geometry")
@@ -604,6 +605,8 @@ def _product_form(network: ReactionNetwork):
     between v < w and each type pair with its sigma lambda for a pair reaction, and
     its link (v, w, b_vw, b_wv) of c_v b_vw = c_w b_wv; ValidationError names the
     channel or type that breaks the form."""
+    from .solver import _plan_support_fault
+
     shapes = {}  # type id -> (nu, the channel that fixed it)
 
     def fix(tid, nu, where):

@@ -18,6 +18,12 @@ names its form (a rate's ``form``, a kernel's ``kind``, ``initial.mode``)
 has one table per form.  ``CHECKS`` maps each check name to its runner and its
 parameters; the loader converts every ``checks[k]`` entry against it, and
 ``enerkin check`` runs the converted entries.
+
+A scenario loads the engine of each section it declares, at load, and nothing
+else: ``initial`` and ``run`` import ``simulate`` (and with it ``numpy.random``),
+``solve`` and a check on the collision plan import ``solver`` (and
+``numpy.fft``), and a check that draws imports ``numpy.random``.  So no command
+imports a module once its compute has begun.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import equilibrium as eq
 from .core import (
@@ -53,8 +58,6 @@ from .reactions import (
     UnaryChannel,
     UniformKernel,
 )
-from .simulate import MixtureInitial, SimulatorConfig, TypeCountsInitial
-from .solver import DensityGrid, SolverConfig, check_plan_support, integrate, rhs_multitype
 from .equilibrium import TypedDensity
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -101,8 +104,8 @@ def _integer(value) -> int:
 
 def _positive(value) -> float:
     out = _number(value)
-    if not out > 0:
-        raise ValueError(f"expected a positive number, got {value!r}")
+    if not (out > 0 and np.isfinite(out)):
+        raise ValueError(f"expected a finite positive number, got {value!r}")
     return out
 
 
@@ -367,6 +370,8 @@ class Scenario(_Record):
     def simulator_config(self, seed=None, replicas=None) -> SimulatorConfig:
         if self.run is None or self.initial is None:
             raise ValidationError("scenario has no 'run' section")
+        from .simulate import SimulatorConfig
+
         p = dict(self.run)
         if seed is not None:
             p["seed"] = int(seed)
@@ -377,6 +382,8 @@ class Scenario(_Record):
     def solver_setup(self) -> tuple[DensityGrid, SolverConfig]:
         if self.solve is None:
             raise ValidationError("scenario has no 'solve' section")
+        from .solver import DensityGrid, SolverConfig
+
         grid = DensityGrid.from_families(**self.solve["grid"])
         return grid, SolverConfig(network=self.network, **self.solve["config"])
 
@@ -460,6 +467,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _run_from_spec(spec, network: ReactionNetwork, initial) -> dict:
     """The simulator's config values of a ``run`` section, validated."""
+    from .simulate import SimulatorConfig
+
     p = _read_params(spec, _RUN, "run")
     hist = p.pop("histogram")
     if hist is not None:
@@ -472,6 +481,8 @@ def _run_from_spec(spec, network: ReactionNetwork, initial) -> dict:
 
 def _solve_from_spec(spec, network: ReactionNetwork) -> dict:
     """The grid's and the solver's config values of a ``solve`` section, validated."""
+    from .solver import SolverConfig
+
     p = _read_params(spec, _SOLVE, "solve")
     g = _read_params(p.pop("grid"), _GRID, "solve.grid")
     initial = p.pop("initial")
@@ -495,6 +506,8 @@ def _solve_from_spec(spec, network: ReactionNetwork) -> dict:
 
 
 def _initial_from_spec(spec, types: TypeTable):
+    from .simulate import MixtureInitial, TypeCountsInitial
+
     mode, p = _read_form(spec, "mode", _INITIAL, "initial", "initial mode")
     if mode == "particles":
         _require(bool(p["particles"]), "initial.particles", "needs a nonempty particle list")
@@ -554,6 +567,14 @@ def check_arguments(scenario: Scenario, params: dict, field: str = "check") -> d
     return args
 
 
+def _draws(scenario: Scenario, a: dict) -> dict:
+    """The prepare step of a check that draws: numpy loads ``numpy.random`` on
+    first use, and this loads it with the scenario, not in the check."""
+    import numpy.random  # noqa: F401
+
+    return a
+
+
 def _quadruples(scenario: Scenario, a: dict):
     return eq.sample_conserving_quadruples(
         scenario.network, a["samples"], energy_scale=a["energy_scale"]
@@ -587,11 +608,15 @@ def _additive_conservation(scenario: Scenario, a: dict):
 
 
 def _with_plan_measure(scenario: Scenario, a: dict) -> dict:
+    from .solver import check_plan_support
+
     check_plan_support(scenario.network)  # the collision equation has no unary channels
     return {**a, "measure": eq.product_form_measure(scenario.network, a["beta"])}
 
 
 def _stationary_profile_residual(scenario: Scenario, a: dict):
+    from .solver import DensityGrid, rhs_multitype
+
     x_max = a["x_max"] if a["x_max"] is not None else 40.0 / a["beta"]
     x = (np.arange(a["cells"]) + 0.5) * (x_max / a["cells"])  # the cell centres
     grid = DensityGrid(x_max, [a["measure"].pdf(v, x) for v in range(1, scenario.types.count + 1)])
@@ -599,6 +624,8 @@ def _stationary_profile_residual(scenario: Scenario, a: dict):
 
 
 def _kernel_normalization(scenario: Scenario, a: dict):
+    from numpy.random import default_rng
+
     per_channel = max(1, a["samples"] // max(1, len(scenario.network.binary)))
     errors = scenario.network.kernel_normalization_errors(
         per_channel, default_rng(a["seed"]), a["energy_scale"]
@@ -623,6 +650,8 @@ def _kolmogorov(scenario: Scenario, a: dict):
 
 
 def _measure_transform_ks(scenario: Scenario, a: dict):
+    from numpy.random import default_rng
+
     draws = a["rho"].sample(default_rng(a["seed"]), size=a["samples"])
     mapped = eq.measure_transform(a["rho"], a["beta"], draws)
     return eq.ks_distance(mapped, Exponential(a["beta"]).cdf), a["samples"]
@@ -640,6 +669,8 @@ def _with_solve(scenario: Scenario, a: dict) -> dict:
 
 
 def _entropy_monotonicity(scenario: Scenario, a: dict):
+    from .solver import integrate
+
     snaps = integrate(*scenario.solver_setup())
     res = eq.entropy_monotonicity_check(snaps, a["equilibrium"], tol=a["tolerance"])
     return max(0.0, -res.min_delta), len(snaps)
@@ -651,11 +682,15 @@ _DENSITY = _Param(density_from_spec)
 
 # Every check name, its runner and its parameters; the README lists the same.
 CHECKS = {
-    "detailed_balance": _check(_detailed_balance, equilibrium=_REFERENCE, **_QUADRATURE),
-    "local_equilibrium": _check(_local_equilibrium, equilibrium=_REFERENCE, **_QUADRATURE),
-    "fixed_point": _check(_fixed_point, equilibrium=_REFERENCE, **_QUADRATURE),
+    "detailed_balance": _check(
+        _detailed_balance, prepare=_draws, equilibrium=_REFERENCE, **_QUADRATURE
+    ),
+    "local_equilibrium": _check(
+        _local_equilibrium, prepare=_draws, equilibrium=_REFERENCE, **_QUADRATURE
+    ),
+    "fixed_point": _check(_fixed_point, prepare=_draws, equilibrium=_REFERENCE, **_QUADRATURE),
     "additive_conservation": _check(
-        _additive_conservation, f=_REFERENCE, f0=_REFERENCE, **_QUADRATURE
+        _additive_conservation, prepare=_draws, f=_REFERENCE, f0=_REFERENCE, **_QUADRATURE
     ),
     "stationary_profile_residual": _check(
         _stationary_profile_residual,
@@ -664,7 +699,9 @@ CHECKS = {
         cells=_Param(_count, 4000),
         x_max=_Param(_positive, None),  # None: 40 / beta
     ),
-    "kernel_normalization": _check(_kernel_normalization, seed=_Param(_integer, 0), **_QUADRATURE),
+    "kernel_normalization": _check(
+        _kernel_normalization, prepare=_draws, seed=_Param(_integer, 0), **_QUADRATURE
+    ),
     "admissible_pair": _check(
         _admissible_pair,
         rho1=_DENSITY,
@@ -681,6 +718,7 @@ CHECKS = {
     "kolmogorov": _check(_kolmogorov, rates=_Param(eq.DiscreteChainSpec)),
     "measure_transform_ks": _check(
         _measure_transform_ks,
+        prepare=_draws,
         rho=_DENSITY,
         beta=_Param(_number, 1.0),
         samples=_Param(_integer, 1000),

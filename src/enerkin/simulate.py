@@ -212,9 +212,9 @@ class SimulatorConfig(_Record):
             _check_integer(self.max_events, "max_events", 0)
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=float)
-            if edges.size < 2 or np.any(np.diff(edges) <= 0):
+            if edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
                 raise ValidationError(
-                    "histogram edges must be strictly increasing", field="histogram_edges"
+                    "histogram edges must be finite and strictly increasing", field="histogram_edges"
                 )
 
 

@@ -582,8 +582,8 @@ class SolverConfig(_Record):
             raise ValidationError(
                 f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}", field="scheme"
             )
-        if self.dt is not None and not (self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt}", field="dt")
+        if self.dt is not None and not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}", field="dt")
         if self.scheme == "rk4":
             if self.dt is None:
                 raise ValidationError("scheme 'rk4' needs dt", field="dt")

@@ -60,6 +60,9 @@ NON_FINITE = {
     ),
     "run_t_end": ("exponential_equilibrium", ("run", "t_end"), lambda x: x, "run.t_end"),
     "solve_t_end": ("exponential_equilibrium", ("solve", "t_end"), lambda x: x, "solve.t_end"),
+    "histogram_x_max": (
+        "exponential_equilibrium", ("run", "histogram", "x_max"), lambda x: x, "run.histogram.x_max",
+    ),
 }
 
 
@@ -280,12 +283,14 @@ class TestLoad:
         def refuse(*args, **kwargs):
             raise AssertionError("scenario load drew from a random generator")
 
+        # the load imports simulate, which binds numpy's default_rng: import it unpatched
+        import enerkin.simulate  # noqa: F401
+
         calls = []
         for method in ("kernel_normalization_errors", "validate_rate_symmetry"):
             monkeypatch.setattr(
                 ek.ReactionNetwork, method, lambda *a, method=method, **k: calls.append(method)
             )
-        monkeypatch.setattr(scenario, "default_rng", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         scenario.load_scenario(SCENARIO_DIR / name)
         assert calls == []
@@ -355,6 +360,15 @@ class TestLoad:
         with pytest.raises(ek.ValidationError, match=re.escape(field + ": ")) as err:
             scenario_from_dict(doc)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_rk4_step_refused_naming_field(self, value):
+        # an infinite step left every snapshot at time 0 with the initial grid
+        doc = json.loads((SCENARIO_DIR / "exponential_equilibrium.json").read_text())
+        doc["solve"].update(scheme="rk4", dt=value)
+        with pytest.raises(ek.ValidationError, match=re.escape("solve.dt: ")) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == "solve.dt"
 
     def test_parse_error_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -449,7 +463,7 @@ class TestCheckTable:
         for name, check in CHECKS.items():
             stub = scenario._Check(evaluated, check.params, check.prepare)
             monkeypatch.setitem(CHECKS, name, stub)
-        monkeypatch.setattr(scenario, "integrate", evaluated)
+        monkeypatch.setattr(ek.solver, "integrate", evaluated)
         monkeypatch.setattr(ek.equilibrium, "sample_conserving_quadruples", evaluated)
         for name in BUNDLED:
             sc = ek.load_scenario(SCENARIO_DIR / name)

@@ -650,12 +650,15 @@ class TestInitialConditions:
                 call()
             assert exc.value.field == field
 
-    def test_unordered_histogram_edges_fault_names_their_field(self):
+    @pytest.mark.parametrize(
+        "edges", [[1.0, 0.5], [0.0, 1.0, np.inf], [np.nan, 1.0]], ids=["unordered", "inf", "nan"]
+    )
+    def test_bad_histogram_edges_fault_names_their_field(self, edges):
         cfg = ek.SimulatorConfig(
             uniform_net(),
             ek.TypeCountsInitial((5,), (1.0,)),
             t_end=1.0,
-            histogram_edges=np.array([1.0, 0.5]),
+            histogram_edges=np.array(edges),
         )
         with pytest.raises(ek.ValidationError) as exc:
             cfg.validate()

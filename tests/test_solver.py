@@ -674,6 +674,15 @@ class TestIntegrate:
             ek.SolverConfig(t_end=1.0, network=ONE_TYPE, scheme="euler").validate()
         assert err.value.field == "scheme"
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_bad_rk4_step_fault_names_its_field(self, dt):
+        # an infinite step left every snapshot at time 0 with the initial grid
+        cfg = ek.SolverConfig(dt=dt, t_end=1.0, scheme="rk4", network=ONE_TYPE)
+        for call in (cfg.validate, lambda: ek.integrate(exp_grid(n=100), cfg)):
+            with pytest.raises(ek.ValidationError) as err:
+                call()
+            assert err.value.field == "dt"
+
     def test_rtol_fault_names_its_field(self):
         with pytest.raises(ek.ValidationError) as err:
             ek.SolverConfig(t_end=1.0, network=ONE_TYPE, rtol=0.0).validate()
