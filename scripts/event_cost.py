@@ -33,6 +33,14 @@ each have two conversion channels whose rates depend on the energy.  It
 starts from Exp(1) energies with the types in shares 4 : 3 : 2.  Its µs
 per conversion is the cost of picking a channel.
 
+The last two rows are the small-M runs of two bundled scenarios, each with
+the network and initial state of its ``run``: ``one_type``, the one-type
+network of ``exponential_equilibrium`` (a constant rate 1 and a one-output
+``UniformKernel``, no conversions) at M = 1 000 from energy 1, and
+``unary_only``, the conversion-only network of ``unary_two_type``
+(constant conversions 1 <-> 2 at rate 1 across a gap of 1, no collisions)
+at M = 2 000.
+
 It also prints the Python and numpy versions.
 
     PYTHONPATH=src python scripts/event_cost.py --repeat 5 --events 20000
@@ -42,6 +50,7 @@ import argparse
 import math
 import platform
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +59,8 @@ from enerkin.simulate import _COLLISION, _Engine, _ReadAhead
 
 GAP = 1.0
 SIZES = (1000, 20000, 100000)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = (("one_type", "exponential_equilibrium"), ("unary_only", "unary_two_type"))
 RATES = (("constant", ek.ConstantRate(1.0)), ("sum_decay", ek.SumDecayRate(1.0, 0.5)))
 
 
@@ -110,12 +121,18 @@ def power_gap_initial(m):
     return ek.TypeCountsInitial(counts, (ek.Exponential(1.0),) * 3)
 
 
-def networks():
-    """(label, network, initial state of M particles) of every network measured."""
+def rows():
+    """(label, network, initial state) of every row measured."""
     for name, rate in RATES:
-        yield name, chain_network(rate), initial_state
-    yield "canonical", canonical_network(), canonical_initial
-    yield "power_gap", power_gap_network(), power_gap_initial
+        for m in SIZES:
+            yield name, chain_network(rate), initial_state(m)
+    for m in SIZES:
+        yield "canonical", canonical_network(), canonical_initial(m)
+    for m in SIZES:
+        yield "power_gap", power_gap_network(), power_gap_initial(m)
+    for label, name in BUNDLED:
+        cfg = ek.load_scenario(SCENARIOS / f"{name}.json").simulator_config()
+        yield label, cfg.network, cfg.initial_state
 
 
 def run_us(net, initial, events, seed):
@@ -161,17 +178,15 @@ def main():
     print(f"best of {args.repeat}; {args.events} events per run")
     print(f"{'network':<15} {'M':>7} {'run µs/event':>13} {'build ms':>9} "
           f"{'conversions':>12} {'µs/collision':>13} {'µs/conversion':>14}")
-    for name, net, initial_of in networks():
-        for m in SIZES:
-            initial = initial_of(m)
-            system = ek.run(ek.SimulatorConfig(net, initial, t_end=0.0, seed=0)).final_state
-            run = min(run_us(net, initial, args.events, seed) for seed in range(args.repeat))
-            build = min(construction_ms(net, system) for _ in range(args.repeat))
-            splits = [split_us(net, system, args.events, seed) for seed in range(args.repeat)]
-            share = np.median([s[0] for s in splits])
-            coll, conv = (min(s[k] for s in splits) for k in (1, 2))
-            print(f"{name:<15} {m:>7} {run:>13.2f} {build:>9.2f} "
-                  f"{share:>12.3f} {coll:>13.2f} {conv:>14.2f}")
+    for name, net, initial in rows():
+        system = ek.run(ek.SimulatorConfig(net, initial, t_end=0.0, seed=0)).final_state
+        run = min(run_us(net, initial, args.events, seed) for seed in range(args.repeat))
+        build = min(construction_ms(net, system) for _ in range(args.repeat))
+        splits = [split_us(net, system, args.events, seed) for seed in range(args.repeat)]
+        share = np.median([s[0] for s in splits])
+        coll, conv = (min(s[k] for s in splits) for k in (1, 2))
+        print(f"{name:<15} {system.size:>7} {run:>13.2f} {build:>9.2f} "
+              f"{share:>12.3f} {coll:>13.2f} {conv:>14.2f}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,13 @@ from .core import (
     available_kinetic_energy,
 )
 from .densities import DensityFamily, GammaDensity, ShiftedGamma
-from .reactions import ConstantRate, ConstantUnaryRate, PowerGapRate, ReactionNetwork
+from .reactions import (
+    ConstantRate,
+    ConstantUnaryRate,
+    PowerGapRate,
+    ReactionNetwork,
+    _plan_support_fault,
+)
 
 __all__ = [
     "TypedDensity",
@@ -605,8 +611,6 @@ def _product_form(network: ReactionNetwork):
     between v < w and each type pair with its sigma lambda for a pair reaction, and
     its link (v, w, b_vw, b_wv) of c_v b_vw = c_w b_wv; ValidationError names the
     channel or type that breaks the form."""
-    from .solver import _plan_support_fault
-
     shapes = {}  # type id -> (nu, the channel that fixed it)
 
     def fix(tid, nu, where):

@@ -235,6 +235,30 @@ def _split_support(rho_a: DensityFamily, rho_b: DensityFamily, e):
     return np.maximum(lo_a, e - hi_b), np.minimum(hi_a, e - lo_b)
 
 
+def _plan_support_fault(ch: BinaryChannel) -> str | None:
+    """Why the solver's ``CollisionPlan``, and so ``equilibrium.product_form_measure``,
+    cannot take ``ch``, or None.  It reads only the channel's rate, kernel and
+    densities, so checking a network loads no solver."""
+    if not hasattr(ch.rate, "of_sum"):
+        return f"rate {ch.rate!r} is not a function of the energy sum (it has no of_sum)"
+    if ch.kernel.kind == "uniform":
+        return None
+    if ch.kernel.kind != "canonical":
+        return (
+            f"kernel kind {ch.kernel.kind!r} is simulator-only; only 'uniform' and "
+            "'canonical' kernels declare their split densities"
+        )
+    betas = set()
+    for tid, fam in ch.kernel.densities.items():
+        shape = fam.gamma_shape()
+        if shape is None:
+            return f"canonical density of type {tid} is {type(fam).__name__}, not a gamma law"
+        betas.add(shape[1])
+    if len(betas) > 1:
+        return f"canonical densities need one common beta, got betas {sorted(betas)}"
+    return None
+
+
 def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total) -> np.ndarray:
     """Convolution of the two densities at each ``total`` (closed form when gamma)."""
     ga, gb = rho_a.gamma_shape(), rho_b.gamma_shape()
@@ -311,19 +335,19 @@ class _OutcomeTable:
     K + releases[k] is >= 0, where releases[k] = I_in - I_out comes from
     ``available_kinetic_energy``.  Rounding keeps that test monotone in the
     release, so the feasible subsets are nested and each is known by its
-    size.  For every size s some kinetic energy gives, row s of ``weights``
-    holds each output's weight renormalized as w / w.sum() over the subset
-    (0 outside it), and ``subsets[s]`` the subset's output indices in output
-    order with the cumulative shares of their weights, against which one
-    ``random()`` picks an output as ``rng.choice(s, p=weights)`` does.
+    size, and every output is feasible at each K >= ``all_feasible_from``
+    = -min(releases).  For every size s some kinetic energy gives, row s of
+    ``weights`` holds each output's weight renormalized as w / w.sum() over
+    the subset (0 outside it), and ``subsets[s]`` the subset's output indices
+    in output order with the cumulative shares of their weights, against
+    which one ``random()`` picks an output as ``rng.choice(s, p=weights)``
+    does.
     """
 
-    def __init__(self, outputs, v, v_other, types: TypeTable):
-        self.releases = [
-            float(available_kinetic_energy(0.0, (v, v_other), (o.first, o.second), types))
-            for o in outputs
-        ]
+    def __init__(self, outputs, releases: list):
+        self.releases = releases
         self._descending = sorted(self.releases, reverse=True)
+        self.all_feasible_from = -self._descending[-1]
         self._release_row = np.array(self.releases)
         n = len(outputs)
         self.weights = np.zeros((n + 1, n))
@@ -399,7 +423,11 @@ class ScatteringKernel:
             self._table_types, self._tables = types, {}
         table = self._tables.get((v, v_other))
         if table is None:
-            table = self._tables[v, v_other] = _OutcomeTable(self.outputs, v, v_other, types)
+            releases = [
+                float(available_kinetic_energy(0.0, (v, v_other), (o.first, o.second), types))
+                for o in self.outputs
+            ]
+            table = self._tables[v, v_other] = _OutcomeTable(self.outputs, releases)
         return table
 
     def outcome_density(self, v, t, v_other, t_other, v_out, u, v_out_other, types):
@@ -434,13 +462,19 @@ class ScatteringKernel:
 
         A single feasible output is taken without a draw.  A split outside
         [0, available energy] (a faulty custom sampler) raises
-        InfeasibleReactionError.
+        InfeasibleReactionError.  The feasible outputs are counted only below
+        the table's ``all_feasible_from``.
         """
-        table = self._outcome_table(v, v_other, types)
+        table = self._tables.get((v, v_other)) if self._table_types is types else None
+        if table is None:
+            table = self._outcome_table(v, v_other, types)
         kinetic = t + t_other
-        size = table.size(kinetic)
-        if not size:
-            return None
+        if kinetic >= table.all_feasible_from:
+            size = len(table.releases)
+        else:
+            size = table.size(kinetic)
+            if not size:
+                return None
         idx, shares = table.subsets[size]
         k = idx[0] if size == 1 else idx[bisect_right(shares, rng.random())]
         out, e = self.outputs[k], kinetic + table.releases[k]

@@ -31,14 +31,28 @@ offsets I_v - I_w and rate objects.  For a type whose unary channels all
 have a ``ConstantUnaryRate``, the engine keeps each channel's (gate
 offset, value) and adds up the values of the open channels as
 ``ReactionNetwork.unary_rate`` does, so a constant conversion, like a
-constant collision, evaluates no rate.  A collision reads its feasible
-outputs, their releases and renormalized weights from the kernel's
-outcome table for the reactant types, and draws an output only when
-several are feasible.  A type change resets, once each, only the
-channel-tree leaves of channels involving the old or the new type, from
-(channel, v, w, bound) rows tabulated at construction.  Each float path
-gives the value its array counterpart gives, bit for bit, and draws the
-same random numbers, so the output does not depend on the representation.
+constant collision, evaluates no rate.  Each float path gives the value
+its array counterpart gives, bit for bit, and draws the same random
+numbers, so the output does not depend on the representation.
+
+An event makes these Python calls.  ``next_event`` reads each proposal's
+five uniforms straight from the read-ahead block, walks the channel tree
+(no step for a single channel) or the unary tree inline, and draws the
+pair inline; it calls ``ReactionNetwork.pair_rate`` only for a collision
+rate that is not constant, and ``unary_rates`` only to pick among several
+conversion channels whose rates are not all constant.  ``apply`` then
+calls, for a collision, the kernel's ``sample_outcome``: it finds the
+outcome table of the reactant types in one dict lookup, counts the
+feasible outputs only below the kinetic energy at which all are feasible,
+draws an output only when several are, and draws the split
+(``split_sample``).  A collision that keeps both types, between types
+without conversions, then writes the two energies and nothing else.  Any
+other event calls ``_mutate`` per particle, which moves a particle that
+changed type between the member lists, resets the channel-tree leaves of
+the channels involving the old or the new type (from (channel, v, w,
+bound) rows tabulated at construction; none when no channel involves
+them), and writes the particle's unary-tree leaf only when its rate
+changed.
 
 Every proposal takes five uniforms.  ``run`` reads its draws ahead in
 blocks: the proposal's five and every ``random()`` or ``uniform()`` of a
@@ -305,14 +319,15 @@ class _SumTree:
 
     def update(self, i: int, value: float) -> None:
         nodes, k = self.nodes, self.size + i
-        if nodes[k] != value:
-            nodes[k] = value
-            while k > 1:
-                k >>= 1
-                nodes[k] = nodes[2 * k] + nodes[2 * k + 1]
+        nodes[k] = value
+        while k > 1:
+            k >>= 1
+            nodes[k] = nodes[2 * k] + nodes[2 * k + 1]
 
     def find(self, u: float) -> int:
-        """Leaf whose cumulative interval holds u in [0, root); never a zero leaf."""
+        """Leaf whose cumulative interval holds u in [0, root); never a zero leaf.
+
+        ``_Engine.next_event`` walks its trees this way inline."""
         nodes, k, size = self.nodes, 1, self.size
         while k < size:
             k *= 2
@@ -347,7 +362,9 @@ class _ReadAhead(Generator):
     return what ``rng`` would.  ``beta(a, b)`` serves ``rng.beta(a, b)`` from
     blocks of one ``beta(a, b, size=k)`` call per shape pair.  Every other
     method, and any call with a size, is the Generator's own.  The unread
-    tails of the last blocks are dropped.
+    tails of the last blocks are dropped.  ``_Engine.next_event`` takes each
+    proposal's five doubles from ``block`` at ``pos`` itself, after a
+    ``_refill`` when fewer than five are unread.
     """
 
     __slots__ = ("block", "pos", "size", "cap", "betas")
@@ -391,15 +408,6 @@ class _ReadAhead(Generator):
             entry[0], entry[1] = iter(Generator.beta(self, a, b, k).tolist()), min(2 * k, self.cap)
             x = next(entry[0])
         return x
-
-    def proposal(self) -> list:
-        """The next five doubles, one proposal's uniforms."""
-        end = self.pos + 5
-        if end > len(self.block):
-            self._refill()
-            end = 5
-        start, self.pos = self.pos, end
-        return self.block[start:end]
 
 
 _COLLISION, _CONVERSION = 0, 1  # the kind of an engine event tuple
@@ -501,21 +509,38 @@ class _Engine:
         their waits and count in ``rejected``.  Returns (inf, None) when the total
         rate vanishes and (wait, None) once the wait passes ``horizon``.
 
-        ``rng`` is a ``_ReadAhead`` source."""
-        lam_b, lam_u = self.channel_tree.nodes[1], self.unary_tree.nodes[1]
+        ``rng`` is a ``_ReadAhead`` source: each proposal takes the next five
+        doubles of its block.  The two tree walks are ``_SumTree.find`` written
+        out; the channel tree of one channel has one leaf, which the walk
+        reaches without a step."""
+        channel_nodes, unary_nodes = self.channel_tree.nodes, self.unary_tree.nodes
+        lam_b, lam_u = channel_nodes[1], unary_nodes[1]
         lam = lam_b + lam_u
         if lam <= 0.0:
             return np.inf, None
         wait = 0.0
         while True:
-            # one draw of every uniform a proposal may need
-            r_wait, r_pick, r_i, r_j, r_accept = rng.proposal()
-            wait -= math.log1p(-r_wait) / lam
+            # one proposal: the uniforms of its wait, its pick, two members (or a
+            # conversion channel) and its acceptance
+            block, pos = rng.block, rng.pos
+            if pos + 5 > len(block):
+                rng._refill()
+                block, pos = rng.block, 0
+            rng.pos = pos + 5
+            wait -= math.log1p(-block[pos]) / lam
             if wait > horizon:
                 return wait, None
-            u = r_pick * lam
+            u = block[pos + 1] * lam
             if u >= lam_b and lam_u > 0.0:
-                i = self.unary_tree.find(u - lam_b)
+                u -= lam_b
+                k, size = 1, self.unary_tree.size
+                while k < size:
+                    k *= 2
+                    left = unary_nodes[k]
+                    if not (left > 0.0 and (u < left or unary_nodes[k + 1] <= 0.0)):
+                        u -= left
+                        k += 1
+                i = k - size
                 v = self.tids[i]
                 targets, k = self.targets[v], 0
                 if len(targets) > 1:
@@ -524,35 +549,38 @@ class _Engine:
                         rates = self.net.unary_rates(v, t)
                     else:  # the values unary_rates gives, bit for bit
                         rates = [value if t + gate >= 0.0 else 0.0 for gate, value in consts]
-                    k = _pick_channel(rates, r_i)
+                    k = _pick_channel(rates, block[pos + 2])
                 return wait, (_CONVERSION, i, targets[k])
-            event = self._propose_collision(u, r_i, r_j, r_accept)
-            if event is not None:
-                return wait, event
+            k, size = 1, self.channel_tree.size
+            while k < size:
+                k *= 2
+                left = channel_nodes[k]
+                if not (left > 0.0 and (u < left or channel_nodes[k + 1] <= 0.0)):
+                    u -= left
+                    k += 1
+            (v, w), bound, constant = self.channels[k - size]
+            # a uniform pair of distinct members of types v and w
+            first = self.members[v]
+            a = int(block[pos + 2] * len(first))
+            if v == w:
+                b = int(block[pos + 3] * (len(first) - 1))
+                j = first[b + (b >= a)]
+            else:
+                second = self.members[w]
+                j = second[int(block[pos + 3] * len(second))]
+            i = first[a]
+            if constant:
+                return wait, (_COLLISION, i, j)
+            t_i, t_j = self.kin[i], self.kin[j]
+            rate = _as_float(self.net.pair_rate(v, t_i, w, t_j))
+            if not 0.0 <= rate <= bound:
+                raise ValidationError(
+                    f"{'negative rate' if rate < 0 else 'rate above the declared bound'} {rate} "
+                    f"of collision channel {(v, w)} (bound {bound}) at energies {t_i}, {t_j}"
+                )
+            if block[pos + 4] * bound < rate:
+                return wait, (_COLLISION, i, j)
             self.rejected += 1
-
-    def _propose_collision(self, u, r_i, r_j, r_accept):
-        """A uniform pair of the channel holding u, or None when thinned away."""
-        (v, w), bound, constant = self.channels[self.channel_tree.find(u)]
-        first = self.members[v]
-        a = int(r_i * len(first))
-        if v == w:
-            b = int(r_j * (len(first) - 1))
-            j = first[b + (b >= a)]
-        else:
-            second = self.members[w]
-            j = second[int(r_j * len(second))]
-        i = first[a]
-        if constant:
-            return _COLLISION, i, j
-        t_i, t_j = self.kin[i], self.kin[j]
-        rate = _as_float(self.net.pair_rate(v, t_i, w, t_j))
-        if not 0.0 <= rate <= bound:
-            raise ValidationError(
-                f"{'negative rate' if rate < 0 else 'rate above the declared bound'} {rate} "
-                f"of collision channel {(v, w)} (bound {bound}) at energies {t_i}, {t_j}"
-            )
-        return (_COLLISION, i, j) if r_accept * bound < rate else None
 
     def check(self, event) -> tuple:
         """The engine tuple of a ``CollisionEvent`` or ``UnaryEvent``, after rejecting
@@ -604,6 +632,12 @@ class _Engine:
         if outcome is None:
             return False
         v_out_a, u_a, v_out_b, u_b = outcome
+        targets = self.targets
+        if v_out_a == va and v_out_b == vb and not targets[va] and not targets[vb]:
+            # no type changes and neither type converts: selection does not move
+            kin[a], kin[b] = u_a, u_b
+            self.touched.update((a, b))
+            return True
         self._mutate(a, v_out_a, u_a)
         self._mutate(b, v_out_b, u_b)
         return True
@@ -624,7 +658,9 @@ class _Engine:
                 self.pos[last] = k
             self.pos[i] = len(self.members[v])
             self.members[v].append(i)
-            self._refresh_majorants(self.rows_between[old][v])
+            rows = self.rows_between[old][v]
+            if rows:
+                self._refresh_majorants(rows)
         consts = self.unary_consts[v]
         if consts is not None:
             # summed left to right over the gated channels, as unary_rate sums them
@@ -632,14 +668,15 @@ class _Engine:
             for gate, value in consts:
                 if t + gate >= 0.0:
                     rate += value
-            self.unary_tree.update(i, rate)
         elif self.targets[v]:
             rate = self.net.unary_rate(v, t)
             if not rate >= 0.0:
                 raise ValidationError(f"negative rate {rate} from a unary rate function")
-            self.unary_tree.update(i, rate)
-        elif self.targets[old]:  # otherwise the leaf is 0 already
-            self.unary_tree.update(i, 0.0)
+        else:
+            rate = 0.0  # the leaf of a type without conversions
+        tree = self.unary_tree
+        if tree.nodes[tree.size + i] != rate:
+            tree.update(i, rate)
 
 
 def sample_next_event(system: ParticleSystem, network: ReactionNetwork, rng):

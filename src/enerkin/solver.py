@@ -46,7 +46,13 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .core import SolverBlowupError, TypeTable, ValidationError, _Record
-from .reactions import BinaryChannel, ConstantRate, ReactionNetwork, UniformKernel
+from .reactions import (
+    BinaryChannel,
+    ConstantRate,
+    ReactionNetwork,
+    UniformKernel,
+    _plan_support_fault,
+)
 
 __all__ = [
     "DensityGrid",
@@ -167,28 +173,6 @@ def _fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _plan_support_fault(ch: BinaryChannel) -> str | None:
-    """Why ``CollisionPlan``, and so ``product_form_measure``, cannot take ``ch``, or None."""
-    if not hasattr(ch.rate, "of_sum"):
-        return f"rate {ch.rate!r} is not a function of the energy sum (it has no of_sum)"
-    if ch.kernel.kind == "uniform":
-        return None
-    if ch.kernel.kind != "canonical":
-        return (
-            f"kernel kind {ch.kernel.kind!r} is simulator-only; only 'uniform' and "
-            "'canonical' kernels declare their split densities"
-        )
-    betas = set()
-    for tid, fam in ch.kernel.densities.items():
-        shape = fam.gamma_shape()
-        if shape is None:
-            return f"canonical density of type {tid} is {type(fam).__name__}, not a gamma law"
-        betas.add(shape[1])
-    if len(betas) > 1:
-        return f"canonical densities need one common beta, got betas {sorted(betas)}"
-    return None
 
 
 def check_plan_support(network: ReactionNetwork) -> None:

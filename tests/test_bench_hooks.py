@@ -7,7 +7,8 @@ wraps layer boundaries such as ``solver.rhs_one_type``, ``solver._gain_1d``,
 deleting any of them breaks only benchmark runs, so this installs both sets
 of hooks the way a benchmark child process does, and runs a traced
 simulation and a traced solve to check that the rate and right-hand-side
-spans the per-layer metrics count are hit, and traced ``simulate`` and
+spans the per-layer metrics count are hit, a traced run on the bundled
+one-type network to check one outcome span per event, and traced ``simulate`` and
 ``solve`` commands to check that every CSV file goes through the wrapped
 ``cli._write_csv``.
 """
@@ -76,6 +77,32 @@ print(json.dumps({
     "event_count": traj.event_count,
     "run_count": [row[tracing.COUNT] for row in rec.spans if row[tracing.NAME] == "simulate.run"],
     "rate_evals_in_run": sums["rate_evals_in_run"],
+}))
+"""
+
+
+TRACED_ONE_TYPE = """
+import json
+import sys
+sys.path.insert(0, "perfbench")
+import enerkin
+import enerkin as ek
+import enerkin.cli
+import tracing
+
+rec = tracing.Recorder(0)
+tracing.install(rec, enerkin)
+net = ek.load_scenario("scenarios/exponential_equilibrium.json").network
+(ch,) = net.binary
+cfg = ek.SimulatorConfig(
+    net, ek.TypeCountsInitial((50,), (ek.Exponential(1.0),)), t_end=1e9, max_events=300, seed=4
+)
+traj = enerkin.simulate.run(cfg)
+print(json.dumps({
+    "common_path": isinstance(ch.rate, ek.ConstantRate) and isinstance(ch.kernel, ek.UniformKernel)
+    and len(ch.kernel.outputs) == 1 and not net.unary,
+    "event_count": traj.event_count,
+    "sample_spans": sum(row[tracing.NAME] == tracing.SAMPLE_SPAN for row in rec.spans),
 }))
 """
 
@@ -185,6 +212,19 @@ def test_traced_simulation_records_rate_spans():
     assert out["event_count"] == 200
     assert out["run_count"] == [out["event_count"]]
     assert out["rate_evals_in_run"] > 0
+
+
+def test_traced_one_type_run_records_one_outcome_span_per_event():
+    # on the bundled one-type network (constant rate, one-output uniform kernel, no
+    # conversions) every event is a collision with a feasible output; an engine
+    # path that drew its outcome around the wrapped ScatteringKernel.sample_outcome
+    # would make reactions.sample_outcome_us read low without failing
+    proc = _run(TRACED_ONE_TYPE)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["common_path"]
+    assert out["event_count"] == 300
+    assert out["sample_spans"] == out["event_count"]
 
 
 def test_traced_solve_records_one_span_per_right_hand_side():

@@ -163,6 +163,15 @@ def test_single_section_command_loads_only_its_engine(kind, tmp_path):
     assert not skips & set(out["loaded"])
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_product_form_check_loads_no_solver(command, tmp_path):
+    # unary_two_type runs and lists product_form_balance, whose support rule
+    # for collision channels lives in reactions: no solver, so no numpy.fft
+    out = _command(SCENARIO_DIR / "unary_two_type.json", command, tmp_path / "out")
+    assert out["rc"] == 0
+    assert not {"enerkin.solver", "numpy.fft"} & set(out["loaded"])
+
+
 def test_gamma_cdf_imports_gammainc_and_matches_it_bitwise():
     out = _run(
         "import json, sys\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -470,6 +471,29 @@ def test_outcome_table_matches_brute_force(case):
         row[idx] = w
         assert table.weights[size].tolist() == row.tolist()
         assert [x + table.releases[k] for k in idx] == avail
+
+
+_RELEASE = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5])
+    | st.floats(-4.0, 4.0)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(st.lists(_RELEASE, min_size=1, max_size=9))
+@settings(max_examples=300, deadline=None)
+def test_all_feasible_threshold_agrees_with_the_feasible_count(releases):
+    # sample_outcome takes every output as feasible at kinetic >= all_feasible_from
+    # = -min(releases) without counting; at each release's threshold, its neighbours,
+    # zero and subnormals the count must be all outputs exactly there
+    from enerkin.reactions import _OutcomeTable
+
+    table = _OutcomeTable([ek.OutputPair(1, 1)] * len(releases), releases)
+    kinetic = [0.0, -0.0, 5e-324, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0)]
+    for r in releases:
+        kinetic += [-r, math.nextafter(-r, -math.inf), math.nextafter(-r, math.inf)]
+    for x in kinetic:
+        assert (table.size(x) == len(releases)) == (x >= table.all_feasible_from), x
 
 
 def _per_pair_errors(network, n_samples, rng, scale=1.0):

@@ -490,6 +490,31 @@ class TestSelectionBookkeeping:
         for u in np.concatenate([np.linspace(0.0, tree.nodes[1], 101), [tree.nodes[1] * (1 + 1e-15)]]):
             assert leaves[tree.find(u)] > 0.0
 
+    def test_next_event_walks_its_trees_as_sum_tree_find(self):
+        # next_event walks the channel and unary trees inline: at every pick
+        # uniform it must land on the leaf _SumTree.find gives, never a zero one
+        # (type-1 particles below T = 1 cannot convert)
+        from enerkin.simulate import _COLLISION, _CONVERSION, _Engine, _ReadAhead
+
+        rng = np.random.default_rng(11)
+        state = ek.ParticleSystem(rng.integers(1, 3, 40), rng.exponential(1.0, 40))
+        engine = _Engine(state, self._chain_network())
+        lam_b, lam_u = engine.channel_tree.nodes[1], engine.unary_tree.nodes[1]
+        draws = _ReadAhead(rng)
+        kinds = set()
+        for r in [*np.linspace(0.0, 1.0, 2001)[:-1].tolist(), float(np.nextafter(1.0, 0.0))]:
+            draws.block, draws.pos = [0.5, r, 0.3, 0.6, 0.9], 0
+            _, (kind, i, x) = engine.next_event(draws)
+            u = r * (lam_b + lam_u)
+            kinds.add(kind)
+            if kind == _CONVERSION:
+                assert i == engine.unary_tree.find(u - lam_b)
+                assert engine.unary_tree.nodes[engine.unary_tree.size + i] > 0.0
+            else:
+                pair, _, _ = engine.channels[engine.channel_tree.find(u)]
+                assert tuple(sorted((engine.tids[i], engine.tids[x]))) == pair
+        assert kinds == {_COLLISION, _CONVERSION}
+
     def test_channel_pick_is_the_sum_tree_leaf_and_never_a_closed_channel(self):
         from enerkin.simulate import _pick_channel, _SumTree
 
