@@ -30,8 +30,7 @@ _EXPORTS = {
     "reactions": (
         "BinaryChannel", "CallableRate", "CallableUnaryRate", "CanonicalKernel", "ConstantRate",
         "ConstantUnaryRate", "OutputPair", "PowerGapRate", "ReactionNetwork", "ScatteringKernel",
-        "SumDecayRate", "UnaryChannel", "UniformKernel", "canonical_split_pdf",
-        "sample_canonical_split",
+        "SumDecayRate", "UnaryChannel", "UniformKernel",
     ),
     "simulate": (
         "CollisionEvent", "MixtureInitial", "SimulatorConfig", "Snapshot", "Trajectory",

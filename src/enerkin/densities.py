@@ -157,8 +157,8 @@ class Shifted(_FrozenRecord, DensityFamily):
 
     def __init__(self, base: DensityFamily, offset: float):
         vars(self).update(base=base, offset=offset)
-        if offset < 0:
-            raise ValidationError(f"offset must be >= 0, got {offset}")
+        if not 0 <= offset < math.inf:
+            raise ValidationError(f"offset must be finite and >= 0, got {offset}")
 
     def pdf(self, x):
         return self.base.pdf(np.asarray(x, dtype=float) - self.offset)

@@ -627,7 +627,7 @@ def _product_form(network: ReactionNetwork):
         uniform = ch.kernel.kind == "uniform"
         for o in ch.kernel.outputs:
             for tid in (o.first, o.second):
-                fix(tid, 1.0 if uniform else ch.kernel.densities[tid].gamma_shape()[0], where)
+                fix(tid, 1.0 if uniform else ch.kernel.gamma_shapes[tid][0], where)
             other = tuple(sorted((o.first, o.second)))
             if other != ch.pair:
                 reactions.add((min(ch.pair, other), max(ch.pair, other)))

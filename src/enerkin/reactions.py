@@ -25,7 +25,7 @@ from .core import (
     _FrozenRecord,
     available_kinetic_energy,
 )
-from .densities import DensityFamily
+from .densities import DensityFamily, GammaDensity
 
 __all__ = [
     "ConstantRate",
@@ -38,8 +38,6 @@ __all__ = [
     "ScatteringKernel",
     "UniformKernel",
     "CanonicalKernel",
-    "sample_canonical_split",
-    "canonical_split_pdf",
     "BinaryChannel",
     "UnaryChannel",
     "ReactionNetwork",
@@ -208,26 +206,6 @@ class OutputPair(_FrozenRecord):
             raise ValidationError(f"output weight must be positive, got {weight}")
 
 
-def canonical_split_pdf(rho_a: DensityFamily, rho_b: DensityFamily, total, x):
-    """Density at x of the first coordinate given that the pair sums to ``total``.
-
-    This is the conditional law of two independent draws from (rho_a, rho_b)
-    conditioned on their sum; the normalizer is the convolution of the two
-    densities evaluated at the sum.  ``total`` may be an array of sums
-    broadcast against x; a sum that carries no mass raises, naming the first.
-    """
-    x = np.asarray(x, dtype=float)
-    z = _split_normalizer(rho_a, rho_b, total)
-    bad = np.flatnonzero(z <= 0.0)
-    if bad.size:
-        raise KernelSupportError(
-            f"conditioning on total energy {np.ravel(total)[bad[0]]} carries no mass for this "
-            "density pair"
-        )
-    vals = rho_a.pdf(x) * rho_b.pdf(total - x) / z
-    return np.where((x >= 0) & (x <= total), vals, 0.0)
-
-
 def _split_support(rho_a: DensityFamily, rho_b: DensityFamily, e):
     """(lo, hi) outside which rho_a(x) rho_b(e - x) vanishes, from the densities' supports
     ([0, e] for two on [0, inf)); ``e`` may be an array."""
@@ -249,9 +227,9 @@ def _plan_support_fault(ch: BinaryChannel) -> str | None:
             "'canonical' kernels declare their split densities"
         )
     betas = set()
-    for tid, fam in ch.kernel.densities.items():
-        shape = fam.gamma_shape()
+    for tid, shape in ch.kernel.gamma_shapes.items():
         if shape is None:
+            fam = ch.kernel.densities[tid]
             return f"canonical density of type {tid} is {type(fam).__name__}, not a gamma law"
         betas.add(shape[1])
     if len(betas) > 1:
@@ -259,56 +237,13 @@ def _plan_support_fault(ch: BinaryChannel) -> str | None:
     return None
 
 
-def _split_normalizer(rho_a: DensityFamily, rho_b: DensityFamily, total) -> np.ndarray:
-    """Convolution of the two densities at each ``total`` (closed form when gamma)."""
-    ga, gb = rho_a.gamma_shape(), rho_b.gamma_shape()
-    if ga is not None and gb is not None and ga[1] == gb[1]:
-        from .densities import GammaDensity
-
-        return GammaDensity(ga[0] + gb[0], ga[1]).pdf(total)
-    n = 4096
-
-    def midpoint(t):
-        lo, hi = _split_support(rho_a, rho_b, t)
-        h = max(hi - lo, 0.0) / n
-        xs = lo + (np.arange(n) + 0.5) * h
-        return float(np.sum(rho_a.pdf(xs) * rho_b.pdf(t - xs)) * h)
-
-    # one total at a time, so that no (totals x 4096) array is built
-    return np.array([midpoint(t) for t in np.ravel(total)]).reshape(np.shape(total))
-
-
-def sample_canonical_split(
-    rho_a: DensityFamily, rho_b: DensityFamily, total: float, rng: np.random.Generator
-) -> float:
-    """Draw the first outgoing kinetic energy under the canonical split at ``total``.
-
-    Gamma-family pairs with a common rate use the exact beta representation;
-    other families fall back on a tabulated inverse CDF over the split's support.
-    """
-    if total < 0:
-        raise ValidationError(f"total kinetic energy must be >= 0, got {total}")
-    if total == 0.0:
-        return 0.0
-    ga, gb = rho_a.gamma_shape(), rho_b.gamma_shape()
-    if ga is not None and gb is not None and ga[1] == gb[1]:
-        return float(total * rng.beta(ga[0], gb[0]))
-    n = 2048
-    lo, hi = _split_support(rho_a, rho_b, total)
-    h = (hi - lo) / n
+def _midpoint_grid(rho_a: DensityFamily, rho_b: DensityFamily, e, n: int) -> tuple:
+    """(lo, hi, h, w): the split's support at the sum ``e``, the width h of its n
+    midpoint cells (0 on an empty support) and rho_a(x) rho_b(e - x) at each midpoint x."""
+    lo, hi = _split_support(rho_a, rho_b, e)
+    h = max(hi - lo, 0.0) / n
     xs = lo + (np.arange(n) + 0.5) * h
-    w = rho_a.pdf(xs) * rho_b.pdf(total - xs)
-    mass = float(w.sum()) if lo < hi else 0.0
-    if mass <= 0.0:
-        raise KernelSupportError(
-            f"conditioning on total energy {total} carries no mass for this density pair"
-        )
-    cum = np.concatenate([[0.0], np.cumsum(w)]) / mass
-    u = rng.uniform()
-    k = int(np.searchsorted(cum, u, side="right") - 1)
-    k = min(max(k, 0), n - 1)
-    frac = (u - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
-    return float(lo + (k + frac) * h)
+    return lo, hi, h, rho_a.pdf(xs) * rho_b.pdf(e - xs)
 
 
 def _tanh_sinh_rule(n: int = 81, t_max: float = 3.1):
@@ -539,7 +474,13 @@ class CanonicalKernel(ScatteringKernel):
 
     ``densities`` maps outgoing type ids to energy densities; the split law
     for an outgoing pair (a, b) at available energy e is
-    rho_a(x) rho_b(e - x) / Z(e).
+    rho_a(x) rho_b(e - x) / Z(e), with Z the convolution of the two densities.
+    Each output's law is resolved once, here.  For Gamma(nu_a, beta) and
+    Gamma(nu_b, beta) the split is e Beta(nu_a, nu_b) and Z is the
+    Gamma(nu_a + nu_b, beta) density; any other pair draws by inverting its
+    CDF tabulated over 2048 midpoint cells of the split's support, and Z is
+    the sum over 4096 such cells.  ``gamma_shapes`` maps each type id to its
+    density's ``gamma_shape()``.
     """
 
     kind = "canonical"
@@ -553,16 +494,60 @@ class CanonicalKernel(ScatteringKernel):
                     raise ValidationError(
                         f"canonical kernel lacks a density for output type {tid}"
                     )
+        self.gamma_shapes = {tid: fam.gamma_shape() for tid, fam in self.densities.items()}
+        # per output (a, b): rho_a, rho_b, then the Beta shapes (nu_a, nu_b) and the sum
+        # law Gamma(nu_a + nu_b, beta) for two gamma laws of one rate, else None and None
+        self._laws = {}
+        for out in self.outputs:
+            ga, gb = self.gamma_shapes[out.first], self.gamma_shapes[out.second]
+            exact = ga is not None and gb is not None and ga[1] == gb[1]
+            self._laws[out.first, out.second] = (
+                self.densities[out.first],
+                self.densities[out.second],
+                (ga[0], gb[0]) if exact else None,
+                GammaDensity(ga[0] + gb[0], ga[1]) if exact else None,
+            )
 
     def split_pdf(self, out, e_avail, u):
-        return canonical_split_pdf(
-            self.densities[out.first], self.densities[out.second], e_avail, u
-        )
+        """As ``ScatteringKernel.split_pdf``; a sum that carries no mass raises
+        KernelSupportError, naming the first."""
+        rho_a, rho_b, _, sum_law = self._laws[out.first, out.second]
+        u = np.asarray(u, dtype=float)
+        if sum_law is not None:
+            z = sum_law.pdf(e_avail)
+        else:
+            z = np.empty(np.shape(e_avail))
+            for i, e in enumerate(np.ravel(e_avail)):  # one sum at a time: no (sums x 4096) array
+                _, _, h, w = _midpoint_grid(rho_a, rho_b, e, 4096)
+                z.flat[i] = np.sum(w) * h
+        bad = np.flatnonzero(z <= 0.0)
+        if bad.size:
+            raise KernelSupportError(
+                f"conditioning on total energy {np.ravel(e_avail)[bad[0]]} carries no mass for "
+                "this density pair"
+            )
+        vals = rho_a.pdf(u) * rho_b.pdf(e_avail - u) / z
+        return np.where((u >= 0) & (u <= e_avail), vals, 0.0)
 
     def split_sample(self, out, e_avail, rng):
-        return sample_canonical_split(
-            self.densities[out.first], self.densities[out.second], e_avail, rng
-        )
+        if e_avail < 0:
+            raise ValidationError(f"total kinetic energy must be >= 0, got {e_avail}")
+        if e_avail == 0.0:
+            return 0.0
+        rho_a, rho_b, shapes, _ = self._laws[out.first, out.second]
+        if shapes is not None:
+            return float(e_avail * rng.beta(*shapes))
+        lo, hi, h, w = _midpoint_grid(rho_a, rho_b, e_avail, 2048)
+        mass = float(w.sum()) if lo < hi else 0.0
+        if mass <= 0.0:
+            raise KernelSupportError(
+                f"conditioning on total energy {e_avail} carries no mass for this density pair"
+            )
+        cum = np.concatenate([[0.0], np.cumsum(w)]) / mass
+        u = rng.uniform()
+        k = min(max(int(np.searchsorted(cum, u, side="right") - 1), 0), w.size - 1)
+        frac = (u - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
+        return float(lo + (k + frac) * h)
 
     def _split_support(self, out, e_avail):
         return _split_support(self.densities[out.first], self.densities[out.second], e_avail)

@@ -330,7 +330,7 @@ def _energy_entry_from_spec(spec, field: str):
     )
     if p["density"] is not None:
         return p["density"]
-    _require(p["value"] >= 0, f"{field}.value", "fixed energy must be >= 0")
+    _require(0 <= p["value"] < np.inf, f"{field}.value", "fixed energy must be finite and >= 0")
     return p["value"]
 
 

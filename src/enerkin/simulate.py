@@ -137,8 +137,10 @@ def _check_energies(energies, n_types: int) -> None:
             f"needs {n_types} per-type energies, got {len(energies)}", field="energies"
         )
     for e in energies:
-        if not isinstance(e, DensityFamily) and not float(e) >= 0:
-            raise ValidationError(f"fixed initial energy must be >= 0, got {e}", field="energies")
+        if not isinstance(e, DensityFamily) and not 0 <= float(e) < math.inf:
+            raise ValidationError(
+                f"fixed initial energy must be finite and >= 0, got {e}", field="energies"
+            )
 
 
 class TypeCountsInitial(_FrozenRecord):
@@ -168,7 +170,7 @@ class MixtureInitial(_FrozenRecord):
                 f"mixture initial needs at least one particle, got {total}", field="total"
             )
         p = np.asarray(probabilities, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
             raise ValidationError(
                 f"mixture probabilities must be a distribution, got {probabilities}",
                 field="probabilities",
@@ -218,7 +220,7 @@ class SimulatorConfig(_Record):
         _check_integer(self.replicas, "replicas", 1)
         _check_integer(self.seed, "seed", 0)
         times = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0 or s > self.t_end for s in times):
+        if not all(0 <= s <= self.t_end for s in times):  # NaN lies within no interval
             raise ValidationError(
                 f"snapshot times {times} must lie within [0, {self.t_end}]", field="snapshot_times"
             )

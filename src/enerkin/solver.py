@@ -81,8 +81,8 @@ class DensityGrid(_Record):
 
     def __post_init__(self):
         # its own method, which perfbench's tracer times as the span solver.DensityGrid
-        if not (self.x_max > 0):
-            raise ValidationError(f"x_max must be positive, got {self.x_max}")
+        if not (0 < self.x_max < np.inf):
+            raise ValidationError(f"x_max must be finite and positive, got {self.x_max}")
         # a copy, with any -0.0 as 0.0
         vals = np.atleast_2d(np.asarray(self.values, dtype=float)) + 0.0
         if vals.ndim != 2 or vals.shape[1] < 2:
@@ -579,7 +579,7 @@ class SolverConfig(_Record):
             if self.rtol is not None and not (0 < self.rtol < 1):
                 raise ValidationError(f"rtol must lie in (0, 1), got {self.rtol}", field="rtol")
         for s in self.snapshot_times or ():
-            if s < 0 or s > self.t_end + 1e-12:
+            if not 0 <= s <= self.t_end + 1e-12:  # NaN lies within no interval
                 raise ValidationError(
                     f"snapshot time {s} outside [0, {self.t_end}]", field="snapshot_times"
                 )

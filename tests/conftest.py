@@ -48,6 +48,13 @@ def quadrature_mass(density: ek.DensityFamily, x_cap: float = None, n: int = 200
     return float(np.sum(density.pdf(mid)) * (xs[1] - xs[0]))
 
 
+def canonical_split(rho_a, rho_b):
+    """(kernel, output): a canonical kernel whose one output (1, 2) splits by the
+    laws rho_a and rho_b, for calling its ``split_sample`` and ``split_pdf``."""
+    kernel = ek.CanonicalKernel([(1, 2, 1.0)], {1: rho_a, 2: rho_b})
+    return kernel, kernel.outputs[0]
+
+
 def feasible_outputs(kernel, v, t, v_other, t_other, types):
     """(indices, renormalized weights, available energies) of the feasible outputs at
     these inputs, read from the kernel's outcome table as ``sample_outcome`` reads it."""

@@ -487,11 +487,17 @@ class TestSolveCommand:
             ({"grid": {"x_max": -1.0, "cells": 50}}, "solve.grid.x_max"),
             ({"snapshot_times": [99.0]}, "solve.snapshot_times"),
             ({"snapshot_times": [0.5, -0.5]}, "solve.snapshot_times"),
+            ({"snapshot_times": [0.5, float("nan"), 1.0]}, "solve.snapshot_times"),
+            (
+                {"initial": [{"density": {"family": "shifted_gamma", "nu": 2.0, "beta": 1.0, "shift": float("nan")}}]},
+                "solve.initial[0].density",
+            ),
         ],
         ids=[
             "no_cells", "no_x_max", "scheme", "flag", "unknown", "euler", "rk4_without_dt",
             "rk4_with_rtol", "zero_dt", "dopri5_with_dt", "negative_rtol", "rtol_ge_1",
             "zero_cells", "negative_x_max", "snapshot_past_t_end", "negative_snapshot",
+            "nan_snapshot", "nan_shift",
         ],
     )
     def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):
@@ -685,11 +691,22 @@ MALFORMED_SECTIONS = {
         ),
         "initial.probabilities",
     ),
+    "mixture_probabilities_nan": (
+        lambda: unary_doc_with(
+            initial={"mode": "mixture", "total": 10, "probabilities": [0.5, float("nan")], "energies": EXP_ENERGIES}
+        ),
+        "initial.probabilities",
+    ),
+    "energy_value_inf": (
+        _set(("initial",), {"mode": "counts", "counts": [3], "energies": [{"value": float("inf")}]}),
+        "initial.energies[0].value",
+    ),
     "mixture_total": (
         _set(("initial",), {"mode": "mixture", "total": 0, "probabilities": [1.0], "energies": [{"value": 1.0}]}),
         "initial.total",
     ),
     "run_snapshot_beyond_t_end": (_set(("run", "snapshot_times"), [1.0]), "run.snapshot_times"),
+    "run_snapshot_nan": (_set(("run", "snapshot_times"), [float("nan"), 0.0]), "run.snapshot_times"),
     "run_replicas_zero": (_set(("run", "replicas"), 0), "run.replicas"),
     "run_seed_negative": (_set(("run", "seed"), -1), "run.seed"),
     "histogram_bins": (_set(("run", "histogram", "bins"), -5), "run.histogram.bins"),

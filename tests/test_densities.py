@@ -186,7 +186,15 @@ class TestShiftedGammaIsAShiftedGamma:
         assert ek.Shifted(ek.UniformDensity(0.0, 1.0), 0.0).gamma_shape() is None
         assert ek.Shifted(ek.Exponential(3.0), 0.5).gamma_shape() is None
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, -0.5)])
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, -0.5), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)],
+    )
     def test_invalid_parameters_rejected(self, args):
         with pytest.raises(ek.ValidationError):
             ek.ShiftedGamma(*args)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ek.ValidationError, match="offset must be finite and >= 0"):
+            ek.Shifted(ek.Exponential(1.0), offset)

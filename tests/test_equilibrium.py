@@ -13,7 +13,9 @@ from scipy import integrate as spint
 from scipy.special import gammaln
 
 import enerkin as ek
-from conftest import PAIR_NETWORKS, SplitKernel, feasible_outputs, pair_reaction_network, uniform_net
+from conftest import (
+    PAIR_NETWORKS, SplitKernel, canonical_split, feasible_outputs, pair_reaction_network, uniform_net,
+)
 from test_simulate import _oracle_network as simulate_oracle_network
 from test_simulate_pins import gap_swap_network
 
@@ -420,25 +422,26 @@ class TestBatchedResidualsMatchOnePointAtATime:
 class TestKernelsAndConvolutions:
     def test_exponential_canonical_kernel_is_flat(self):
         t = 2.0
+        kernel, out = canonical_split(ek.Exponential(3.0), ek.Exponential(3.0))
         for x in (0.0, 0.5, 1.3, 2.0):
-            val = ek.canonical_split_pdf(ek.Exponential(3.0), ek.Exponential(3.0), t, x)
+            val = kernel.split_pdf(out, t, x)
             assert val == pytest.approx(1.0 / t, rel=1e-10)
 
     def test_gamma_beta_reduction(self):
-        val = ek.canonical_split_pdf(ek.GammaDensity(2, 1), ek.GammaDensity(1, 1), 1.0, 0.5)
-        assert val == pytest.approx(1.0, rel=1e-10)
+        kernel, out = canonical_split(ek.GammaDensity(2, 1), ek.GammaDensity(1, 1))
+        assert kernel.split_pdf(out, 1.0, 0.5) == pytest.approx(1.0, rel=1e-10)
 
     def test_outside_interval_zero(self):
-        assert ek.canonical_split_pdf(ek.Exponential(1.0), ek.Exponential(1.0), 1.0, 1.5) == 0.0
+        kernel, out = canonical_split(ek.Exponential(1.0), ek.Exponential(1.0))
+        assert kernel.split_pdf(out, 1.0, 1.5) == 0.0
 
     def test_density_integrates_to_one(self):
         for pair, t in [
             ((ek.GammaDensity(2, 1), ek.Exponential(1.0)), 1.7),
             ((ek.GammaDensity(1.5, 2.0), ek.GammaDensity(3.0, 2.0)), 0.9),
         ]:
-            val, _ = spint.quad(
-                lambda x: float(ek.canonical_split_pdf(pair[0], pair[1], t, x)), 0, t
-            )
+            kernel, out = canonical_split(*pair)
+            val, _ = spint.quad(lambda x: float(kernel.split_pdf(out, t, x)), 0, t)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_exponential_self_convolution(self):

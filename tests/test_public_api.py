@@ -28,13 +28,13 @@ PACKAGE_NAMES = [
     "TypeCountsInitial", "TypeTable", "TypedDensity", "UnaryChannel", "UnaryEvent",
     "UniformDensity", "UniformKernel", "UnknownTypeError", "ValidationError",
     "additive_conservation_residual", "admissible_pair_check", "available_kinetic_energy",
-    "canonical_split_pdf", "convolution_density", "convolution_equality_check",
+    "convolution_density", "convolution_equality_check",
     "density_from_spec", "detailed_balance_residual", "empirical_histogram",
     "entropy_monotonicity_check", "execute_event", "fixed_point_residual", "integrate",
     "kolmogorov_cycle_check", "ks_distance", "load_scenario", "local_equilibrium_residual",
     "mass", "mean_energy", "measure_transform",
     "product_form_measure", "product_form_residual", "relative_entropy",
-    "rhs_multitype", "rhs_one_type", "run", "run_ensemble", "sample_canonical_split",
+    "rhs_multitype", "rhs_one_type", "run", "run_ensemble",
     "sample_conserving_quadruples", "sample_next_event", "scenario_from_dict",
     "total_energy",
 ]
@@ -76,8 +76,6 @@ EXPORTS = {
         "ScatteringKernel": "(outputs)",
         "UniformKernel": "(outputs)",
         "CanonicalKernel": "(outputs, densities)",
-        "sample_canonical_split": "(rho_a, rho_b, total, rng)",
-        "canonical_split_pdf": "(rho_a, rho_b, total, x)",
         "BinaryChannel": "(pair, rate, kernel)",
         "UnaryChannel": "(source, target, rate)",
         "ReactionNetwork": "(types, binary=(), unary=())",

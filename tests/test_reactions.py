@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import enerkin as ek
-from conftest import SplitKernel, feasible_outputs
-from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS, _split_normalizer
+from conftest import SplitKernel, canonical_split, feasible_outputs
+from enerkin.reactions import _QUAD_NODES, _QUAD_WEIGHTS
 
 
 class TestRates:
@@ -76,12 +76,13 @@ class TestUniformSplit:
 
 
 class TestCanonicalSplit:
+    """``CanonicalKernel.split_sample`` and ``split_pdf`` on the one output (1, 2)."""
+
     def test_exponential_pair_is_uniform(self):
         rng = np.random.default_rng(3)
         t = 2.0
-        draws = np.array(
-            [ek.sample_canonical_split(ek.Exponential(0.7), ek.Exponential(0.7), t, rng) for _ in range(10_000)]
-        )
+        kernel, out = canonical_split(ek.Exponential(0.7), ek.Exponential(0.7))
+        draws = np.array([kernel.split_sample(out, t, rng) for _ in range(10_000)])
         d = ek.ks_distance(draws, lambda x: np.clip(x / t, 0, 1))
         assert d < 1.36 / np.sqrt(10_000)
 
@@ -89,8 +90,9 @@ class TestCanonicalSplit:
         # oracle: rejection sampling from the joint split density
         nu1, nu2, t = 2.0, 3.0, 1.5
         fam1, fam2 = ek.GammaDensity(nu1, 1.0), ek.GammaDensity(nu2, 1.0)
+        kernel, out = canonical_split(fam1, fam2)
         rng = np.random.default_rng(4)
-        draws = np.array([ek.sample_canonical_split(fam1, fam2, t, rng) for _ in range(20_000)])
+        draws = np.array([kernel.split_sample(out, t, rng) for _ in range(20_000)])
         dens = lambda x: fam1.pdf(x) * fam2.pdf(t - x)
         xs = np.linspace(0, t, 2001)
         peak = dens(xs).max()
@@ -109,9 +111,10 @@ class TestCanonicalSplit:
     def test_mixed_beta_fallback_matches_quadrature_cdf(self):
         # different rate parameters force the tabulated inverse-CDF path
         fam1, fam2 = ek.GammaDensity(2.0, 1.0), ek.Exponential(3.0)
+        kernel, out = canonical_split(fam1, fam2)
         t = 2.0
         rng = np.random.default_rng(5)
-        draws = np.array([ek.sample_canonical_split(fam1, fam2, t, rng) for _ in range(5_000)])
+        draws = np.array([kernel.split_sample(out, t, rng) for _ in range(5_000)])
         xs = np.linspace(0, t, 4001)
         pdf = fam1.pdf(xs) * fam2.pdf(t - xs)
         cdf_tab = np.cumsum(pdf)
@@ -122,10 +125,29 @@ class TestCanonicalSplit:
     def test_empty_support_faults(self):
         rng = np.random.default_rng(6)
         shifted = ek.Shifted(ek.Exponential(1.0), 2.0)  # support [2, inf)
+        kernel, out = canonical_split(shifted, ek.Exponential(1.0))
         with pytest.raises(ek.KernelSupportError):
-            ek.sample_canonical_split(shifted, ek.Exponential(1.0), 1.0, rng)
+            kernel.split_sample(out, 1.0, rng)
         with pytest.raises(ek.KernelSupportError):
-            ek.canonical_split_pdf(shifted, ek.Exponential(1.0), 1.0, 0.5)
+            kernel.split_pdf(out, 1.0, 0.5)
+
+    @pytest.mark.parametrize("rho_b", [ek.Exponential(1.0), ek.UniformDensity(0.0, 3.0)], ids=["beta", "table"])
+    def test_negative_energy_is_refused(self, rho_b):
+        kernel, out = canonical_split(ek.Exponential(1.0), rho_b)
+        with pytest.raises(ek.ValidationError, match="must be >= 0"):
+            kernel.split_sample(out, -0.5, np.random.default_rng(7))
+
+    def test_run_resolves_no_gamma_shape(self, two_type_canonical_network, monkeypatch):
+        # each output's split law is resolved when its kernel is built, not per event
+        calls = []
+        for cls in (ek.DensityFamily, ek.Exponential, ek.GammaDensity, ek.Shifted):
+            shape = cls.__dict__["gamma_shape"]
+            monkeypatch.setattr(cls, "gamma_shape", lambda self, f=shape: calls.append(self) or f(self))
+        initial = ek.TypeCountsInitial(counts=(50, 50), energies=(ek.GammaDensity(2.0, 1.0), ek.Exponential(1.0)))
+        config = ek.SimulatorConfig(two_type_canonical_network, initial, t_end=1e9, seed=1, max_events=2000)
+        traj = ek.run(config)
+        assert traj.events_applied == 2000
+        assert calls == []
 
 
 SUPPORT_DENSITIES = {
@@ -142,13 +164,18 @@ SUPPORT_DENSITIES = {
 @pytest.mark.parametrize("a, b", list(itertools.combinations_with_replacement(SUPPORT_DENSITIES, 2)))
 def test_support_rule_refuses_exactly_the_splits_without_mass(a, b, release):
     """A network refuses a canonical output exactly when its split normalizer is 0
-    somewhere on a grid of step 0.1 over the available energies (max(release, 0), 60]."""
+    somewhere on a grid of step 0.1 over the available energies (max(release, 0), 60]:
+    there ``split_pdf``, which divides by the normalizer, refuses the grid."""
     rho_a, rho_b = SUPPORT_DENSITIES[a], SUPPORT_DENSITIES[b]
     # (1, 2) -> (3, 4) releases I_1 - I_3
     types = ek.TypeTable(np.array([max(release, 0.0), 0.0, max(-release, 0.0), 0.0]))
     kernel = ek.CanonicalKernel([(3, 4, 1.0)], {3: rho_a, 4: rho_b})
     floor = max(release, 0.0)
-    massless = bool(np.any(_split_normalizer(rho_a, rho_b, np.linspace(floor, 60.0, 601)[1:]) <= 0.0))
+    try:
+        kernel.split_pdf(kernel.outputs[0], np.linspace(floor, 60.0, 601)[1:], 0.0)
+        massless = False
+    except ek.KernelSupportError:
+        massless = True
     try:
         ek.ReactionNetwork(types, [ek.BinaryChannel((1, 2), ek.ConstantRate(1.0), kernel)])
         refused = False

@@ -650,8 +650,15 @@ class TestInitialConditions:
             (lambda: ek.TypeCountsInitial((5, 5), (1.0,)), "energies"),
             (lambda: ek.MixtureInitial(0, (1.0,), (1.0,)), "total"),
             (lambda: ek.MixtureInitial(10, (0.5, 0.2), (1.0, 1.0)), "probabilities"),
+            (lambda: ek.MixtureInitial(10, (0.5, np.nan), (1.0, 1.0)), "probabilities"),
+            (lambda: ek.TypeCountsInitial((5,), (np.inf,)), "energies"),
+            (lambda: ek.TypeCountsInitial((5,), (np.nan,)), "energies"),
+            (lambda: ek.MixtureInitial(10, (0.5, 0.5), (1.0, np.inf)), "energies"),
         ],
-        ids=["negative_count", "no_particle", "negative_energy", "energies_length", "total", "probabilities"],
+        ids=[
+            "negative_count", "no_particle", "negative_energy", "energies_length", "total", "probabilities",
+            "nan_probability", "infinite_energy", "nan_energy", "mixture_infinite_energy",
+        ],
     )
     def test_initial_specs_validate_on_construction(self, make, field):
         with pytest.raises(ek.ValidationError) as exc:

@@ -133,6 +133,11 @@ class TestDensityGrid:
         with pytest.raises(ek.ValidationError):
             ek.DensityGrid(1.0, np.array([[0.5, -0.5]]))
 
+    @pytest.mark.parametrize("x_max", [np.inf, np.nan])
+    def test_rejects_an_x_max_that_is_not_finite_and_positive(self, x_max):
+        with pytest.raises(ek.ValidationError, match="x_max must be finite and positive"):
+            ek.DensityGrid(x_max, np.ones((1, 4)))
+
     def test_rejects_tiny_negative_and_keeps_zero_positive(self):
         # nothing is clipped: a round-off negative is refused like any other
         with pytest.raises(ek.ValidationError, match="nonnegative"):
