@@ -31,7 +31,10 @@ types at I = (0, 0.5, 1), ``UniformKernel`` collisions on the channels
 conversions 1 -> 2, 1 -> 3, 2 -> 1, 3 -> 1 and 3 -> 2, so types 1 and 3
 each have two conversion channels whose rates depend on the energy.  It
 starts from Exp(1) energies with the types in shares 4 : 3 : 2.  Its µs
-per conversion is the cost of picking a channel.
+per conversion is the cost of picking a channel.  The ``mixed_unary`` row,
+at M = 20 000 only, is the same network with constant conversions on the
+first, third and fifth of those channels, so types 1 and 3 each mix a
+constant channel with a ``power_gap`` one.
 
 The last two rows are the small-M runs of two bundled scenarios, each with
 the network and initial state of its ``run``: ``one_type``, the one-type
@@ -96,7 +99,9 @@ def canonical_initial(m):
     return ek.TypeCountsInitial((m // 2, m - m // 2), LAWS)
 
 
-def power_gap_network():
+def power_gap_network(constant_even=False):
+    """The three-type network; with ``constant_even``, channels 0, 2 and 4 convert
+    at a constant rate instead."""
     tt = ek.TypeTable(np.array([0.0, 0.5, 1.0]))
     outputs = {
         (1, 1): [(1, 1, 1.0), (2, 2, 1.0)],
@@ -110,7 +115,8 @@ def power_gap_network():
     ]
     ie = tt.internal_energies
     unary = [
-        ek.UnaryChannel(v, w, ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, float(ie[w - 1])))
+        ek.UnaryChannel(v, w, ek.ConstantUnaryRate(0.1 + 0.1 * k) if constant_even and k % 2 == 0
+                        else ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, float(ie[w - 1])))
         for k, (v, w) in enumerate([(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)])
     ]
     return ek.ReactionNetwork(tt, binary, unary)
@@ -130,6 +136,7 @@ def rows():
         yield "canonical", canonical_network(), canonical_initial(m)
     for m in SIZES:
         yield "power_gap", power_gap_network(), power_gap_initial(m)
+    yield "mixed_unary", power_gap_network(constant_even=True), power_gap_initial(20000)
     for label, name in BUNDLED:
         cfg = ek.load_scenario(SCENARIOS / f"{name}.json").simulator_config()
         yield label, cfg.network, cfg.initial_state

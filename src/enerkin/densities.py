@@ -91,7 +91,6 @@ class GammaDensity(_FrozenRecord, DensityFamily):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(x).shape if x.ndim else ())
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = (
                 self.nu * math.log(self.beta)

@@ -137,8 +137,6 @@ class ConstantUnaryRate:
         self.value = float(value)
 
     def __call__(self, u):
-        if isinstance(u, float):
-            return self.value
         shape = np.shape(u)
         return np.full(shape, self.value) if shape else self.value
 
@@ -650,32 +648,24 @@ class ReactionNetwork:
                             f"channel {ch.pair}: outputs ({a},{b}) and ({b},{a}) need "
                             "equal weights because the input slots are exchangeable"
                         )
-        self._unary_by_source: dict[int, list[UnaryChannel]] = {}
-        seen = set()
-        for ch in self.unary:
-            types.check_ids(np.array([ch.source, ch.target]))
-            if (ch.source, ch.target) in seen:
-                raise ValidationError(
-                    f"duplicate unary channel {ch.source}->{ch.target}"
-                )
-            seen.add((ch.source, ch.target))
-            self._unary_by_source.setdefault(ch.source, []).append(ch)
         # per source type: I_v, and by target w each channel's gate offset I_v - I_w
         # (the kinetic energy the conversion releases) and rate, in channel order
-        self._unary_table = {
-            v: (
-                float(available_kinetic_energy(0.0, (v,), (), types)),
-                {ch.target: (float(available_kinetic_energy(0.0, (v,), (ch.target,), types)), ch.rate)
-                 for ch in chans},
-            )
-            for v, chans in self._unary_by_source.items()
-        }
+        self._unary_table: dict[int, tuple[float, dict]] = {}
+        for ch in self.unary:
+            v, w = ch.source, ch.target
+            types.check_ids(np.array([v, w]))
+            if v not in self._unary_table:
+                self._unary_table[v] = (float(available_kinetic_energy(0.0, (v,), (), types)), {})
+            chans = self._unary_table[v][1]
+            if w in chans:
+                raise ValidationError(f"duplicate unary channel {v}->{w}")
+            chans[w] = (float(available_kinetic_energy(0.0, (v,), (w,), types)), ch.rate)
 
     def binary_channel(self, v: int, w: int) -> BinaryChannel | None:
         return self._by_pair.get((min(v, w), max(v, w)))
 
     def unary_from(self, v: int) -> list[UnaryChannel]:
-        return self._unary_by_source.get(v, [])
+        return [ch for ch in self.unary if ch.source == v]
 
     @property
     def has_unary(self) -> bool:
@@ -708,17 +698,9 @@ class ReactionNetwork:
         return [np.where(t + gate >= 0.0, rate(t + i_v), 0.0) for gate, rate in chans.values()]
 
     def unary_rate(self, v: int, t):
-        """Total conversion rate out of a particle (v, T), feasibility-gated (a float for a float T)."""
-        if isinstance(t, float):
-            # the channels of unary_rates, summed left to right as the array sum below
-            i_v, chans = self._unary_table.get(v, _NO_UNARY)
-            total = 0.0
-            for gate, rate in chans.values():
-                if t + gate >= 0.0:
-                    total += _as_float(rate(t + i_v))
-            return total
-        t = np.asarray(t, dtype=float)
-        return sum(self.unary_rates(v, t), np.zeros_like(t))
+        """Total conversion rate out of a particle (v, T), feasibility-gated: the
+        channels of ``unary_rates`` summed left to right (a float for a float T)."""
+        return sum(self.unary_rates(v, t), 0.0 if isinstance(t, float) else np.zeros(np.shape(t)))
 
     def outcome_density(self, v_a, t_a, v_b, t_b, v_out_a, u_a, v_out_b):
         """Density that slot a becomes (v_out_a, u_a) and slot b becomes v_out_b.

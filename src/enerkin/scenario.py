@@ -109,10 +109,21 @@ def _positive(value) -> float:
     return out
 
 
-def _count(value) -> int:
+def _count(value, low: int = 1) -> int:
     out = _integer(value)
-    if out < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    if out < low:
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
+    return out
+
+
+def _cells(value) -> int:
+    return _count(value, 2)  # a DensityGrid needs two cells
+
+
+def _weight(value) -> float:
+    out = _number(value)
+    if not (out >= 0 and np.isfinite(out)):
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
     return out
 
 
@@ -247,8 +258,8 @@ _SOLVE = {
     "scheme": _Param(_instance(str, "a string"), "dopri5"),
     "snapshot_times": _Param(_times, None),
 }
-_GRID = {"x_max": _Param(_positive), "cells": _Param(_count)}
-_SOLVE_INITIAL = {"density": _Param(density_from_spec), "weight": _Param(_number, None)}
+_GRID = {"x_max": _Param(_positive), "cells": _Param(_cells)}
+_SOLVE_INITIAL = {"density": _Param(density_from_spec), "weight": _Param(_weight, None)}
 _TOP = {
     "version": _Param(_integer),
     "types": _Param(_object),
@@ -696,7 +707,7 @@ CHECKS = {
         _stationary_profile_residual,
         prepare=_with_plan_measure,
         beta=_Param(_positive, 1.0),
-        cells=_Param(_count, 4000),
+        cells=_Param(_cells, 4000),
         x_max=_Param(_positive, None),  # None: 40 / beta
     ),
     "kernel_normalization": _check(

@@ -24,14 +24,15 @@ tuples (_COLLISION, i, j) or (_CONVERSION, i, target);
 ``CollisionEvent``/``UnaryEvent`` are built only at the public boundary,
 ``sample_next_event`` and ``execute_event``.  At construction the engine
 tabulates, per ordered type pair, the channel kernel's ``sample_outcome``
-and, per type, the targets of its unary channels, so applying an event
-looks up no channel.  Unary rates of one particle, and the energy a
-conversion releases, come from the network's per-type table of I_v, gate
-offsets I_v - I_w and rate objects.  For a type whose unary channels all
-have a ``ConstantUnaryRate``, the engine keeps each channel's (gate
-offset, value) and adds up the values of the open channels as
-``ReactionNetwork.unary_rate`` does, so a constant conversion, like a
-constant collision, evaluates no rate.  Each float path gives the value
+and, per type, one conversion table: by target w, in channel order, the
+gate offset I_v - I_w (the energy the conversion releases), I_v, the rate
+object and, for a rate that is exactly a ``ConstantUnaryRate``, its value.
+Applying an event looks up no channel.  A particle's unary rate, a
+conversion's channel pick and its release all read that table: the rate
+of an open channel is its value, or its rate object called at
+U = I_v + T, and the open channels add up left to right as
+``ReactionNetwork.unary_rate`` adds them, so a constant conversion, like
+a constant collision, evaluates no rate.  Each float path gives the value
 its array counterpart gives, bit for bit, and draws the same random
 numbers, so the output does not depend on the representation.
 
@@ -39,8 +40,8 @@ An event makes these Python calls.  ``next_event`` reads each proposal's
 five uniforms straight from the read-ahead block, walks the channel tree
 (no step for a single channel) or the unary tree inline, and draws the
 pair inline; it calls ``ReactionNetwork.pair_rate`` only for a collision
-rate that is not constant, and ``unary_rates`` only to pick among several
-conversion channels whose rates are not all constant.  ``apply`` then
+rate that is not constant, and a unary rate object only to pick among
+several conversion channels, one of which is not constant.  ``apply`` then
 calls, for a collision, the kernel's ``sample_outcome``: it finds the
 outcome table of the reactant types in one dict lookup, counts the
 feasible outputs only below the kinetic energy at which all are feasible,
@@ -418,11 +419,12 @@ _COLLISION, _CONVERSION = 0, 1  # the kind of an engine event tuple
 class _Engine:
     """Mutable chain state on Python lists: ``tids[i]`` and ``kin[i]`` are particle
     i's type and kinetic energy, and an event is a tuple (_COLLISION, i, j) or
-    (_CONVERSION, i, target).  Selection keeps a member list per type
-    (swap-remove, so a type change is O(1)), the channels' rate bounds and a
-    sum tree of unary rates.  With ``track_rates=False`` none is built and no
-    rate is evaluated: the engine then only applies events, as
-    ``execute_event`` needs.
+    (_CONVERSION, i, target).  Every unary rate, channel pick, release and
+    event check reads type v's conversion table ``conversions[v]``.  Selection
+    keeps a member list per type (swap-remove, so a type change is O(1)), the
+    channels' rate bounds and a sum tree of unary rates.  With
+    ``track_rates=False`` none is built and no rate is evaluated: the engine
+    then only applies events, as ``execute_event`` needs.
 
     ``to_system`` keeps the arrays of its last export and the indices that
     events touched since; it patches only those, or rebuilds the arrays
@@ -446,8 +448,15 @@ class _Engine:
         for ch in network.binary:
             v, w = ch.pair
             self.samplers[v][w] = ch.kernel.sample_outcome
-        # by type: the targets of its unary channels, in channel order (empty: none)
-        self.targets = [[ch.target for ch in network.unary_from(v)] for v in range(n)]
+        # by type: target -> (gate offset I_v - I_w, I_v, rate, value) of each unary
+        # channel, in channel order (empty: none); value is the rate's value when the
+        # rate is exactly a ConstantUnaryRate (a subclass may override __call__), else None
+        self.conversions = [{} for _ in range(n)]
+        for v, (i_v, chans) in network._unary_table.items():
+            self.conversions[v] = {
+                w: (gate, i_v, rate, rate.value if type(rate) is ConstantUnaryRate else None)
+                for w, (gate, rate) in chans.items()
+            }
         if not track_rates:
             return
         self.channels = []
@@ -458,13 +467,6 @@ class _Engine:
                     "which thinning needs: use CallableRate(fn, name, bound=...)"
                 )
             self.channels.append((ch.pair, ch.rate.bound, isinstance(ch.rate, ConstantRate)))
-        # by type, when every unary channel's rate is exactly a ConstantUnaryRate (a
-        # subclass may override __call__): each channel's (gate offset, value), in
-        # channel order; None otherwise
-        self.unary_consts = [None] * n
-        for v, (_, chans) in network._unary_table.items():
-            if all(type(rate) is ConstantUnaryRate for _, rate in chans.values()):
-                self.unary_consts[v] = [(gate, rate.value) for gate, rate in chans.values()]
         tids, kin = system.type_ids, system.kinetic_energies
         index = [np.flatnonzero(tids == v) for v in range(n)]
         self.members = [idx.tolist() for idx in index]
@@ -472,7 +474,7 @@ class _Engine:
         unary = np.zeros(self.m)
         for v, idx in enumerate(index):
             pos[idx] = np.arange(idx.size)
-            if idx.size and self.targets[v]:
+            if idx.size and self.conversions[v]:
                 unary[idx] = network.unary_rate(v, kin[idx])
         if not np.all(unary >= 0):
             raise ValidationError("negative rate from a unary rate function")
@@ -543,16 +545,19 @@ class _Engine:
                         u -= left
                         k += 1
                 i = k - size
-                v = self.tids[i]
-                targets, k = self.targets[v], 0
-                if len(targets) > 1:
-                    t, consts = self.kin[i], self.unary_consts[v]
-                    if consts is None:
-                        rates = self.net.unary_rates(v, t)
-                    else:  # the values unary_rates gives, bit for bit
-                        rates = [value if t + gate >= 0.0 else 0.0 for gate, value in consts]
-                    k = _pick_channel(rates, block[pos + 2])
-                return wait, (_CONVERSION, i, targets[k])
+                table = self.conversions[self.tids[i]]
+                if len(table) == 1:
+                    (x,) = table  # the only target
+                else:
+                    # the values ReactionNetwork.unary_rates gives, bit for bit
+                    t = self.kin[i]
+                    rates = [
+                        (_as_float(fn(t + i_v)) if value is None else value)
+                        if t + gate >= 0.0 else 0.0
+                        for gate, i_v, fn, value in table.values()
+                    ]
+                    x = list(table)[_pick_channel(rates, block[pos + 2])]
+                return wait, (_CONVERSION, i, x)
             k, size = 1, self.channel_tree.size
             while k < size:
                 k *= 2
@@ -605,7 +610,7 @@ class _Engine:
                 raise ValidationError(f"collision needs two distinct particles, got i=j={event.i}")
             return _COLLISION, int(event.i), int(event.j)
         v = self.tids[event.i]
-        if event.target not in self.targets[v]:
+        if event.target not in self.conversions[v]:
             raise ValidationError(f"no unary channel {v}->{event.target}")
         return _CONVERSION, int(event.i), event.target
 
@@ -617,8 +622,7 @@ class _Engine:
         tids, kin = self.tids, self.kin
         if kind == _CONVERSION:
             v = tids[i]
-            release, _ = self.net._unary_table[v][1][x]  # I_v - I_x
-            t_new = kin[i] + release
+            t_new = kin[i] + self.conversions[v][x][0]  # released: I_v - I_x
             if t_new < 0.0:
                 raise InfeasibleReactionError(
                     f"type change {v}->{x} needs more kinetic energy than particle {i} has ({kin[i]})"
@@ -634,8 +638,8 @@ class _Engine:
         if outcome is None:
             return False
         v_out_a, u_a, v_out_b, u_b = outcome
-        targets = self.targets
-        if v_out_a == va and v_out_b == vb and not targets[va] and not targets[vb]:
+        conversions = self.conversions
+        if v_out_a == va and v_out_b == vb and not conversions[va] and not conversions[vb]:
             # no type changes and neither type converts: selection does not move
             kin[a], kin[b] = u_a, u_b
             self.touched.update((a, b))
@@ -663,21 +667,17 @@ class _Engine:
             rows = self.rows_between[old][v]
             if rows:
                 self._refresh_majorants(rows)
-        consts = self.unary_consts[v]
-        if consts is not None:
-            # summed left to right over the gated channels, as unary_rate sums them
-            rate = 0.0
-            for gate, value in consts:
-                if t + gate >= 0.0:
-                    rate += value
-        elif self.targets[v]:
-            rate = self.net.unary_rate(v, t)
+        # summed left to right over the open channels, as ReactionNetwork.unary_rate
+        # sums them (the 0.0 of a closed channel changes no bit); a type without
+        # conversions has rate 0
+        rate = 0.0
+        for gate, i_v, fn, value in self.conversions[v].values():
+            if t + gate >= 0.0:
+                rate += _as_float(fn(t + i_v)) if value is None else value
+        tree = self.unary_tree
+        if tree.nodes[tree.size + i] != rate:  # a negative or NaN rate always differs
             if not rate >= 0.0:
                 raise ValidationError(f"negative rate {rate} from a unary rate function")
-        else:
-            rate = 0.0  # the leaf of a type without conversions
-        tree = self.unary_tree
-        if tree.nodes[tree.size + i] != rate:
             tree.update(i, rate)
 
 

@@ -109,6 +109,10 @@ MALFORMED_CHECKS = {
         lambda: small_doc_checking({"name": "stationary_profile_residual", "x_max": -5.0}),
         "checks[0].x_max",
     ),
+    "stationary_profile_one_cell": (
+        lambda: small_doc_checking({"name": "stationary_profile_residual", "cells": 1}),
+        "checks[0].cells",
+    ),
     "stationary_profile_without_plan": (  # the collision equation has no unary channels
         lambda: unary_doc_with(
             checks=[{"name": "product_form_balance"}, {"name": "stationary_profile_residual"}]
@@ -484,6 +488,7 @@ class TestSolveCommand:
             ({"rtol": -1e-8}, "solve.rtol"),
             ({"rtol": 1.5}, "solve.rtol"),
             ({"grid": {"x_max": 10.0, "cells": 0}}, "solve.grid.cells"),
+            ({"grid": {"x_max": 10.0, "cells": 1}}, "solve.grid.cells"),
             ({"grid": {"x_max": -1.0, "cells": 50}}, "solve.grid.x_max"),
             ({"snapshot_times": [99.0]}, "solve.snapshot_times"),
             ({"snapshot_times": [0.5, -0.5]}, "solve.snapshot_times"),
@@ -492,12 +497,19 @@ class TestSolveCommand:
                 {"initial": [{"density": {"family": "shifted_gamma", "nu": 2.0, "beta": 1.0, "shift": float("nan")}}]},
                 "solve.initial[0].density",
             ),
+            (
+                {"initial": [
+                    {"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "weight": 1.5},
+                    {"density": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "weight": -0.5},
+                ]},
+                "solve.initial[1].weight",
+            ),
         ],
         ids=[
             "no_cells", "no_x_max", "scheme", "flag", "unknown", "euler", "rk4_without_dt",
             "rk4_with_rtol", "zero_dt", "dopri5_with_dt", "negative_rtol", "rtol_ge_1",
-            "zero_cells", "negative_x_max", "snapshot_past_t_end", "negative_snapshot",
-            "nan_snapshot", "nan_shift",
+            "zero_cells", "one_cell", "negative_x_max", "snapshot_past_t_end", "negative_snapshot",
+            "nan_snapshot", "nan_shift", "negative_weight",
         ],
     )
     def test_malformed_solve_section_faults_at_load(self, change, field, tmp_path, capsys):

@@ -62,6 +62,19 @@ class TestSampleNextEvent:
         with pytest.raises(ek.ValidationError, match="negative rate"):
             ek.sample_next_event(sys0, net, np.random.default_rng(0))
 
+    def test_unary_rate_turning_negative_faults(self):
+        # the conversion rate 0.5 - U is positive at the start; a collision that
+        # leaves a particle above energy 0.5 makes it negative
+        tt = ek.TypeTable(np.array([0.0, 0.0]))
+        net = ek.ReactionNetwork(
+            tt,
+            [ek.BinaryChannel((1, 1), ek.ConstantRate(1.0), ek.UniformKernel([(1, 1, 1.0)]))],
+            [ek.UnaryChannel(1, 2, ek.CallableUnaryRate(lambda u: 0.5 - np.asarray(u)))],
+        )
+        cfg = ek.SimulatorConfig(net, ek.TypeCountsInitial((20, 0), (0.45, 0.0)), t_end=100.0)
+        with pytest.raises(ek.SimulationError, match="negative rate"):
+            ek.run(cfg)
+
 
 class TestEmpiricalHistogram:
     def test_single_particle(self):
@@ -420,9 +433,11 @@ class TestSelectionBookkeeping:
         )
 
     @staticmethod
-    def _two_gate_network():
+    def _two_gate_network(mixed=False):
         # type 1 converts at constant rates into type 2 above T = 0.4 and into
-        # type 3 above T = 1.0; collisions also change types
+        # type 3 above T = 1.0 (mixed: into type 3 at a power_gap rate, so type 1
+        # mixes a constant channel with an energy-dependent one); collisions also
+        # change types
         tt = ek.TypeTable(np.array([0.0, 0.4, 1.0]))
         rate = ek.ConstantRate(1.0)
         return ek.ReactionNetwork(
@@ -434,27 +449,36 @@ class TestSelectionBookkeeping:
             ],
             unary=[
                 ek.UnaryChannel(1, 2, ek.ConstantUnaryRate(0.5)),
-                ek.UnaryChannel(1, 3, ek.ConstantUnaryRate(0.8)),
+                ek.UnaryChannel(
+                    1, 3, ek.PowerGapRate(0.8, 0.5, 1.0) if mixed else ek.ConstantUnaryRate(0.8)
+                ),
                 ek.UnaryChannel(2, 1, ek.ConstantUnaryRate(1.0)),
                 ek.UnaryChannel(3, 1, ek.ConstantUnaryRate(1.0)),
             ],
         )
 
-    @pytest.mark.parametrize("name", ["power_gap", "chain", "two_gates"])
+    @pytest.mark.parametrize("name", ["power_gap", "chain", "two_gates", "mixed"])
     def test_sum_tree_matches_fresh_unary_rates(self, name):
         # every event updates leaves along their paths; after 2000 events the
         # tree must hold exactly the fresh rates and their pairwise sums
         from enerkin.simulate import _FIRST_BLOCK, _Engine, _ReadAhead, _SumTree
 
         net = {
-            "power_gap": self._network, "chain": self._chain_network, "two_gates": self._two_gate_network
+            "power_gap": self._network,
+            "chain": self._chain_network,
+            "two_gates": self._two_gate_network,
+            "mixed": lambda: self._two_gate_network(mixed=True),
         }[name]()
         n_types = net.types.count
         rng = np.random.default_rng(3)
         sys0 = ek.ParticleSystem(rng.integers(1, n_types + 1, 60), rng.exponential(1.0, 60))
         engine = _Engine(sys0, net)
-        # constant conversions are read from the engine's table, not evaluated
-        assert all(c is not None for c in engine.unary_consts[1:]) == (name != "power_gap")
+        # constant conversions are read from the engine's table, not evaluated:
+        # its value is None only for the others
+        values = [row[3] for table in engine.conversions for row in table.values()]
+        assert {value is None for value in values} == {
+            "power_gap": {True}, "mixed": {True, False}
+        }.get(name, {False})
         proposals = _ReadAhead(rng, cap=_FIRST_BLOCK)  # draws only the proposals' uniforms
         for _ in range(2000):
             _, event = engine.next_event(proposals)
@@ -531,22 +555,27 @@ class TestSelectionBookkeeping:
         assert below_one * (2 * tiny) == 2 * tiny
         assert _pick_channel([tiny, tiny, 0.0], below_one) == 1
 
-    @pytest.mark.parametrize("form", ["constant", "callable"])
+    @pytest.mark.parametrize("form", ["constant", "callable", "mixed"])
     def test_conversion_picks_among_three_channels_one_closed(self, form):
         # type 1 converts to 2 at rate 1 and to 4 at rate 3; its channel to type 3
         # needs kinetic energy 50, which no particle has, so it is closed
         from enerkin.simulate import _Engine, _ReadAhead
 
-        def rate(c):
-            return ek.ConstantUnaryRate(c) if form == "constant" else ek.CallableUnaryRate(lambda u: c)
+        def rate(w, c):  # mixed: the channel 1 -> 4 is callable, the others constant
+            if form == "constant" or (form == "mixed" and w != 4):
+                return ek.ConstantUnaryRate(c)
+            return ek.CallableUnaryRate(lambda u: c)
 
         pairs = [((1, 2), 1.0), ((1, 3), 5.0), ((1, 4), 3.0), ((2, 1), 1.0), ((4, 1), 1.0)]
         net = ek.ReactionNetwork(
             ek.TypeTable(np.array([0.0, 0.0, 50.0, 0.0])),
-            unary=[ek.UnaryChannel(v, w, rate(c)) for (v, w), c in pairs],
+            unary=[ek.UnaryChannel(v, w, rate(w, c)) for (v, w), c in pairs],
         )
         engine = _Engine(ek.ParticleSystem(np.ones(40, dtype=int), np.full(40, 1.0)), net)
-        assert (engine.unary_consts[1] is not None) == (form == "constant")
+        # type 1's table: the value of each constant rate, None for a callable one
+        assert [row[3] for row in engine.conversions[1].values()] == {
+            "constant": [1.0, 5.0, 3.0], "callable": [None] * 3, "mixed": [1.0, 5.0, None]
+        }[form]
         rng = _ReadAhead(np.random.default_rng(7))
         picks = {2: 0, 3: 0, 4: 0}
         for _ in range(4000):

@@ -3,7 +3,8 @@
 The CLI pins in ``test_cli.py`` run constant rates, the one-output uniform
 and gamma canonical kernels and one-channel conversions.  These pins cover
 the engine paths they miss: thinned ``sum_decay`` collisions, ``power_gap``
-and ``CallableRate`` rates, a type with two unary channels, a split law
+and ``CallableRate`` rates, a type with two unary channels, a type whose
+conversions mix a constant rate with a ``power_gap`` one, a split law
 given as callables (a quadratic sampler), collisions that are no-ops
 because no output is feasible, a canonical pair with no common gamma rate
 (the tabulated split sampler), alone and beside same-type Beta splits, a
@@ -83,6 +84,17 @@ def power_gap_network():
     )
 
 
+def mixed_unary_network():
+    """Constant conversions on the even channels, power_gap ones on the odd: types 1
+    and 3 each mix a constant channel with one whose rate depends on the energy."""
+    def unary(k, gate):
+        if k % 2 == 0:
+            return ek.ConstantUnaryRate(0.1 + 0.1 * k)
+        return ek.PowerGapRate(0.1 + 0.1 * k, 0.5 + 0.25 * k, gate)
+
+    return _three_types(ek.ConstantRate, unary)
+
+
 def callable_network():
     def inverse_product(c):
         return lambda t, tp: c / (1.0 + np.asarray(t, dtype=float) * np.asarray(tp, dtype=float))
@@ -149,6 +161,7 @@ CASES = {
     "sum_decay": (sum_decay_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
     "power_gap": (power_gap_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
     "callable": (callable_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
+    "mixed_unary": (mixed_unary_network, ek.TypeCountsInitial((20, 15, 10), (EXP, EXP, EXP))),
     "table": (table_network, ek.TypeCountsInitial((30, 10), (EXP, EXP))),
     "gap_swap": (gap_swap_network, ek.TypeCountsInitial((30, 10), (EXP, EXP))),
     "mixed_canonical": (mixed_canonical_network, ek.TypeCountsInitial((12, 8), (EXP, EXP))),
@@ -166,6 +179,7 @@ TRAJECTORY_SHA256 = {
     "table": "27bb456886e823be6dc1d356c9f7d95a24d097ff244e2a142a107870094562a1",
     "mixed_canonical": "8154d82df65f5acf67e1ade7bbac9001af16688da386282d7a74e4cc5425fcce",
     "mixed_cross": "40ab644abe96d86e284b9ae30cdb21edb871311cf3ecf1556e2035aa051eba8e",
+    "mixed_unary": "a96f53b4d3feea317dca1e8d670604bb608e470175b5fc269c4f45df8ea632d4",
 }
 
 
@@ -200,6 +214,7 @@ SINGLE_EVENT_SHA256 = {
     "table": "d7a961a5fa8f2ac2f8f68bce9cf2117c7ca9a4d22c0405d77f19bc6a1c20f46b",
     "mixed_canonical": "f4ffc2dd57d2887e503a1159257f2ffbe0d152cc38aebf979080e3c1431607ef",
     "mixed_cross": "706491e512d03d98a20c4ddfb5555719e5c40ff624148e0b9ca379b116f2dfb2",
+    "mixed_unary": "4546ce85677f75fb2af582f24cfdfe54c4297728ac0dd0b992642062023c45c1",
 }
 
 
